@@ -11,6 +11,10 @@ import (
 // the caller does not say.
 const defaultPollInterval = 2 * time.Second
 
+// defaultProbeTimeout bounds a readiness probe when the caller supplies
+// no client: a probe that takes seconds is a failure in itself.
+const defaultProbeTimeout = 2 * time.Second
+
 // MemberState is one member's last observed health.
 type MemberState struct {
 	URL string `json:"url"`
@@ -25,32 +29,35 @@ type MemberState struct {
 
 // Monitor maintains a readiness view of a fixed member set by polling
 // each member's /v1/readyz. OnChange fires (from the probing
-// goroutine) whenever the set of ready members changes — the Router
-// uses it to rebuild its hash ring, which is what rebalances streams
-// off a lost replica.
+// goroutine) after the first probe and whenever the set of ready
+// members changes — the Router uses it to rebuild its hash ring, which
+// is what rebalances streams off a lost replica.
 type Monitor struct {
 	urls     []string
 	interval time.Duration
 	client   *http.Client
 	// OnChange, when set before Start, receives the new ready set
-	// (sorted) after every change.
+	// (sorted) after the first probe and after every change. It runs
+	// under the monitor's lock — so successive ready sets arrive in probe
+	// order and CheckNow returns only once its change is delivered — and
+	// must not call back into the Monitor.
 	OnChange func(ready []string)
 
 	mu     sync.Mutex
+	probed bool // a probe round has completed (see OnChange)
 	states map[string]*MemberState
 	stop   chan struct{}
 	done   chan struct{}
 }
 
 // NewMonitor builds a monitor over the member base URLs. interval 0
-// selects the default; client nil uses a short-timeout default (a
-// health probe that takes seconds is a failure in itself).
+// selects the default; client nil uses a defaultProbeTimeout client.
 func NewMonitor(urls []string, interval time.Duration, client *http.Client) *Monitor {
 	if interval <= 0 {
 		interval = defaultPollInterval
 	}
 	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Second}
+		client = &http.Client{Timeout: defaultProbeTimeout}
 	}
 	m := &Monitor{
 		urls:     append([]string(nil), urls...),
@@ -82,6 +89,7 @@ func (m *Monitor) CheckNow() []string {
 	}
 	now := time.Now()
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	before := m.readyLocked()
 	for range m.urls {
 		p := <-results
@@ -89,12 +97,12 @@ func (m *Monitor) CheckNow() []string {
 		st.Ready, st.Error, st.LastChecked = p.ok, p.err, now
 	}
 	after := m.readyLocked()
-	changed := !equalStrings(before, after)
-	onChange := m.OnChange
-	m.mu.Unlock()
-	if changed && onChange != nil {
-		onChange(after)
+	// The first round always reports: a listener that started out
+	// assuming members ready must hear an all-down verdict too.
+	if (!m.probed || !equalStrings(before, after)) && m.OnChange != nil {
+		m.OnChange(after)
 	}
+	m.probed = true
 	return after
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"banditware/internal/policy"
 	"banditware/internal/regress"
@@ -529,8 +530,9 @@ type DeltaStats struct {
 }
 
 // ApplyDelta merges a peer's delta envelope (DeltaCapture.Encode) into
-// this service. The service reports not-ready (Ready, /v1/readyz)
-// while the merge runs. Deltas for streams this replica does not serve
+// this service. Each stream merges under its own lock, so the service
+// keeps serving — and stays ready (Ready, /v1/readyz) — while the merge
+// runs. Deltas for streams this replica does not serve
 // are skipped and reported; a malformed or mismatched stream delta
 // aborts with an error (earlier streams in the envelope stay merged —
 // re-sending a delta is safe only after the underlying mismatch is
@@ -554,8 +556,6 @@ func (s *Service) ApplyDelta(r io.Reader) (DeltaStats, error) {
 	if snap.Version != snapshotVersion && snap.Version != snapshotVersion-1 {
 		return stats, fmt.Errorf("%w: version %d, this replica speaks %d", ErrBadDelta, snap.Version, snapshotVersion)
 	}
-	s.beginMaintenance()
-	defer s.endMaintenance()
 	for _, sd := range snap.Streams {
 		st, err := s.stream(sd.Name)
 		if errors.Is(err, ErrStreamNotFound) {
@@ -707,9 +707,11 @@ func (st *stream) rebaselineForeignLocked() {
 	m.driftBase = db
 }
 
-// Ready reports whether the service is fully serving: false while a
-// snapshot import or delta merge is in flight. Routers use this (via
-// GET /v1/readyz) to hold traffic off a replica that is restoring.
+// Ready reports whether the service is fully serving: false only while
+// a snapshot import (ImportSnapshot) replaces its state. Delta merges
+// do not clear it — they leave every stream serving correctly. Routers
+// use this (via GET /v1/readyz) to hold traffic off a replica that is
+// restoring.
 func (s *Service) Ready() bool { return s.maintenance.Load() == 0 }
 
 func (s *Service) beginMaintenance() { s.maintenance.Add(1) }
@@ -731,7 +733,9 @@ type distSnap struct {
 }
 
 // distSnapLocked returns the stream's persisted merged state, or nil
-// when it has never absorbed foreign contributions.
+// when it has never absorbed foreign contributions. The slices are
+// copies: Save encodes after releasing the stream locks, while delta
+// merges and arm retirement keep writing the live ones.
 func (st *stream) distSnapLocked() *distSnap {
 	m := st.merged
 	if m.empty() {
@@ -747,19 +751,19 @@ func (st *stream) distSnapLocked() *distSnap {
 	}
 	for _, a := range m.arms {
 		if !a.IsZero() {
-			ds.Arms = m.arms
+			ds.Arms = slices.Clone(m.arms)
 			break
 		}
 	}
 	for _, d := range m.drift {
 		if d != 0 {
-			ds.Drift = m.drift
+			ds.Drift = slices.Clone(m.drift)
 			break
 		}
 	}
 	for _, d := range m.driftBase {
 		if d != 0 {
-			ds.DriftBase = m.driftBase
+			ds.DriftBase = slices.Clone(m.driftBase)
 			break
 		}
 	}

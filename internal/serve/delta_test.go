@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -667,7 +668,8 @@ func TestImportSnapshotRebaselines(t *testing.T) {
 
 // TestReadyzEndpoint: /v1/readyz is distinct from /v1/healthz — the
 // process is alive (healthz 200) but not ready (readyz 503) while a
-// snapshot import or delta merge is in flight.
+// snapshot import is in flight. Delta merges never clear readiness
+// (TestReadyThroughDeltaMerges).
 func TestReadyzEndpoint(t *testing.T) {
 	svc := NewService(ServiceOptions{})
 	ts := httptest.NewServer(NewHandler(svc))
@@ -700,6 +702,98 @@ func TestReadyzEndpoint(t *testing.T) {
 	svc.endMaintenance()
 	if code, _ := get("/v1/readyz"); code != 200 {
 		t.Fatalf("readyz after maintenance = %d", code)
+	}
+}
+
+// TestReadyThroughDeltaMerges: a delta merge leaves the replica serving
+// correctly, so readiness never drops while one runs — a router probe
+// landing mid-merge must not pull the replica out of the ring.
+func TestReadyThroughDeltaMerges(t *testing.T) {
+	const merges = 2000
+	dst, done := mergeInBackground(t, merges)
+	polls := 0
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if polls == 0 {
+				t.Fatal("no readiness poll overlapped the merges")
+			}
+			info, err := dst.StreamInfo("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Observed != merges*64 {
+				t.Fatalf("observed %d after %d merges of 64, want %d", info.Observed, merges, merges*64)
+			}
+			return
+		default:
+		}
+		if !dst.Ready() {
+			t.Fatalf("Ready() read false during a delta merge (poll %d)", polls)
+		}
+		polls++
+	}
+}
+
+// mergeInBackground applies the same 64-observation LinUCB delta to a
+// fresh service, merges times, from another goroutine; the channel
+// yields the first error (or nil) when the merges end.
+func mergeInBackground(t *testing.T, merges int) (*Service, <-chan error) {
+	t.Helper()
+	src := NewService(ServiceOptions{})
+	dst := NewService(ServiceOptions{})
+	for _, svc := range []*Service{src, dst} {
+		if err := svc.CreateStream("s", deltaStreamCfg(PolicySpec{Type: PolicyLinUCB})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		arm, x, rt := deltaObservation(i)
+		if err := src.ObserveDirect("s", arm, x, rt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cap, err := src.CaptureDelta(src.NewSyncState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env bytes.Buffer
+	if err := cap.Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < merges; i++ {
+			if _, err := dst.ApplyDelta(bytes.NewReader(env.Bytes())); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	return dst, done
+}
+
+// TestSaveDuringDeltaMerges: Save encodes after releasing the stream
+// locks, so the merged state it persists must not alias the slices a
+// concurrent merge writes (the race detector holds this test to it).
+func TestSaveDuringDeltaMerges(t *testing.T) {
+	dst, done := mergeInBackground(t, 200)
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+		if err := dst.Save(io.Discard); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

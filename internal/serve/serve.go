@@ -430,8 +430,8 @@ type Service struct {
 	// ServiceOptions.ObserveQueue is 0 — the synchronous default).
 	async *asyncObserver
 
-	// maintenance counts in-flight snapshot imports and delta merges;
-	// non-zero means not-ready (see Ready and GET /v1/readyz).
+	// maintenance counts in-flight snapshot imports; non-zero means
+	// not-ready (see Ready and GET /v1/readyz).
 	maintenance atomic.Int64
 	// syncMu guards the per-peer delta-sync baselines (see delta.go).
 	syncMu     sync.Mutex
