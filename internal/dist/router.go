@@ -23,8 +23,7 @@ type RouterOptions struct {
 	VNodes int
 	// PollInterval paces the membership monitor (0 = default).
 	PollInterval time.Duration
-	// Client probes member readiness and carries broadcasts (nil = a
-	// short-timeout client on the router's own transport).
+	// Client probes member readiness (nil = short-timeout default).
 	Client *http.Client
 }
 
@@ -47,10 +46,6 @@ type RouterOptions struct {
 type Router struct {
 	monitor *Monitor
 	vnodes  int
-	// transport carries every request the router sends — proxied,
-	// broadcast and (with the default probe client) readiness probes —
-	// over one keep-alive pool; Stop closes its idle connections.
-	transport *http.Transport
 
 	mu      sync.RWMutex
 	ring    *Ring
@@ -82,10 +77,9 @@ func NewRouter(members []string, opts RouterOptions) (*Router, error) {
 		return nil, fmt.Errorf("dist: router needs at least one member")
 	}
 	rt := &Router{
-		vnodes:    opts.VNodes,
-		transport: newRouterTransport(),
-		proxies:   make(map[string]*httputil.ReverseProxy, len(members)),
-		stats:     make(map[string]*proxyStats, len(members)),
+		vnodes:  opts.VNodes,
+		proxies: make(map[string]*httputil.ReverseProxy, len(members)),
+		stats:   make(map[string]*proxyStats, len(members)),
 	}
 	for _, m := range members {
 		u, err := url.Parse(m)
@@ -94,7 +88,6 @@ func NewRouter(members []string, opts RouterOptions) (*Router, error) {
 		}
 		member := m
 		p := httputil.NewSingleHostReverseProxy(u)
-		p.Transport = rt.transport
 		p.BufferPool = proxyBuffers{}
 		p.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
 			rt.stat(member).errors.Add(1)
@@ -108,73 +101,32 @@ func NewRouter(members []string, opts RouterOptions) (*Router, error) {
 		rt.proxies[member] = p
 		rt.stats[member] = &proxyStats{}
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: defaultProbeTimeout, Transport: rt.transport}
-	}
-	rt.monitor = NewMonitor(members, opts.PollInterval, client)
+	rt.monitor = NewMonitor(members, opts.PollInterval, opts.Client)
 	rt.monitor.OnChange = func(ready []string) { rt.setRing(ready) }
 	rt.setRing(members) // optimistic until the first probe
 	rt.handler = rt.buildHandler()
 	return rt, nil
 }
 
-// Start begins membership polling; Stop ends it and closes the
-// router's idle replica connections.
+// Start begins membership polling; Stop ends it.
 func (rt *Router) Start() { rt.monitor.Start() }
-func (rt *Router) Stop() {
-	rt.monitor.Stop()
-	rt.transport.CloseIdleConnections()
-}
+func (rt *Router) Stop()  { rt.monitor.Stop() }
 
-// routerIdleConnsPerHost is how many keep-alive connections the router
-// holds open to each replica: enough that a burst of concurrent
-// requests reuses connections instead of redialling (the default
-// transport keeps two per host).
-const routerIdleConnsPerHost = 64
-
-// newRouterTransport is the router's own transport: the default
-// transport's timeouts, a per-replica idle pool sized for concurrent
-// forwarding, and no transparent compression (replica responses are
-// small JSON on a local network; gzip would only add CPU).
-func newRouterTransport() *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConns = 0 // bounded per host below
-	t.MaxIdleConnsPerHost = routerIdleConnsPerHost
-	t.DisableCompression = true
-	return t
-}
-
-// proxyBufSize sizes the router's pooled buffers — the proxy's
-// response copy buffer and the ticket-redemption body. Replica
-// responses and redemption bodies fit in one; larger responses take
-// more copy rounds, larger bodies grow the buffer.
+// proxyBufSize sizes the proxies' pooled response copy buffers. Replica
+// responses fit in one; a larger response takes more copy rounds.
 const proxyBufSize = 4 << 10
 
-// maxPooledBuf caps the buffers returned to the pool, so a rare large
-// redemption body is left to the GC rather than pinned.
-const maxPooledBuf = 64 << 10
-
-var bufPool = sync.Pool{New: func() any {
+var proxyBufPool = sync.Pool{New: func() any {
 	b := make([]byte, proxyBufSize)
 	return &b
 }}
 
-// putBuf returns b (grown from the buffer p held) to the pool.
-func putBuf(p *[]byte, b []byte) {
-	if cap(b) > maxPooledBuf {
-		return
-	}
-	*p = b[:cap(b)]
-	bufPool.Put(p)
-}
-
 // proxyBuffers serves httputil.ReverseProxy's copy buffers from
-// bufPool instead of a fresh 32 KiB per request.
+// proxyBufPool instead of a fresh 32 KiB per request.
 type proxyBuffers struct{}
 
-func (proxyBuffers) Get() []byte  { return *bufPool.Get().(*[]byte) }
-func (proxyBuffers) Put(b []byte) { putBuf(&b, b) }
+func (proxyBuffers) Get() []byte  { return *proxyBufPool.Get().(*[]byte) }
+func (proxyBuffers) Put(b []byte) { proxyBufPool.Put(&b) }
 
 // CheckNow forces one synchronous membership probe and returns the
 // resulting ready set (tests and chaos drills use it to converge
@@ -324,15 +276,11 @@ func (rt *Router) handleReplicas(w http.ResponseWriter) {
 // not moved the stream — after a rebalance the new owner answers 404
 // and the client re-recommends, the documented degraded mode).
 func (rt *Router) handleObserve(w http.ResponseWriter, r *http.Request) {
-	buf := bufPool.Get().(*[]byte)
-	body, err := readAppend(http.MaxBytesReader(w, r.Body, 1<<20), (*buf)[:0])
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		putBuf(buf, body)
 		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
 		return
 	}
-	pb := &pooledBody{buf: buf, full: body, rest: body}
-	defer pb.release()
 	var req struct {
 		Ticket string `json:"ticket"`
 	}
@@ -354,58 +302,9 @@ func (rt *Router) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no ready replicas"})
 		return
 	}
-	r.Body = pb
+	r.Body = io.NopCloser(bytes.NewReader(body))
 	r.ContentLength = int64(len(body))
 	rt.forward(member, w, r)
-}
-
-// readAppend reads r to EOF, appending to b (io.ReadAll into a caller's
-// buffer).
-func readAppend(r io.Reader, b []byte) ([]byte, error) {
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-	}
-}
-
-// pooledBody replays a redemption body held in a pooled buffer. The
-// transport's write loop may outlive the proxy call, so release
-// detaches the buffer under the lock before pooling it: a late Read
-// sees EOF, never the bytes of the request that reuses the buffer.
-type pooledBody struct {
-	mu         sync.Mutex
-	buf        *[]byte
-	full, rest []byte
-}
-
-func (pb *pooledBody) Read(p []byte) (int, error) {
-	pb.mu.Lock()
-	defer pb.mu.Unlock()
-	if len(pb.rest) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, pb.rest)
-	pb.rest = pb.rest[n:]
-	return n, nil
-}
-
-func (pb *pooledBody) Close() error { return nil }
-
-func (pb *pooledBody) release() {
-	pb.mu.Lock()
-	buf, full := pb.buf, pb.full
-	pb.buf, pb.full, pb.rest = nil, nil, nil
-	pb.mu.Unlock()
-	putBuf(buf, full)
 }
 
 // broadcast fans a request out to every ready replica and reports

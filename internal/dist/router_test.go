@@ -3,15 +3,11 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -88,8 +84,7 @@ func TestRouterObserveErrorPaths(t *testing.T) {
 		t.Errorf("rejected observes were forwarded: %d proxied requests, want %d", after, before)
 	}
 
-	// The pooled body buffers the rejected requests used must not leak
-	// into a later redemption.
+	// The rejections leave the router able to forward a good redemption.
 	if code, out := observe(rt, `{"ticket":"`+tk.ID+`","runtime":12.5}`); code != http.StatusOK {
 		t.Fatalf("good observe after rejections: %d %v", code, out)
 	}
@@ -247,74 +242,16 @@ func TestRouterDeadMemberAnswers502(t *testing.T) {
 	}
 }
 
-// TestRouterReusesConnections: concurrent forwarding reuses the
-// router's keep-alive connections round after round instead of
-// redialling the replica, and Stop closes them. The requests are
-// ticket redemptions the replica echoes, so concurrent use of the
-// pooled body buffers is checked too.
-func TestRouterReusesConnections(t *testing.T) {
-	const conc, rounds = 8, 5
-	var dialed, closed atomic.Int64
-	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(20 * time.Millisecond) // keep the round's requests overlapping
-		w.Header().Set("Content-Type", "application/json")
-		io.Copy(w, r.Body)
-	}))
-	backend.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		switch s {
-		case http.StateNew:
-			dialed.Add(1)
-		case http.StateClosed, http.StateHijacked:
-			closed.Add(1)
-		}
-	}
-	backend.Start()
-	defer backend.Close()
-	rt, err := NewRouter([]string{backend.URL}, RouterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
-
-	for round := 0; round < rounds; round++ {
-		var wg sync.WaitGroup
-		for i := 0; i < conc; i++ {
-			wg.Add(1)
-			body := fmt.Sprintf(`{"ticket":"s%d#%x","runtime":%d}`, i, round, i*rounds+round)
-			go func() {
-				defer wg.Done()
-				rec := httptest.NewRecorder()
-				rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/observe", strings.NewReader(body)))
-				if rec.Code != http.StatusOK || rec.Body.String() != body {
-					t.Errorf("round %d: %d %q, want the replica's echo of %q", round, rec.Code, rec.Body.String(), body)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if n := dialed.Load(); n > conc {
-		t.Errorf("%d connections dialled for %d rounds of %d concurrent requests, want at most %d", n, rounds, conc, conc)
-	}
-	rt.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for closed.Load() < dialed.Load() {
-		if time.Now().After(deadline) {
-			t.Fatalf("after Stop, %d of %d replica connections still open", dialed.Load()-closed.Load(), dialed.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // routerPairBytesPin is the heap a router-proxied recommend+observe
 // pair allocates against an in-process replica, router and replica
-// server sides together: measured 20.7 KB on linux/amd64 with Go 1.24,
-// against 87.6 KB when every proxied request took a fresh 32 KiB copy
-// buffer and the redemption body was read with io.ReadAll.
-const routerPairBytesPin = 21000
+// server sides together: measured 22.0-22.1 KB on linux/amd64 with
+// Go 1.24, against 87.6 KB when every proxied request took a fresh
+// 32 KiB copy buffer.
+const routerPairBytesPin = 22300
 
 // TestRouterBytesPerProxiedPair pins the router hop's garbage: the
-// pooled proxy buffers and redemption bodies keep a proxied
-// recommend+observe well under one 32 KiB copy buffer per request.
+// pooled proxy buffers keep a proxied recommend+observe well under one
+// 32 KiB copy buffer per request.
 func TestRouterBytesPerProxiedPair(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
