@@ -225,28 +225,41 @@ func TestRouterRebalancesOnLoss(t *testing.T) {
 		code := postJSON(t, client, f.RouterURL()+"/v1/streams/"+name+"/recommend", body, &tk)
 		return code, tk.ID
 	}
-	victimStreams := map[string]bool{}
-	victimURL := f.ReplicaURLs()[1]
+	// Ring placement hashes the replicas' (ephemeral) URLs, so which
+	// replica owns which stream varies run to run: the victim is the
+	// replica that served the most streams.
+	owned := make([]map[string]bool, 3)
+	for i := range owned {
+		owned[i] = map[string]bool{}
+	}
 	for _, name := range names {
 		if _, id := recommend(name); id != "" {
-			// Owner discovered below by counting; remember which streams the
-			// victim serves.
-			info, err := f.Replica(1).Service().StreamInfo(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Issued > 0 {
-				victimStreams[name] = true
+			for i := range owned {
+				info, err := f.Replica(i).Service().StreamInfo(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Issued > 0 {
+					owned[i][name] = true
+				}
 			}
 		}
 	}
+	victim := 0
+	for i := range owned {
+		if len(owned[i]) > len(owned[victim]) {
+			victim = i
+		}
+	}
+	victimStreams := owned[victim]
+	victimURL := f.ReplicaURLs()[victim]
 	if len(victimStreams) == 0 {
-		t.Skip("hash placement gave the victim no streams (possible but vanishingly rare)")
+		t.Fatal("no replica served any stream")
 	}
 	if err := f.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Kill(1); err != nil {
+	if err := f.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
 	f.Router().CheckNow()
@@ -272,12 +285,12 @@ func TestRouterRebalancesOnLoss(t *testing.T) {
 		}
 	}
 
-	if err := f.Restart(1); err != nil {
+	if err := f.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
 	f.Router().CheckNow()
 	for name := range victimStreams {
-		info, err := f.Replica(1).Service().StreamInfo(name)
+		info, err := f.Replica(victim).Service().StreamInfo(name)
 		if err != nil {
 			t.Fatalf("restarted replica lost stream %s: %v", name, err)
 		}

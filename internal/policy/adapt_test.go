@@ -28,7 +28,7 @@ func feedRegimes(t *testing.T, p Policy, n1, n2 int) {
 // stays anchored to the blended history.
 func TestAdaptivePoliciesTrackRegimeChange(t *testing.T) {
 	const want = 100 + 5*5.0 // post-change truth at x=5
-	mk := func() *Greedy {
+	mk := func() *Linear {
 		p, err := NewGreedy(2, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -44,11 +44,11 @@ func TestAdaptivePoliciesTrackRegimeChange(t *testing.T) {
 	if err := windowed.SetAdaptation(1, 30); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []*Greedy{static, forgetting, windowed} {
+	for _, p := range []*Linear{static, forgetting, windowed} {
 		feedRegimes(t, p, 300, 40)
 	}
-	for name, p := range map[string]*Greedy{"forgetting": forgetting, "windowed": windowed} {
-		preds, err := p.PredictAll([]float64{5})
+	for name, p := range map[string]*Linear{"forgetting": forgetting, "windowed": windowed} {
+		preds, err := p.PredictAllInto([]float64{5}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestAdaptivePoliciesTrackRegimeChange(t *testing.T) {
 			t.Fatalf("%s policy predicts %v, want ≈ %v", name, preds[0], want)
 		}
 	}
-	preds, err := static.PredictAll([]float64{5})
+	preds, err := static.PredictAllInto([]float64{5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestAdaptivePoliciesTrackRegimeChange(t *testing.T) {
 }
 
 // TestSetAdaptationRules: bad parameters, conflicting modes, and
-// post-training calls are rejected; Random does not implement Adaptive.
+// post-training calls are rejected; Random has no models to adapt.
 func TestSetAdaptationRules(t *testing.T) {
 	p, err := NewLinUCB(2, 1, 1)
 	if err != nil {
@@ -94,8 +94,8 @@ func TestSetAdaptationRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := interface{}(r).(Adaptive); ok {
-		t.Fatal("Random unexpectedly implements Adaptive")
+	if _, ok := interface{}(r).(interface{ SetAdaptation(float64, int) error }); ok {
+		t.Fatal("Random unexpectedly adapts")
 	}
 }
 
@@ -136,8 +136,8 @@ func TestWindowedPolicySnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a, _ := p.PredictAll([]float64{7})
-	b, _ := back.(Predictor).PredictAll([]float64{7})
+	a, _ := p.PredictAllInto([]float64{7}, nil)
+	b, _ := back.(*Linear).PredictAllInto([]float64{7}, nil)
 	if a[0] != b[0] {
 		t.Fatalf("restored windowed policy diverged: %v vs %v", a[0], b[0])
 	}
@@ -196,7 +196,7 @@ func TestResetArmPolicy(t *testing.T) {
 	if err := p.ResetArm(0); err != nil {
 		t.Fatal(err)
 	}
-	preds, err := p.PredictAll([]float64{5})
+	preds, err := p.PredictAllInto([]float64{5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

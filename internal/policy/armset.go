@@ -1,99 +1,62 @@
 package policy
 
-import (
-	"errors"
+import "errors"
 
-	"banditware/internal/regress"
-)
-
-// ArmEditor is an optional Policy extension for arm-set elasticity:
-// AddArm appends one untrained arm (the serving layer warm-starts it
-// afterwards if the policy is also DeltaMergeable), and RemoveArm
-// retires arm i, shifting every later arm's index down by one. The
-// linear-model policies and Random implement it; Oracle (fixed truth
-// table) and DecayingEpsilonGreedy (arm set owned by the wrapped
+// Arm-set elasticity: AddArm appends one untrained arm (the serving
+// layer warm-starts it afterwards when the policy's models are
+// delta-mergeable), and RemoveArm retires arm i, shifting every later
+// arm's index down by one. Linear and Random support it; Oracle (fixed
+// truth table) and DecayingEpsilonGreedy (arm set owned by the wrapped
 // core.Bandit, which carries the hardware configs) do not.
-type ArmEditor interface {
-	AddArm() error
-	RemoveArm(arm int) error
-}
 
-// addArm appends a fresh estimator honoring the configured adaptation
-// mode. Implements ArmEditor for the owning policies.
-func (la *linArms) addArm() error {
-	rls, err := regress.NewRLSForgetting(la.dim, la.lambda, la.forget)
+// errLastArm rejects removing a policy's only arm.
+var errLastArm = errors.New("policy: cannot remove the last arm")
+
+// AddArm appends a fresh estimator honouring the configured adaptation
+// mode.
+func (l *Linear) AddArm() error {
+	rls, err := l.fresh()
 	if err != nil {
 		return err
 	}
-	la.arms = append(la.arms, rls)
-	if la.window > 0 {
-		la.wxs = append(la.wxs, nil)
-		la.wys = append(la.wys, nil)
+	l.arms = append(l.arms, rls)
+	if l.window > 0 {
+		l.wxs = append(l.wxs, nil)
+		l.wys = append(l.wys, nil)
 	}
 	return nil
 }
 
-// removeArm retires one arm, discarding its estimator and window
-// buffer. Implements ArmEditor for the owning policies.
-func (la *linArms) removeArm(arm int) error {
-	if arm < 0 || arm >= len(la.arms) {
-		return ErrArm
+// RemoveArm retires arm, discarding its estimator and window buffer.
+func (l *Linear) RemoveArm(arm int) error {
+	if err := l.checkArm(arm); err != nil {
+		return err
 	}
-	if len(la.arms) == 1 {
-		return errors.New("policy: cannot remove the last arm")
+	if len(l.arms) == 1 {
+		return errLastArm
 	}
-	la.arms = append(la.arms[:arm], la.arms[arm+1:]...)
-	if la.window > 0 {
-		la.wxs = append(la.wxs[:arm], la.wxs[arm+1:]...)
-		la.wys = append(la.wys[:arm], la.wys[arm+1:]...)
+	l.arms = append(l.arms[:arm], l.arms[arm+1:]...)
+	if l.window > 0 {
+		l.wxs = append(l.wxs[:arm], l.wxs[arm+1:]...)
+		l.wys = append(l.wys[:arm], l.wys[arm+1:]...)
 	}
 	return nil
 }
 
-// AddArm implements ArmEditor.
-func (p *FixedEpsilonGreedy) AddArm() error { return p.la.addArm() }
-
-// RemoveArm implements ArmEditor.
-func (p *FixedEpsilonGreedy) RemoveArm(arm int) error { return p.la.removeArm(arm) }
-
-// AddArm implements ArmEditor.
-func (p *Greedy) AddArm() error { return p.la.addArm() }
-
-// RemoveArm implements ArmEditor.
-func (p *Greedy) RemoveArm(arm int) error { return p.la.removeArm(arm) }
-
-// AddArm implements ArmEditor.
-func (p *LinUCB) AddArm() error { return p.la.addArm() }
-
-// RemoveArm implements ArmEditor.
-func (p *LinUCB) RemoveArm(arm int) error { return p.la.removeArm(arm) }
-
-// AddArm implements ArmEditor.
-func (p *LinTS) AddArm() error { return p.la.addArm() }
-
-// RemoveArm implements ArmEditor.
-func (p *LinTS) RemoveArm(arm int) error { return p.la.removeArm(arm) }
-
-// AddArm implements ArmEditor.
-func (p *Softmax) AddArm() error { return p.la.addArm() }
-
-// RemoveArm implements ArmEditor.
-func (p *Softmax) RemoveArm(arm int) error { return p.la.removeArm(arm) }
-
-// AddArm implements ArmEditor. Random keeps no per-arm state beyond
-// the count.
+// AddArm appends an arm. Random keeps no per-arm state beyond the
+// count.
 func (p *Random) AddArm() error {
 	p.n++
 	return nil
 }
 
-// RemoveArm implements ArmEditor.
+// RemoveArm retires arm.
 func (p *Random) RemoveArm(arm int) error {
 	if arm < 0 || arm >= p.n {
 		return ErrArm
 	}
 	if p.n == 1 {
-		return errors.New("policy: cannot remove the last arm")
+		return errLastArm
 	}
 	p.n--
 	return nil

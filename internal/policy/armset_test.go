@@ -21,7 +21,7 @@ func TestLinArmsAddRemove(t *testing.T) {
 	if err := p.AddArm(); err != nil {
 		t.Fatal(err)
 	}
-	preds, err := p.PredictAll([]float64{2})
+	preds, err := p.PredictAllInto([]float64{2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

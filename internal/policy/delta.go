@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"banditware/internal/core"
 	"banditware/internal/regress"
 )
 
@@ -13,161 +12,48 @@ import (
 // keep raw buffers; exponential forgetting decays old terms).
 var ErrNotMergeable = errors.New("policy: model state is not delta-mergeable")
 
-// DeltaMergeable is an optional Policy extension for replicated
-// serving. Implementations expose per-arm information-form sufficient
-// statistics so replicas can exchange additive deltas: ArmSufficient
-// and ArmPrior feed delta extraction (current minus base, prior as the
-// base after an arm reset), MergeArmSufficient folds a peer's delta in.
-// All three fail with ErrNotMergeable when the policy is configured
-// with windowing or forgetting. Model-free policies (Random, Oracle)
-// do not implement the interface — they have no state to merge.
-type DeltaMergeable interface {
-	ArmSufficient(arm int) (regress.Sufficient, error)
-	ArmPrior(arm int) (regress.Sufficient, error)
-	MergeArmSufficient(arm int, delta regress.Sufficient) error
-}
+// Delta hooks for replicated serving. A Linear policy exposes per-arm
+// information-form sufficient statistics so replicas can exchange
+// additive deltas: ArmSufficient and ArmPrior feed delta extraction
+// (current minus base, prior as the base after an arm reset), and
+// MergeArmSufficient folds a peer's delta in. All three fail with
+// ErrNotMergeable when the policy is configured with windowing or
+// forgetting.
 
-func (la *linArms) mergeable() error {
-	if la.window > 0 {
+// mergeableArm reports ErrNotMergeable when the policy's configuration
+// cannot exchange deltas, and ErrArm for an out-of-range arm. The
+// configuration is fixed once the policy has learned, so a passing
+// check holds for the policy's lifetime.
+func (l *Linear) mergeableArm(arm int) error {
+	if l.window > 0 {
 		return fmt.Errorf("%w: sliding-window adaptation", ErrNotMergeable)
 	}
-	if la.forget < 1 {
+	if l.forget < 1 {
 		return fmt.Errorf("%w: exponential forgetting", ErrNotMergeable)
 	}
-	return nil
+	return l.checkArm(arm)
 }
 
-func (la *linArms) armSufficient(arm int) (regress.Sufficient, error) {
-	if err := la.mergeable(); err != nil {
+// ArmSufficient returns arm's current sufficient statistics.
+func (l *Linear) ArmSufficient(arm int) (regress.Sufficient, error) {
+	if err := l.mergeableArm(arm); err != nil {
 		return regress.Sufficient{}, err
 	}
-	if arm < 0 || arm >= len(la.arms) {
-		return regress.Sufficient{}, ErrArm
-	}
-	return la.arms[arm].Sufficient(), nil
+	return l.arms[arm].Sufficient(), nil
 }
 
-func (la *linArms) armPrior(arm int) (regress.Sufficient, error) {
-	if err := la.mergeable(); err != nil {
+// ArmPrior returns the sufficient statistics of arm's untrained prior.
+func (l *Linear) ArmPrior(arm int) (regress.Sufficient, error) {
+	if err := l.mergeableArm(arm); err != nil {
 		return regress.Sufficient{}, err
 	}
-	if arm < 0 || arm >= len(la.arms) {
-		return regress.Sufficient{}, ErrArm
-	}
-	return la.arms[arm].Prior(), nil
+	return l.arms[arm].Prior(), nil
 }
 
-func (la *linArms) mergeArmSufficient(arm int, delta regress.Sufficient) error {
-	if err := la.mergeable(); err != nil {
+// MergeArmSufficient folds a peer's additive delta into arm's model.
+func (l *Linear) MergeArmSufficient(arm int, delta regress.Sufficient) error {
+	if err := l.mergeableArm(arm); err != nil {
 		return err
 	}
-	if arm < 0 || arm >= len(la.arms) {
-		return ErrArm
-	}
-	return la.arms[arm].ApplyDelta(delta)
-}
-
-// ArmSufficient implements DeltaMergeable.
-func (p *FixedEpsilonGreedy) ArmSufficient(arm int) (regress.Sufficient, error) {
-	return p.la.armSufficient(arm)
-}
-
-// ArmSufficient implements DeltaMergeable.
-func (p *Greedy) ArmSufficient(arm int) (regress.Sufficient, error) {
-	return p.la.armSufficient(arm)
-}
-
-// ArmSufficient implements DeltaMergeable.
-func (p *LinUCB) ArmSufficient(arm int) (regress.Sufficient, error) {
-	return p.la.armSufficient(arm)
-}
-
-// ArmSufficient implements DeltaMergeable.
-func (p *LinTS) ArmSufficient(arm int) (regress.Sufficient, error) {
-	return p.la.armSufficient(arm)
-}
-
-// ArmSufficient implements DeltaMergeable.
-func (p *Softmax) ArmSufficient(arm int) (regress.Sufficient, error) {
-	return p.la.armSufficient(arm)
-}
-
-// ArmPrior implements DeltaMergeable.
-func (p *FixedEpsilonGreedy) ArmPrior(arm int) (regress.Sufficient, error) {
-	return p.la.armPrior(arm)
-}
-
-// ArmPrior implements DeltaMergeable.
-func (p *Greedy) ArmPrior(arm int) (regress.Sufficient, error) {
-	return p.la.armPrior(arm)
-}
-
-// ArmPrior implements DeltaMergeable.
-func (p *LinUCB) ArmPrior(arm int) (regress.Sufficient, error) {
-	return p.la.armPrior(arm)
-}
-
-// ArmPrior implements DeltaMergeable.
-func (p *LinTS) ArmPrior(arm int) (regress.Sufficient, error) {
-	return p.la.armPrior(arm)
-}
-
-// ArmPrior implements DeltaMergeable.
-func (p *Softmax) ArmPrior(arm int) (regress.Sufficient, error) {
-	return p.la.armPrior(arm)
-}
-
-// MergeArmSufficient implements DeltaMergeable.
-func (p *FixedEpsilonGreedy) MergeArmSufficient(arm int, delta regress.Sufficient) error {
-	return p.la.mergeArmSufficient(arm, delta)
-}
-
-// MergeArmSufficient implements DeltaMergeable.
-func (p *Greedy) MergeArmSufficient(arm int, delta regress.Sufficient) error {
-	return p.la.mergeArmSufficient(arm, delta)
-}
-
-// MergeArmSufficient implements DeltaMergeable.
-func (p *LinUCB) MergeArmSufficient(arm int, delta regress.Sufficient) error {
-	return p.la.mergeArmSufficient(arm, delta)
-}
-
-// MergeArmSufficient implements DeltaMergeable.
-func (p *LinTS) MergeArmSufficient(arm int, delta regress.Sufficient) error {
-	return p.la.mergeArmSufficient(arm, delta)
-}
-
-// MergeArmSufficient implements DeltaMergeable.
-func (p *Softmax) MergeArmSufficient(arm int, delta regress.Sufficient) error {
-	return p.la.mergeArmSufficient(arm, delta)
-}
-
-// mapCoreDeltaErr translates the wrapped bandit's error vocabulary into
-// this package's, mirroring the Select/Update adapters above.
-func mapCoreDeltaErr(err error) error {
-	switch {
-	case errors.Is(err, core.ErrArm):
-		return ErrArm
-	case errors.Is(err, core.ErrNotMergeable):
-		return fmt.Errorf("%w: %v", ErrNotMergeable, err)
-	default:
-		return err
-	}
-}
-
-// ArmSufficient implements DeltaMergeable via the wrapped bandit.
-func (p *DecayingEpsilonGreedy) ArmSufficient(arm int) (regress.Sufficient, error) {
-	s, err := p.B.ArmSufficient(arm)
-	return s, mapCoreDeltaErr(err)
-}
-
-// ArmPrior implements DeltaMergeable via the wrapped bandit.
-func (p *DecayingEpsilonGreedy) ArmPrior(arm int) (regress.Sufficient, error) {
-	s, err := p.B.ArmPrior(arm)
-	return s, mapCoreDeltaErr(err)
-}
-
-// MergeArmSufficient implements DeltaMergeable via the wrapped bandit.
-func (p *DecayingEpsilonGreedy) MergeArmSufficient(arm int, delta regress.Sufficient) error {
-	return mapCoreDeltaErr(p.B.MergeArmDelta(arm, delta))
+	return l.arms[arm].ApplyDelta(delta)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"banditware/internal/core"
 	"banditware/internal/hardware"
 	"banditware/internal/regress"
 )
@@ -17,8 +16,8 @@ func deltaTestHW() hardware.Set {
 	}
 }
 
-// mergeablePolicies builds one instance of every DeltaMergeable policy.
-func mergeablePolicies(t *testing.T) map[string]Policy {
+// mergeablePolicies builds one instance of every Linear selection rule.
+func mergeablePolicies(t *testing.T) map[string]*Linear {
 	t.Helper()
 	hw := deltaTestHW()
 	const dim = 2
@@ -42,13 +41,9 @@ func mergeablePolicies(t *testing.T) map[string]Policy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg1, err := NewDecayingEpsilonGreedy(hw, dim, core.Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Policy{
+	return map[string]*Linear{
 		"eps-greedy": eg, "greedy": gr, "linucb": ucb,
-		"lints": ts, "softmax": sm, "algorithm1": alg1,
+		"lints": ts, "softmax": sm,
 	}
 }
 
@@ -68,7 +63,7 @@ func TestPolicyDeltaMergeReproducesSingleLearner(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			all := mergeablePolicies(t)
 			single := all[name]
-			fleetAll := []map[string]Policy{mergeablePolicies(t), mergeablePolicies(t), mergeablePolicies(t)}
+			fleetAll := []map[string]*Linear{mergeablePolicies(t), mergeablePolicies(t), mergeablePolicies(t)}
 			mergedAll := mergeablePolicies(t)
 			merged := mergedAll[name]
 
@@ -84,9 +79,9 @@ func TestPolicyDeltaMergeReproducesSingleLearner(t *testing.T) {
 				}
 			}
 
-			dst := merged.(DeltaMergeable)
+			dst := merged
 			for _, shard := range fleetAll {
-				src := shard[name].(DeltaMergeable)
+				src := shard[name]
 				for a := 0; a < numArms; a++ {
 					cur, err := src.ArmSufficient(a)
 					if err != nil {
@@ -106,11 +101,9 @@ func TestPolicyDeltaMergeReproducesSingleLearner(t *testing.T) {
 				}
 			}
 
-			sm := single.(ArmModeler)
-			mm := merged.(ArmModeler)
 			for a := 0; a < numArms; a++ {
-				sModel, err1 := sm.ArmModel(a)
-				mModel, err2 := mm.ArmModel(a)
+				sModel, err1 := single.ArmModel(a)
+				mModel, err2 := merged.ArmModel(a)
 				if err1 != nil || err2 != nil {
 					t.Fatal(err1, err2)
 				}
@@ -123,12 +116,10 @@ func TestPolicyDeltaMergeReproducesSingleLearner(t *testing.T) {
 					t.Fatalf("arm %d bias = %g, want %g", a, mModel.Bias, sModel.Bias)
 				}
 			}
-			se := single.(Exploiter)
-			me := merged.(Exploiter)
 			for i := 0; i < 40; i++ {
 				x := []float64{float64(i) / 17, float64(i%6) / 3}
-				sa, err1 := se.Exploit(x)
-				ma, err2 := me.Exploit(x)
+				sa, err1 := single.Exploit(x)
+				ma, err2 := merged.Exploit(x)
 				if err1 != nil || err2 != nil {
 					t.Fatal(err1, err2)
 				}
@@ -141,7 +132,7 @@ func TestPolicyDeltaMergeReproducesSingleLearner(t *testing.T) {
 }
 
 func TestPolicyDeltaAdaptiveModesRejected(t *testing.T) {
-	mk := func() *LinUCB {
+	mk := func() *Linear {
 		p, err := NewLinUCB(2, 2, 1.0)
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +147,7 @@ func TestPolicyDeltaAdaptiveModesRejected(t *testing.T) {
 	if err := forgetting.SetAdaptation(0.95, 0); err != nil {
 		t.Fatal(err)
 	}
-	for name, p := range map[string]*LinUCB{"window": windowed, "forgetting": forgetting} {
+	for name, p := range map[string]*Linear{"window": windowed, "forgetting": forgetting} {
 		if _, err := p.ArmSufficient(0); !errors.Is(err, ErrNotMergeable) {
 			t.Fatalf("%s ArmSufficient: %v, want ErrNotMergeable", name, err)
 		}
@@ -166,22 +157,5 @@ func TestPolicyDeltaAdaptiveModesRejected(t *testing.T) {
 	}
 	if _, err := mk().ArmSufficient(5); !errors.Is(err, ErrArm) {
 		t.Fatalf("out-of-range arm: %v", err)
-	}
-}
-
-func TestAlgorithm1DeltaMapsCoreErrors(t *testing.T) {
-	p, err := NewDecayingEpsilonGreedy(deltaTestHW(), 2, core.Options{WindowSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.ArmSufficient(0); !errors.Is(err, ErrNotMergeable) {
-		t.Fatalf("windowed algorithm1: %v, want policy.ErrNotMergeable", err)
-	}
-	ok, err := NewDecayingEpsilonGreedy(deltaTestHW(), 2, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ok.ArmSufficient(7); !errors.Is(err, ErrArm) {
-		t.Fatalf("out-of-range arm: %v, want policy.ErrArm", err)
 	}
 }

@@ -4,24 +4,24 @@
 // linear Thompson sampling, fixed ε-greedy, softmax/Boltzmann, a uniform
 // random baseline, and a ground-truth oracle. All policies minimise
 // runtime and share one interface so the experiment harness can sweep them.
+// The five model-based policies are one type, Linear, parameterised by
+// its selection rule.
 package policy
 
 import (
 	"errors"
-	"fmt"
-	"math"
 
 	"banditware/internal/core"
 	"banditware/internal/hardware"
-	"banditware/internal/regress"
 	"banditware/internal/rng"
 	"banditware/internal/stats"
 )
 
-// Errors shared by policies.
+// Errors shared by policies. They are core's sentinels, so callers see
+// one error vocabulary whether a stream runs Algorithm 1 or a policy.
 var (
-	ErrDim = errors.New("policy: feature dimension mismatch")
-	ErrArm = errors.New("policy: arm index out of range")
+	ErrDim = core.ErrDim
+	ErrArm = core.ErrArm
 )
 
 // Policy selects a hardware arm for a workflow context and learns from the
@@ -42,200 +42,6 @@ type Policy interface {
 // score of exploring policies).
 type Exploiter interface {
 	Exploit(x []float64) (int, error)
-}
-
-// Predictor is an optional Policy extension exposing the per-arm runtime
-// estimates the policy's current models produce for a context. The
-// serving layer renders these on decision tickets; policies without a
-// predictive model (Random) do not implement it.
-type Predictor interface {
-	PredictAll(x []float64) ([]float64, error)
-}
-
-// ArmModeler is an optional Policy extension exposing one arm's learned
-// linear model (weights and bias), mirroring core.Bandit.Model for the
-// serving layer's stream-inspection endpoint.
-type ArmModeler interface {
-	ArmModel(arm int) (regress.Model, error)
-}
-
-// Adaptive is an optional Policy extension for non-stationary serving:
-// SetAdaptation configures exponential forgetting (forget in (0, 1);
-// 1 = none) or a per-arm sliding window of the last `window`
-// observations (0 = none) on the policy's models. It must be called
-// before the policy absorbs any observation; the linear-model policies
-// implement it, model-free ones (Random, Oracle) do not.
-type Adaptive interface {
-	SetAdaptation(forget float64, window int) error
-}
-
-// ArmResetter is an optional Policy extension: ResetArm drops one arm's
-// learned model, restoring it to the constructed prior while leaving
-// the other arms untouched — the serving layer's response to an online
-// drift detection on that arm.
-type ArmResetter interface {
-	ResetArm(arm int) error
-}
-
-// linArms is the shared per-arm linear-model state, with optional
-// exponential forgetting or a sliding window over the last `window`
-// observations per arm (see Adaptive).
-type linArms struct {
-	dim    int
-	lambda float64
-	forget float64 // (0, 1]; 1 = none
-	window int     // 0 = none
-	arms   []*regress.RLS
-	// wxs/wys are the per-arm window buffers (window > 0 only).
-	wxs [][][]float64
-	wys [][]float64
-}
-
-func newLinArms(numArms, dim int, lambda float64) (*linArms, error) {
-	if numArms < 1 {
-		return nil, errors.New("policy: need at least one arm")
-	}
-	if dim < 0 {
-		return nil, fmt.Errorf("policy: negative dimension %d", dim)
-	}
-	la := &linArms{dim: dim, lambda: lambda, forget: 1, arms: make([]*regress.RLS, numArms)}
-	for i := range la.arms {
-		rls, err := regress.NewRLS(dim, lambda)
-		if err != nil {
-			return nil, err
-		}
-		la.arms[i] = rls
-	}
-	return la, nil
-}
-
-// setAdaptation configures forgetting or windowing, recreating the
-// (necessarily untrained) per-arm estimators. Implements Adaptive for
-// the owning policies.
-func (la *linArms) setAdaptation(forget float64, window int) error {
-	if forget <= 0 || forget > 1 {
-		return fmt.Errorf("policy: forgetting factor %v outside (0, 1]", forget)
-	}
-	if window < 0 {
-		return fmt.Errorf("policy: negative window %d", window)
-	}
-	if forget < 1 && window > 0 {
-		return errors.New("policy: forgetting and windowing are mutually exclusive")
-	}
-	for i, a := range la.arms {
-		if a.N() > 0 {
-			return fmt.Errorf("policy: arm %d already trained; set adaptation before updates", i)
-		}
-	}
-	la.forget = forget
-	la.window = window
-	la.wxs, la.wys = nil, nil
-	if window > 0 {
-		la.wxs = make([][][]float64, len(la.arms))
-		la.wys = make([][]float64, len(la.arms))
-	}
-	for i := range la.arms {
-		rls, err := regress.NewRLSForgetting(la.dim, la.lambda, forget)
-		if err != nil {
-			return err
-		}
-		la.arms[i] = rls
-	}
-	return nil
-}
-
-// resetArm restores one arm to its untrained prior, clearing its window
-// buffer. Implements ArmResetter for the owning policies.
-func (la *linArms) resetArm(arm int) error {
-	if arm < 0 || arm >= len(la.arms) {
-		return ErrArm
-	}
-	rls, err := regress.NewRLSForgetting(la.dim, la.lambda, la.forget)
-	if err != nil {
-		return err
-	}
-	la.arms[arm] = rls
-	if la.window > 0 {
-		la.wxs[arm], la.wys[arm] = nil, nil
-	}
-	return nil
-}
-
-func (la *linArms) update(arm int, x []float64, runtime float64) error {
-	if arm < 0 || arm >= len(la.arms) {
-		return ErrArm
-	}
-	if len(x) != la.dim {
-		return ErrDim
-	}
-	if la.window > 0 {
-		return la.updateWindowed(arm, x, runtime)
-	}
-	return la.arms[arm].Update(x, runtime)
-}
-
-// updateWindowed appends to the arm's window buffer (evicting past the
-// window) and rebuilds its estimator from the retained observations.
-// AppendWindow validates before buffering, so a rejected value never
-// poisons the window.
-func (la *linArms) updateWindowed(arm int, x []float64, runtime float64) error {
-	var err error
-	la.wxs[arm], la.wys[arm], err = regress.AppendWindow(la.wxs[arm], la.wys[arm], x, runtime, la.window)
-	if err != nil {
-		return err
-	}
-	fresh, err := regress.RefitWindow(la.dim, la.lambda, la.wxs[arm], la.wys[arm])
-	if err != nil {
-		return err
-	}
-	la.arms[arm] = fresh
-	return nil
-}
-
-func (la *linArms) predictAll(x []float64) ([]float64, error) {
-	if len(x) != la.dim {
-		return nil, ErrDim
-	}
-	out := make([]float64, len(la.arms))
-	for i, a := range la.arms {
-		out[i] = a.Predict(x)
-	}
-	return out, nil
-}
-
-// exploit returns the argmin-prediction arm.
-func (la *linArms) exploit(x []float64) (int, error) {
-	preds, err := la.predictAll(x)
-	if err != nil {
-		return 0, err
-	}
-	return stats.ArgMin(preds), nil
-}
-
-// armModel returns arm i's current model snapshot.
-func (la *linArms) armModel(i int) (regress.Model, error) {
-	if i < 0 || i >= len(la.arms) {
-		return regress.Model{}, ErrArm
-	}
-	return la.arms[i].Model(), nil
-}
-
-// restoreArms replaces the per-arm estimators with restored ones,
-// validating the count and dimension.
-func (la *linArms) restoreArms(arms []*regress.RLS) error {
-	if len(arms) != len(la.arms) {
-		return fmt.Errorf("policy: state has %d arms, want %d", len(arms), len(la.arms))
-	}
-	for i, a := range arms {
-		if a == nil {
-			return fmt.Errorf("policy: state arm %d missing estimator", i)
-		}
-		if a.Dim() != la.dim {
-			return fmt.Errorf("%w: state arm %d has dim %d, want %d", ErrDim, i, a.Dim(), la.dim)
-		}
-	}
-	la.arms = arms
-	return nil
 }
 
 // DecayingEpsilonGreedy adapts the paper's core.Bandit to the Policy
@@ -259,144 +65,15 @@ func (p *DecayingEpsilonGreedy) Name() string { return "decaying-eps-greedy" }
 // Select implements Policy.
 func (p *DecayingEpsilonGreedy) Select(x []float64) (int, error) {
 	d, err := p.B.Recommend(x)
-	if err != nil {
-		if errors.Is(err, core.ErrDim) {
-			return 0, ErrDim
-		}
-		return 0, err
-	}
-	return d.Arm, nil
+	return d.Arm, err
 }
 
 // Exploit implements Exploiter via the bandit's tolerant selection.
-func (p *DecayingEpsilonGreedy) Exploit(x []float64) (int, error) {
-	arm, err := p.B.Exploit(x)
-	if errors.Is(err, core.ErrDim) {
-		return 0, ErrDim
-	}
-	return arm, err
-}
+func (p *DecayingEpsilonGreedy) Exploit(x []float64) (int, error) { return p.B.Exploit(x) }
 
 // Update implements Policy.
 func (p *DecayingEpsilonGreedy) Update(arm int, x []float64, runtime float64) error {
-	err := p.B.Observe(arm, x, runtime)
-	switch {
-	case errors.Is(err, core.ErrArm):
-		return ErrArm
-	case errors.Is(err, core.ErrDim):
-		return ErrDim
-	default:
-		return err
-	}
-}
-
-// PredictAll implements Predictor via the wrapped bandit's models.
-func (p *DecayingEpsilonGreedy) PredictAll(x []float64) ([]float64, error) {
-	preds, err := p.B.PredictAll(x)
-	if errors.Is(err, core.ErrDim) {
-		return nil, ErrDim
-	}
-	return preds, err
-}
-
-// ArmModel implements ArmModeler via the wrapped bandit's models.
-func (p *DecayingEpsilonGreedy) ArmModel(arm int) (regress.Model, error) {
-	m, err := p.B.Model(arm)
-	if errors.Is(err, core.ErrArm) {
-		return regress.Model{}, ErrArm
-	}
-	return m, err
-}
-
-// FixedEpsilonGreedy explores with a constant probability ε and otherwise
-// picks the arm with the minimum predicted runtime. With dim = 0 the
-// per-arm models degenerate to running means and the policy is the classic
-// (non-contextual) ε-greedy of the paper's Figure 2.
-type FixedEpsilonGreedy struct {
-	la   *linArms
-	eps  float64
-	seed uint64
-	rnd  *rng.Source
-}
-
-// NewFixedEpsilonGreedy constructs the policy. eps must lie in [0, 1].
-func NewFixedEpsilonGreedy(numArms, dim int, eps float64, seed uint64) (*FixedEpsilonGreedy, error) {
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("policy: epsilon %v outside [0,1]", eps)
-	}
-	la, err := newLinArms(numArms, dim, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &FixedEpsilonGreedy{la: la, eps: eps, seed: seed, rnd: rng.New(seed)}, nil
-}
-
-// Name implements Policy.
-func (p *FixedEpsilonGreedy) Name() string { return fmt.Sprintf("eps-greedy(%.2g)", p.eps) }
-
-// Select implements Policy.
-func (p *FixedEpsilonGreedy) Select(x []float64) (int, error) {
-	preds, err := p.la.predictAll(x)
-	if err != nil {
-		return 0, err
-	}
-	if p.rnd.Float64() < p.eps {
-		return p.rnd.Intn(len(p.la.arms)), nil
-	}
-	return stats.ArgMin(preds), nil
-}
-
-// Exploit implements Exploiter: the arm with minimum predicted runtime.
-func (p *FixedEpsilonGreedy) Exploit(x []float64) (int, error) { return p.la.exploit(x) }
-
-// PredictAll implements Predictor.
-func (p *FixedEpsilonGreedy) PredictAll(x []float64) ([]float64, error) { return p.la.predictAll(x) }
-
-// ArmModel implements ArmModeler.
-func (p *FixedEpsilonGreedy) ArmModel(arm int) (regress.Model, error) { return p.la.armModel(arm) }
-
-// Update implements Policy.
-func (p *FixedEpsilonGreedy) Update(arm int, x []float64, runtime float64) error {
-	return p.la.update(arm, x, runtime)
-}
-
-// Greedy always exploits (ε = 0). Untrained arms predict zero runtime, so
-// it self-bootstraps by trying each arm once on early rounds.
-type Greedy struct{ la *linArms }
-
-// NewGreedy constructs the policy.
-func NewGreedy(numArms, dim int) (*Greedy, error) {
-	la, err := newLinArms(numArms, dim, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Greedy{la: la}, nil
-}
-
-// Name implements Policy.
-func (p *Greedy) Name() string { return "greedy" }
-
-// Select implements Policy.
-func (p *Greedy) Select(x []float64) (int, error) {
-	preds, err := p.la.predictAll(x)
-	if err != nil {
-		return 0, err
-	}
-	return stats.ArgMin(preds), nil
-}
-
-// Exploit implements Exploiter (Select already exploits).
-func (p *Greedy) Exploit(x []float64) (int, error) { return p.la.exploit(x) }
-
-// PredictAll implements Predictor.
-func (p *Greedy) PredictAll(x []float64) ([]float64, error) { return p.la.predictAll(x) }
-
-// ArmModel implements ArmModeler.
-func (p *Greedy) ArmModel(arm int) (regress.Model, error) { return p.la.armModel(arm) }
-
-// Update implements Policy.
-func (p *Greedy) Update(arm int, x []float64, runtime float64) error {
-	return p.la.update(arm, x, runtime)
+	return p.B.Observe(arm, x, runtime)
 }
 
 // Random selects uniformly at random — the paper's "random guess" floor
@@ -438,177 +115,6 @@ func (p *Random) Update(arm int, x []float64, runtime float64) error {
 	return nil
 }
 
-// LinUCB selects the arm minimising the lower confidence bound
-// R̂(H_i, x) − β·√(xᵀPᵢx): optimism in the face of uncertainty, phrased
-// for runtime minimisation.
-type LinUCB struct {
-	la   *linArms
-	beta float64
-}
-
-// NewLinUCB constructs the policy. beta scales the confidence width; it
-// must be positive.
-func NewLinUCB(numArms, dim int, beta float64) (*LinUCB, error) {
-	if beta <= 0 {
-		return nil, fmt.Errorf("policy: non-positive beta %v", beta)
-	}
-	la, err := newLinArms(numArms, dim, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &LinUCB{la: la, beta: beta}, nil
-}
-
-// Name implements Policy.
-func (p *LinUCB) Name() string { return fmt.Sprintf("linucb(%.2g)", p.beta) }
-
-// Select implements Policy.
-func (p *LinUCB) Select(x []float64) (int, error) {
-	if len(x) != p.la.dim {
-		return 0, ErrDim
-	}
-	scores := make([]float64, len(p.la.arms))
-	for i, a := range p.la.arms {
-		scores[i] = a.Predict(x) - p.beta*math.Sqrt(a.Uncertainty(x))
-	}
-	return stats.ArgMin(scores), nil
-}
-
-// Exploit implements Exploiter: the arm with minimum mean prediction
-// (no confidence bonus).
-func (p *LinUCB) Exploit(x []float64) (int, error) { return p.la.exploit(x) }
-
-// PredictAll implements Predictor (mean predictions, no confidence bonus).
-func (p *LinUCB) PredictAll(x []float64) ([]float64, error) { return p.la.predictAll(x) }
-
-// ArmModel implements ArmModeler.
-func (p *LinUCB) ArmModel(arm int) (regress.Model, error) { return p.la.armModel(arm) }
-
-// Update implements Policy.
-func (p *LinUCB) Update(arm int, x []float64, runtime float64) error {
-	return p.la.update(arm, x, runtime)
-}
-
-// LinTS is linear Thompson sampling: per decision it draws one weight
-// vector per arm from the Gaussian posterior N(wᵢ, v²Pᵢ) and picks the arm
-// whose sampled model predicts the smallest runtime.
-type LinTS struct {
-	la   *linArms
-	v    float64
-	seed uint64
-	rnd  *rng.Source
-}
-
-// NewLinTS constructs the policy. v scales the posterior; must be positive.
-func NewLinTS(numArms, dim int, v float64, seed uint64) (*LinTS, error) {
-	if v <= 0 {
-		return nil, fmt.Errorf("policy: non-positive posterior scale %v", v)
-	}
-	la, err := newLinArms(numArms, dim, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &LinTS{la: la, v: v, seed: seed, rnd: rng.New(seed)}, nil
-}
-
-// Name implements Policy.
-func (p *LinTS) Name() string { return fmt.Sprintf("lints(%.2g)", p.v) }
-
-// Select implements Policy.
-func (p *LinTS) Select(x []float64) (int, error) {
-	if len(x) != p.la.dim {
-		return 0, ErrDim
-	}
-	unit := func() float64 { return p.rnd.Normal(0, 1) }
-	scores := make([]float64, len(p.la.arms))
-	for i, a := range p.la.arms {
-		m, err := a.SampleWeights(p.v, unit)
-		if err != nil {
-			return 0, err
-		}
-		scores[i] = m.Predict(x)
-	}
-	return stats.ArgMin(scores), nil
-}
-
-// Exploit implements Exploiter: the arm with minimum posterior-mean
-// prediction.
-func (p *LinTS) Exploit(x []float64) (int, error) { return p.la.exploit(x) }
-
-// PredictAll implements Predictor (posterior-mean predictions).
-func (p *LinTS) PredictAll(x []float64) ([]float64, error) { return p.la.predictAll(x) }
-
-// ArmModel implements ArmModeler.
-func (p *LinTS) ArmModel(arm int) (regress.Model, error) { return p.la.armModel(arm) }
-
-// Update implements Policy.
-func (p *LinTS) Update(arm int, x []float64, runtime float64) error {
-	return p.la.update(arm, x, runtime)
-}
-
-// Softmax (Boltzmann exploration) selects arm i with probability
-// ∝ exp(−R̂(H_i, x)/τ). Lower temperature τ exploits harder.
-type Softmax struct {
-	la   *linArms
-	temp float64
-	seed uint64
-	rnd  *rng.Source
-}
-
-// NewSoftmax constructs the policy. temp must be positive.
-func NewSoftmax(numArms, dim int, temp float64, seed uint64) (*Softmax, error) {
-	if temp <= 0 {
-		return nil, fmt.Errorf("policy: non-positive temperature %v", temp)
-	}
-	la, err := newLinArms(numArms, dim, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Softmax{la: la, temp: temp, seed: seed, rnd: rng.New(seed)}, nil
-}
-
-// Name implements Policy.
-func (p *Softmax) Name() string { return fmt.Sprintf("softmax(%.2g)", p.temp) }
-
-// Select implements Policy.
-func (p *Softmax) Select(x []float64) (int, error) {
-	preds, err := p.la.predictAll(x)
-	if err != nil {
-		return 0, err
-	}
-	// Normalise for numerical stability: subtract the min before exp.
-	minPred := stats.Min(preds)
-	weights := make([]float64, len(preds))
-	total := 0.0
-	for i, pr := range preds {
-		weights[i] = math.Exp(-(pr - minPred) / p.temp)
-		total += weights[i]
-	}
-	u := p.rnd.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i, nil
-		}
-	}
-	return len(preds) - 1, nil
-}
-
-// Exploit implements Exploiter: the arm with minimum predicted runtime.
-func (p *Softmax) Exploit(x []float64) (int, error) { return p.la.exploit(x) }
-
-// PredictAll implements Predictor.
-func (p *Softmax) PredictAll(x []float64) ([]float64, error) { return p.la.predictAll(x) }
-
-// ArmModel implements ArmModeler.
-func (p *Softmax) ArmModel(arm int) (regress.Model, error) { return p.la.armModel(arm) }
-
-// Update implements Policy.
-func (p *Softmax) Update(arm int, x []float64, runtime float64) error {
-	return p.la.update(arm, x, runtime)
-}
-
 // Oracle knows the true expected runtime per arm and always selects the
 // optimum — the regret-zero reference in policy sweeps.
 type Oracle struct {
@@ -647,55 +153,4 @@ func (p *Oracle) Update(arm int, x []float64, runtime float64) error {
 		return ErrArm
 	}
 	return nil
-}
-
-// --- adaptation and arm-reset wiring ----------------------------------
-
-// SetAdaptation implements Adaptive.
-func (p *FixedEpsilonGreedy) SetAdaptation(forget float64, window int) error {
-	return p.la.setAdaptation(forget, window)
-}
-
-// SetAdaptation implements Adaptive.
-func (p *Greedy) SetAdaptation(forget float64, window int) error {
-	return p.la.setAdaptation(forget, window)
-}
-
-// SetAdaptation implements Adaptive.
-func (p *LinUCB) SetAdaptation(forget float64, window int) error {
-	return p.la.setAdaptation(forget, window)
-}
-
-// SetAdaptation implements Adaptive.
-func (p *LinTS) SetAdaptation(forget float64, window int) error {
-	return p.la.setAdaptation(forget, window)
-}
-
-// SetAdaptation implements Adaptive.
-func (p *Softmax) SetAdaptation(forget float64, window int) error {
-	return p.la.setAdaptation(forget, window)
-}
-
-// ResetArm implements ArmResetter.
-func (p *FixedEpsilonGreedy) ResetArm(arm int) error { return p.la.resetArm(arm) }
-
-// ResetArm implements ArmResetter.
-func (p *Greedy) ResetArm(arm int) error { return p.la.resetArm(arm) }
-
-// ResetArm implements ArmResetter.
-func (p *LinUCB) ResetArm(arm int) error { return p.la.resetArm(arm) }
-
-// ResetArm implements ArmResetter.
-func (p *LinTS) ResetArm(arm int) error { return p.la.resetArm(arm) }
-
-// ResetArm implements ArmResetter.
-func (p *Softmax) ResetArm(arm int) error { return p.la.resetArm(arm) }
-
-// ResetArm implements ArmResetter via the wrapped bandit.
-func (p *DecayingEpsilonGreedy) ResetArm(arm int) error {
-	err := p.B.ResetArm(arm)
-	if errors.Is(err, core.ErrArm) {
-		return ErrArm
-	}
-	return err
 }

@@ -1,12 +1,9 @@
 package policy
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 
-	"banditware/internal/core"
 	"banditware/internal/regress"
 )
 
@@ -59,7 +56,7 @@ type State struct {
 	Beta    float64 `json:"beta,omitempty"`    // linucb
 	Scale   float64 `json:"scale,omitempty"`   // lints posterior scale
 	Temp    float64 `json:"temp,omitempty"`    // softmax temperature
-	// Adaptation (linear-model policies; see Adaptive). Forget is the
+	// Adaptation (Linear policies; see Linear.SetAdaptation). Forget is the
 	// exponential forgetting factor (omitted when 1 — no forgetting);
 	// Window is the sliding-window length with WindowXs/WindowYs the
 	// live per-arm buffers (omitted when 0). States written before
@@ -71,9 +68,23 @@ type State struct {
 	// Arms holds the per-arm least-squares estimators of linear-model
 	// policies.
 	Arms []*regress.RLS `json:"arms,omitempty"`
-	// Bandit holds the embedded core state of a wrapped Algorithm 1
-	// bandit (decaying-eps-greedy only).
-	Bandit json.RawMessage `json:"bandit,omitempty"`
+}
+
+// param points at the State field that carries a Linear rule's
+// parameter, or is nil for greedy (and the model-free types), which
+// have none.
+func (st *State) param() *float64 {
+	switch st.Type {
+	case TypeEpsGreedy:
+		return &st.Epsilon
+	case TypeLinUCB:
+		return &st.Beta
+	case TypeLinTS:
+		return &st.Scale
+	case TypeSoftmax:
+		return &st.Temp
+	}
+	return nil
 }
 
 // Snapshotter is implemented by every policy whose learned state can be
@@ -94,6 +105,24 @@ func (la *linArms) adaptState(st *State) {
 		st.WindowXs = la.wxs
 		st.WindowYs = la.wys
 	}
+}
+
+// restoreArms replaces the per-arm estimators with restored ones,
+// validating the count and dimension.
+func (la *linArms) restoreArms(arms []*regress.RLS) error {
+	if len(arms) != len(la.arms) {
+		return fmt.Errorf("policy: state has %d arms, want %d", len(arms), len(la.arms))
+	}
+	for i, a := range arms {
+		if a == nil {
+			return fmt.Errorf("policy: state arm %d missing estimator", i)
+		}
+		if a.Dim() != la.dim {
+			return fmt.Errorf("%w: state arm %d has dim %d, want %d", ErrDim, i, a.Dim(), la.dim)
+		}
+	}
+	la.arms = arms
+	return nil
 }
 
 // restoreAdapt applies a snapshotted adaptation configuration,
@@ -138,90 +167,28 @@ func (la *linArms) restoreAdapt(st State) error {
 	return nil
 }
 
-// Snapshot implements Snapshotter via the wrapped bandit's SaveState.
-func (p *DecayingEpsilonGreedy) Snapshot() (State, error) {
-	var buf bytes.Buffer
-	if err := p.B.SaveState(&buf); err != nil {
-		return State{}, err
-	}
-	return State{
-		Type:    TypeDecayingEpsGreedy,
-		NumArms: p.B.NumArms(),
-		Dim:     p.B.Dim(),
-		Bandit:  json.RawMessage(buf.Bytes()),
-	}, nil
-}
-
-// Snapshot implements Snapshotter.
-func (p *FixedEpsilonGreedy) Snapshot() (State, error) {
+// Snapshot implements Snapshotter. Only the rules that draw randomness
+// record their seed.
+func (l *Linear) Snapshot() (State, error) {
 	st := State{
-		Type:    TypeEpsGreedy,
-		NumArms: len(p.la.arms),
-		Dim:     p.la.dim,
-		Seed:    p.seed,
-		Epsilon: p.eps,
-		Arms:    p.la.arms,
+		Type:    l.kind,
+		NumArms: len(l.arms),
+		Dim:     l.dim,
+		Arms:    l.arms,
 	}
-	p.la.adaptState(&st)
-	return st, nil
-}
-
-// Snapshot implements Snapshotter.
-func (p *Greedy) Snapshot() (State, error) {
-	st := State{
-		Type:    TypeGreedy,
-		NumArms: len(p.la.arms),
-		Dim:     p.la.dim,
-		Arms:    p.la.arms,
+	if l.rnd != nil {
+		st.Seed = l.seed
 	}
-	p.la.adaptState(&st)
+	if f := st.param(); f != nil {
+		*f = l.param
+	}
+	l.adaptState(&st)
 	return st, nil
 }
 
 // Snapshot implements Snapshotter.
 func (p *Random) Snapshot() (State, error) {
 	return State{Type: TypeRandom, NumArms: p.n, Dim: p.dim, Seed: p.seed}, nil
-}
-
-// Snapshot implements Snapshotter.
-func (p *LinUCB) Snapshot() (State, error) {
-	st := State{
-		Type:    TypeLinUCB,
-		NumArms: len(p.la.arms),
-		Dim:     p.la.dim,
-		Beta:    p.beta,
-		Arms:    p.la.arms,
-	}
-	p.la.adaptState(&st)
-	return st, nil
-}
-
-// Snapshot implements Snapshotter.
-func (p *LinTS) Snapshot() (State, error) {
-	st := State{
-		Type:    TypeLinTS,
-		NumArms: len(p.la.arms),
-		Dim:     p.la.dim,
-		Seed:    p.seed,
-		Scale:   p.v,
-		Arms:    p.la.arms,
-	}
-	p.la.adaptState(&st)
-	return st, nil
-}
-
-// Snapshot implements Snapshotter.
-func (p *Softmax) Snapshot() (State, error) {
-	st := State{
-		Type:    TypeSoftmax,
-		NumArms: len(p.la.arms),
-		Dim:     p.la.dim,
-		Seed:    p.seed,
-		Temp:    p.temp,
-		Arms:    p.la.arms,
-	}
-	p.la.adaptState(&st)
-	return st, nil
 }
 
 // Snapshot implements Snapshotter by refusing: the oracle's ground-truth
@@ -235,75 +202,22 @@ func (p *Oracle) Snapshot() (State, error) {
 // are exactly the serialised ones; its exploration RNG restarts from
 // State.Seed.
 func Restore(st State) (Policy, error) {
-	switch st.Type {
-	case TypeDecayingEpsGreedy:
-		b, err := core.LoadState(bytes.NewReader(st.Bandit))
-		if err != nil {
-			return nil, err
-		}
-		return &DecayingEpsilonGreedy{B: b}, nil
-	case TypeEpsGreedy:
-		p, err := NewFixedEpsilonGreedy(st.NumArms, st.Dim, st.Epsilon, st.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.la.restoreArms(st.Arms); err != nil {
-			return nil, err
-		}
-		if err := p.la.restoreAdapt(st); err != nil {
-			return nil, err
-		}
-		return p, nil
-	case TypeGreedy:
-		p, err := NewGreedy(st.NumArms, st.Dim)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.la.restoreArms(st.Arms); err != nil {
-			return nil, err
-		}
-		if err := p.la.restoreAdapt(st); err != nil {
-			return nil, err
-		}
-		return p, nil
-	case TypeRandom:
+	if st.Type == TypeRandom {
 		return NewRandom(st.NumArms, st.Dim, st.Seed)
-	case TypeLinUCB:
-		p, err := NewLinUCB(st.NumArms, st.Dim, st.Beta)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.la.restoreArms(st.Arms); err != nil {
-			return nil, err
-		}
-		if err := p.la.restoreAdapt(st); err != nil {
-			return nil, err
-		}
-		return p, nil
-	case TypeLinTS:
-		p, err := NewLinTS(st.NumArms, st.Dim, st.Scale, st.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.la.restoreArms(st.Arms); err != nil {
-			return nil, err
-		}
-		if err := p.la.restoreAdapt(st); err != nil {
-			return nil, err
-		}
-		return p, nil
-	case TypeSoftmax:
-		p, err := NewSoftmax(st.NumArms, st.Dim, st.Temp, st.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.la.restoreArms(st.Arms); err != nil {
-			return nil, err
-		}
-		if err := p.la.restoreAdapt(st); err != nil {
-			return nil, err
-		}
-		return p, nil
 	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownType, st.Type)
+	var param float64
+	if f := st.param(); f != nil {
+		param = *f
+	}
+	l, err := newLinear(st.Type, st.NumArms, st.Dim, param, st.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.restoreArms(st.Arms); err != nil {
+		return nil, err
+	}
+	if err := l.restoreAdapt(st); err != nil {
+		return nil, err
+	}
+	return l, nil
 }

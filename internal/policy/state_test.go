@@ -6,8 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"banditware/internal/core"
-	"banditware/internal/hardware"
 	"banditware/internal/rng"
 )
 
@@ -34,17 +32,7 @@ func trainPolicy(t *testing.T, p Policy, rounds int) {
 // snapshot → JSON → restore with its learned per-arm models intact
 // (byte-for-byte equal re-snapshot) and identical predictions.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	hw := hardware.Set{
-		{Name: "H0", CPUs: 2, MemoryGB: 16},
-		{Name: "H1", CPUs: 3, MemoryGB: 24},
-		{Name: "H2", CPUs: 4, MemoryGB: 16},
-	}
-	deg, err := NewDecayingEpsilonGreedy(hw, 1, core.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	builders := map[string]Policy{}
-	builders["decaying"] = deg
 	if p, err := NewFixedEpsilonGreedy(3, 1, 0.1, 7); err == nil {
 		builders["eps"] = p
 	}
@@ -63,8 +51,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if p, err := NewSoftmax(3, 1, 2, 13); err == nil {
 		builders["softmax"] = p
 	}
-	if len(builders) != 7 {
-		t.Fatalf("built %d policies, want 7", len(builders))
+	if len(builders) != 6 {
+		t.Fatalf("built %d policies, want 6", len(builders))
 	}
 
 	for label, p := range builders {
@@ -101,12 +89,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("%s learned state drifted across restore:\n  %s\n  %s", label, blob, blob2)
 		}
 		// Predictions (where the policy has models) match exactly.
-		if pr, ok := p.(Predictor); ok {
-			want, err := pr.PredictAll([]float64{42})
+		if lp, ok := p.(*Linear); ok {
+			want, err := lp.PredictAllInto([]float64{42}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := restored.(Predictor).PredictAll([]float64{42})
+			got, err := restored.(*Linear).PredictAllInto([]float64{42}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +143,7 @@ func TestArmModelAndPredictAll(t *testing.T) {
 	}
 	trainPolicy(t, p, 90)
 	x := []float64{25}
-	preds, err := p.PredictAll(x)
+	preds, err := p.PredictAllInto(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +153,7 @@ func TestArmModelAndPredictAll(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := m.Predict(x); math.Abs(got-preds[arm]) > 1e-9 {
-			t.Fatalf("arm %d model predicts %v, PredictAll says %v", arm, got, preds[arm])
+			t.Fatalf("arm %d model predicts %v, PredictAllInto says %v", arm, got, preds[arm])
 		}
 	}
 	if _, err := p.ArmModel(9); !errors.Is(err, ErrArm) {

@@ -209,7 +209,7 @@ func (st *stream) observeDriftLocked(arm int, residual float64) {
 		return
 	}
 	if st.adapt.OnDrift == DriftReset {
-		if ar, ok := st.engine.(ArmResetter); ok && ar.ResetArm(arm) == nil {
+		if st.engine.ResetArm(arm) == nil {
 			st.driftResets++
 			// Re-anchor delta-sync baselines: the reset dropped the arm's
 			// foreign contributions along with the local ones.

@@ -79,29 +79,46 @@ func TestAllocRecommendIntoZero(t *testing.T) {
 	})
 }
 
-func TestAllocRecommendCtxIntoZero(t *testing.T) {
-	s := newSchemaService(t, PolicySpec{})
+// TestAllocRecommendCtxIntoObserveSeq pins the typed-context hot path
+// for every policy type. Algorithm 1, greedy, ε-greedy, softmax and
+// random are allocation free; LinUCB and LinTS keep only the
+// per-arm scratch of regress.RLS.Uncertainty and SampleWeights (one
+// and three allocations per arm on this 3-arm stream).
+func TestAllocRecommendCtxIntoObserveSeq(t *testing.T) {
+	pins := []struct {
+		policy string
+		pin    float64
+	}{
+		{PolicyAlgorithm1, 0},
+		{PolicyGreedy, 0},
+		{PolicyEpsGreedy, 0},
+		{PolicySoftmax, 0},
+		{PolicyRandom, 0},
+		{PolicyLinUCB, 3},
+		{PolicyLinTS, 9},
+	}
 	ctx := schema.Context{
 		Numeric:     map[string]float64{"num_tasks": 128, "input_mb": 512},
 		Categorical: map[string]string{"site": "expanse"},
 	}
-	var tk Ticket
-	for i := 0; i < warmCycles; i++ {
-		if err := s.RecommendCtxInto("typed", ctx, &tk); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ObserveSeq("typed", tk.Seq, 2.0); err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range pins {
+		t.Run(tc.policy, func(t *testing.T) {
+			s := newSchemaService(t, PolicySpec{Type: tc.policy, Seed: 5})
+			var tk Ticket
+			cycle := func() {
+				if err := s.RecommendCtxInto("typed", ctx, &tk); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.ObserveSeq("typed", tk.Seq, 2.0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < warmCycles; i++ {
+				cycle()
+			}
+			pinAllocs(t, "RecommendCtxInto+ObserveSeq", tc.pin, cycle)
+		})
 	}
-	pinAllocs(t, "RecommendCtxInto+ObserveSeq", 0, func() {
-		if err := s.RecommendCtxInto("typed", ctx, &tk); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ObserveSeq("typed", tk.Seq, 2.0); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 func TestAllocCachedHitRecommendIntoZero(t *testing.T) {
@@ -299,5 +316,43 @@ func TestAllocAsyncObserveSteadyState(t *testing.T) {
 	s.FlushObserves()
 	if n := s.Stats().AsyncErrors; n != 0 {
 		t.Fatalf("async errors = %d, want 0", n)
+	}
+}
+
+// BenchmarkRecommendObserveSeqPolicies times one RecommendInto →
+// ObserveSeq cycle on a warmed 3-arm stream for every policy type, so
+// the CI benchmark gate compares each engine's time and allocations.
+func BenchmarkRecommendObserveSeqPolicies(b *testing.B) {
+	for _, kind := range []string{
+		PolicyAlgorithm1, PolicyLinUCB, PolicyLinTS, PolicyEpsGreedy,
+		PolicyGreedy, PolicySoftmax, PolicyRandom,
+	} {
+		b.Run(kind, func(b *testing.B) {
+			s := NewService(ServiceOptions{})
+			if err := s.CreateStream("hot", StreamConfig{
+				Hardware: testHW(), Dim: 1, Options: core.Options{Seed: 7},
+				Policy: PolicySpec{Type: kind, Seed: 7},
+			}); err != nil {
+				b.Fatal(err)
+			}
+			x := []float64{1.5}
+			var tk Ticket
+			cycle := func() {
+				if err := s.RecommendInto("hot", x, &tk); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.ObserveSeq("hot", tk.Seq, 2.0+float64(tk.Arm)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < warmCycles; i++ {
+				cycle()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"banditware/internal/armset"
 	"banditware/internal/core"
 	"banditware/internal/hardware"
-	"banditware/internal/policy"
 	"banditware/internal/regress"
 )
 
@@ -21,51 +20,30 @@ import (
 // retire, and invalidating the cache whenever positional arm indices
 // change meaning.
 
-// ArmEditor is an optional Engine extension for arm-set elasticity:
-// AddArm appends one untrained arm for a new hardware configuration and
-// RemoveArm retires arm i, shifting later indices down by one. Both
-// engine families implement it (for policy engines, only when the
-// underlying policy does — Oracle cannot be grown).
-type ArmEditor interface {
-	AddArm(cfg hardware.Config) error
-	RemoveArm(arm int) error
-}
-
-// AddArm implements ArmEditor, shadowing the embedded bandit's
+// AddArm implements Engine, shadowing the embedded bandit's
 // (int, error) signature.
 func (e banditEngine) AddArm(cfg hardware.Config) error {
 	_, err := e.Bandit.AddArm(cfg)
 	return err
 }
 
-// RemoveArm implements ArmEditor.
-func (e banditEngine) RemoveArm(arm int) error { return e.Bandit.RemoveArm(arm) }
-
-// AddArm implements ArmEditor for policies that support arm editing.
+// AddArm implements Engine.
 func (e *policyEngine) AddArm(cfg hardware.Config) error {
-	ed, ok := e.p.(policy.ArmEditor)
-	if !ok {
-		return fmt.Errorf("%w (%s)", ErrUnsupported, e.spec.Type)
-	}
 	hw := append(append(hardware.Set{}, e.hw...), cfg)
 	if err := hw.Validate(); err != nil {
 		return err
 	}
-	if err := ed.AddArm(); err != nil {
-		return mapPolicyErr(err)
+	if err := e.p.AddArm(); err != nil {
+		return err
 	}
 	e.hw = hw
 	return nil
 }
 
-// RemoveArm implements ArmEditor for policies that support arm editing.
+// RemoveArm implements Engine.
 func (e *policyEngine) RemoveArm(arm int) error {
-	ed, ok := e.p.(policy.ArmEditor)
-	if !ok {
-		return fmt.Errorf("%w (%s)", ErrUnsupported, e.spec.Type)
-	}
-	if err := ed.RemoveArm(arm); err != nil {
-		return mapPolicyErr(err)
+	if err := e.p.RemoveArm(arm); err != nil {
+		return err
 	}
 	e.hw = append(append(hardware.Set{}, e.hw[:arm]...), e.hw[arm+1:]...)
 	return nil
@@ -176,19 +154,8 @@ func (s *Service) AddArm(name string, add ArmAdd) (int, error) {
 // addArmLocked grows the engine, shadows, and per-arm bookkeeping by one
 // arm. Callers hold st.mu.
 func (st *stream) addArmLocked(cfg hardware.Config, warm armset.Warm, weight float64, trial bool) (int, error) {
-	ed, ok := st.engine.(ArmEditor)
-	if !ok {
-		return 0, fmt.Errorf("%w (%s)", ErrUnsupported, st.engine.Kind())
-	}
-	// Nothing mutates until every participant is known editable and the
-	// grown hardware set validates, so a rejected add leaves the stream
-	// exactly as it was.
-	for _, sh := range st.shadows {
-		if _, ok := sh.engine.(ArmEditor); !ok {
-			return 0, fmt.Errorf("%w: shadow %q policy %s cannot grow its arm set",
-				ErrUnsupported, sh.name, sh.engine.Kind())
-		}
-	}
+	// Nothing mutates until the grown hardware set validates, so a
+	// rejected add leaves the stream exactly as it was.
 	grown := append(append(hardware.Set{}, st.engine.Hardware()...), cfg)
 	if err := grown.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadArmRequest, err)
@@ -197,14 +164,14 @@ func (st *stream) addArmLocked(cfg hardware.Config, warm armset.Warm, weight flo
 	// neighbor distance and the pooled average run over the pre-add set.
 	warmMass, haveWarm := st.warmMassLocked(cfg, warm, weight)
 
-	if err := ed.AddArm(cfg); err != nil {
+	if err := st.engine.AddArm(cfg); err != nil {
 		return 0, err
 	}
 	for _, sh := range st.shadows {
-		// Pre-checked editable above; the grown set already validated, so
-		// a failure here is unreachable — but a shadow is advisory state,
-		// never worth failing the stream's add over.
-		_ = sh.engine.(ArmEditor).AddArm(cfg)
+		// The grown set already validated, so a failure here is
+		// unreachable — but a shadow is advisory state, never worth
+		// failing the stream's add over.
+		_ = sh.engine.AddArm(cfg)
 	}
 	idx := len(st.engine.Hardware()) - 1
 	st.armLabels = append(st.armLabels, cfg.String())
@@ -387,27 +354,17 @@ func (s *Service) RetireArm(name string, arm int) error {
 // retireArmLocked removes one arm everywhere. Callers hold s.syncMu and
 // st.mu, in that order.
 func (st *stream) retireArmLocked(s *Service, arm int) error {
-	ed, ok := st.engine.(ArmEditor)
-	if !ok {
-		return fmt.Errorf("%w (%s)", ErrUnsupported, st.engine.Kind())
-	}
-	for _, sh := range st.shadows {
-		if _, ok := sh.engine.(ArmEditor); !ok {
-			return fmt.Errorf("%w: shadow %q policy %s cannot shrink its arm set",
-				ErrUnsupported, sh.name, sh.engine.Kind())
-		}
-	}
 	// The lifecycle validates the transition (Draining or Trial only,
 	// never the last arm standing) and is the first mutation; everything
 	// after cannot fail.
 	if err := st.life.Retire(arm); err != nil {
 		return mapArmsetErr(err)
 	}
-	if err := ed.RemoveArm(arm); err != nil {
+	if err := st.engine.RemoveArm(arm); err != nil {
 		return err
 	}
 	for _, sh := range st.shadows {
-		_ = sh.engine.(ArmEditor).RemoveArm(arm)
+		_ = sh.engine.RemoveArm(arm)
 	}
 	st.armLabels = append(st.armLabels[:arm], st.armLabels[arm+1:]...)
 	st.detectors = append(st.detectors[:arm], st.detectors[arm+1:]...)
@@ -453,16 +410,14 @@ func (st *stream) retireArmLocked(s *Service, arm int) error {
 // runtime where the engine has a model, lowest-index active arm
 // otherwise. Callers hold st.mu; the lifecycle guarantees at least one
 // active arm exists.
-func (st *stream) rerouteLocked(d core.Decision, x []float64) core.Decision {
+func (st *stream) rerouteLocked(d *core.Decision, x []float64) {
 	active := st.life.ActiveIndices()
 	if len(active) == 0 {
-		return d
+		return
 	}
 	preds := d.Predicted
-	if preds == nil {
-		if p, err := st.engine.PredictAll(x); err == nil {
-			preds = p
-		}
+	if len(preds) == 0 {
+		preds = st.predictLocked(x)
 	}
 	best := active[0]
 	if best < len(preds) {
@@ -473,7 +428,6 @@ func (st *stream) rerouteLocked(d core.Decision, x []float64) core.Decision {
 		}
 	}
 	d.Arm = best
-	return d
 }
 
 // --- recommendation cache --------------------------------------------

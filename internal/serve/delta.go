@@ -8,7 +8,6 @@ import (
 	"math"
 	"slices"
 
-	"banditware/internal/policy"
 	"banditware/internal/regress"
 )
 
@@ -185,40 +184,33 @@ func deltaSource(eng Engine) (engineDeltaSource, error) {
 			absorb: e.AbsorbRounds,
 		}, nil
 	case *policyEngine:
-		absorb := func(k int) error {
-			if k < 0 {
-				return fmt.Errorf("serve: negative round count %d", k)
-			}
-			e.round += k
-			return nil
-		}
-		dm, ok := e.p.(policy.DeltaMergeable)
-		if !ok {
+		if e.lin == nil {
 			// Model-free policy: nothing to merge beyond rounds/counters.
-			return engineDeltaSource{modelFree: true, absorb: absorb}, nil
+			return engineDeltaSource{modelFree: true, absorb: e.absorbRounds}, nil
 		}
 		// Probe one arm so windowed/forgetting configurations surface as
 		// ErrNotMergeable up front (the configuration is fixed for the
 		// engine's lifetime, so a passing probe holds forever).
-		if _, err := dm.ArmSufficient(0); err != nil {
-			if errors.Is(err, policy.ErrNotMergeable) {
-				return engineDeltaSource{}, fmt.Errorf("%w: %v", ErrNotMergeable, err)
-			}
-			return engineDeltaSource{}, mapPolicyErr(err)
+		if _, err := e.lin.ArmSufficient(0); err != nil {
+			return engineDeltaSource{}, fmt.Errorf("%w: %v", ErrNotMergeable, err)
 		}
 		return engineDeltaSource{
-			suff: dm.ArmSufficient,
-			prior: func(arm int) (regress.Sufficient, error) {
-				s, err := dm.ArmPrior(arm)
-				return s, mapPolicyErr(err)
-			},
-			merge: func(arm int, delta regress.Sufficient) error {
-				return mapPolicyErr(dm.MergeArmSufficient(arm, delta))
-			},
-			absorb: absorb,
+			suff:   e.lin.ArmSufficient,
+			prior:  e.lin.ArmPrior,
+			merge:  e.lin.MergeArmSufficient,
+			absorb: e.absorbRounds,
 		}, nil
 	}
 	return engineDeltaSource{}, fmt.Errorf("%w: engine %T has no delta support", ErrNotMergeable, eng)
+}
+
+// absorbRounds adds k rounds merged from peers to the round counter.
+func (e *policyEngine) absorbRounds(k int) error {
+	if k < 0 {
+		return fmt.Errorf("serve: negative round count %d", k)
+	}
+	e.round += k
+	return nil
 }
 
 // peerStreamBase is one peer's acknowledged baseline for one stream:

@@ -548,7 +548,7 @@ func TestDeltaArmResetReanchors(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.mu.Lock()
-	if err := st.engine.(ArmResetter).ResetArm(0); err != nil {
+	if err := st.engine.ResetArm(0); err != nil {
 		st.mu.Unlock()
 		t.Fatal(err)
 	}

@@ -31,19 +31,20 @@ type Engine interface {
 	Hardware() hardware.Set
 	// Dim returns the feature dimension.
 	Dim() int
-	// Recommend picks an arm for features x. Predicted and the
-	// exploration fields of the Decision may be zero for policies that
-	// do not expose them.
-	Recommend(x []float64) (core.Decision, error)
+	// RecommendInto picks an arm for features x, writing the decision
+	// into d and reusing d.Predicted's backing array for the per-arm
+	// estimates (left empty by model-free policies). Explored and
+	// Epsilon stay zero for policies that do not report them.
+	RecommendInto(x []float64, d *core.Decision) error
 	// Observe trains on one (arm, features, runtime) triple.
 	Observe(arm int, x []float64, runtime float64) error
 	// Exploit returns the arm the current model considers best without
 	// consuming exploration randomness where the policy supports that
 	// (policies without a separate exploit mode fall back to Select).
 	Exploit(x []float64) (int, error)
-	// PredictAll returns per-arm runtime estimates, or ErrUnsupported
-	// for model-free policies.
-	PredictAll(x []float64) ([]float64, error)
+	// PredictAllInto appends per-arm runtime estimates to out, or
+	// reports ErrUnsupported for model-free policies.
+	PredictAllInto(x, out []float64) ([]float64, error)
 	// Epsilon reports the current exploration probability; engines
 	// without a decaying ε report 0.
 	Epsilon() float64
@@ -51,26 +52,26 @@ type Engine interface {
 	Round() int
 	// SaveState serialises the engine's full learned state as JSON.
 	SaveState(w io.Writer) error
-}
-
-// ModelProvider is an optional Engine extension exposing one arm's
-// learned linear model for the stream-inspection endpoint.
-type ModelProvider interface {
+	// Model returns one arm's learned linear model for the
+	// stream-inspection endpoint, or ErrUnsupported for model-free
+	// policies.
 	Model(arm int) (regress.Model, error)
+	// ResetArm drops one arm's learned model, restoring it to the
+	// constructed prior while leaving the other arms, the round counter
+	// and ε untouched — the on-drift "reset" response. Model-free
+	// policies report ErrUnsupported.
+	ResetArm(arm int) error
+	// AddArm appends one untrained arm for a new hardware configuration
+	// and RemoveArm retires arm i, shifting later indices down by one —
+	// arm-set elasticity.
+	AddArm(cfg hardware.Config) error
+	RemoveArm(arm int) error
 }
 
 // CIProvider is an optional Engine extension exposing per-arm prediction
 // intervals. Only the Algorithm 1 engine implements it.
 type CIProvider interface {
 	PredictWithCI(x []float64, z float64) ([]core.Interval, error)
-}
-
-// ArmResetter is an optional Engine extension: ResetArm drops one arm's
-// learned model, restoring it to the constructed prior while leaving
-// the other arms, the round counter, and ε untouched — the on-drift
-// "reset" response. Model-free policies (random) do not implement it.
-type ArmResetter interface {
-	ResetArm(arm int) error
 }
 
 // Engine/policy errors.
@@ -181,8 +182,8 @@ func defaulted(v, def float64) float64 {
 // take their parameters from spec. adapt (already canonical — see
 // compileAdapt) configures model forgetting or windowing: Algorithm 1
 // takes it through its Options, the linear-model policies through
-// policy.Adaptive; policies without models (random) reject any mode but
-// "none".
+// policy.Linear.SetAdaptation; policies without models (random) reject
+// any mode but "none".
 func newEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, adapt AdaptSpec) (Engine, error) {
 	kind, err := spec.kind()
 	if err != nil {
@@ -226,32 +227,33 @@ func newEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, ada
 		return nil, fmt.Errorf("serve: negative feature dimension %d", dim)
 	}
 	n := len(hw)
-	canonical := PolicySpec{Type: kind, Seed: spec.Seed}
-	var p policy.Policy
+	e := &policyEngine{spec: PolicySpec{Type: kind, Seed: spec.Seed}, hw: hw, dim: dim}
 	switch kind {
 	case PolicyLinUCB:
-		canonical.Beta = defaulted(spec.Beta, 1)
-		p, err = policy.NewLinUCB(n, dim, canonical.Beta)
+		e.spec.Beta = defaulted(spec.Beta, 1)
+		e.lin, err = policy.NewLinUCB(n, dim, e.spec.Beta)
 	case PolicyLinTS:
-		canonical.PosteriorScale = defaulted(spec.PosteriorScale, 1)
-		p, err = policy.NewLinTS(n, dim, canonical.PosteriorScale, spec.Seed)
+		e.spec.PosteriorScale = defaulted(spec.PosteriorScale, 1)
+		e.lin, err = policy.NewLinTS(n, dim, e.spec.PosteriorScale, spec.Seed)
 	case PolicyEpsGreedy:
-		canonical.Epsilon = defaulted(spec.Epsilon, 0.1)
-		p, err = policy.NewFixedEpsilonGreedy(n, dim, canonical.Epsilon, spec.Seed)
+		e.spec.Epsilon = defaulted(spec.Epsilon, 0.1)
+		e.lin, err = policy.NewFixedEpsilonGreedy(n, dim, e.spec.Epsilon, spec.Seed)
 	case PolicyGreedy:
-		p, err = policy.NewGreedy(n, dim)
+		e.lin, err = policy.NewGreedy(n, dim)
 	case PolicySoftmax:
-		canonical.Temperature = defaulted(spec.Temperature, 1)
-		p, err = policy.NewSoftmax(n, dim, canonical.Temperature, spec.Seed)
+		e.spec.Temperature = defaulted(spec.Temperature, 1)
+		e.lin, err = policy.NewSoftmax(n, dim, e.spec.Temperature, spec.Seed)
 	case PolicyRandom:
-		p, err = policy.NewRandom(n, dim, spec.Seed)
+		e.p, err = policy.NewRandom(n, dim, spec.Seed)
 	}
 	if err != nil {
 		return nil, err
 	}
+	if e.lin != nil {
+		e.p = e.lin
+	}
 	if adapt.Mode != AdaptNone {
-		ad, ok := p.(policy.Adaptive)
-		if !ok {
+		if e.lin == nil {
 			return nil, fmt.Errorf("%w: policy %s has no models to adapt", ErrBadAdapt, kind)
 		}
 		forget, window := 1.0, 0
@@ -260,24 +262,21 @@ func newEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, ada
 		} else {
 			window = adapt.Window
 		}
-		if err := ad.SetAdaptation(forget, window); err != nil {
+		if err := e.lin.SetAdaptation(forget, window); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadAdapt, err)
 		}
 	}
-	if adapt.OnDrift == DriftReset {
-		if _, ok := p.(policy.ArmResetter); !ok {
-			return nil, fmt.Errorf("%w: policy %s cannot reset arms (on_drift %q)",
-				ErrBadAdapt, kind, DriftReset)
-		}
+	if adapt.OnDrift == DriftReset && e.lin == nil {
+		return nil, fmt.Errorf("%w: policy %s cannot reset arms (on_drift %q)",
+			ErrBadAdapt, kind, DriftReset)
 	}
-	return &policyEngine{spec: canonical, hw: hw, dim: dim, p: p}, nil
+	return e, nil
 }
 
 // --- Algorithm 1 adapter ---------------------------------------------
 
 // banditEngine adapts the paper's core.Bandit to Engine. All methods but
-// Kind come from the embedded bandit, including ModelProvider and
-// CIProvider.
+// Kind and AddArm come from the embedded bandit, including CIProvider.
 type banditEngine struct {
 	*core.Bandit
 }
@@ -287,27 +286,32 @@ func (banditEngine) Kind() string { return PolicyAlgorithm1 }
 
 // --- internal/policy adapter -----------------------------------------
 
-// policyEngine adapts an internal/policy.Policy to Engine, tracking the
-// round count the Policy interface does not carry and translating policy
-// errors to the core sentinels the service reports.
-type policyEngine struct {
-	spec  PolicySpec // canonical type and effective parameters
-	hw    hardware.Set
-	dim   int
-	p     policy.Policy
-	round int
+// servedPolicy is what a stream needs of a policy: selection, learning,
+// snapshots and arm-set edits. *policy.Linear and *policy.Random
+// provide it.
+type servedPolicy interface {
+	Select(x []float64) (int, error)
+	Update(arm int, x []float64, runtime float64) error
+	Snapshot() (policy.State, error)
+	AddArm() error
+	RemoveArm(arm int) error
 }
 
-// mapPolicyErr translates policy sentinels to the core equivalents so
-// callers see one error vocabulary regardless of the stream's policy.
-func mapPolicyErr(err error) error {
-	switch {
-	case errors.Is(err, policy.ErrDim):
-		return core.ErrDim
-	case errors.Is(err, policy.ErrArm):
-		return core.ErrArm
-	}
-	return err
+// errModelFree is ErrUnsupported for the one policy without models
+// (random), built once so the per-observe drift probe does not allocate.
+var errModelFree = fmt.Errorf("%w (%s)", ErrUnsupported, PolicyRandom)
+
+// policyEngine adapts an internal/policy policy to Engine, tracking the
+// round count the Policy interface does not carry.
+type policyEngine struct {
+	spec PolicySpec // canonical type and effective parameters
+	hw   hardware.Set
+	dim  int
+	p    servedPolicy
+	// lin is p when the policy has per-arm models (every type but
+	// random), nil otherwise.
+	lin   *policy.Linear
+	round int
 }
 
 // Kind implements Engine.
@@ -325,21 +329,19 @@ func (e *policyEngine) Epsilon() float64 { return 0 }
 // Round implements Engine.
 func (e *policyEngine) Round() int { return e.round }
 
-// Recommend implements Engine. Predicted is filled when the policy
-// exposes per-arm estimates; Explored/Epsilon stay zero (the Policy
-// interface does not report its exploration branch).
-func (e *policyEngine) Recommend(x []float64) (core.Decision, error) {
-	arm, err := e.p.Select(x)
-	if err != nil {
-		return core.Decision{}, mapPolicyErr(err)
+// RecommendInto implements Engine. One model pass yields both the arm
+// and the mean per-arm estimates; Explored/Epsilon stay zero (the
+// policies do not report their exploration branch).
+func (e *policyEngine) RecommendInto(x []float64, d *core.Decision) error {
+	var err error
+	if e.lin != nil {
+		d.Arm, d.Predicted, err = e.lin.SelectInto(x, d.Predicted[:0])
+	} else {
+		d.Arm, err = e.p.Select(x)
+		d.Predicted = d.Predicted[:0]
 	}
-	d := core.Decision{Arm: arm}
-	if pr, ok := e.p.(policy.Predictor); ok {
-		if preds, err := pr.PredictAll(x); err == nil {
-			d.Predicted = preds
-		}
-	}
-	return d, nil
+	d.Explored, d.Epsilon = false, 0
+	return err
 }
 
 // Observe implements Engine.
@@ -348,53 +350,43 @@ func (e *policyEngine) Observe(arm int, x []float64, runtime float64) error {
 		return core.ErrBadValue
 	}
 	if err := e.p.Update(arm, x, runtime); err != nil {
-		return mapPolicyErr(err)
+		return err
 	}
 	e.round++
 	return nil
 }
 
-// Exploit implements Engine, preferring the policy's dedicated exploit
-// mode and falling back to Select (which, for policies like Random, may
-// consume exploration randomness).
+// Exploit implements Engine: the minimum-prediction arm, or — for the
+// model-free random policy — a fresh Select.
 func (e *policyEngine) Exploit(x []float64) (int, error) {
-	if ex, ok := e.p.(policy.Exploiter); ok {
-		arm, err := ex.Exploit(x)
-		return arm, mapPolicyErr(err)
+	if e.lin == nil {
+		return e.p.Select(x)
 	}
-	arm, err := e.p.Select(x)
-	return arm, mapPolicyErr(err)
+	return e.lin.Exploit(x)
 }
 
-// PredictAll implements Engine.
-func (e *policyEngine) PredictAll(x []float64) ([]float64, error) {
-	pr, ok := e.p.(policy.Predictor)
-	if !ok {
-		return nil, fmt.Errorf("%w (%s)", ErrUnsupported, e.spec.Type)
+// PredictAllInto implements Engine.
+func (e *policyEngine) PredictAllInto(x, out []float64) ([]float64, error) {
+	if e.lin == nil {
+		return nil, errModelFree
 	}
-	preds, err := pr.PredictAll(x)
-	return preds, mapPolicyErr(err)
+	return e.lin.PredictAllInto(x, out)
 }
 
-// ResetArm implements ArmResetter for policies that can drop one arm's
-// model.
+// ResetArm implements Engine.
 func (e *policyEngine) ResetArm(arm int) error {
-	ar, ok := e.p.(policy.ArmResetter)
-	if !ok {
-		return fmt.Errorf("%w (%s)", ErrUnsupported, e.spec.Type)
+	if e.lin == nil {
+		return errModelFree
 	}
-	return mapPolicyErr(ar.ResetArm(arm))
+	return e.lin.ResetArm(arm)
 }
 
-// Model implements ModelProvider for policies that expose per-arm
-// models.
+// Model implements Engine.
 func (e *policyEngine) Model(arm int) (regress.Model, error) {
-	am, ok := e.p.(policy.ArmModeler)
-	if !ok {
-		return regress.Model{}, fmt.Errorf("%w (%s)", ErrUnsupported, e.spec.Type)
+	if e.lin == nil {
+		return regress.Model{}, errModelFree
 	}
-	m, err := am.ArmModel(arm)
-	return m, mapPolicyErr(err)
+	return e.lin.ArmModel(arm)
 }
 
 // policyEngineState is the JSON wire form of a policyEngine.
@@ -409,11 +401,7 @@ type policyEngineState struct {
 // SaveState implements Engine: spec, hardware, round counter, and the
 // policy's full learned state in one JSON document.
 func (e *policyEngine) SaveState(w io.Writer) error {
-	sn, ok := e.p.(policy.Snapshotter)
-	if !ok {
-		return fmt.Errorf("%w: policy %s has no snapshot support", ErrUnsupported, e.spec.Type)
-	}
-	ps, err := sn.Snapshot()
+	ps, err := e.p.Snapshot()
 	if err != nil {
 		return err
 	}
@@ -434,18 +422,51 @@ func restorePolicyEngine(data []byte) (*policyEngine, error) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("serve: decoding policy engine state: %w", err)
 	}
-	if err := st.Hardware.Validate(); err != nil {
+	// The envelope (spec, hardware, dim) must describe exactly the
+	// policy it wraps: build the policy the envelope promises and compare
+	// the headers, so a state that contradicts itself is rejected
+	// instead of serving one policy under another's name or shape.
+	want, err := newEngine(st.Hardware, st.Dim, core.Options{}, st.Spec, defaultAdapt())
+	if err != nil {
+		return nil, fmt.Errorf("serve: corrupt engine state: %w", err)
+	}
+	e, ok := want.(*policyEngine)
+	if !ok || e.spec != st.Spec {
+		return nil, fmt.Errorf("serve: corrupt engine state: non-canonical policy spec %+v", st.Spec)
+	}
+	wantState, err := e.p.Snapshot()
+	if err != nil {
 		return nil, err
 	}
-	if st.Policy.NumArms != len(st.Hardware) {
-		return nil, fmt.Errorf("serve: corrupt engine state: %d arms, %d hardware",
-			st.Policy.NumArms, len(st.Hardware))
+	if got, exp := headerOf(st.Policy), headerOf(wantState); got != exp {
+		return nil, fmt.Errorf("serve: corrupt engine state: policy %+v contradicts its envelope %+v", got, exp)
 	}
 	p, err := policy.Restore(st.Policy)
 	if err != nil {
 		return nil, err
 	}
-	return &policyEngine{spec: st.Spec, hw: st.Hardware, dim: st.Dim, p: p, round: st.Round}, nil
+	sp, ok := p.(servedPolicy)
+	if !ok {
+		return nil, fmt.Errorf("serve: corrupt engine state: policy %s cannot serve", st.Policy.Type)
+	}
+	e.p, e.lin, e.round = sp, nil, st.Round
+	if lin, ok := p.(*policy.Linear); ok {
+		e.lin = lin
+	}
+	return e, nil
+}
+
+// policyHeader is the part of a policy.State its engine envelope fixes:
+// type, shape, seed and the rule's parameter.
+type policyHeader struct {
+	Type                       string
+	NumArms, Dim               int
+	Seed                       uint64
+	Epsilon, Beta, Scale, Temp float64
+}
+
+func headerOf(ps policy.State) policyHeader {
+	return policyHeader{ps.Type, ps.NumArms, ps.Dim, ps.Seed, ps.Epsilon, ps.Beta, ps.Scale, ps.Temp}
 }
 
 // restoreEngine rebuilds an engine from its snapshotted kind and state.

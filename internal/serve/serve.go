@@ -352,16 +352,12 @@ type stream struct {
 	enc     *schema.Encoder
 	engine  Engine
 	shadows []*shadow
-	// fastRec/fastPred are the engine's optional in-place fast paths
-	// (non-nil only when the engine implements them — Algorithm 1 does,
-	// policy engines fall back to the allocating interface); encScratch
-	// and predScratch are per-stream reusable buffers for context
-	// encoding and drift-residual predictions. All guarded by mu.
-	fastRec     inplaceRecommender
-	fastPred    inplacePredictor
+	// encScratch and predScratch are per-stream reusable buffers for
+	// context encoding and engine predictions (see predictLocked). All
+	// guarded by mu.
 	encScratch  []float64
 	predScratch []float64
-	// decScratch is the Decision handed to fastRec.RecommendInto: going
+	// decScratch is the Decision handed to engine.RecommendInto: going
 	// through a stream-owned struct (instead of &local) keeps the
 	// interface call from forcing a per-request heap escape.
 	decScratch core.Decision
@@ -399,20 +395,6 @@ type stream struct {
 	rewardTotal  float64
 	runtimeTotal float64
 	failures     uint64
-}
-
-// inplaceRecommender and inplacePredictor are the optional engine fast
-// paths the serving hot path uses when available: recommend into a
-// reused Decision and predict into a reused buffer, allocating nothing.
-// Algorithm 1 engines implement both (core.Bandit's methods promote
-// through banditEngine); policy engines fall back to the allocating
-// Engine interface.
-type inplaceRecommender interface {
-	RecommendInto(x []float64, d *core.Decision) error
-}
-
-type inplacePredictor interface {
-	PredictAllInto(x, out []float64) ([]float64, error)
 }
 
 // Service is a concurrent multi-stream recommender registry. The zero
@@ -571,8 +553,6 @@ func (s *Service) adopt(name string, eng Engine, sch *schema.Schema, rw rewardSt
 		st.armLabels[i] = hw.String()
 	}
 	st.enc = st.sch.Compile()
-	st.fastRec, _ = eng.(inplaceRecommender)
-	st.fastPred, _ = eng.(inplacePredictor)
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	cur := *s.streams.Load()
@@ -691,52 +671,26 @@ func (st *stream) recommendLocked(now time.Time, x []float64, track bool) (Ticke
 // zero-allocation path). Every Ticket field is (re)set. Callers hold
 // st.mu.
 func (st *stream) recommendIntoLocked(now time.Time, x []float64, t *Ticket, track, renderID bool) error {
+	d := &st.decScratch
 	var fp uint64
+	hit := false
 	if st.cache != nil {
 		fp = st.cache.Fingerprint(x)
 		if arm, ok := st.cache.Lookup(fp); ok && arm < len(st.armLabels) {
-			t.ID = ""
-			t.Stream = st.name
-			t.Arm = arm
-			t.Hardware = st.armLabels[arm]
-			t.Explored = false
-			t.Predicted = t.Predicted[:0]
-			t.Epsilon = st.engine.Epsilon()
-			t.IssuedAt = now
-			t.Seq = 0
-			if track {
-				seq := st.nextSeq
-				st.nextSeq++
-				t.Seq = seq
-				if renderID {
-					t.ID = ticketID(st.name, seq)
-				}
-				p := st.ledger.newPending()
-				p.seq = seq
-				p.arm = arm
-				p.features = append(p.features[:0], x...)
-				p.issuedAt = now
-				p.shadowArms = nil
-				st.ledger.add(p, now)
-				st.issued++
-			}
-			return nil
+			// A hit replays the cached arm without consulting the policy
+			// or the shadows (a replay, not a fresh selection).
+			*d = core.Decision{Arm: arm, Predicted: t.Predicted[:0], Epsilon: st.engine.Epsilon()}
+			hit = true
 		}
 	}
-	var d core.Decision
-	var err error
-	if st.fastRec != nil {
-		st.decScratch.Predicted = t.Predicted[:0]
-		err = st.fastRec.RecommendInto(x, &st.decScratch)
-		d = st.decScratch
-	} else {
-		d, err = st.engine.Recommend(x)
-	}
-	if err != nil {
-		return err
-	}
-	if !st.life.AllActive() && !st.life.Servable(d.Arm) {
-		d = st.rerouteLocked(d, x)
+	if !hit {
+		d.Predicted = t.Predicted[:0]
+		if err := st.engine.RecommendInto(x, d); err != nil {
+			return err
+		}
+		if !st.life.AllActive() && !st.life.Servable(d.Arm) {
+			st.rerouteLocked(d, x)
+		}
 	}
 	t.ID = ""
 	t.Stream = st.name
@@ -759,11 +713,14 @@ func (st *stream) recommendIntoLocked(now time.Time, x []float64, t *Ticket, tra
 		p.arm = d.Arm
 		p.features = append(p.features[:0], x...)
 		p.issuedAt = now
-		p.shadowArms = st.shadowRecommendLocked(x)
+		p.shadowArms = nil
+		if !hit {
+			p.shadowArms = st.shadowRecommendLocked(x)
+		}
 		st.ledger.add(p, now)
 		st.issued++
 	}
-	if st.cache != nil && !d.Explored {
+	if st.cache != nil && !hit && !d.Explored {
 		st.cache.Store(fp, d.Arm)
 	}
 	return nil
@@ -818,12 +775,12 @@ func (s *Service) RecommendUntracked(name string, x []float64) (core.Decision, e
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	d, err := st.engine.Recommend(x)
-	if err != nil {
+	var d core.Decision
+	if err := st.engine.RecommendInto(x, &d); err != nil {
 		return core.Decision{}, err
 	}
 	if !st.life.AllActive() && !st.life.Servable(d.Arm) {
-		d = st.rerouteLocked(d, x)
+		st.rerouteLocked(&d, x)
 	}
 	return d, nil
 }
@@ -921,14 +878,7 @@ func (st *stream) applyOutcomeLocked(arm int, x []float64, o Outcome) error {
 	// out-of-sample error). Model-free policies have no prediction and
 	// are not monitored.
 	pred, havePred := 0.0, false
-	if st.fastPred != nil {
-		if preds, err := st.fastPred.PredictAllInto(x, st.predScratch[:0]); err == nil {
-			st.predScratch = preds
-			if arm < len(preds) {
-				pred, havePred = preds[arm], true
-			}
-		}
-	} else if preds, err := st.engine.PredictAll(x); err == nil && arm < len(preds) {
+	if preds := st.predictLocked(x); arm < len(preds) {
 		pred, havePred = preds[arm], true
 	}
 	if err := st.engine.Observe(arm, x, score); err != nil {
@@ -944,6 +894,18 @@ func (st *stream) applyOutcomeLocked(arm int, x []float64, o Outcome) error {
 		st.observeDriftLocked(arm, score-pred)
 	}
 	return nil
+}
+
+// predictLocked returns the engine's per-arm estimates for x in the
+// stream's reusable prediction buffer (valid until the next call), or
+// nil when the engine has no models. Callers hold st.mu.
+func (st *stream) predictLocked(x []float64) []float64 {
+	preds, err := st.engine.PredictAllInto(x, st.predScratch[:0])
+	if err != nil {
+		return nil
+	}
+	st.predScratch = preds
+	return preds
 }
 
 // observeTicketLocked redeems a ticket by sequence number, trains the
@@ -1199,7 +1161,8 @@ func (s *Service) Exploit(name string, x []float64) (int, error) {
 		return 0, err
 	}
 	if !st.life.AllActive() && !st.life.Servable(arm) {
-		d := st.rerouteLocked(core.Decision{Arm: arm}, x)
+		d := core.Decision{Arm: arm}
+		st.rerouteLocked(&d, x)
 		arm = d.Arm
 	}
 	return arm, nil
@@ -1215,7 +1178,7 @@ func (s *Service) PredictAll(name string, x []float64) ([]float64, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.engine.PredictAll(x)
+	return st.engine.PredictAllInto(x, make([]float64, 0, len(st.armLabels)))
 }
 
 // PredictWithCI returns per-arm estimates with prediction intervals, or
@@ -1244,11 +1207,7 @@ func (s *Service) Model(name string, arm int) (regress.Model, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	mp, ok := st.engine.(ModelProvider)
-	if !ok {
-		return regress.Model{}, fmt.Errorf("%w (%s)", ErrUnsupported, st.engine.Kind())
-	}
-	return mp.Model(arm)
+	return st.engine.Model(arm)
 }
 
 // StreamSchema returns a copy of the named stream's declared feature

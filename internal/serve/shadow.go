@@ -23,6 +23,8 @@ var (
 type shadow struct {
 	name   string
 	engine Engine
+	// dec is the shadow's reused decision buffer.
+	dec core.Decision
 	// rw is the shadow's own compiled reward: every observed Outcome is
 	// replayed through it, so a shadow can evaluate a different reward
 	// regime (not just a different policy) on live traffic. rwInherited
@@ -132,8 +134,8 @@ func (st *stream) shadowRecommendLocked(x []float64) map[string]int {
 	}
 	arms := make(map[string]int, len(st.shadows))
 	for _, sh := range st.shadows {
-		d, err := sh.engine.Recommend(x)
-		if err != nil {
+		d := &sh.dec
+		if err := sh.engine.RecommendInto(x, d); err != nil {
 			// Shadows share the stream's dimension, so this cannot be a
 			// caller error; skip the round rather than fail the primary.
 			continue
@@ -156,7 +158,7 @@ func (st *stream) shadowRecommendLocked(x []float64) map[string]int {
 func (st *stream) shadowObserveLocked(shadowArms map[string]int, arm int, x []float64, o Outcome) {
 	var preds []float64
 	if len(shadowArms) > 0 {
-		preds, _ = st.engine.PredictAll(x) // nil when the primary has no model
+		preds = st.predictLocked(x) // nil when the primary has no model
 	}
 	hw := st.engine.Hardware()[arm]
 	for _, sh := range st.shadows {

@@ -509,6 +509,87 @@ func TestSnapshotRestoreRejectsCorruptDriftState(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreRejectsCorruptPolicyState: a policy engine state
+// whose envelope (spec, hardware, dim) contradicts the policy it wraps
+// — another type, another shape, another parameter or seed — is
+// refused rather than serving one policy under another's name.
+func TestSnapshotRestoreRejectsCorruptPolicyState(t *testing.T) {
+	s := NewService(ServiceOptions{})
+	specs := map[string]PolicySpec{
+		"ucb":    {Type: PolicyLinUCB, Beta: 1.5},
+		"ts":     {Type: PolicyLinTS, PosteriorScale: 0.8, Seed: 3},
+		"eps":    {Type: PolicyEpsGreedy, Epsilon: 0.2, Seed: 4},
+		"soft":   {Type: PolicySoftmax, Temperature: 2, Seed: 5},
+		"greedy": {Type: PolicyGreedy},
+		"rand":   {Type: PolicyRandom, Seed: 6},
+	}
+	for name, spec := range specs {
+		if err := s.CreateStream(name, StreamConfig{Hardware: testHW(), Dim: 1, Policy: spec}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			tk, err := s.Recommend(name, []float64{float64(i%5 + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Observe(tk.ID, float64(10+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(snap.Bytes()), ServiceOptions{}); err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+	cases := []struct {
+		name, stream string
+		corrupt      func(stream, engine, spec, pol map[string]any)
+	}{
+		{"linucb spec over greedy policy", "greedy", func(st, _, spec, _ map[string]any) {
+			st["policy"], spec["type"], spec["beta"] = PolicyLinUCB, PolicyLinUCB, 1.0
+		}},
+		{"engine dim over policy dim", "ucb", func(_, eng, _, _ map[string]any) { eng["dim"] = 3.0 }},
+		{"arm count", "ucb", func(_, _, _, pol map[string]any) { pol["num_arms"] = 2.0 }},
+		{"policy beta", "ucb", func(_, _, _, pol map[string]any) { pol["beta"] = 2.5 }},
+		{"spec beta", "ucb", func(_, _, spec, _ map[string]any) { spec["beta"] = 2.5 }},
+		{"posterior scale", "ts", func(_, _, _, pol map[string]any) { pol["scale"] = 0.3 }},
+		{"epsilon", "eps", func(_, _, _, pol map[string]any) { pol["epsilon"] = 0.5 }},
+		{"temperature", "soft", func(_, _, _, pol map[string]any) { pol["temp"] = 9.0 }},
+		{"policy seed", "eps", func(_, _, _, pol map[string]any) { pol["seed"] = 99.0 }},
+		{"spec seed", "rand", func(_, _, spec, _ map[string]any) { spec["seed"] = 99.0 }},
+		{"seed on unseeded policy", "ucb", func(_, _, _, pol map[string]any) { pol["seed"] = 7.0 }},
+	}
+	for _, tc := range cases {
+		var env map[string]any
+		if err := json.Unmarshal(snap.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, raw := range env["streams"].([]any) {
+			st := raw.(map[string]any)
+			if st["name"] != tc.stream {
+				continue
+			}
+			eng := st["engine"].(map[string]any)
+			tc.corrupt(st, eng, eng["spec"].(map[string]any), eng["policy"].(map[string]any))
+			found = true
+		}
+		if !found {
+			t.Fatalf("%s: stream %q not in snapshot", tc.name, tc.stream)
+		}
+		blob, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(blob), ServiceOptions{}); err == nil {
+			t.Errorf("%s: corrupt policy state accepted", tc.name)
+		}
+	}
+}
+
 // TestSnapshotAdaptiveStreamRoundTrip: adaptive streams — forgetting,
 // window (with live buffers), and an on_drift reset stream with
 // recorded detections — survive save/load byte-for-byte and keep their
