@@ -166,7 +166,7 @@ func NDPHardware() HardwareSet { return hardware.NDPDefault() }
 // dimension). Attach one via StreamConfig.Schema (or the HTTP "schema"
 // field, or `banditware serve -schema`): the stream's dimension derives
 // from it, contexts submitted through Service.RecommendCtx /
-// ObserveDirectCtx / RecommendBatchCtx (or HTTP {"context": {...}})
+// ObserveDirectOutcomeCtx / RecommendBatchCtx (or HTTP {"context": {...}})
 // are validated and deterministically encoded against it, and its
 // normalization statistics persist in service snapshots.
 type Schema = schema.Schema

@@ -756,8 +756,8 @@ func BenchmarkServiceRecommendBatch(b *testing.B) {
 				for j, t := range tks {
 					obs[j] = TicketObservation{TicketID: t.ID, Runtime: 100}
 				}
-				if _, err := svc.ObserveBatch(obs); err != nil {
-					b.Fatal(err)
+				if n, errs := svc.ObserveBatchIndexed(obs); n != len(obs) {
+					b.Fatal(errs)
 				}
 			}
 			b.ReportMetric(float64(size), "decisions/op")

@@ -9,9 +9,8 @@
 //   - hotpath: the same in-process Service driven through the
 //     zero-allocation API (RecommendInto / RecommendCtxInto with pooled
 //     tickets and context maps, seq-keyed observes) — the serving-layer
-//     capacity ceiling; -observe-async N routes model updates through
-//     the bounded background drainer. BENCH_serve_hotpath.json at the
-//     repo root is the pinned-seed hotpath baseline;
+//     capacity ceiling. BENCH_serve_hotpath.json at the repo root is
+//     the pinned-seed hotpath baseline;
 //   - http: the HTTP front-end over a real loopback socket, self-hosted
 //     with the hardened production server (or an external server via
 //     -addr);
@@ -55,7 +54,7 @@
 //
 //	bwload -quick                               # CI smoke: both targets, seconds
 //	bwload -target inproc -n 200000 -conc 8     # capacity run
-//	bwload -target hotpath -observe-async 4096  # zero-alloc API ceiling
+//	bwload -target hotpath                      # zero-alloc API ceiling
 //	bwload -target http -mode open -qps 2000    # latency under offered load
 //	bwload -target fleet -quick                 # scale-out fleet through the router
 //	bwload -target fleet -chaos -quick          # CI chaos smoke: kill+restart mid-run
@@ -89,7 +88,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bwload", flag.ExitOnError)
 	target := fs.String("target", "both", "serving target: inproc, hotpath, http, fleet, or both")
-	observeAsync := fs.Int("observe-async", 0, "with -target hotpath: async observe queue capacity (0 = synchronous observes)")
 	fleetN := fs.Int("fleet", 3, "replica count for -target fleet")
 	chaos := fs.Bool("chaos", false, "with -target fleet: kill a replica a third of the way through the trace and restart it at two thirds (errors in the failover window are counted, not fatal)")
 	churn := fs.Bool("churn", false, "run the arm-churn drill inside the measured run: add a warm-started hardware arm to every stream a quarter of the way through the trace, drain it at half, retire it at three quarters")
@@ -141,9 +139,6 @@ func run(args []string) error {
 	}
 	if *target != "inproc" && *target != "hotpath" && *target != "http" && *target != "fleet" && *target != "both" {
 		return fmt.Errorf("unknown -target %q (want inproc, hotpath, http, fleet, both)", *target)
-	}
-	if *observeAsync > 0 && *target != "hotpath" {
-		return fmt.Errorf("-observe-async needs -target hotpath (the zero-allocation in-process API)")
 	}
 	if *chaos && *target != "fleet" {
 		return fmt.Errorf("-chaos needs -target fleet")
@@ -273,7 +268,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		tgt, err := makeTarget(name, *addr, *fleetN, *chaos, *observeAsync)
+		tgt, err := makeTarget(name, *addr, *fleetN, *chaos)
 		if err != nil {
 			return err
 		}
@@ -333,12 +328,12 @@ func targetList(sel string) []string {
 	return []string{sel}
 }
 
-func makeTarget(name, addr string, fleetN int, chaos bool, observeAsync int) (loadgen.Target, error) {
+func makeTarget(name, addr string, fleetN int, chaos bool) (loadgen.Target, error) {
 	switch name {
 	case "inproc":
 		return loadgen.NewInProc(), nil
 	case "hotpath":
-		return loadgen.NewHotPath(observeAsync), nil
+		return loadgen.NewHotPath(), nil
 	case "http":
 		if addr != "" {
 			return loadgen.NewHTTP(addr), nil

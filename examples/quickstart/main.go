@@ -190,7 +190,7 @@ func costAwareDemo(svc *banditware.Service) {
 
 // mustEncode builds the model-space vector for an exploit query using
 // the stream's own schema (Exploit takes raw vectors; the serving
-// routes RecommendCtx/ObserveDirectCtx encode internally).
+// routes RecommendCtx/ObserveDirectOutcomeCtx encode internally).
 func mustEncode(svc *banditware.Service, size float64, kind string) []float64 {
 	sch, err := svc.StreamSchema("quickstart")
 	if err != nil {

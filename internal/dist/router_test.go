@@ -192,18 +192,20 @@ func TestRouterDeadMemberAnswers502(t *testing.T) {
 	f := manualFleet(t, 2)
 	client := &http.Client{Timeout: 5 * time.Second}
 	names := createStreams(t, client, f.RouterURL(), 16, 2)
-	victim := f.ReplicaURLs()[1]
-	var stream string
-	for _, n := range names {
-		if f.Router().ownerOf(n) == victim {
-			stream = n
-			break
+	// Ring placement varies with the replicas' ports, and one member may
+	// own every stream, so the victim is whichever member owns the first.
+	stream := names[0]
+	victim := f.Router().ownerOf(stream)
+	victimIdx := -1
+	for i, u := range f.ReplicaURLs() {
+		if u == victim {
+			victimIdx = i
 		}
 	}
-	if stream == "" {
-		t.Skip("hash placement gave the victim no streams")
+	if victimIdx < 0 {
+		t.Fatalf("owner %q of %s is not a fleet member", victim, stream)
 	}
-	if err := f.Kill(1); err != nil {
+	if err := f.Kill(victimIdx); err != nil {
 		t.Fatal(err)
 	}
 

@@ -25,12 +25,8 @@ type HotPath struct {
 }
 
 // NewHotPath builds a hot-path target around a fresh Service.
-// observeQueue > 0 enables the async observe queue (model updates
-// applied by the background drainer); 0 keeps observes synchronous.
-func NewHotPath(observeQueue int) *HotPath {
-	t := &HotPath{
-		Service: serve.NewService(serve.ServiceOptions{ObserveQueue: observeQueue}),
-	}
+func NewHotPath() *HotPath {
+	t := &HotPath{Service: serve.NewService(serve.ServiceOptions{})}
 	t.tickets.New = func() any { return new(serve.Ticket) }
 	t.ctxs.New = func() any {
 		return &schema.Context{Numeric: make(map[string]float64, 16)}
@@ -95,5 +91,4 @@ func (t *HotPath) ObserveSeq(stream string, seq uint64, runtime float64) error {
 	return t.Service.ObserveSeq(stream, seq, runtime)
 }
 
-// Close stops the async observe drainer (when enabled) after a flush.
-func (t *HotPath) Close() error { return t.Service.Close() }
+func (t *HotPath) Close() error { return nil }

@@ -6,7 +6,7 @@ import (
 
 func TestRunClosedLoopHotPath(t *testing.T) {
 	tr := smokeTrace(t, 0)
-	tgt := NewHotPath(0)
+	tgt := NewHotPath()
 	defer tgt.Close()
 	res, err := Run(tgt, tr, RunOptions{Mode: ModeClosed, Concurrency: 4})
 	if err != nil {
@@ -19,28 +19,9 @@ func TestRunClosedLoopHotPath(t *testing.T) {
 	}
 }
 
-func TestRunClosedLoopHotPathAsync(t *testing.T) {
-	tr := smokeTrace(t, 0)
-	tgt := NewHotPath(1024)
-	defer tgt.Close()
-	res, err := Run(tgt, tr, RunOptions{Mode: ModeClosed, Concurrency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, res, "hotpath")
-	tgt.Service.FlushObserves()
-	stats := tgt.Service.Stats()
-	if stats.AsyncPending != 0 {
-		t.Errorf("async pending = %d after flush", stats.AsyncPending)
-	}
-	if stats.AsyncErrors != 0 {
-		t.Errorf("async errors = %d, want 0", stats.AsyncErrors)
-	}
-}
-
 func TestRunRawVectorsHotPath(t *testing.T) {
 	tr := smokeTrace(t, 0)
-	tgt := NewHotPath(0)
+	tgt := NewHotPath()
 	defer tgt.Close()
 	res, err := Run(tgt, tr, RunOptions{Mode: ModeClosed, Concurrency: 2, Raw: true})
 	if err != nil {

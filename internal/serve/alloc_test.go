@@ -282,43 +282,6 @@ func TestAllocHTTPRecommendObservePinned(t *testing.T) {
 	})
 }
 
-// TestAllocAsyncObserveSteadyState pins the async-queue observe path:
-// the enqueue itself stays allocation free (task structs travel by
-// value through the channel; direct-observe feature copies come from a
-// pool).
-func TestAllocAsyncObserveSteadyState(t *testing.T) {
-	s := NewService(ServiceOptions{ObserveQueue: 1024})
-	defer s.Close()
-	if err := s.CreateStream("hot", StreamConfig{
-		Hardware: testHW(), Dim: 1, Options: core.Options{Seed: 13},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{1.5}
-	var tk Ticket
-	for i := 0; i < warmCycles; i++ {
-		if err := s.RecommendInto("hot", x, &tk); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ObserveSeq("hot", tk.Seq, 2.0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.FlushObserves()
-	pinAllocs(t, "async RecommendInto+ObserveSeq", 0, func() {
-		if err := s.RecommendInto("hot", x, &tk); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ObserveSeq("hot", tk.Seq, 2.0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	s.FlushObserves()
-	if n := s.Stats().AsyncErrors; n != 0 {
-		t.Fatalf("async errors = %d, want 0", n)
-	}
-}
-
 // BenchmarkRecommendObserveSeqPolicies times one RecommendInto →
 // ObserveSeq cycle on a warmed 3-arm stream for every policy type, so
 // the CI benchmark gate compares each engine's time and allocations.

@@ -91,15 +91,6 @@ func BenchmarkParallelRecommendObserve16(b *testing.B) {
 	benchParallelCycle(b, newBenchService(b, ServiceOptions{}), 16)
 }
 
-// BenchmarkParallelRecommendObserveAsync16 is the 16-goroutine variant
-// with the async observe queue: observes enqueue to the background
-// drainer instead of applying under the stream lock inline.
-func BenchmarkParallelRecommendObserveAsync16(b *testing.B) {
-	s := newBenchService(b, ServiceOptions{ObserveQueue: 4096})
-	defer s.Close()
-	benchParallelCycle(b, s, 16)
-}
-
 // BenchmarkParallelRegistryRead pins the cost of the lock-free stream
 // lookup itself (NumStreams + a stream-resolving read per op) across
 // parallelism levels; with the COW registry this is a single atomic

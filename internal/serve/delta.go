@@ -270,7 +270,6 @@ func (s *Service) CaptureDelta(base *SyncState) (*DeltaCapture, error) {
 	if base == nil {
 		return nil, errors.New("serve: nil sync state")
 	}
-	s.FlushObserves() // async mode: acknowledged observes land before the cut
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	c := &DeltaCapture{
@@ -641,7 +640,6 @@ func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
 func (s *Service) ImportSnapshot(r io.Reader) error {
 	s.beginMaintenance()
 	defer s.endMaintenance()
-	s.FlushObserves() // apply acknowledged observes to the outgoing streams
 	tmp, err := Load(r, s.opts)
 	if err != nil {
 		return err

@@ -22,8 +22,8 @@ import "banditware/internal/schema"
 // RecommendInto is Recommend writing into a caller-reused Ticket: every
 // field is (re)set, t.Predicted's backing array is reused, and the ID
 // string is not rendered — t.ID is "" and t.Seq carries the ticket
-// identity for ObserveSeq. Use ticket.ID() / ticketID rendering only
-// off the hot path.
+// identity for ObserveSeq. Callers that need the string ID use
+// Recommend.
 func (s *Service) RecommendInto(name string, x []float64, t *Ticket) error {
 	st, err := s.stream(name)
 	if err != nil {
@@ -55,9 +55,8 @@ func (s *Service) RecommendCtxInto(name string, ctx schema.Context, t *Ticket) e
 
 // ObserveSeqOutcome redeems a ticket by its sequence number (Ticket.Seq)
 // — ObserveOutcome without the ID round-trip. Semantics are identical:
-// the outcome is validated before the ticket is resolved, each ticket
-// redeems exactly once, and with the async observe queue enabled the
-// model update is deferred to the background drainer.
+// the outcome is validated before the ticket is resolved, and each
+// ticket redeems exactly once.
 func (s *Service) ObserveSeqOutcome(name string, seq uint64, o Outcome) error {
 	if err := validateOutcome(o); err != nil {
 		return err
@@ -65,9 +64,6 @@ func (s *Service) ObserveSeqOutcome(name string, seq uint64, o Outcome) error {
 	st, err := s.stream(name)
 	if err != nil {
 		return err
-	}
-	if s.async != nil && s.async.enqueueTicket(st, seq, o) {
-		return nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -80,22 +76,7 @@ func (s *Service) ObserveSeq(name string, seq uint64, runtime float64) error {
 	return s.ObserveSeqOutcome(name, seq, Outcome{Runtime: runtime})
 }
 
-// FlushObserves blocks until every async observe enqueued before the
-// call has been applied. A no-op in synchronous mode. Save, SaveStream,
-// CaptureDelta, and ImportSnapshot flush implicitly, so persisted state
-// never misses an acknowledged observe.
-func (s *Service) FlushObserves() {
-	if s.async != nil {
-		s.async.flush()
-	}
-}
-
-// Close drains and stops the async observe drainer. The service remains
-// fully usable afterwards — observe paths fall back to the synchronous
-// apply. A no-op in synchronous mode; safe to call more than once.
-func (s *Service) Close() error {
-	if s.async != nil {
-		s.async.stop()
-	}
-	return nil
-}
+// Close releases nothing and always returns nil: every observe applies
+// synchronously, so there is no background work to stop. It stays so
+// callers that close their service when done keep compiling.
+func (s *Service) Close() error { return nil }

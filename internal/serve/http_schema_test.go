@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"reflect"
 	"testing"
 
 	"banditware/internal/schema"
@@ -153,5 +154,31 @@ func TestHTTPSchemaViolation422(t *testing.T) {
 		map[string]any{"context": map[string]any{"num_tasks": []int{1}}}, &plain)
 	if code != http.StatusBadRequest {
 		t.Fatalf("non-scalar context value: %d", code)
+	}
+}
+
+// TestHTTPObserveDirectCtxBadArmKeepsSchema is the wire twin of
+// TestObserveDirectCtxBadArmKeepsSchema: POST /v1/streams/{name}/observe
+// with an out-of-range arm and a context fails without advancing the
+// stream's normalization statistics.
+func TestHTTPObserveDirectCtxBadArmKeepsSchema(t *testing.T) {
+	svc, srv := newTestServer(t)
+	createTypedStream(t, srv.URL)
+	before, err := svc.StreamSchema("typed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := doJSON(t, "POST", srv.URL+"/v1/streams/typed/observe",
+		map[string]any{"arm": 99, "context": map[string]any{"num_tasks": 10, "input_mb": 1e6}, "runtime": 5}, nil)
+	if code < 400 || code >= 500 {
+		t.Fatalf("bad-arm observe: status %d, want 4xx", code)
+	}
+	after, err := svc.StreamSchema("typed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("rejected observe changed the schema: %+v -> %+v",
+			before.Fields[1].Stats, after.Fields[1].Stats)
 	}
 }

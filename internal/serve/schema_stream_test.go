@@ -88,7 +88,7 @@ func TestRecommendCtxServesAndObserves(t *testing.T) {
 		t.Fatalf("round = %d", n)
 	}
 	// Direct context observe trains too.
-	if err := s.ObserveDirectCtx("typed", 1, ctx, 80); err != nil {
+	if err := s.ObserveDirectOutcomeCtx("typed", 1, ctx, Outcome{Runtime: 80}); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.Round("typed"); n != 2 {
@@ -107,6 +107,36 @@ func TestRecommendCtxServesAndObserves(t *testing.T) {
 	again, _ := s.StreamSchema("typed")
 	if again.Fields[1].Stats.Count != 2 {
 		t.Fatal("StreamSchema aliases live state")
+	}
+}
+
+// TestObserveDirectCtxBadArmKeepsSchema: a direct context observe that
+// names an arm outside the stream's set is rejected with core.ErrArm
+// before its context is encoded, so the rejected call leaves the
+// stream's normalization statistics exactly as they were.
+func TestObserveDirectCtxBadArmKeepsSchema(t *testing.T) {
+	s := newSchemaService(t, PolicySpec{})
+	before, err := s.StreamSchema("typed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := schema.Context{Numeric: map[string]float64{"num_tasks": 10, "input_mb": 1e6}}
+	for _, arm := range []int{99, -1} {
+		err := s.ObserveDirectOutcomeCtx("typed", arm, ctx, Outcome{Runtime: 5})
+		if !errors.Is(err, core.ErrArm) {
+			t.Fatalf("arm %d: err = %v, want core.ErrArm", arm, err)
+		}
+	}
+	after, err := s.StreamSchema("typed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("rejected observe changed the schema:\nbefore %+v\nafter  %+v",
+			before.Fields[1].Stats, after.Fields[1].Stats)
+	}
+	if n, _ := s.Round("typed"); n != 0 {
+		t.Fatalf("round = %d after rejected observes, want 0", n)
 	}
 }
 

@@ -159,15 +159,6 @@ type ServiceOptions struct {
 	MaxPending int
 	// TicketTTL is the default pending-ticket lifetime. 0 = no expiry.
 	TicketTTL time.Duration
-	// ObserveQueue, when positive, enables the asynchronous observe
-	// queue: observe calls validate and resolve synchronously, then hand
-	// the model update to a single background drainer through a channel
-	// bounded at ObserveQueue tasks (a full queue blocks the caller —
-	// backpressure, never loss). Snapshots, delta captures, and Close
-	// drain the queue first, so persisted state stays byte-identical to
-	// the synchronous path. 0 (the default) keeps observes fully
-	// synchronous. See async.go for the exact semantics.
-	ObserveQueue int
 	// Now overrides the clock (tests inject a fake). nil = time.Now.
 	Now func() time.Time
 }
@@ -180,10 +171,10 @@ type StreamConfig struct {
 	// derived from it (Schema.EncodedDim) and must be 0 or match.
 	Dim int
 	// Schema optionally declares the stream's feature layout by name:
-	// contexts submitted through RecommendCtx/ObserveDirectCtx (or the
-	// HTTP "context" payload) are validated and encoded against it, and
-	// its normalization statistics persist in snapshots. Streams without
-	// a schema serve context calls through an identity schema
+	// contexts submitted through RecommendCtx/ObserveDirectOutcomeCtx
+	// (or the HTTP "context" payload) are validated and encoded against
+	// it, and its normalization statistics persist in snapshots. Streams
+	// without a schema serve context calls through an identity schema
 	// (required numeric fields x0..x{dim-1}) and raw vectors unchanged.
 	Schema *schema.Schema
 	// Options are the Algorithm 1 parameters for this stream. They are
@@ -231,9 +222,9 @@ type Ticket struct {
 }
 
 // TicketObservation pairs a ticket with its observation for
-// ObserveBatch: either a bare measured runtime (the classic form) or a
-// structured Outcome. When Outcome is set it wins; otherwise Runtime is
-// mapped to the default Outcome.
+// ObserveBatchIndexed: either a bare measured runtime (the classic
+// form) or a structured Outcome. When Outcome is set it wins;
+// otherwise Runtime is mapped to the default Outcome.
 type TicketObservation struct {
 	TicketID string   `json:"ticket"`
 	Runtime  float64  `json:"runtime,omitempty"`
@@ -320,13 +311,6 @@ type Stats struct {
 	TotalCacheHits         uint64 `json:"total_cache_hits,omitempty"`
 	TotalCacheMisses       uint64 `json:"total_cache_misses,omitempty"`
 	TotalCacheFallthroughs uint64 `json:"total_cache_fallthroughs,omitempty"`
-	// AsyncPending is the async observe queue's live depth and
-	// AsyncErrors its deferred-apply error count (redemptions or updates
-	// that failed after their call already returned nil); both absent on
-	// synchronous services, so the JSON form is unchanged when the
-	// queue is off.
-	AsyncPending uint64 `json:"async_pending,omitempty"`
-	AsyncErrors  uint64 `json:"async_errors,omitempty"`
 }
 
 // stream is one registered recommender: a decision engine plus its
@@ -408,10 +392,6 @@ type Service struct {
 	streams atomic.Pointer[map[string]*stream]
 	regMu   sync.Mutex
 
-	// async is the opt-in background observe drainer (nil when
-	// ServiceOptions.ObserveQueue is 0 — the synchronous default).
-	async *asyncObserver
-
 	// maintenance counts in-flight snapshot imports; non-zero means
 	// not-ready (see Ready and GET /v1/readyz).
 	maintenance atomic.Int64
@@ -431,9 +411,6 @@ func NewService(opts ServiceOptions) *Service {
 	s := &Service{opts: opts}
 	empty := make(map[string]*stream)
 	s.streams.Store(&empty)
-	if opts.ObserveQueue > 0 {
-		s.async = newAsyncObserver(s, opts.ObserveQueue)
-	}
 	return s
 }
 
@@ -861,18 +838,26 @@ func validateOutcome(o Outcome) error {
 	return err
 }
 
+// checkArmLocked rejects an arm index outside the stream's current arm
+// set with core.ErrArm. Callers hold st.mu.
+func (st *stream) checkArmLocked(arm int) error {
+	if n := len(st.engine.Hardware()); arm < 0 || arm >= n {
+		return fmt.Errorf("%w (arm %d of %d)", core.ErrArm, arm, n)
+	}
+	return nil
+}
+
 // applyOutcomeLocked scores the outcome under the stream's reward,
 // trains the engine, and advances the outcome aggregates. The outcome
 // must already be validated. Callers hold st.mu.
 func (st *stream) applyOutcomeLocked(arm int, x []float64, o Outcome) error {
-	hw := st.engine.Hardware()
-	if arm < 0 || arm >= len(hw) {
-		// Checked here, before the reward indexes the arm's hardware —
-		// the engine would also reject it, but only after the reward
-		// lookup would have panicked on a caller-supplied direct arm.
-		return fmt.Errorf("%w (arm %d of %d)", core.ErrArm, arm, len(hw))
+	// Checked here, before the reward indexes the arm's hardware — the
+	// engine would also reject it, but only after the reward lookup
+	// would have panicked on a caller-supplied direct arm.
+	if err := st.checkArmLocked(arm); err != nil {
+		return err
 	}
-	score := st.rw.fn(o, hw[arm])
+	score := st.rw.fn(o, st.engine.Hardware()[arm])
 	// Drift monitoring residual: the engine's estimate for the chosen
 	// arm, taken before the observation refits it (an honest
 	// out-of-sample error). Model-free policies have no prediction and
@@ -947,11 +932,6 @@ func (st *stream) observeTicketLocked(now time.Time, id string, seq uint64, o Ou
 // The outcome is validated before the ticket is resolved, so a
 // malformed observation reports ErrBadOutcome whatever the state of
 // its ticket — the same precedence as every other observe path.
-// With the async observe queue enabled, the redemption and model
-// update are deferred to the background drainer: the call returns nil
-// after validation and stream resolution, and a late redemption
-// failure (unknown/expired ticket) is counted in Stats instead of
-// returned.
 func (s *Service) ObserveOutcome(ticketID string, o Outcome) error {
 	if err := validateOutcome(o); err != nil {
 		return err
@@ -963,9 +943,6 @@ func (s *Service) ObserveOutcome(ticketID string, o Outcome) error {
 	st, err := s.stream(name)
 	if err != nil {
 		return err
-	}
-	if s.async != nil && s.async.enqueueTicket(st, seq, o) {
-		return nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -1036,30 +1013,12 @@ func (s *Service) ObserveBatchIndexed(obs []TicketObservation) (applied int, err
 	return applied, errs
 }
 
-// ObserveBatch is ObserveBatchIndexed with the per-item errors joined
-// into one (each prefixed with its observation index); the returned
-// count is the number applied.
-func (s *Service) ObserveBatch(obs []TicketObservation) (int, error) {
-	applied, idxErrs := s.ObserveBatchIndexed(obs)
-	var errs []error
-	for i, err := range idxErrs {
-		if err != nil {
-			errs = append(errs, fmt.Errorf("observation %d: %w", i, err))
-		}
-	}
-	return applied, errors.Join(errs...)
-}
-
 // ObserveDirectOutcome trains the named stream from an (arm, features,
 // Outcome) triple the caller tracked itself — the classic
 // single-recommender Observe, bypassing the ticket ledger, scored by
 // the stream's reward function. Shadows see the round as one unit:
 // each selects on x, is scored against arm, and learns from its own
 // reward of the same Outcome.
-// With the async observe queue enabled, the model update is deferred
-// to the background drainer (the features are copied into a pooled
-// buffer first); late errors — bad arm, bad dimension — are counted in
-// Stats instead of returned.
 func (s *Service) ObserveDirectOutcome(name string, arm int, x []float64, o Outcome) error {
 	if err := validateOutcome(o); err != nil {
 		return err
@@ -1067,9 +1026,6 @@ func (s *Service) ObserveDirectOutcome(name string, arm int, x []float64, o Outc
 	st, err := s.stream(name)
 	if err != nil {
 		return err
-	}
-	if s.async != nil && s.async.enqueueDirect(st, arm, x, o) {
-		return nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -1085,12 +1041,9 @@ func (s *Service) ObserveDirect(name string, arm int, x []float64, runtime float
 // ObserveDirectOutcomeCtx is ObserveDirectOutcome for a named context:
 // the context is validated and encoded against the stream's schema
 // (advancing its normalization statistics, exactly as the matching
-// RecommendCtx would have) before training the engine. The outcome is
-// validated first, so a bad outcome advances no statistic.
-// With the async observe queue enabled, the context is still validated
-// and encoded synchronously under the stream lock (normalization
-// statistics must advance in request order); only the model update is
-// deferred.
+// RecommendCtx would have) before training the engine. The outcome and
+// the arm are checked first, so a rejected observe advances no
+// statistic.
 func (s *Service) ObserveDirectOutcomeCtx(name string, arm int, ctx schema.Context, o Outcome) error {
 	if err := validateOutcome(o); err != nil {
 		return err
@@ -1100,35 +1053,16 @@ func (s *Service) ObserveDirectOutcomeCtx(name string, arm int, ctx schema.Conte
 		return err
 	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := st.checkArmLocked(arm); err != nil {
+		return err
+	}
 	x, err := st.enc.EncodeInto(ctx, st.encScratch[:0])
 	if err != nil {
-		st.mu.Unlock()
 		return err
 	}
 	st.encScratch = x
-	if s.async != nil {
-		// Copy the encoded vector out of the stream scratch while still
-		// holding the lock — the scratch is overwritten by the next
-		// request — then enqueue without the lock (a full queue blocks,
-		// and the drainer needs this stream's lock to make progress).
-		buf := s.async.getBuf(x)
-		st.mu.Unlock()
-		if s.async.enqueueOwned(st, arm, buf, o) {
-			return nil
-		}
-		defer s.async.putBuf(buf)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return st.observeDirectLocked(arm, *buf, o)
-	}
-	defer st.mu.Unlock()
 	return st.observeDirectLocked(arm, x, o)
-}
-
-// ObserveDirectCtx is ObserveDirectOutcomeCtx with a bare measured
-// runtime, kept for pre-Outcome callers.
-func (s *Service) ObserveDirectCtx(name string, arm int, ctx schema.Context, runtime float64) error {
-	return s.ObserveDirectOutcomeCtx(name, arm, ctx, Outcome{Runtime: runtime})
 }
 
 // observeDirectLocked trains on a caller-tracked triple and runs the
@@ -1344,10 +1278,6 @@ func (s *Service) Stats() Stats {
 			out.TotalCacheMisses += info.Cache.Misses
 			out.TotalCacheFallthroughs += info.Cache.Fallthroughs
 		}
-	}
-	if s.async != nil {
-		out.AsyncPending = s.async.pending()
-		out.AsyncErrors = s.async.errors()
 	}
 	return out
 }

@@ -191,12 +191,14 @@ func TestBatchOps(t *testing.T) {
 		{TicketID: tks[0].ID, Runtime: 10}, // double
 		{TicketID: "ghost#1", Runtime: 1},  // unknown stream
 	}
-	applied, err := s.ObserveBatch(obs)
+	applied, errs := s.ObserveBatchIndexed(obs)
 	if applied != 2 {
 		t.Fatalf("applied = %d, want 2", applied)
 	}
-	if !errors.Is(err, ErrBadTicket) || !errors.Is(err, ErrTicketNotFound) || !errors.Is(err, ErrStreamNotFound) {
-		t.Fatalf("joined error missing parts: %v", err)
+	for i, want := range []error{nil, ErrBadTicket, nil, ErrTicketNotFound, ErrStreamNotFound} {
+		if (want == nil) != (errs[i] == nil) || (want != nil && !errors.Is(errs[i], want)) {
+			t.Fatalf("observation %d: err = %v, want %v", i, errs[i], want)
+		}
 	}
 	if n, _ := s.Round("jobs"); n != 2 {
 		t.Fatalf("round = %d, want 2", n)

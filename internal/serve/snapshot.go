@@ -190,7 +190,6 @@ type serviceSnap struct {
 // Streams registered while Save runs may be missed; removal of captured
 // streams is not.
 func (s *Service) Save(w io.Writer) error {
-	s.FlushObserves()         // async mode: acknowledged observes land before the cut
 	streams := s.allStreams() // sorted by name: fixed lock order
 	snap := serviceSnap{
 		Format:  snapshotFormat,
@@ -393,7 +392,6 @@ func (st *stream) cacheSnapLocked() *cacheSnap {
 // Load. Ticket-ledger state, shadows, and counters are not part of that
 // format; use Save for a full snapshot.
 func (s *Service) SaveStream(name string, w io.Writer) error {
-	s.FlushObserves()
 	st, err := s.stream(name)
 	if err != nil {
 		return err

@@ -139,7 +139,7 @@ type CacheInfo = serve.CacheInfo
 type Ticket = serve.Ticket
 
 // TicketObservation pairs a ticket ID with a measured runtime for
-// Service.ObserveBatch.
+// Service.ObserveBatchIndexed.
 type TicketObservation = serve.TicketObservation
 
 // StreamInfo is a point-in-time summary of one stream.
@@ -181,7 +181,7 @@ var (
 
 // NewService constructs an empty serving layer. Register streams with
 // CreateStream, then drive them with Recommend/Observe (ticket flow),
-// RecommendBatch/ObserveBatch, or ObserveDirect (caller-tracked flow).
+// RecommendBatch/ObserveBatchIndexed, or ObserveDirect (caller-tracked flow).
 func NewService(opts ServiceOptions) *Service { return serve.NewService(opts) }
 
 // LoadService restores a service from a snapshot written by

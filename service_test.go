@@ -62,12 +62,12 @@ func TestServicePublicRoundTrip(t *testing.T) {
 	if err != nil || len(tks) != 2 {
 		t.Fatalf("batch: %v", err)
 	}
-	applied, err := svc.ObserveBatch([]TicketObservation{
+	applied, errs := svc.ObserveBatchIndexed([]TicketObservation{
 		{TicketID: tks[0].ID, Runtime: 70},
 		{TicketID: tks[1].ID, Runtime: 120},
 	})
-	if err != nil || applied != 2 {
-		t.Fatalf("observe batch: %d, %v", applied, err)
+	if applied != 2 {
+		t.Fatalf("observe batch: %d, %v", applied, errs)
 	}
 	// Snapshot round trip preserves model state.
 	var buf bytes.Buffer
