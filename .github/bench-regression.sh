@@ -11,8 +11,9 @@
 # Usage: .github/bench-regression.sh [base-ref]
 #   base-ref defaults to origin/main (or GITHUB_BASE_REF when set).
 # Environment knobs:
-#   BENCH_PATTERN  benchmark regexp  (default: the serve hot-path set
-#                  plus the per-policy RecommendObserveSeqPolicies cycle)
+#   BENCH_PATTERN  benchmark regexp  (default: the serve hot-path set,
+#                  the per-policy RecommendObserveSeqPolicies cycle and
+#                  the full-ledger RecommendObserveFullLedger cycle)
 #   BENCH_COUNT    repetitions       (default 6)
 #   BENCH_TIME     -benchtime value  (default 20000x — fixed iteration
 #                  counts keep run lengths comparable across builds)
@@ -23,7 +24,7 @@ set -euo pipefail
 
 base_ref=${1:-${GITHUB_BASE_REF:+origin/$GITHUB_BASE_REF}}
 base_ref=${base_ref:-origin/main}
-pattern=${BENCH_PATTERN:-'ParallelRecommendObserve|RecommendCtx$|ObserveOutcome$|RecommendObserveSeqPolicies'}
+pattern=${BENCH_PATTERN:-'ParallelRecommendObserve|RecommendCtx$|ObserveOutcome$|RecommendObserveSeqPolicies|RecommendObserveFullLedger'}
 count=${BENCH_COUNT:-6}
 benchtime=${BENCH_TIME:-20000x}
 pkgs=${BENCH_PKGS:-'./ ./internal/serve/'}

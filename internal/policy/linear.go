@@ -200,11 +200,7 @@ func (l *Linear) SelectInto(x, preds []float64) (int, []float64, error) {
 	case TypeLinTS:
 		scores := l.scores[:0]
 		for _, a := range l.arms {
-			m, err := a.SampleWeights(l.param, l.unit)
-			if err != nil {
-				return 0, nil, err
-			}
-			scores = append(scores, m.Predict(x))
+			scores = append(scores, a.SamplePredict(l.param, l.unit, x))
 		}
 		l.scores = scores
 		return stats.ArgMin(scores), preds, nil

@@ -292,6 +292,27 @@ func TestRLSSampleWeights(t *testing.T) {
 	}
 }
 
+// TestRLSSamplePredictMatchesSampleWeights pins SamplePredict to the
+// allocating form it replaces on the LinTS path: for the same draws it
+// returns SampleWeights(v, unit).Predict(x) bit for bit.
+func TestRLSSamplePredictMatchesSampleWeights(t *testing.T) {
+	rls, _ := NewRLS(3, 1e-2)
+	r := rng.New(9)
+	for i := 0; i < 40; i++ {
+		x := []float64{r.Float64() * 10, r.Float64(), float64(i % 7)}
+		_ = rls.Update(x, 3*x[0]-x[1]+0.5*x[2]+r.Normal(0, 1))
+		a, b := rng.New(uint64(i)), rng.New(uint64(i))
+		m, err := rls.SampleWeights(0.7, func() float64 { return a.Normal(0, 1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rls.SamplePredict(0.7, func() float64 { return b.Normal(0, 1) }, x)
+		if want := m.Predict(x); got != want {
+			t.Fatalf("update %d: SamplePredict = %v, SampleWeights(…).Predict = %v", i, got, want)
+		}
+	}
+}
+
 func TestFitRecommender(t *testing.T) {
 	hw := hardware.NDPDefault()
 	r := rng.New(7)

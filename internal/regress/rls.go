@@ -35,7 +35,7 @@ type RLS struct {
 	w      []float64 // cached solution, len d
 	wValid bool
 
-	arow []float64 // scratch augmented row
+	arow []float64 // scratch: augmented row, Uncertainty's and the samplers' solves
 }
 
 // DefaultLambda is the ridge weight used when NewRLS is given 0. It is
@@ -207,14 +207,14 @@ func (r *RLS) Uncertainty(x []float64) float64 {
 	if len(x) != r.dim {
 		return math.Inf(1)
 	}
-	// Solve Rᵀu = a (forward substitution); uncertainty = ‖u‖².
-	a := r.arow
-	copy(a, x)
-	a[r.dim] = 1
+	// Solve Rᵀu = a (forward substitution, in place: a[i] is read
+	// before u[i] overwrites it); uncertainty = ‖u‖².
+	u := r.arow
+	copy(u, x)
+	u[r.dim] = 1
 	d := r.d
-	u := make([]float64, d)
 	for i := 0; i < d; i++ {
-		s := a[i]
+		s := u[i]
 		for j := 0; j < i; j++ {
 			s -= r.r[j*d+i] * u[j]
 		}
@@ -232,26 +232,47 @@ func (r *RLS) Uncertainty(x []float64) float64 {
 // supply independent standard-normal draws. The sample is w + v·R⁻¹ζ,
 // whose covariance is exactly v²·R⁻¹R⁻ᵀ.
 func (r *RLS) SampleWeights(v float64, unit func() float64) (Model, error) {
+	s := r.sampleOffsets(unit)
+	sample := make([]float64, r.d)
+	for i := range sample {
+		sample[i] = r.w[i] + v*s[i]
+	}
+	return Model{Weights: sample[:r.dim], Bias: sample[r.dim]}, nil
+}
+
+// SamplePredict is SampleWeights(v, unit).Predict(x) without the
+// allocations: it consumes the same draws in the same order and sums in
+// the same order, so it returns the identical value.
+func (r *RLS) SamplePredict(v float64, unit func() float64, x []float64) float64 {
+	s := r.sampleOffsets(unit)
+	n := min(r.dim, len(x))
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		wi := r.w[i] + v*s[i]
+		sum += wi * x[i]
+	}
+	return sum + (r.w[r.dim] + v*s[r.dim])
+}
+
+// sampleOffsets draws ζ from unit and returns R⁻¹ζ in the scratch
+// vector (valid until the next call), with the solution w refreshed.
+func (r *RLS) sampleOffsets(unit func() float64) []float64 {
 	r.solve()
 	d := r.d
-	zeta := make([]float64, d)
-	for i := range zeta {
-		zeta[i] = unit()
+	s := r.arow
+	for i := range s {
+		s[i] = unit()
 	}
-	// Back-substitute R·s = ζ.
-	s := make([]float64, d)
+	// Back-substitute R·s = ζ in place: s[i] is read as ζᵢ before it
+	// is overwritten, and only the already-solved s[j>i] feed it.
 	for i := d - 1; i >= 0; i-- {
-		acc := zeta[i]
+		acc := s[i]
 		for j := i + 1; j < d; j++ {
 			acc -= r.r[i*d+j] * s[j]
 		}
 		s[i] = acc / r.r[i*d+i]
 	}
-	sample := make([]float64, d)
-	for i := range sample {
-		sample[i] = r.w[i] + v*s[i]
-	}
-	return Model{Weights: sample[:r.dim], Bias: sample[r.dim]}, nil
+	return s
 }
 
 // Reset restores the estimator to its prior state.

@@ -80,10 +80,8 @@ func TestAllocRecommendIntoZero(t *testing.T) {
 }
 
 // TestAllocRecommendCtxIntoObserveSeq pins the typed-context hot path
-// for every policy type. Algorithm 1, greedy, ε-greedy, softmax and
-// random are allocation free; LinUCB and LinTS keep only the
-// per-arm scratch of regress.RLS.Uncertainty and SampleWeights (one
-// and three allocations per arm on this 3-arm stream).
+// for every policy type: each is allocation free. LinUCB and LinTS
+// score arms in regress.RLS's own scratch (Uncertainty, SamplePredict).
 func TestAllocRecommendCtxIntoObserveSeq(t *testing.T) {
 	pins := []struct {
 		policy string
@@ -94,8 +92,8 @@ func TestAllocRecommendCtxIntoObserveSeq(t *testing.T) {
 		{PolicyEpsGreedy, 0},
 		{PolicySoftmax, 0},
 		{PolicyRandom, 0},
-		{PolicyLinUCB, 3},
-		{PolicyLinTS, 9},
+		{PolicyLinUCB, 0},
+		{PolicyLinTS, 0},
 	}
 	ctx := schema.Context{
 		Numeric:     map[string]float64{"num_tasks": 128, "input_mb": 512},
@@ -317,5 +315,53 @@ func BenchmarkRecommendObserveSeqPolicies(b *testing.B) {
 				cycle()
 			}
 		})
+	}
+}
+
+// BenchmarkRecommendObserveCache times one warmed RecommendInto →
+// ObserveSeq cycle on a 3-arm, dim-8 stream with ε₀ = 0 for every
+// policy type, uncached ("engine") and behind a recommendation cache
+// whose budget makes virtually every repeat a hit ("cache-hit"): the
+// comparison that decides whether the cache still earns its place.
+func BenchmarkRecommendObserveCache(b *testing.B) {
+	x := []float64{1.5, 2, 0.5, 4, 3, 1, 0.25, 2.5}
+	for _, kind := range []string{
+		PolicyAlgorithm1, PolicyLinUCB, PolicyLinTS, PolicyEpsGreedy,
+		PolicyGreedy, PolicySoftmax, PolicyRandom,
+	} {
+		for _, cached := range []bool{false, true} {
+			name := kind + "/engine"
+			cfg := StreamConfig{
+				Hardware: testHW(), Dim: len(x), Options: core.Options{Seed: 7, ZeroEpsilon: true},
+				Policy: PolicySpec{Type: kind, Seed: 7},
+			}
+			if cached {
+				name = kind + "/cache-hit"
+				cfg.Cache = &CacheSpec{Capacity: 64, Budget: 1e-9}
+			}
+			b.Run(name, func(b *testing.B) {
+				s := NewService(ServiceOptions{})
+				if err := s.CreateStream("hot", cfg); err != nil {
+					b.Fatal(err)
+				}
+				var tk Ticket
+				cycle := func() {
+					if err := s.RecommendInto("hot", x, &tk); err != nil {
+						b.Fatal(err)
+					}
+					if err := s.ObserveSeq("hot", tk.Seq, 2.0+float64(tk.Arm)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for i := 0; i < warmCycles; i++ {
+					cycle()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cycle()
+				}
+			})
+		}
 	}
 }

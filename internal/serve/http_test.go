@@ -291,3 +291,33 @@ func TestHTTPConcurrentStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPObserveNonCanonicalTicket pins that only the rendered ticket
+// ID redeems a ticket: other spellings of the seq and IDs whose stream
+// part is no valid stream name are malformed (400), and the live
+// ticket survives them.
+func TestHTTPObserveNonCanonicalTicket(t *testing.T) {
+	_, srv := newTestServer(t)
+	createJobsStream(t, srv.URL)
+	var tk Ticket
+	for i := 0; i < 256; i++ { // issue up to seq 0xff
+		if code := doJSON(t, "POST", srv.URL+"/v1/streams/jobs/recommend",
+			map[string]any{"features": []float64{10}}, &tk); code != http.StatusOK {
+			t.Fatalf("recommend: %d", code)
+		}
+	}
+	if tk.ID != "jobs#ff" {
+		t.Fatalf("ticket %q, want jobs#ff", tk.ID)
+	}
+	for _, id := range []string{"jobs#FF", "jobs#00ff", "jobs#0ff", "a/b#1", "a#b#1"} {
+		var errResp map[string]string
+		if code := doJSON(t, "POST", srv.URL+"/v1/observe",
+			map[string]any{"ticket": id, "runtime": 5}, &errResp); code != http.StatusBadRequest {
+			t.Errorf("observe %q: %d (%v), want 400", id, code, errResp)
+		}
+	}
+	if code := doJSON(t, "POST", srv.URL+"/v1/observe",
+		map[string]any{"ticket": tk.ID, "runtime": 5}, nil); code != http.StatusOK {
+		t.Fatalf("canonical observe after rejected spellings: %d", code)
+	}
+}

@@ -514,7 +514,7 @@ func (s *Service) adopt(name string, eng Engine, sch *schema.Schema, rw rewardSt
 		rw:        rw,
 		adapt:     adapt,
 		detectors: newDetectors(adapt, len(eng.Hardware())),
-		ledger:    newLedger(maxPending, ttl),
+		ledger:    newLedger(maxPending, ttl, eng.Dim()),
 		life:      armset.NewLifecycle(len(eng.Hardware())),
 	}
 	if cacheSpec != nil {
@@ -607,14 +607,28 @@ func ticketID(stream string, seq uint64) string {
 }
 
 // ParseTicketID splits a ticket ID into its stream name and sequence.
+// It accepts exactly the IDs ticketID renders: a valid stream name, '#',
+// and the seq in lower-case hex without leading zeros. Every other
+// spelling of a ticket is malformed rather than an alias of it.
 func ParseTicketID(id string) (stream string, seq uint64, err error) {
 	i := strings.LastIndexByte(id, '#')
-	if i <= 0 || i == len(id)-1 {
+	if i < 0 || !ValidStreamName(id[:i]) {
 		return "", 0, fmt.Errorf("%w: %q", ErrBadTicket, id)
 	}
-	seq, err = strconv.ParseUint(id[i+1:], 16, 64)
-	if err != nil {
+	hex := id[i+1:]
+	if hex == "" || len(hex) > 16 || (len(hex) > 1 && hex[0] == '0') {
 		return "", 0, fmt.Errorf("%w: %q", ErrBadTicket, id)
+	}
+	for j := 0; j < len(hex); j++ {
+		c := hex[j]
+		switch {
+		case c >= '0' && c <= '9':
+			seq = seq<<4 | uint64(c-'0')
+		case c >= 'a' && c <= 'f':
+			seq = seq<<4 | uint64(c-'a'+10)
+		default:
+			return "", 0, fmt.Errorf("%w: %q", ErrBadTicket, id)
+		}
 	}
 	return id[:i], seq, nil
 }
@@ -643,7 +657,7 @@ func (st *stream) recommendLocked(now time.Time, x []float64, track bool) (Ticke
 
 // recommendIntoLocked is recommendLocked writing into a caller-reused
 // Ticket: t.Predicted's backing array is reused, the pending-ledger
-// entry comes from the ledger's freelist, and with renderID false the
+// entry is written into the ledger's slab, and with renderID false the
 // ID string is not built (t.Seq carries the ticket identity — the
 // zero-allocation path). Every Ticket field is (re)set. Callers hold
 // st.mu.
@@ -653,7 +667,9 @@ func (st *stream) recommendIntoLocked(now time.Time, x []float64, t *Ticket, tra
 	hit := false
 	if st.cache != nil {
 		fp = st.cache.Fingerprint(x)
-		if arm, ok := st.cache.Lookup(fp); ok && arm < len(st.armLabels) {
+		// A hit must still carry the engine's dimension: the ledger
+		// stores features at a fixed stride.
+		if arm, ok := st.cache.Lookup(fp); ok && arm < len(st.armLabels) && len(x) == st.ledger.dim {
 			// A hit replays the cached arm without consulting the policy
 			// or the shadows (a replay, not a fresh selection).
 			*d = core.Decision{Arm: arm, Predicted: t.Predicted[:0], Epsilon: st.engine.Epsilon()}
@@ -685,16 +701,11 @@ func (st *stream) recommendIntoLocked(now time.Time, x []float64, t *Ticket, tra
 		if renderID {
 			t.ID = ticketID(st.name, seq)
 		}
-		p := st.ledger.newPending()
-		p.seq = seq
-		p.arm = d.Arm
-		p.features = append(p.features[:0], x...)
-		p.issuedAt = now
-		p.shadowArms = nil
+		var shadowArms map[string]int
 		if !hit {
-			p.shadowArms = st.shadowRecommendLocked(x)
+			shadowArms = st.shadowRecommendLocked(x)
 		}
-		st.ledger.add(p, now)
+		st.ledger.add(seq, d.Arm, x, shadowArms, now)
 		st.issued++
 	}
 	if st.cache != nil && !hit && !d.Explored {
@@ -905,20 +916,20 @@ func (st *stream) observeTicketLocked(now time.Time, id string, seq uint64, o Ou
 	if err := validateOutcome(o); err != nil {
 		return err
 	}
-	p, err := st.ledger.take(seq, now)
+	arm, x, shadowArms, err := st.ledger.take(seq, now)
 	if err != nil {
 		if id == "" {
 			id = ticketID(st.name, seq)
 		}
 		return fmt.Errorf("%w (ticket %q)", err, id)
 	}
-	err = st.applyOutcomeLocked(p.arm, p.features, o)
+	// x aliases the ledger slab, which nothing below writes: engines
+	// never retain the features slice (window/batch paths copy before
+	// buffering) and no ticket is issued under this lock.
+	err = st.applyOutcomeLocked(arm, x, o)
 	if err == nil && len(st.shadows) > 0 {
-		st.shadowObserveLocked(p.shadowArms, p.arm, p.features, o)
+		st.shadowObserveLocked(shadowArms, arm, x, o)
 	}
-	// Engines never retain the features slice (window/batch paths copy
-	// before buffering), so the ticket can be recycled either way.
-	st.ledger.release(p)
 	return err
 }
 

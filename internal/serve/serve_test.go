@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,10 +89,18 @@ func TestTicketIDRoundTrip(t *testing.T) {
 	if err != nil || stream != "my-stream.v2" || seq != 0x2a {
 		t.Fatalf("parsed %q -> %q, %d, %v", id, stream, seq, err)
 	}
-	for _, bad := range []string{"", "nohash", "#5", "x#", "x#zz"} {
+	for _, bad := range []string{"", "nohash", "#5", "x#", "x#zz",
+		"jobs#FF", "jobs#00ff", "jobs#00", "jobs#-1", "jobs#10000000000000000",
+		"a/b#1", "a#b#1", "..#1", strings.Repeat("s", 129) + "#1"} {
 		if _, _, err := ParseTicketID(bad); !errors.Is(err, ErrBadTicket) {
 			t.Fatalf("ParseTicketID(%q): %v, want ErrBadTicket", bad, err)
 		}
+	}
+	if stream, seq, err := ParseTicketID("jobs#0"); err != nil || stream != "jobs" || seq != 0 {
+		t.Fatalf("ParseTicketID(\"jobs#0\") = %q, %d, %v", stream, seq, err)
+	}
+	if _, seq, err := ParseTicketID("jobs#ffffffffffffffff"); err != nil || seq != 1<<64-1 {
+		t.Fatalf("ParseTicketID of the largest seq = %d, %v", seq, err)
 	}
 }
 

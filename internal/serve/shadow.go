@@ -261,9 +261,7 @@ func (s *Service) DetachShadow(streamName, shadowName string) error {
 	for i, sh := range st.shadows {
 		if sh.name == shadowName {
 			st.shadows = append(st.shadows[:i], st.shadows[i+1:]...)
-			for _, p := range st.ledger.snapshotPending() {
-				delete(p.shadowArms, shadowName)
-			}
+			st.ledger.detachShadow(shadowName)
 			return nil
 		}
 	}

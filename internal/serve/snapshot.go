@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -306,21 +307,39 @@ func (st *stream) snapshotLocked() (streamSnap, error) {
 			EstRegret:      sh.estRegret,
 		})
 	}
-	for _, p := range st.ledger.snapshotPending() {
+	for p := range st.ledger.all {
 		ss.Pending = append(ss.Pending, pendingSnap{
 			ID:  ticketID(st.name, p.seq),
 			Seq: p.seq,
 			Arm: p.arm,
 			// Cloned, not aliased: the JSON encode happens after the
 			// stream lock is released — DetachShadow mutates the live
-			// map under that lock, and the ledger recycles redeemed
-			// tickets' feature buffers.
+			// map under that lock, and the ledger reuses redeemed
+			// tickets' slab rows.
 			Features:   append([]float64(nil), p.features...),
-			IssuedAtNS: p.issuedAt.UnixNano(),
+			IssuedAtNS: p.issuedAtNS,
 			ShadowArms: maps.Clone(p.shadowArms),
 		})
 	}
 	return ss, nil
+}
+
+// checkPendingSnap validates one snapshot ticket against the restored
+// stream: a ticket the stream could never have issued would shadow or
+// orphan a live one. dup reports that the previous ticket had the same
+// seq.
+func (st *stream) checkPendingSnap(p pendingSnap, dup bool, nextSeq uint64) error {
+	switch {
+	case dup:
+		return errors.New("duplicate seq")
+	case p.Seq >= nextSeq:
+		return fmt.Errorf("seq not below next_seq %d", nextSeq)
+	case p.Arm < 0 || p.Arm >= len(st.armLabels):
+		return fmt.Errorf("arm %d outside [0, %d)", p.Arm, len(st.armLabels))
+	case len(p.Features) != st.ledger.dim:
+		return fmt.Errorf("%d features, want %d", len(p.Features), st.ledger.dim)
+	}
+	return nil
 }
 
 // armsetSnapLocked returns the stream's persisted arm lifecycle state,
@@ -561,14 +580,16 @@ func Load(r io.Reader, opts ServiceOptions) (*Service, error) {
 		}
 		pend := append([]pendingSnap(nil), ss.Pending...)
 		sort.Slice(pend, func(i, j int) bool { return pend[i].Seq < pend[j].Seq })
-		for _, p := range pend {
-			st.ledger.restore(&pendingTicket{
-				seq:        p.Seq,
-				arm:        p.Arm,
-				features:   p.Features,
-				issuedAt:   time.Unix(0, p.IssuedAtNS),
-				shadowArms: p.ShadowArms,
-			})
+		if len(pend) > st.ledger.cap {
+			return nil, fmt.Errorf("serve: restoring stream %q: %d pending tickets exceed max_pending %d",
+				ss.Name, len(pend), st.ledger.cap)
+		}
+		now := s.now()
+		for i, p := range pend {
+			if err := st.checkPendingSnap(p, i > 0 && pend[i-1].Seq == p.Seq, ss.NextSeq); err != nil {
+				return nil, fmt.Errorf("serve: restoring pending ticket seq %d of stream %q: %w", p.Seq, ss.Name, err)
+			}
+			st.ledger.restore(p.Seq, p.Arm, p.Features, time.Unix(0, p.IssuedAtNS), p.ShadowArms, now)
 		}
 	}
 	return s, nil

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -462,4 +463,68 @@ func TestSnapshotGoldenFixtures(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLoadRejectsMalformedPending edits the v3 fixture's "plain" stream
+// in memory (next_seq 40, pending seqs 7…39 on arm 2 with one feature)
+// into tickets the stream could never have issued. Each must fail Load
+// with an error naming the stream and the seq: accepted, a duplicated
+// seq desynchronises the pending count from the saved tickets, and a
+// seq at or past next_seq is later shadowed by the live ticket issued
+// under the same seq.
+func TestLoadRejectsMalformedPending(t *testing.T) {
+	ticket := func(seq uint64, arm int, features ...float64) map[string]any {
+		return map[string]any{
+			"id": ticketID("plain", seq), "seq": seq, "arm": arm,
+			"features": features, "issued_at_ns": 9500000000000,
+		}
+	}
+	cases := []struct {
+		name string
+		edit func(st map[string]any)
+		want string
+	}{
+		{"duplicate seq", func(st map[string]any) {
+			st["pending"] = append(st["pending"].([]any), ticket(7, 2, 1))
+		}, "seq 7 "},
+		{"seq past next_seq", func(st map[string]any) {
+			st["pending"] = append(st["pending"].([]any), ticket(60, 2, 1))
+		}, "seq 60 "},
+		{"arm out of range", func(st map[string]any) {
+			st["pending"] = append(st["pending"].([]any), ticket(8, 99, 1))
+		}, "seq 8 "},
+		{"negative arm", func(st map[string]any) {
+			st["pending"] = append(st["pending"].([]any), ticket(8, -1, 1))
+		}, "seq 8 "},
+		{"feature length", func(st map[string]any) {
+			st["pending"] = append(st["pending"].([]any), ticket(8, 2, 1, 2, 3))
+		}, "seq 8 "},
+		{"more than max_pending", func(st map[string]any) {
+			st["max_pending"] = 4
+		}, "max_pending 4"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var env map[string]any
+			if err := json.Unmarshal(readGolden(t, "v3.json"), &env); err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range env["streams"].([]any) {
+				if st := st.(map[string]any); st["name"] == "plain" {
+					tc.edit(st)
+				}
+			}
+			data, err := json.Marshal(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Load(bytes.NewReader(data), ServiceOptions{Now: goldenClock().now})
+			if err == nil {
+				t.Fatal("Load accepted the malformed pending ticket")
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"plain"`) || !strings.Contains(msg, tc.want) {
+				t.Fatalf("Load error %q does not name stream \"plain\" and %q", msg, tc.want)
+			}
+		})
+	}
 }
