@@ -2,8 +2,7 @@
 // arms are serving, which are being trialled on shadow traffic, and
 // which are draining toward retirement. It also provides warm-start
 // selection for newly added arms (pooled prior or nearest-neighbor by
-// hardware feature distance) and a bounded recommendation cache with
-// an explicit exploration budget.
+// hardware feature distance).
 //
 // The package is deliberately free of policy/estimator knowledge: it
 // tracks per-arm status and answers "may this arm serve?", while the

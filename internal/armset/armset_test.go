@@ -2,7 +2,6 @@ package armset
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"banditware/internal/hardware"
@@ -127,131 +126,5 @@ func TestNearest(t *testing.T) {
 	}
 	if got := Nearest(nil, hardware.Config{Name: "n", CPUs: 4}, nil); got != -1 {
 		t.Fatalf("Nearest(empty set) = %d, want -1", got)
-	}
-}
-
-func TestCacheConfigValidation(t *testing.T) {
-	c, err := NewCache(CacheConfig{})
-	if err != nil {
-		t.Fatalf("NewCache(defaults): %v", err)
-	}
-	cfg := c.Config()
-	if cfg.Capacity != DefaultCacheCapacity || cfg.Budget != DefaultCacheBudget || cfg.Bits != DefaultCacheBits {
-		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	for _, bad := range []CacheConfig{
-		{Capacity: -1},
-		{Budget: 1.0},
-		{Budget: -0.5},
-		{Budget: math.NaN()},
-		{Bits: 53},
-		{Bits: -1},
-	} {
-		if _, err := NewCache(bad); err == nil {
-			t.Fatalf("NewCache(%+v) succeeded, want error", bad)
-		}
-	}
-}
-
-func TestCacheHitMissFallthrough(t *testing.T) {
-	c, err := NewCache(CacheConfig{Capacity: 16, Budget: 0.25, Bits: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := c.Fingerprint([]float64{1.5, 2.5})
-	if _, ok := c.Lookup(fp); ok {
-		t.Fatal("lookup on empty cache hit")
-	}
-	c.Store(fp, 3)
-	hits, falls := 0, 0
-	for i := 0; i < 1000; i++ {
-		if arm, ok := c.Lookup(fp); ok {
-			if arm != 3 {
-				t.Fatalf("cached arm = %d, want 3", arm)
-			}
-			hits++
-		} else {
-			falls++
-		}
-	}
-	if falls != 250 {
-		t.Fatalf("fall-throughs = %d over 1000 potential hits at budget 0.25, want exactly 250", falls)
-	}
-	h, m, f := c.Counters()
-	if h != uint64(hits) || m != 1 || f != uint64(falls) {
-		t.Fatalf("counters = %d/%d/%d, want %d/1/%d", h, m, f, hits, falls)
-	}
-}
-
-func TestCacheQuantization(t *testing.T) {
-	c, err := NewCache(CacheConfig{Bits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := c.Fingerprint([]float64{1.0000001, 2.0})
-	b := c.Fingerprint([]float64{1.0000002, 2.0})
-	if a != b {
-		t.Fatal("near-identical contexts should collide at 8 bits")
-	}
-	d := c.Fingerprint([]float64{1.5, 2.0})
-	if a == d {
-		t.Fatal("distinct contexts should not collide")
-	}
-}
-
-func TestCacheEvictionFIFO(t *testing.T) {
-	c, err := NewCache(CacheConfig{Capacity: 2, Budget: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1 := c.Fingerprint([]float64{1})
-	f2 := c.Fingerprint([]float64{2})
-	f3 := c.Fingerprint([]float64{3})
-	c.Store(f1, 0)
-	c.Store(f2, 1)
-	c.Store(f3, 2) // evicts f1
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	if _, ok := c.Lookup(f1); ok {
-		t.Fatal("f1 should have been evicted")
-	}
-	if arm, ok := c.Lookup(f2); !ok || arm != 1 {
-		t.Fatalf("f2 lookup = %d,%v", arm, ok)
-	}
-	if arm, ok := c.Lookup(f3); !ok || arm != 2 {
-		t.Fatalf("f3 lookup = %d,%v", arm, ok)
-	}
-	c.Store(f1, 5) // evicts f2 (oldest remaining)
-	if _, ok := c.Lookup(f2); ok {
-		t.Fatal("f2 should have been evicted")
-	}
-}
-
-func TestCacheResetKeepsCounters(t *testing.T) {
-	c, err := NewCache(CacheConfig{Capacity: 8, Budget: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := c.Fingerprint([]float64{4, 2})
-	c.Store(fp, 1)
-	if _, ok := c.Lookup(fp); !ok {
-		t.Fatal("expected hit before reset")
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("Len after reset = %d", c.Len())
-	}
-	if _, ok := c.Lookup(fp); ok {
-		t.Fatal("hit after reset")
-	}
-	h, m, _ := c.Counters()
-	if h != 1 || m != 1 {
-		t.Fatalf("counters after reset = %d/%d, want 1/1", h, m)
-	}
-	c.SetCounters(10, 20, 30)
-	h, m, f := c.Counters()
-	if h != 10 || m != 20 || f != 30 {
-		t.Fatalf("SetCounters round-trip = %d/%d/%d", h, m, f)
 	}
 }

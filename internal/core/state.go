@@ -70,6 +70,17 @@ func LoadState(r io.Reader) (*Bandit, error) {
 		return nil, fmt.Errorf("core: corrupt state: %d arms, %d models, %d hardware",
 			len(st.Arms), len(st.Models), len(st.Hardware))
 	}
+	// Check each estimator against the declared dimension before
+	// building a bandit of that dimension: the estimators were sized by
+	// their own payload, the dimension by nothing.
+	for i := range st.Arms {
+		if st.Arms[i].RLS == nil {
+			return nil, fmt.Errorf("core: corrupt state: arm %d missing estimator", i)
+		}
+		if d := st.Arms[i].RLS.Dim(); d != st.Dim {
+			return nil, fmt.Errorf("core: corrupt state: arm %d estimator has dim %d, want %d", i, d, st.Dim)
+		}
+	}
 	b, err := New(st.Hardware, st.Dim, st.Options)
 	if err != nil {
 		return nil, err
@@ -77,9 +88,6 @@ func LoadState(r io.Reader) (*Bandit, error) {
 	b.eps = st.Epsilon
 	b.round = st.Round
 	for i := range st.Arms {
-		if st.Arms[i].RLS == nil {
-			return nil, fmt.Errorf("core: corrupt state: arm %d missing estimator", i)
-		}
 		b.arms[i].rls = st.Arms[i].RLS
 		b.arms[i].xs = st.Arms[i].Xs
 		b.arms[i].ys = st.Arms[i].Ys

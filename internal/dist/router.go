@@ -251,8 +251,8 @@ func streamFromPath(path string) (string, bool) {
 }
 
 // anyMember deterministically spreads non-stream reads over the ready
-// set (keyed by path, so repeated polls of one endpoint hit one
-// replica's cache-warm state).
+// set (keyed by path, so repeated polls of one endpoint reach the same
+// replica and see one consistent view).
 func (rt *Router) anyMember(path string) string {
 	return rt.currentRing().Owner("route:" + path)
 }

@@ -14,7 +14,7 @@ import (
 // added to every stream a quarter of the way through the trace,
 // drained at half, and retired at three quarters, so the run prices
 // recommendation traffic while the arm set is growing, rerouting, and
-// shrinking — including the cache invalidations each transition forces.
+// shrinking.
 
 // ArmChurner is the optional Target extension for runtime arm-set
 // churn. InProc drives the Service API directly; HTTP targets go over

@@ -107,21 +107,22 @@ func (la *linArms) adaptState(st *State) {
 	}
 }
 
-// restoreArms replaces the per-arm estimators with restored ones,
-// validating the count and dimension.
-func (la *linArms) restoreArms(arms []*regress.RLS) error {
-	if len(arms) != len(la.arms) {
-		return fmt.Errorf("policy: state has %d arms, want %d", len(arms), len(la.arms))
+// checkArms validates restored per-arm estimators against the state's
+// declared shape. Restore runs it before building a policy of that
+// shape: the estimators were sized by their own payload, the declared
+// arm count and dimension by nothing.
+func checkArms(arms []*regress.RLS, numArms, dim int) error {
+	if len(arms) != numArms {
+		return fmt.Errorf("policy: state has %d arms, want %d", len(arms), numArms)
 	}
 	for i, a := range arms {
 		if a == nil {
 			return fmt.Errorf("policy: state arm %d missing estimator", i)
 		}
-		if a.Dim() != la.dim {
-			return fmt.Errorf("%w: state arm %d has dim %d, want %d", ErrDim, i, a.Dim(), la.dim)
+		if a.Dim() != dim {
+			return fmt.Errorf("%w: state arm %d has dim %d, want %d", ErrDim, i, a.Dim(), dim)
 		}
 	}
-	la.arms = arms
 	return nil
 }
 
@@ -209,13 +210,14 @@ func Restore(st State) (Policy, error) {
 	if f := st.param(); f != nil {
 		param = *f
 	}
+	if err := checkArms(st.Arms, st.NumArms, st.Dim); err != nil {
+		return nil, err
+	}
 	l, err := newLinear(st.Type, st.NumArms, st.Dim, param, st.Seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := l.restoreArms(st.Arms); err != nil {
-		return nil, err
-	}
+	l.arms = st.Arms
 	if err := l.restoreAdapt(st); err != nil {
 		return nil, err
 	}

@@ -309,13 +309,14 @@ func (r *RLS) UnmarshalJSON(data []byte) error {
 	if s.Forget == 0 {
 		s.Forget = 1 // states written before forgetting existed
 	}
+	// Check the payload against the declared dimension before
+	// allocating for it: the dimension alone may not be trusted.
+	if len(s.Z) != s.Dim+1 || len(s.R) != len(s.Z)*len(s.Z) {
+		return fmt.Errorf("%w: corrupt RLS state", ErrBadInput)
+	}
 	fresh, err := NewRLSForgetting(s.Dim, s.Lambda, s.Forget)
 	if err != nil {
 		return err
-	}
-	d := s.Dim + 1
-	if len(s.R) != d*d || len(s.Z) != d {
-		return fmt.Errorf("%w: corrupt RLS state", ErrBadInput)
 	}
 	copy(fresh.r, s.R)
 	copy(fresh.z, s.Z)

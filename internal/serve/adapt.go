@@ -214,8 +214,6 @@ func (st *stream) observeDriftLocked(arm int, residual float64) {
 			// Re-anchor delta-sync baselines: the reset dropped the arm's
 			// foreign contributions along with the local ones.
 			st.bumpArmGenLocked(arm)
-			// Cached decisions replay the pre-reset model; drop them.
-			st.invalidateCacheLocked()
 		}
 	}
 }

@@ -119,36 +119,6 @@ func TestAllocRecommendCtxIntoObserveSeq(t *testing.T) {
 	}
 }
 
-func TestAllocCachedHitRecommendIntoZero(t *testing.T) {
-	s := NewService(ServiceOptions{})
-	if err := s.CreateStream("cached", StreamConfig{
-		Hardware: testHW(), Dim: 1, Options: core.Options{Seed: 9},
-		Cache: &CacheSpec{Capacity: 64},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{3.25}
-	var tk Ticket
-	// Warm until the fingerprint is cached (exploit decisions store it);
-	// budget fall-throughs re-run the engine path, which is also 0.
-	for i := 0; i < warmCycles; i++ {
-		if err := s.RecommendInto("cached", x, &tk); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ObserveSeq("cached", tk.Seq, 2.0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pinAllocs(t, "cached-hit RecommendInto+ObserveSeq", 0, func() {
-		if err := s.RecommendInto("cached", x, &tk); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ObserveSeq("cached", tk.Seq, 2.0); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestAllocObserveOutcomeClassicZero(t *testing.T) {
 	// The classic ID-string observe is allocation free too: ParseTicketID
 	// substrings, the registry read is lock-free, and the ledger recycles.
@@ -315,53 +285,5 @@ func BenchmarkRecommendObserveSeqPolicies(b *testing.B) {
 				cycle()
 			}
 		})
-	}
-}
-
-// BenchmarkRecommendObserveCache times one warmed RecommendInto →
-// ObserveSeq cycle on a 3-arm, dim-8 stream with ε₀ = 0 for every
-// policy type, uncached ("engine") and behind a recommendation cache
-// whose budget makes virtually every repeat a hit ("cache-hit"): the
-// comparison that decides whether the cache still earns its place.
-func BenchmarkRecommendObserveCache(b *testing.B) {
-	x := []float64{1.5, 2, 0.5, 4, 3, 1, 0.25, 2.5}
-	for _, kind := range []string{
-		PolicyAlgorithm1, PolicyLinUCB, PolicyLinTS, PolicyEpsGreedy,
-		PolicyGreedy, PolicySoftmax, PolicyRandom,
-	} {
-		for _, cached := range []bool{false, true} {
-			name := kind + "/engine"
-			cfg := StreamConfig{
-				Hardware: testHW(), Dim: len(x), Options: core.Options{Seed: 7, ZeroEpsilon: true},
-				Policy: PolicySpec{Type: kind, Seed: 7},
-			}
-			if cached {
-				name = kind + "/cache-hit"
-				cfg.Cache = &CacheSpec{Capacity: 64, Budget: 1e-9}
-			}
-			b.Run(name, func(b *testing.B) {
-				s := NewService(ServiceOptions{})
-				if err := s.CreateStream("hot", cfg); err != nil {
-					b.Fatal(err)
-				}
-				var tk Ticket
-				cycle := func() {
-					if err := s.RecommendInto("hot", x, &tk); err != nil {
-						b.Fatal(err)
-					}
-					if err := s.ObserveSeq("hot", tk.Seq, 2.0+float64(tk.Arm)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for i := 0; i < warmCycles; i++ {
-					cycle()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cycle()
-				}
-			})
-		}
 	}
 }

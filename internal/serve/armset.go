@@ -12,13 +12,11 @@ import (
 )
 
 // Arm-set elasticity: runtime add / drain / promote / retire of a
-// stream's hardware configurations, plus the per-stream recommendation
-// cache. The lifecycle state machine itself lives in internal/armset;
-// this file threads it through the serving layer — growing engines and
-// shadows in place, warm-starting new arms from existing sufficient
-// statistics, keeping the delta-sync baselines index-aligned across a
-// retire, and invalidating the cache whenever positional arm indices
-// change meaning.
+// stream's hardware configurations. The lifecycle state machine itself
+// lives in internal/armset; this file threads it through the serving
+// layer — growing engines and shadows in place, warm-starting new arms
+// from existing sufficient statistics, and keeping the delta-sync
+// baselines index-aligned across a retire.
 
 // AddArm implements Engine, shadowing the embedded bandit's
 // (int, error) signature.
@@ -200,7 +198,6 @@ func (st *stream) addArmLocked(cfg hardware.Config, warm armset.Warm, weight flo
 			}
 		}
 	}
-	st.invalidateCacheLocked()
 	return idx, nil
 }
 
@@ -310,7 +307,6 @@ func (s *Service) DrainArm(name string, arm int) error {
 	if err := st.life.Drain(arm); err != nil {
 		return mapArmsetErr(err)
 	}
-	st.invalidateCacheLocked()
 	return nil
 }
 
@@ -325,7 +321,6 @@ func (s *Service) PromoteArm(name string, arm int) error {
 	if err := st.life.Promote(arm); err != nil {
 		return mapArmsetErr(err)
 	}
-	st.invalidateCacheLocked()
 	return nil
 }
 
@@ -401,7 +396,6 @@ func (st *stream) retireArmLocked(s *Service, arm int) error {
 		}
 	}
 	st.ledger.retireArm(arm)
-	st.invalidateCacheLocked()
 	return nil
 }
 
@@ -430,67 +424,6 @@ func (st *stream) rerouteLocked(d *core.Decision, x []float64) {
 	d.Arm = best
 }
 
-// --- recommendation cache --------------------------------------------
-
-// CacheSpec configures a stream's recommendation cache: a bounded
-// context-fingerprint → arm map serving repeated exploit decisions in
-// O(1) without touching the policy. Zero fields take the armset
-// defaults. The cache treats whatever the engine returned as the
-// decision to replay (for non-Algorithm 1 policies, which do not report
-// their exploration branch, a stochastic pick may be cached); the
-// exploration budget routes that fraction of would-be hits back to the
-// policy so learning never starves.
-type CacheSpec struct {
-	// Capacity bounds the number of cached fingerprints (FIFO
-	// eviction); 0 selects armset.DefaultCacheCapacity.
-	Capacity int `json:"capacity,omitempty"`
-	// Budget is the exploration fall-through rate in [0, 1); 0 selects
-	// armset.DefaultCacheBudget.
-	Budget float64 `json:"budget,omitempty"`
-	// Bits is the number of float64 mantissa bits retained when
-	// fingerprinting a context (1..52); 0 selects
-	// armset.DefaultCacheBits.
-	Bits int `json:"bits,omitempty"`
-}
-
-// compile builds the cache and returns the canonical (default-filled)
-// spec the stream persists and reports.
-func (cs CacheSpec) compile() (*armset.Cache, CacheSpec, error) {
-	c, err := armset.NewCache(armset.CacheConfig{Capacity: cs.Capacity, Budget: cs.Budget, Bits: cs.Bits})
-	if err != nil {
-		return nil, CacheSpec{}, err
-	}
-	cfg := c.Config()
-	return c, CacheSpec{Capacity: cfg.Capacity, Budget: cfg.Budget, Bits: cfg.Bits}, nil
-}
-
-// CacheInfo is the live state of a stream's recommendation cache.
-type CacheInfo struct {
-	Capacity int     `json:"capacity"`
-	Budget   float64 `json:"budget"`
-	Bits     int     `json:"bits"`
-	Size     int     `json:"size"`
-	// Hits served from the cache; Misses consulted the policy because
-	// the fingerprint was absent; Fallthroughs consulted it although
-	// present, spending the exploration budget. Counters are
-	// per-replica serving history: they survive invalidation and are
-	// never carried in delta envelopes (they are not additive fleet
-	// state).
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Fallthroughs uint64 `json:"fallthroughs"`
-}
-
-// invalidateCacheLocked drops every cached decision (counters survive).
-// Called on any arm-set change — cached arm indices are positional — and
-// on drift resets, where the model behind them changed wholesale.
-// Callers hold st.mu.
-func (st *stream) invalidateCacheLocked() {
-	if st.cache != nil {
-		st.cache.Reset()
-	}
-}
-
 // armStatesLocked renders the per-arm lifecycle statuses, or nil while
 // every arm is active (the steady state, omitted from info and
 // snapshots). Callers hold st.mu.
@@ -504,23 +437,4 @@ func (st *stream) armStatesLocked() []string {
 		out[i] = s.String()
 	}
 	return out
-}
-
-// cacheInfoLocked summarises the stream's cache, or nil when it has
-// none. Callers hold st.mu.
-func (st *stream) cacheInfoLocked() *CacheInfo {
-	if st.cache == nil {
-		return nil
-	}
-	cfg := st.cache.Config()
-	h, m, f := st.cache.Counters()
-	return &CacheInfo{
-		Capacity:     cfg.Capacity,
-		Budget:       cfg.Budget,
-		Bits:         cfg.Bits,
-		Size:         st.cache.Len(),
-		Hits:         h,
-		Misses:       m,
-		Fallthroughs: f,
-	}
 }

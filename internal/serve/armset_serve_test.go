@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -363,7 +362,6 @@ func TestConcurrentChurnAndServe(t *testing.T) {
 	if err := s.CreateStream("jobs", StreamConfig{
 		Hardware: testHW(), Dim: 1,
 		Options: core.Options{Seed: 3, MinEpsilon: 0.1},
-		Cache:   &CacheSpec{Capacity: 64},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -421,330 +419,5 @@ func TestConcurrentChurnAndServe(t *testing.T) {
 	}
 	if len(arms) != 3 {
 		t.Fatalf("after 20 add/retire cycles: %d arms, want the original 3", len(arms))
-	}
-}
-
-// TestRecommendationCacheHitsAndBudget: repeated contexts are served
-// from the cache, the deterministic exploration budget routes exactly
-// its configured fraction of would-be hits back through the policy, and
-// the counters surface in StreamInfo and the service Stats.
-func TestRecommendationCacheHitsAndBudget(t *testing.T) {
-	s := NewService(ServiceOptions{})
-	if err := s.CreateStream("jobs", StreamConfig{
-		Hardware: testHW(), Dim: 1,
-		Options: core.Options{Seed: 5, ZeroEpsilon: true},
-		Cache:   &CacheSpec{Capacity: 128, Budget: 0.25, Bits: 16},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		x := []float64{float64(i%5 + 1)}
-		for arm, rt := range []float64{30, 50, 70} {
-			if err := s.ObserveDirect("jobs", arm, x, rt); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	x := []float64{3}
-	want, err := s.Exploit("jobs", x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const lookups = 101 // 1 miss populates, 100 potential hits follow
-	for i := 0; i < lookups; i++ {
-		tk, err := s.Recommend("jobs", x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tk.Arm != want {
-			t.Fatalf("lookup %d: arm %d, want exploit arm %d", i, tk.Arm, want)
-		}
-		if err := s.Observe(tk.ID, 30); err != nil {
-			t.Fatal(err)
-		}
-	}
-	info, err := s.StreamInfo("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ci := info.Cache
-	if ci == nil {
-		t.Fatal("StreamInfo carries no cache block")
-	}
-	if ci.Capacity != 128 || ci.Budget != 0.25 || ci.Bits != 16 {
-		t.Fatalf("cache spec = %+v, want 128/0.25/16", ci)
-	}
-	if ci.Misses != 1 {
-		t.Fatalf("misses = %d, want 1 (only the populating lookup)", ci.Misses)
-	}
-	if ci.Hits+ci.Fallthroughs != lookups-1 {
-		t.Fatalf("hits %d + fallthroughs %d != %d repeat lookups", ci.Hits, ci.Fallthroughs, lookups-1)
-	}
-	// The accumulator is deterministic: the fall-through rate over
-	// would-be hits lands within ±10% of the configured budget.
-	rate := float64(ci.Fallthroughs) / float64(ci.Hits+ci.Fallthroughs)
-	if rate < 0.25*0.9 || rate > 0.25*1.1 {
-		t.Fatalf("fall-through rate %.3f outside ±10%% of budget 0.25", rate)
-	}
-	if ci.Size != 1 {
-		t.Fatalf("cache size = %d, want 1 distinct fingerprint", ci.Size)
-	}
-	stats := s.Stats()
-	if stats.TotalCacheHits != ci.Hits || stats.TotalCacheMisses != ci.Misses ||
-		stats.TotalCacheFallthroughs != ci.Fallthroughs {
-		t.Fatalf("stats totals (%d, %d, %d) != stream counters (%d, %d, %d)",
-			stats.TotalCacheHits, stats.TotalCacheMisses, stats.TotalCacheFallthroughs,
-			ci.Hits, ci.Misses, ci.Fallthroughs)
-	}
-	// Every ticket — cached or not — is redeemable: nothing pending leaked.
-	if info.Observed != uint64(lookups)+60 {
-		t.Fatalf("observed = %d, want %d", info.Observed, lookups+60)
-	}
-}
-
-// TestCacheInvalidatedOnArmChurn: every arm-set change drops the cached
-// entries (their arm indices are positional) while the counters survive.
-func TestCacheInvalidatedOnArmChurn(t *testing.T) {
-	s := NewService(ServiceOptions{})
-	if err := s.CreateStream("jobs", StreamConfig{
-		Hardware: testHW(), Dim: 1,
-		Options: core.Options{Seed: 5, ZeroEpsilon: true},
-		Cache:   &CacheSpec{Capacity: 64, Budget: 0.1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	fill := func() uint64 {
-		t.Helper()
-		for i := 0; i < 8; i++ {
-			x := []float64{float64(i + 1)}
-			for r := 0; r < 3; r++ {
-				tk, err := s.Recommend("jobs", x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Observe(tk.ID, 40); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		info, err := s.StreamInfo("jobs")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Cache.Size == 0 {
-			t.Fatal("cache did not fill")
-		}
-		return info.Cache.Hits
-	}
-	size := func() int {
-		t.Helper()
-		info, err := s.StreamInfo("jobs")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.Cache.Size
-	}
-
-	hits := fill()
-	idx, err := s.AddArm("jobs", ArmAdd{Hardware: hardware.Config{Name: "H3", CPUs: 8, MemoryGB: 64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := size(); n != 0 {
-		t.Fatalf("cache size %d after AddArm, want 0", n)
-	}
-	info, err := s.StreamInfo("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Cache.Hits != hits {
-		t.Fatalf("hit counter %d after invalidation, want %d (counters survive)", info.Cache.Hits, hits)
-	}
-
-	fill()
-	if err := s.DrainArm("jobs", idx); err != nil {
-		t.Fatal(err)
-	}
-	if n := size(); n != 0 {
-		t.Fatalf("cache size %d after DrainArm, want 0", n)
-	}
-	fill()
-	if err := s.PromoteArm("jobs", idx); err != nil {
-		t.Fatal(err)
-	}
-	if n := size(); n != 0 {
-		t.Fatalf("cache size %d after PromoteArm, want 0", n)
-	}
-	fill()
-	if err := s.DrainArm("jobs", idx); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RetireArm("jobs", idx); err != nil {
-		t.Fatal(err)
-	}
-	if n := size(); n != 0 {
-		t.Fatalf("cache size %d after RetireArm, want 0", n)
-	}
-}
-
-// TestCacheInvalidatedOnDriftReset: a drift reset rebuilds the affected
-// arm's model, so cached decisions replaying the pre-reset model are
-// dropped.
-func TestCacheInvalidatedOnDriftReset(t *testing.T) {
-	s := NewService(ServiceOptions{})
-	adapt := adaptTestDetector()
-	adapt.OnDrift = DriftReset
-	if err := s.CreateStream("jobs", StreamConfig{
-		Hardware: testHW()[:2], Dim: 1, Adapt: adapt,
-		Options: core.Options{Seed: 5, ZeroEpsilon: true},
-		Cache:   &CacheSpec{Capacity: 64, Budget: 0.1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		x := []float64{float64(i%5 + 1)}
-		if err := s.ObserveDirect("jobs", 0, x, 40); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ObserveDirect("jobs", 1, x, 60); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		tk, err := s.Recommend("jobs", []float64{float64(i%3 + 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Observe(tk.ID, 40); err != nil {
-			t.Fatal(err)
-		}
-	}
-	info, err := s.StreamInfo("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Cache.Size == 0 {
-		t.Fatal("cache did not fill before the drift")
-	}
-
-	// Arm 1's runtime jumps far past the detector threshold.
-	for i := 0; i < 60 && info.DriftEvents == 0; i++ {
-		if err := s.ObserveDirect("jobs", 1, []float64{3}, 115); err != nil {
-			t.Fatal(err)
-		}
-		if info, err = s.StreamInfo("jobs"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if info.DriftEvents == 0 {
-		t.Fatal("drift was never detected")
-	}
-	if info.Cache.Size != 0 {
-		t.Fatalf("cache size %d after drift reset, want 0", info.Cache.Size)
-	}
-}
-
-// TestCacheCountersAbsentFromDelta: cache state is per-replica serving
-// history, never additive fleet state — the delta wire format carries
-// none of it, and applying a delta leaves the receiver's own cache
-// untouched.
-func TestCacheCountersAbsentFromDelta(t *testing.T) {
-	cfg := StreamConfig{
-		Hardware: testHW(), Dim: 1,
-		Options: core.Options{Seed: 5, ZeroEpsilon: true},
-		Cache:   &CacheSpec{Capacity: 64, Budget: 0.1},
-	}
-	src := NewService(ServiceOptions{})
-	dst := NewService(ServiceOptions{})
-	for _, s := range []*Service{src, dst} {
-		if err := s.CreateStream("jobs", cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		x := []float64{float64(i%5 + 1)}
-		tk, err := src.Recommend("jobs", x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := src.Observe(tk.ID, 40+float64(tk.Arm)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	info, err := src.StreamInfo("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Cache.Hits == 0 {
-		t.Fatal("source served no cache hits — the test needs live counters to prove exclusion")
-	}
-
-	cap, err := src.CaptureDelta(src.NewSyncState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cap.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, marker := range []string{"cache", "fallthrough", "capacity"} {
-		if bytes.Contains(buf.Bytes(), []byte(marker)) {
-			t.Fatalf("delta envelope contains %q — cache state must stay replica-local", marker)
-		}
-	}
-	if _, err := dst.ApplyDelta(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	di, err := dst.StreamInfo("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if di.Cache.Hits != 0 || di.Cache.Misses != 0 || di.Cache.Fallthroughs != 0 || di.Cache.Size != 0 {
-		t.Fatalf("receiver cache state %+v after merge, want untouched zeros", di.Cache)
-	}
-}
-
-// BenchmarkRecommendCachedHit measures the cached fast path: fingerprint
-// + map lookup + ticket issue, no policy call. The budget is set to its
-// smallest expressible value so virtually every iteration is a hit.
-// Recorded baseline (container hardware, 2026-08): ~0.3 µs/op vs 0.9 µs
-// p50 for the full in-process recommend path (BENCH_serve_baseline.json).
-func BenchmarkRecommendCachedHit(b *testing.B) {
-	s := NewService(ServiceOptions{})
-	if err := s.CreateStream("jobs", StreamConfig{
-		Hardware: testHW(), Dim: 1,
-		Options: core.Options{Seed: 5, ZeroEpsilon: true},
-		Cache:   &CacheSpec{Capacity: 64, Budget: 1e-9},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	x := []float64{3, 0}
-	if _, err := s.Recommend("jobs", x[:1]); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Recommend("jobs", x[:1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestCachedHitLatencyPin pins the cache's reason to exist: a cached-hit
-// recommend must beat the recorded full-path in-process p50 (0.9 µs,
-// BENCH_serve_baseline.json). Skipped under the race detector and -short
-// — instrumented builds are not representative of serving latency.
-func TestCachedHitLatencyPin(t *testing.T) {
-	if raceEnabled {
-		t.Skip("latency pin is meaningless under the race detector")
-	}
-	if testing.Short() {
-		t.Skip("skipping latency pin in -short mode")
-	}
-	res := testing.Benchmark(BenchmarkRecommendCachedHit)
-	const baselineP50 = 900 // ns; inproc p50 from BENCH_serve_baseline.json
-	if ns := res.NsPerOp(); ns >= baselineP50 {
-		t.Fatalf("cached-hit recommend = %d ns/op, want strictly below the %d ns full-path p50", ns, baselineP50)
 	}
 }

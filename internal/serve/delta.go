@@ -12,8 +12,8 @@ import (
 )
 
 // Delta replication (snapshot versions 6–7; the delta wire format is
-// identical in both — version 7's arm lifecycle and cache counters are
-// replica-local and never travel in delta envelopes).
+// identical in both — version 7's arm lifecycle state is replica-local
+// and never travels in delta envelopes).
 //
 // A fleet of replicas each learns on its own slice of the traffic and
 // periodically exchanges *deltas*: the additive change in per-arm
@@ -541,9 +541,9 @@ func (s *Service) ApplyDelta(r io.Reader) (DeltaStats, error) {
 		return stats, fmt.Errorf("%w: full snapshot envelope (use Load or ImportSnapshot)", ErrBadDelta)
 	}
 	// The delta wire format is unchanged between versions 6 and 7 (the
-	// version-7 additions — arm lifecycle, cache counters — are replica-
-	// local and never travel in delta envelopes), so a mixed-version
-	// fleet keeps syncing during a rolling upgrade.
+	// version-7 arm lifecycle state is replica-local and never travels
+	// in delta envelopes), so a mixed-version fleet keeps syncing during
+	// a rolling upgrade.
 	if snap.Version != snapshotVersion && snap.Version != snapshotVersion-1 {
 		return stats, fmt.Errorf("%w: version %d, this replica speaks %d", ErrBadDelta, snap.Version, snapshotVersion)
 	}

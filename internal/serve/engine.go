@@ -177,6 +177,13 @@ func defaulted(v, def float64) float64 {
 	return v
 }
 
+// maxDim bounds a stream's feature dimension. Engine state grows with
+// it — a linear model keeps a (dim+1)² factor per arm, a raw-dimension
+// stream one schema field per dimension — so a dimension from outside
+// (a create request, a snapshot) is checked before anything is built
+// for it. The paper's workloads use a handful of features.
+const maxDim = 1024
+
 // newEngine builds the engine a stream (or shadow) serves from. opts
 // parameterises Algorithm 1 and is ignored by the other policies, which
 // take their parameters from spec. adapt (already canonical — see
@@ -185,6 +192,9 @@ func defaulted(v, def float64) float64 {
 // policy.Linear.SetAdaptation; policies without models (random) reject
 // any mode but "none".
 func newEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, adapt AdaptSpec) (Engine, error) {
+	if dim > maxDim {
+		return nil, fmt.Errorf("serve: feature dimension %d exceeds the maximum %d", dim, maxDim)
+	}
 	kind, err := spec.kind()
 	if err != nil {
 		return nil, err
@@ -422,6 +432,17 @@ func restorePolicyEngine(data []byte) (*policyEngine, error) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("serve: decoding policy engine state: %w", err)
 	}
+	// Restore the policy first: its estimators are sized by their own
+	// payload, while the envelope only declares a shape, and nothing is
+	// built for that shape until the two agree.
+	p, err := policy.Restore(st.Policy)
+	if err != nil {
+		return nil, err
+	}
+	if st.Policy.NumArms != len(st.Hardware) || st.Policy.Dim != st.Dim {
+		return nil, fmt.Errorf("serve: corrupt engine state: policy of %d arms × dim %d under an envelope of %d arms × dim %d",
+			st.Policy.NumArms, st.Policy.Dim, len(st.Hardware), st.Dim)
+	}
 	// The envelope (spec, hardware, dim) must describe exactly the
 	// policy it wraps: build the policy the envelope promises and compare
 	// the headers, so a state that contradicts itself is rejected
@@ -440,10 +461,6 @@ func restorePolicyEngine(data []byte) (*policyEngine, error) {
 	}
 	if got, exp := headerOf(st.Policy), headerOf(wantState); got != exp {
 		return nil, fmt.Errorf("serve: corrupt engine state: policy %+v contradicts its envelope %+v", got, exp)
-	}
-	p, err := policy.Restore(st.Policy)
-	if err != nil {
-		return nil, err
 	}
 	sp, ok := p.(servedPolicy)
 	if !ok {

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
 	"testing"
+	"time"
 
 	"banditware/internal/core"
 )
@@ -155,6 +158,60 @@ func FuzzParseTicketID(f *testing.F) {
 		}
 		if back := ticketID(name, seq); back != id {
 			t.Fatalf("ParseTicketID(%q) = (%q, %d), which renders as %q", id, name, seq, back)
+		}
+	})
+}
+
+// FuzzLoadService drives the snapshot loader with arbitrary bytes, as
+// they arrive from a state file or a snapshot import. Invariants:
+// nothing panics, a rejected input returns an error and no service, and
+// an accepted input is stable under the writer — with the clock pinned
+// at the input's saved_at, as the golden fixture tests pin it, Save →
+// Load → Save reproduces the same bytes.
+func FuzzLoadService(f *testing.F) {
+	entries, err := os.ReadDir(goldenDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries {
+		f.Add(readGolden(f, e.Name()))
+	}
+	for _, tc := range malformedPending {
+		f.Add(editGoldenStream(f, "v3.json", "plain", tc.edit))
+	}
+	for _, tc := range oversizedShapes {
+		f.Add(editGoldenStream(f, "v3.json", tc.stream, tc.edit))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		clock := goldenClock()
+		var probe struct {
+			SavedAt time.Time `json:"saved_at"`
+		}
+		if json.Unmarshal(data, &probe) == nil && !probe.SavedAt.IsZero() {
+			clock.t = probe.SavedAt
+		}
+		opts := ServiceOptions{Now: clock.now}
+		s, err := Load(bytes.NewReader(data), opts)
+		if err != nil {
+			if s != nil {
+				t.Fatalf("Load rejected the input (%v) but returned a service", err)
+			}
+			return
+		}
+		var first bytes.Buffer
+		if err := s.Save(&first); err != nil {
+			t.Fatalf("accepted snapshot does not re-save: %v", err)
+		}
+		back, err := Load(bytes.NewReader(first.Bytes()), opts)
+		if err != nil {
+			t.Fatalf("Load rejects its own save: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := back.Save(&second); err != nil {
+			t.Fatalf("reloaded snapshot does not re-save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Save → Load → Save is not byte-stable:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
 		}
 	})
 }

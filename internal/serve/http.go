@@ -323,9 +323,6 @@ type createStreamRequest struct {
 	Adapt *AdaptSpec `json:"adapt,omitempty"`
 	// Shadows are shadow policies to attach at creation time.
 	Shadows []shadowDTO `json:"shadows,omitempty"`
-	// Cache optionally attaches a recommendation cache ({"capacity":
-	// ..., "budget": ..., "bits": ...}; zero fields take defaults).
-	Cache *CacheSpec `json:"cache,omitempty"`
 
 	// Algorithm 1 options; zero values select the paper's defaults.
 	// Ignored (except seed, which also feeds non-Algorithm 1 policies)
@@ -457,7 +454,6 @@ func handleCreateStream(svc *Service, w http.ResponseWriter, r *http.Request) {
 		Adapt:      adaptSpec,
 		MaxPending: req.MaxPending,
 		TicketTTL:  time.Duration(req.TicketTTLSeconds * float64(time.Second)),
-		Cache:      req.Cache,
 	})
 	if err != nil {
 		writeError(w, err)

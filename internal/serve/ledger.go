@@ -49,8 +49,9 @@ const seqHashMul = 0x9E3779B97F4A7C15
 //     no longer exists).
 //
 // Expiry is lazy: expired tickets are dropped from the front of the FIFO
-// on the next issue or take that observes them. A ticket can be taken
-// once.
+// by the next issue or take, and by every read of the pending set
+// (StreamInfo, Stats, Save), so those never report a dead ticket. A
+// ticket can be taken once.
 //
 // Storage is a slab of pointer-free slots linked into a FIFO (oldest
 // first) and a freelist by int32 index, the features in one flat slice

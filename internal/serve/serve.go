@@ -12,7 +12,7 @@
 //
 //   - Copy-on-write registry. The stream registry is an immutable map
 //     behind an atomic pointer: lookups on the serving path
-//     (Recommend/Observe/cache hits) are lock-free loads, and mutations
+//     (Recommend/Observe) are lock-free loads, and mutations
 //     (create/remove/import) clone the map and swap the pointer under a
 //     registry mutex — so requests never contend on registry state, and
 //     every stream carries its own lock for its own mutable state.
@@ -197,10 +197,6 @@ type StreamConfig struct {
 	MaxPending int
 	// TicketTTL overrides the service default ticket lifetime (0 = inherit).
 	TicketTTL time.Duration
-	// Cache optionally attaches a bounded recommendation cache serving
-	// repeated exploit decisions in O(1); nil disables caching (the
-	// pre-cache behaviour). See CacheSpec.
-	Cache *CacheSpec
 }
 
 // Ticket records one issued recommendation. The ID redeems it via
@@ -287,9 +283,6 @@ type StreamInfo struct {
 	// "draining"), index-aligned with Hardware; absent while every arm
 	// is active (the steady state).
 	ArmStates []string `json:"arm_states,omitempty"`
-	// Cache is the stream's recommendation-cache state; absent when the
-	// stream has no cache.
-	Cache *CacheInfo `json:"cache,omitempty"`
 }
 
 // Stats summarises the whole service.
@@ -305,12 +298,6 @@ type Stats struct {
 	TotalFailures uint64  `json:"total_failures"`
 	// TotalDriftEvents sums the per-stream drift-detection counts.
 	TotalDriftEvents uint64 `json:"total_drift_events"`
-	// TotalCacheHits, TotalCacheMisses and TotalCacheFallthroughs sum
-	// the recommendation-cache counters across cache-enabled streams;
-	// absent while no stream caches.
-	TotalCacheHits         uint64 `json:"total_cache_hits,omitempty"`
-	TotalCacheMisses       uint64 `json:"total_cache_misses,omitempty"`
-	TotalCacheFallthroughs uint64 `json:"total_cache_fallthroughs,omitempty"`
 }
 
 // stream is one registered recommender: a decision engine plus its
@@ -367,12 +354,7 @@ type stream struct {
 	observed uint64
 	// life tracks per-arm lifecycle status (active/trial/draining) for
 	// runtime arm-set elasticity; always sized to the engine's arm set.
-	// cache, when non-nil, serves repeated exploit decisions without
-	// consulting the policy; cacheSpec is its canonical configuration
-	// (persisted in snapshots).
-	life      *armset.Lifecycle
-	cache     *armset.Cache
-	cacheSpec *CacheSpec
+	life *armset.Lifecycle
 	// rewardTotal sums the scalar rewards fed to the engine;
 	// runtimeTotal the measured runtimes; failures counts outcomes
 	// explicitly marked unsuccessful.
@@ -469,7 +451,7 @@ func (s *Service) CreateStream(name string, cfg StreamConfig) error {
 	if err != nil {
 		return err
 	}
-	return s.adopt(name, eng, sch, rw, adapt, cfg.MaxPending, cfg.TicketTTL, cfg.Cache)
+	return s.adopt(name, eng, sch, rw, adapt, cfg.MaxPending, cfg.TicketTTL)
 }
 
 // AdoptBandit registers an already-constructed Algorithm 1 bandit as a
@@ -477,7 +459,7 @@ func (s *Service) CreateStream(name string, cfg StreamConfig) error {
 // from legacy snapshot restore. The caller must not use the bandit
 // directly afterwards.
 func (s *Service) AdoptBandit(name string, b *core.Bandit, maxPending int, ttl time.Duration) error {
-	return s.adopt(name, banditEngine{b}, nil, defaultReward(), defaultAdapt(), maxPending, ttl, nil)
+	return s.adopt(name, banditEngine{b}, nil, defaultReward(), defaultAdapt(), maxPending, ttl)
 }
 
 // defaultAdapt is the canonical default adaptation every pre-adaptation
@@ -493,9 +475,8 @@ func defaultAdapt() AdaptSpec {
 // adopt registers an engine as a stream. sch is the stream's declared
 // feature schema (already cloned and validated, its encoded dimension
 // equal to the engine's); nil selects the identity schema. rw is the
-// stream's compiled reward, adapt its canonical adaptation spec, and
-// cacheSpec its optional recommendation-cache configuration.
-func (s *Service) adopt(name string, eng Engine, sch *schema.Schema, rw rewardState, adapt AdaptSpec, maxPending int, ttl time.Duration, cacheSpec *CacheSpec) error {
+// stream's compiled reward and adapt its canonical adaptation spec.
+func (s *Service) adopt(name string, eng Engine, sch *schema.Schema, rw rewardState, adapt AdaptSpec, maxPending int, ttl time.Duration) error {
 	if !ValidStreamName(name) {
 		return fmt.Errorf("%w: %q", ErrBadStreamName, name)
 	}
@@ -516,14 +497,6 @@ func (s *Service) adopt(name string, eng Engine, sch *schema.Schema, rw rewardSt
 		detectors: newDetectors(adapt, len(eng.Hardware())),
 		ledger:    newLedger(maxPending, ttl, eng.Dim()),
 		life:      armset.NewLifecycle(len(eng.Hardware())),
-	}
-	if cacheSpec != nil {
-		c, canonical, err := cacheSpec.compile()
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadArmRequest, err)
-		}
-		st.cache = c
-		st.cacheSpec = &canonical
 	}
 	st.armLabels = make([]string, len(eng.Hardware()))
 	for i, hw := range eng.Hardware() {
@@ -641,12 +614,6 @@ func ParseTicketID(id string) (stream string, seq uint64, err error) {
 // untracked decisions (the classic arm+features Observe flow) consume
 // exploration randomness identically but leave no ledger state and no
 // shadow selections. Callers hold st.mu.
-//
-// When the stream has a recommendation cache, a fingerprint hit replays
-// the cached arm without consulting the policy (or the shadows — a
-// cached decision is a replay, not a fresh selection); the cache's
-// exploration budget routes a configured fraction of would-be hits back
-// through the policy so learning never starves.
 func (st *stream) recommendLocked(now time.Time, x []float64, track bool) (Ticket, error) {
 	var t Ticket
 	if err := st.recommendIntoLocked(now, x, &t, track, true); err != nil {
@@ -663,27 +630,12 @@ func (st *stream) recommendLocked(now time.Time, x []float64, track bool) (Ticke
 // st.mu.
 func (st *stream) recommendIntoLocked(now time.Time, x []float64, t *Ticket, track, renderID bool) error {
 	d := &st.decScratch
-	var fp uint64
-	hit := false
-	if st.cache != nil {
-		fp = st.cache.Fingerprint(x)
-		// A hit must still carry the engine's dimension: the ledger
-		// stores features at a fixed stride.
-		if arm, ok := st.cache.Lookup(fp); ok && arm < len(st.armLabels) && len(x) == st.ledger.dim {
-			// A hit replays the cached arm without consulting the policy
-			// or the shadows (a replay, not a fresh selection).
-			*d = core.Decision{Arm: arm, Predicted: t.Predicted[:0], Epsilon: st.engine.Epsilon()}
-			hit = true
-		}
+	d.Predicted = t.Predicted[:0]
+	if err := st.engine.RecommendInto(x, d); err != nil {
+		return err
 	}
-	if !hit {
-		d.Predicted = t.Predicted[:0]
-		if err := st.engine.RecommendInto(x, d); err != nil {
-			return err
-		}
-		if !st.life.AllActive() && !st.life.Servable(d.Arm) {
-			st.rerouteLocked(d, x)
-		}
+	if !st.life.AllActive() && !st.life.Servable(d.Arm) {
+		st.rerouteLocked(d, x)
 	}
 	t.ID = ""
 	t.Stream = st.name
@@ -701,15 +653,8 @@ func (st *stream) recommendIntoLocked(now time.Time, x []float64, t *Ticket, tra
 		if renderID {
 			t.ID = ticketID(st.name, seq)
 		}
-		var shadowArms map[string]int
-		if !hit {
-			shadowArms = st.shadowRecommendLocked(x)
-		}
-		st.ledger.add(seq, d.Arm, x, shadowArms, now)
+		st.ledger.add(seq, d.Arm, x, st.shadowRecommendLocked(x), now)
 		st.issued++
-	}
-	if st.cache != nil && !hit && !d.Explored {
-		st.cache.Store(fp, d.Arm)
 	}
 	return nil
 }
@@ -1222,7 +1167,10 @@ func (s *Service) Policy(name string) (string, error) {
 	return st.engine.Kind(), nil
 }
 
-func (st *stream) infoLocked() StreamInfo {
+// infoLocked summarises the stream as of now, sweeping tickets past
+// their TTL first so Pending and Expired are current. Callers hold st.mu.
+func (st *stream) infoLocked(now time.Time) StreamInfo {
+	st.ledger.sweep(now)
 	// The schema is cloned because the caller marshals the info after
 	// the stream lock is released, while Encode keeps mutating the live
 	// normalization statistics.
@@ -1252,7 +1200,6 @@ func (st *stream) infoLocked() StreamInfo {
 		DriftByArm:   st.driftByArmLocked(),
 		Shadows:      st.shadowsInfoLocked(),
 		ArmStates:    st.armStatesLocked(),
-		Cache:        st.cacheInfoLocked(),
 	}
 }
 
@@ -1264,7 +1211,7 @@ func (s *Service) StreamInfo(name string) (StreamInfo, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.infoLocked(), nil
+	return st.infoLocked(s.now()), nil
 }
 
 // Stats summarises every stream (sorted by name) plus service totals.
@@ -1272,9 +1219,10 @@ func (s *Service) StreamInfo(name string) (StreamInfo, error) {
 // removed concurrently may or may not appear.
 func (s *Service) Stats() Stats {
 	out := Stats{Streams: []StreamInfo{}} // [] not null in JSON when empty
+	now := s.now()
 	for _, st := range s.allStreams() {
 		st.mu.Lock()
-		info := st.infoLocked()
+		info := st.infoLocked(now)
 		st.mu.Unlock()
 		out.Streams = append(out.Streams, info)
 		out.TotalIssued += info.Issued
@@ -1284,11 +1232,6 @@ func (s *Service) Stats() Stats {
 		out.TotalRuntime += info.RuntimeTotal
 		out.TotalFailures += info.Failures
 		out.TotalDriftEvents += info.DriftEvents
-		if info.Cache != nil {
-			out.TotalCacheHits += info.Cache.Hits
-			out.TotalCacheMisses += info.Cache.Misses
-			out.TotalCacheFallthroughs += info.Cache.Fallthroughs
-		}
 	}
 	return out
 }

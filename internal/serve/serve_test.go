@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -174,6 +175,56 @@ func TestTicketExpiryAndEviction(t *testing.T) {
 	if info.Expired != 1 || info.Evicted != 1 {
 		t.Fatalf("counters = %+v", info)
 	}
+}
+
+// TestExpiredTicketsLeaveReads: tickets past their TTL stop counting as
+// pending the moment they expire. StreamInfo, Stats and Save each see
+// them as expired, without an issue or take on the stream first.
+func TestExpiredTicketsLeaveReads(t *testing.T) {
+	expiredService := func(t *testing.T) *Service {
+		t.Helper()
+		clock := &fakeClock{t: time.Unix(1000, 0)}
+		s := NewService(ServiceOptions{Now: clock.now, TicketTTL: time.Minute})
+		if err := s.CreateStream("jobs", StreamConfig{Hardware: testHW(), Dim: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := s.Recommend("jobs", []float64{float64(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clock.advance(time.Hour)
+		return s
+	}
+	t.Run("StreamInfo", func(t *testing.T) {
+		info, err := expiredService(t).StreamInfo("jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Pending != 0 || info.Expired != 3 {
+			t.Fatalf("pending %d, expired %d; want 0 and 3", info.Pending, info.Expired)
+		}
+	})
+	t.Run("Stats", func(t *testing.T) {
+		stats := expiredService(t).Stats()
+		if stats.TotalPending != 0 || len(stats.Streams) != 1 || stats.Streams[0].Expired != 3 {
+			t.Fatalf("stats = %+v; want 0 pending and 3 expired", stats)
+		}
+	})
+	t.Run("Save", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := expiredService(t).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var snap serviceSnap
+		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Streams) != 1 || len(snap.Streams[0].Pending) != 0 || snap.Streams[0].Expired != 3 {
+			t.Fatalf("saved %d pending tickets, expired %d; want 0 and 3",
+				len(snap.Streams[0].Pending), snap.Streams[0].Expired)
+		}
+	})
 }
 
 func TestBatchOps(t *testing.T) {

@@ -59,15 +59,14 @@ import (
 //     consumes them); the dist block is omitted until a stream has
 //     merged foreign state — so a single-node v5 stream body re-saves
 //     byte-identically to its v5 form.
-//   - Version 7 adds arm-set elasticity and the recommendation cache:
-//     an optional per-stream "arms" block persisting the per-arm
-//     lifecycle statuses (omitted while every arm is active) and the
-//     delta-sync arm generations (omitted while no arm was ever
-//     reset), and an optional "cache" block persisting the stream's
-//     recommendation-cache spec and its hit/miss/fallthrough counters
-//     (omitted for streams without a cache). Both blocks are omitted
-//     in the steady state, so a static v6 stream body re-saves
-//     byte-identically to its v6 form.
+//   - Version 7 adds arm-set elasticity: an optional per-stream "arms"
+//     block persisting the per-arm lifecycle statuses (omitted while
+//     every arm is active) and the delta-sync arm generations (omitted
+//     while no arm was ever reset). The block is omitted in the steady
+//     state, so a static v6 stream body re-saves byte-identically to
+//     its v6 form. Version-7 files written before the recommendation
+//     cache was removed may carry a per-stream "cache" block; Load
+//     ignores it, as it ignores any field it does not know.
 //
 // Load reads versions 1–7 plus the pre-envelope legacy
 // single-recommender format; Save always writes the current version.
@@ -132,12 +131,9 @@ type streamSnap struct {
 	// Dist is the stream's accumulated foreign (fleet-replicated) state
 	// (version 6+); omitted until the stream has merged peer deltas.
 	Dist *distSnap `json:"dist,omitempty"`
-	// Arms is the stream's arm lifecycle state and Cache its
-	// recommendation-cache spec and counters (version 7+); both are
-	// omitted in the steady state (all arms active, no generation
-	// bumps, no cache).
+	// Arms is the stream's arm lifecycle state (version 7+); omitted in
+	// the steady state (all arms active, no generation bumps).
 	Arms       *armsetSnap   `json:"arms,omitempty"`
-	Cache      *cacheSnap    `json:"cache,omitempty"`
 	Shadows    []shadowSnap  `json:"shadows,omitempty"`
 	MaxPending int           `json:"max_pending"`
 	TicketTTL  time.Duration `json:"ticket_ttl_ns"`
@@ -163,17 +159,6 @@ type driftSnap struct {
 type armsetSnap struct {
 	Statuses []string `json:"statuses,omitempty"`
 	Gens     []uint64 `json:"gens,omitempty"`
-}
-
-// cacheSnap is the version-7 wire form of a stream's recommendation
-// cache: its canonical spec plus the lifetime counters. Cached entries
-// themselves are not persisted — a restored replica re-fills its cache
-// from live traffic.
-type cacheSnap struct {
-	Spec         CacheSpec `json:"spec"`
-	Hits         uint64    `json:"hits,omitempty"`
-	Misses       uint64    `json:"misses,omitempty"`
-	Fallthroughs uint64    `json:"fallthroughs,omitempty"`
 }
 
 type serviceSnap struct {
@@ -204,7 +189,7 @@ func (s *Service) Save(w io.Writer) error {
 	var err error
 	for _, st := range streams {
 		var ss streamSnap
-		ss, err = st.snapshotLocked()
+		ss, err = st.snapshotLocked(snap.SavedAt)
 		if err != nil {
 			break
 		}
@@ -221,7 +206,11 @@ func (s *Service) Save(w io.Writer) error {
 	return enc.Encode(snap)
 }
 
-func (st *stream) snapshotLocked() (streamSnap, error) {
+// snapshotLocked captures the stream's state as of now. Tickets past
+// their TTL at now are swept first, so the snapshot neither counts them
+// as pending nor writes them out. Callers hold st.mu.
+func (st *stream) snapshotLocked(now time.Time) (streamSnap, error) {
+	st.ledger.sweep(now)
 	var buf bytes.Buffer
 	if err := st.engine.SaveState(&buf); err != nil {
 		return streamSnap{}, fmt.Errorf("serve: snapshotting stream %q: %w", st.name, err)
@@ -274,7 +263,6 @@ func (st *stream) snapshotLocked() (streamSnap, error) {
 		Drift:        driftRaw,
 		Dist:         st.distSnapLocked(),
 		Arms:         st.armsetSnapLocked(),
-		Cache:        st.cacheSnapLocked(),
 		MaxPending:   st.ledger.cap,
 		TicketTTL:    st.ledger.ttl,
 		NextSeq:      st.nextSeq,
@@ -395,16 +383,6 @@ func (st *stream) restoreArmsetLocked(as *armsetSnap) error {
 	return nil
 }
 
-// cacheSnapLocked returns the stream's persisted cache state, or nil
-// for streams without a cache.
-func (st *stream) cacheSnapLocked() *cacheSnap {
-	if st.cache == nil || st.cacheSpec == nil {
-		return nil
-	}
-	h, m, f := st.cache.Counters()
-	return &cacheSnap{Spec: *st.cacheSpec, Hits: h, Misses: m, Fallthroughs: f}
-}
-
 // SaveStream serialises one stream's engine in its native state format —
 // for Algorithm 1 streams, the legacy single-recommender format
 // (core.SaveState), loadable by both the single-recommender loader and
@@ -499,20 +477,12 @@ func Load(r io.Reader, opts ServiceOptions) (*Service, error) {
 				return nil, fmt.Errorf("serve: restoring adaptation of stream %q: %w", ss.Name, err)
 			}
 		}
-		var cacheSpec *CacheSpec
-		if ss.Cache != nil {
-			spec := ss.Cache.Spec
-			cacheSpec = &spec
-		}
-		if err := s.adopt(ss.Name, eng, sch, rw, adapt, ss.MaxPending, ss.TicketTTL, cacheSpec); err != nil {
+		if err := s.adopt(ss.Name, eng, sch, rw, adapt, ss.MaxPending, ss.TicketTTL); err != nil {
 			return nil, err
 		}
 		st, err := s.stream(ss.Name)
 		if err != nil {
 			return nil, err
-		}
-		if ss.Cache != nil {
-			st.cache.SetCounters(ss.Cache.Hits, ss.Cache.Misses, ss.Cache.Fallthroughs)
 		}
 		if ss.Arms != nil {
 			if err := st.restoreArmsetLocked(ss.Arms); err != nil {

@@ -308,17 +308,33 @@ func TestSnapshotRestoreRejectsCorruptSchema(t *testing.T) {
 
 // stripDriftBlocks removes the version-5 "drift" members — multi-line
 // JSON objects holding the per-arm detector states — from an indented
-// envelope, producing the bytes the v4 writer emitted. Each block opens
-// with a `"drift": {` line and closes at the first `},`/`}` line of the
-// same indentation.
+// envelope, producing the bytes the v4 writer emitted.
 func stripDriftBlocks(t *testing.T, b []byte) []byte {
 	t.Helper()
+	return stripBlocks(t, b, "drift")
+}
+
+// stripCacheBlocks removes the "cache" members that version-7 writers
+// emitted while streams could carry a recommendation cache, producing
+// the bytes the current writer emits for the same streams.
+func stripCacheBlocks(t *testing.T, b []byte) []byte {
+	t.Helper()
+	return stripBlocks(t, b, "cache")
+}
+
+// stripBlocks removes every multi-line object member named key from an
+// indented envelope. Each block opens with a `"key": {` line and closes
+// at the first `},`/`}` line of the same indentation; none may be the
+// last member of its object, or the JSON would keep a trailing comma.
+func stripBlocks(t *testing.T, b []byte, key string) []byte {
+	t.Helper()
+	open := []byte(`"` + key + `": {`)
 	lines := bytes.Split(b, []byte("\n"))
 	var out [][]byte
 	stripped := 0
 	for i := 0; i < len(lines); i++ {
 		trimmed := bytes.TrimLeft(lines[i], " ")
-		if !bytes.HasPrefix(trimmed, []byte(`"drift": {`)) {
+		if !bytes.HasPrefix(trimmed, open) {
 			out = append(out, lines[i])
 			continue
 		}
@@ -331,13 +347,13 @@ func stripDriftBlocks(t *testing.T, b []byte) []byte {
 			}
 		}
 		if j == len(lines) {
-			t.Fatal("unterminated drift block")
+			t.Fatalf("unterminated %s block", key)
 		}
 		i = j // skip the whole block including its closing line
 		stripped++
 	}
 	if stripped == 0 {
-		t.Fatal("no drift blocks found to strip")
+		t.Fatalf("no %s blocks found to strip", key)
 	}
 	return bytes.Join(out, []byte("\n"))
 }

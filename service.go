@@ -124,16 +124,6 @@ type ArmAdd = serve.ArmAdd
 // hardware label, and lifecycle status (active, trial, draining).
 type ArmInfo = serve.ArmInfo
 
-// CacheSpec configures a stream's optional recommendation cache: a
-// bounded context-fingerprint → arm map serving repeated exploit
-// decisions without touching the policy, with an exploration budget
-// that routes a fraction of would-be hits back to it.
-type CacheSpec = serve.CacheSpec
-
-// CacheInfo is the live state of a stream's recommendation cache
-// (configuration, size, and hit/miss/fall-through counters).
-type CacheInfo = serve.CacheInfo
-
 // Ticket records one issued recommendation; its ID redeems it via
 // Service.Observe.
 type Ticket = serve.Ticket
@@ -185,8 +175,8 @@ var (
 func NewService(opts ServiceOptions) *Service { return serve.NewService(opts) }
 
 // LoadService restores a service from a snapshot written by
-// Service.Save — the current version-7 envelope (arm lifecycle states
-// and recommendation-cache specs) or any earlier envelope version
+// Service.Save — the current version-7 envelope (arm lifecycle states)
+// or any earlier envelope version
 // (6: fleet-merge bookkeeping, 5: adaptation specs and drift-detector
 // state, 4: reward specs and outcome aggregates, 3: feature schemas,
 // 2: policy-typed streams and shadows, 1: pre-policy). It also accepts

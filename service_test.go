@@ -396,7 +396,6 @@ func TestServiceArmLifecycleFacade(t *testing.T) {
 	svc := NewService(ServiceOptions{})
 	if err := svc.CreateStream("jobs", StreamConfig{
 		Hardware: serviceHW(t), Dim: 1, Options: Options{Seed: 3},
-		Cache: &CacheSpec{Capacity: 64},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +466,7 @@ func TestServiceArmLifecycleFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Cache == nil || info.Cache.Capacity != 64 {
-		t.Fatalf("restored cache info: %+v", info.Cache)
+	if len(info.Hardware) != 3 || info.ArmStates != nil {
+		t.Fatalf("restored stream after retire: hardware %v, arm states %v", info.Hardware, info.ArmStates)
 	}
 }
