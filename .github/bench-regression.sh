@@ -12,19 +12,21 @@
 #   base-ref defaults to origin/main (or GITHUB_BASE_REF when set).
 # Environment knobs:
 #   BENCH_PATTERN  benchmark regexp  (default: the serve hot-path set,
-#                  the per-policy RecommendObserveSeqPolicies cycle and
-#                  the full-ledger RecommendObserveFullLedger cycle)
+#                  the per-policy RecommendObserveSeqPolicies cycle, the
+#                  full-ledger RecommendObserveFullLedger cycle and the
+#                  schema's validate + encode, SchemaEncode)
 #   BENCH_COUNT    repetitions       (default 6)
 #   BENCH_TIME     -benchtime value  (default 20000x — fixed iteration
 #                  counts keep run lengths comparable across builds)
 #   BENCH_PKGS     packages to bench (default: the root package, which
-#                  holds BenchmarkRecommendCtx/BenchmarkObserveOutcome,
+#                  holds BenchmarkRecommendCtx/BenchmarkObserveOutcome/
+#                  BenchmarkSchemaEncode,
 #                  plus ./internal/serve/ with the contention set)
 set -euo pipefail
 
 base_ref=${1:-${GITHUB_BASE_REF:+origin/$GITHUB_BASE_REF}}
 base_ref=${base_ref:-origin/main}
-pattern=${BENCH_PATTERN:-'ParallelRecommendObserve|RecommendCtx$|ObserveOutcome$|RecommendObserveSeqPolicies|RecommendObserveFullLedger'}
+pattern=${BENCH_PATTERN:-'ParallelRecommendObserve|RecommendCtx$|ObserveOutcome$|RecommendObserveSeqPolicies|RecommendObserveFullLedger|SchemaEncode$'}
 count=${BENCH_COUNT:-6}
 benchtime=${BENCH_TIME:-20000x}
 pkgs=${BENCH_PKGS:-'./ ./internal/serve/'}

@@ -5,12 +5,10 @@
 // one or both serving targets:
 //
 //   - inproc: a banditware.Service in the same process (engine +
-//     registry + ledger cost, no transport);
-//   - hotpath: the same in-process Service driven through the
+//     registry + ledger cost, no transport), driven through the
 //     zero-allocation API (RecommendInto / RecommendCtxInto with pooled
 //     tickets and context maps, seq-keyed observes) — the serving-layer
-//     capacity ceiling. BENCH_serve_hotpath.json at the repo root is
-//     the pinned-seed hotpath baseline;
+//     capacity ceiling;
 //   - http: the HTTP front-end over a real loopback socket, self-hosted
 //     with the hardened production server (or an external server via
 //     -addr);
@@ -54,7 +52,6 @@
 //
 //	bwload -quick                               # CI smoke: both targets, seconds
 //	bwload -target inproc -n 200000 -conc 8     # capacity run
-//	bwload -target hotpath                      # zero-alloc API ceiling
 //	bwload -target http -mode open -qps 2000    # latency under offered load
 //	bwload -target fleet -quick                 # scale-out fleet through the router
 //	bwload -target fleet -chaos -quick          # CI chaos smoke: kill+restart mid-run
@@ -87,7 +84,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("bwload", flag.ExitOnError)
-	target := fs.String("target", "both", "serving target: inproc, hotpath, http, fleet, or both")
+	target := fs.String("target", "both", "serving target: inproc, http, fleet, or both")
 	fleetN := fs.Int("fleet", 3, "replica count for -target fleet")
 	chaos := fs.Bool("chaos", false, "with -target fleet: kill a replica a third of the way through the trace and restart it at two thirds (errors in the failover window are counted, not fatal)")
 	churn := fs.Bool("churn", false, "run the arm-churn drill inside the measured run: add a warm-started hardware arm to every stream a quarter of the way through the trace, drain it at half, retire it at three quarters")
@@ -137,8 +134,8 @@ func run(args []string) error {
 	if *addr != "" {
 		*target = "http"
 	}
-	if *target != "inproc" && *target != "hotpath" && *target != "http" && *target != "fleet" && *target != "both" {
-		return fmt.Errorf("unknown -target %q (want inproc, hotpath, http, fleet, both)", *target)
+	if *target != "inproc" && *target != "http" && *target != "fleet" && *target != "both" {
+		return fmt.Errorf("unknown -target %q (want inproc, http, fleet, both)", *target)
 	}
 	if *chaos && *target != "fleet" {
 		return fmt.Errorf("-chaos needs -target fleet")
@@ -332,8 +329,6 @@ func makeTarget(name, addr string, fleetN int, chaos bool) (loadgen.Target, erro
 	switch name {
 	case "inproc":
 		return loadgen.NewInProc(), nil
-	case "hotpath":
-		return loadgen.NewHotPath(), nil
 	case "http":
 		if addr != "" {
 			return loadgen.NewHTTP(addr), nil

@@ -103,4 +103,7 @@ func (p plainTarget) RecommendRaw(stream string, op *Op) (Decision, error) {
 func (p plainTarget) Observe(ticket string, runtime float64) error {
 	return p.t.Observe(ticket, runtime)
 }
+func (p plainTarget) ObserveSeq(stream string, seq uint64, runtime float64) error {
+	return p.t.ObserveSeq(stream, seq, runtime)
+}
 func (p plainTarget) Close() error { return p.t.Close() }

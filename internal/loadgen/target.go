@@ -7,17 +7,19 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"banditware/internal/core"
+	"banditware/internal/schema"
 	"banditware/internal/serve"
 )
 
 // Decision is the part of a recommendation a load-generator worker
 // needs to continue the session: the ticket to redeem and the arm whose
-// pre-sampled runtime to report. Hot-path targets leave Ticket empty
-// and identify the ticket by (Stream, Seq) instead — the driver then
-// redeems through the target's SeqObserver.
+// pre-sampled runtime to report. The in-process target leaves Ticket
+// empty and identifies the ticket by (Stream, Seq) instead — the driver
+// then redeems through the target's SeqObserver.
 type Decision struct {
 	Ticket string
 	Arm    int
@@ -59,14 +61,28 @@ func streamOptions(traceSeed uint64, streamIdx int) core.Options {
 
 // InProc targets a banditware Service in the same process — the
 // serving layer with zero transport cost, isolating engine + registry +
-// ledger latency.
+// ledger latency. It drives the zero-allocation API: RecommendInto /
+// RecommendCtxInto with pooled caller-owned tickets and pooled
+// named-context maps, and seq-keyed observes that never render or parse
+// a ticket-ID string.
 type InProc struct {
 	Service *serve.Service
+	// tickets holds *serve.Ticket values workers borrow for the duration
+	// of one recommend; the Predicted backing array survives recycling.
+	tickets sync.Pool
+	// ctxs holds *schema.Context values with reusable Numeric maps,
+	// cleared and refilled per request.
+	ctxs sync.Pool
 }
 
 // NewInProc builds an in-process target around a fresh Service.
 func NewInProc() *InProc {
-	return &InProc{Service: serve.NewService(serve.ServiceOptions{})}
+	t := &InProc{Service: serve.NewService(serve.ServiceOptions{})}
+	t.tickets.New = func() any { return new(serve.Ticket) }
+	t.ctxs.New = func() any {
+		return &schema.Context{Numeric: make(map[string]float64, 16)}
+	}
+	return t
 }
 
 func (t *InProc) Name() string { return "inproc" }
@@ -86,23 +102,44 @@ func (t *InProc) Setup(tr *Trace) error {
 }
 
 func (t *InProc) Recommend(stream string, op *Op, tr *Trace) (Decision, error) {
-	tk, err := t.Service.RecommendCtx(stream, tr.Context(op))
+	ctx := t.ctxs.Get().(*schema.Context)
+	clear(ctx.Numeric)
+	for i, n := range tr.FeatureNames {
+		ctx.Numeric[n] = op.Features[i]
+	}
+	tk := t.tickets.Get().(*serve.Ticket)
+	err := t.Service.RecommendCtxInto(stream, *ctx, tk)
+	d := Decision{Stream: stream, Arm: tk.Arm, Seq: tk.Seq}
+	t.tickets.Put(tk)
+	t.ctxs.Put(ctx)
 	if err != nil {
 		return Decision{}, err
 	}
-	return Decision{Ticket: tk.ID, Arm: tk.Arm}, nil
+	return d, nil
 }
 
 func (t *InProc) RecommendRaw(stream string, op *Op) (Decision, error) {
-	tk, err := t.Service.Recommend(stream, op.Features)
+	tk := t.tickets.Get().(*serve.Ticket)
+	err := t.Service.RecommendInto(stream, op.Features, tk)
+	d := Decision{Stream: stream, Arm: tk.Arm, Seq: tk.Seq}
+	t.tickets.Put(tk)
 	if err != nil {
 		return Decision{}, err
 	}
-	return Decision{Ticket: tk.ID, Arm: tk.Arm}, nil
+	return d, nil
 }
 
+// Observe satisfies the Target interface for tickets that do carry an
+// ID (none issued by this target do); the driver routes this target's
+// observes through ObserveSeq.
 func (t *InProc) Observe(ticket string, runtime float64) error {
 	return t.Service.Observe(ticket, runtime)
+}
+
+// ObserveSeq redeems a ticket by (stream, seq) — the allocation-free
+// observe the driver prefers when a decision carries no ID string.
+func (t *InProc) ObserveSeq(stream string, seq uint64, runtime float64) error {
+	return t.Service.ObserveSeq(stream, seq, runtime)
 }
 
 func (t *InProc) Close() error { return nil }

@@ -258,16 +258,6 @@ func sampleIndex(cum []float64, u float64) int {
 	return i
 }
 
-// Context returns op's features as a named schema context (the wire
-// form the schema'd serving path consumes).
-func (t *Trace) Context(op *Op) schema.Context {
-	m := make(map[string]float64, len(t.FeatureNames))
-	for i, n := range t.FeatureNames {
-		m[n] = op.Features[i]
-	}
-	return schema.Num(m)
-}
-
 // StreamCounts tallies how many ops target each stream.
 func (t *Trace) StreamCounts() []int {
 	counts := make([]int, len(t.Streams))

@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"banditware/internal/hardware"
@@ -139,24 +138,30 @@ func (o Outcome) Validate() error {
 	if len(o.Metrics) == 0 {
 		return nil
 	}
-	// Deterministic error order for multi-metric outcomes.
-	names := make([]string, 0, len(o.Metrics))
-	for name := range o.Metrics {
-		names = append(names, name)
+	// One pass, no allocation: the error names the lexicographically
+	// smallest bad metric, so multi-metric errors are deterministic.
+	bad, reason := "", ""
+	for name, v := range o.Metrics {
+		if bad != "" && name >= bad {
+			continue
+		}
+		switch {
+		case !knownMetric(name):
+			bad, reason = name, "unknown"
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			bad, reason = name, "non-finite"
+		case v < 0:
+			bad, reason = name, "negative"
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := o.Metrics[name]
-		if !knownMetric(name) {
-			return fmt.Errorf("%w: unknown metric %q (known: %s)",
-				ErrBadOutcome, name, strings.Join(KnownMetrics(), ", "))
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: non-finite metric %q", ErrBadOutcome, name)
-		}
-		if v < 0 {
-			return fmt.Errorf("%w: negative metric %q = %g", ErrBadOutcome, name, v)
-		}
+	switch reason {
+	case "unknown":
+		return fmt.Errorf("%w: unknown metric %q (known: %s)",
+			ErrBadOutcome, bad, strings.Join(KnownMetrics(), ", "))
+	case "non-finite":
+		return fmt.Errorf("%w: non-finite metric %q", ErrBadOutcome, bad)
+	case "negative":
+		return fmt.Errorf("%w: negative metric %q = %g", ErrBadOutcome, bad, o.Metrics[bad])
 	}
 	return nil
 }

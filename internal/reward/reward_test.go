@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"banditware/internal/hardware"
@@ -135,6 +136,35 @@ func TestOutcomeValidate(t *testing.T) {
 		if err := o.Validate(); !errors.Is(err, ErrBadOutcome) {
 			t.Fatalf("Validate(%+v) = %v, want ErrBadOutcome", o, err)
 		}
+	}
+}
+
+// TestOutcomeValidateNamesSmallestBadMetric: whatever order the map
+// ranges in, the error names the lexicographically smallest bad metric
+// with that metric's reason, and a valid outcome allocates nothing.
+func TestOutcomeValidateNamesSmallestBadMetric(t *testing.T) {
+	cases := []struct {
+		metrics map[string]float64
+		want    string
+	}{
+		{map[string]float64{MetricQueueSeconds: -1, "zz": 1, MetricCostUSD: math.Inf(1), MetricMemoryGB: 1},
+			`non-finite metric "cost_usd"`},
+		{map[string]float64{MetricQueueSeconds: -1, MetricMemoryGB: 2, MetricEnergyJoules: 3},
+			`negative metric "queue_seconds" = -1`},
+		{map[string]float64{"b": -1, "a": math.NaN(), MetricCostUSD: -1},
+			`unknown metric "a"`},
+	}
+	for _, c := range cases {
+		for i := 0; i < 50; i++ {
+			err := Outcome{Runtime: 1, Metrics: c.metrics}.Validate()
+			if !errors.Is(err, ErrBadOutcome) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate(%v) = %v, want ErrBadOutcome naming %s", c.metrics, err, c.want)
+			}
+		}
+	}
+	good := Outcome{Runtime: 1, Metrics: map[string]float64{MetricMemoryGB: 3.5, MetricCostUSD: 0.02, MetricQueueSeconds: 4}}
+	if n := testing.AllocsPerRun(100, func() { _ = good.Validate() }); n != 0 {
+		t.Fatalf("valid outcome: %v allocs/op, want 0", n)
 	}
 }
 

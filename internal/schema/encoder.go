@@ -1,144 +1,15 @@
 package schema
 
-import "math"
-
-// Encoder is a schema compiled for the serving hot path: category
-// index maps and field layout are resolved once at stream create (or
-// snapshot load) so the per-request encode performs only map lookups
-// and appends — no per-call scratch maps, no slices beyond the
-// caller's reused output buffer.
-//
-// An Encoder shares the Schema it was compiled from: EncodeInto folds
-// values into the same live normalization statistics Encode would, so
-// the two paths are interchangeable mid-stream. Like the Schema
-// itself, an Encoder is not goroutine-safe; the serving layer guards
-// it with the stream mutex. Compile again after replacing the schema.
+// Encoder forwards to its schema's EncodeInto, the one validate and
+// encode path, and holds nothing but the schema.
 type Encoder struct {
-	s      *Schema
-	fields []encField
+	s *Schema
 }
 
-// encField caches one field's per-request lookup state.
-type encField struct {
-	fi  int            // index into s.Fields (stable under stat updates)
-	cat map[string]int // category → one-hot slot, categorical fields only
-}
+// Compile returns the Encoder for s.
+func (s *Schema) Compile() *Encoder { return &Encoder{s: s} }
 
-// Compile builds the Encoder for a validated schema.
-func (s *Schema) Compile() *Encoder {
-	e := &Encoder{s: s, fields: make([]encField, len(s.Fields))}
-	for i := range s.Fields {
-		ef := encField{fi: i}
-		f := &s.Fields[i]
-		if f.kind() == KindCategorical {
-			ef.cat = make(map[string]int, len(f.Categories))
-			for j, c := range f.Categories {
-				ef.cat[c] = j
-			}
-		}
-		e.fields[i] = ef
-	}
-	return e
-}
-
-// Schema returns the schema this encoder was compiled from.
-func (e *Encoder) Schema() *Schema { return e.s }
-
-// EncodeInto validates ctx and appends its encoding to out (typically
-// a reused buffer sliced to out[:0]), folding present numeric values
-// into the running normalization statistics exactly as Encode does.
-// The valid steady state allocates nothing; any violation falls back
-// to the full ValidateContext pass, so the returned error is identical
-// to Encode's.
+// EncodeInto is Schema.EncodeInto on the encoder's schema.
 func (e *Encoder) EncodeInto(ctx Context, out []float64) ([]float64, error) {
-	if !e.valid(ctx) {
-		err := e.s.ValidateContext(ctx)
-		if err == nil {
-			// Unreachable by construction (valid only rejects contexts
-			// ValidateContext rejects), but never mask a violation.
-			return e.s.Encode(ctx)
-		}
-		return nil, err
-	}
-	for i := range e.fields {
-		ef := &e.fields[i]
-		f := &e.s.Fields[ef.fi]
-		if ef.cat == nil {
-			v, ok := ctx.Numeric[f.Name]
-			if !ok {
-				if f.Default == nil {
-					// Absent with no default: encode 0 without skewing the
-					// normalization statistics with invented data.
-					out = append(out, 0)
-					continue
-				}
-				v = *f.Default
-			}
-			out = append(out, f.normalize(v))
-			continue
-		}
-		c, ok := ctx.Categorical[f.Name]
-		if !ok {
-			c = f.DefaultCategory // "" selects no category: all zeros
-		}
-		base := len(out)
-		for range f.Categories {
-			out = append(out, 0)
-		}
-		if j, ok := ef.cat[c]; ok {
-			out[base+j] = 1
-		}
-	}
-	return out, nil
-}
-
-// valid reports whether ctx passes schema validation, allocating
-// nothing. It returns false exactly when ValidateContext returns an
-// error: every per-field rule is checked directly, and unknown fields
-// are detected by counting — if every context entry matched a declared
-// field of the right type, none can be unknown.
-func (e *Encoder) valid(ctx Context) bool {
-	matched := 0
-	for i := range e.fields {
-		ef := &e.fields[i]
-		f := &e.s.Fields[ef.fi]
-		if ef.cat == nil {
-			if _, clash := ctx.Categorical[f.Name]; clash {
-				return false
-			}
-			v, ok := ctx.Numeric[f.Name]
-			if !ok {
-				if f.Required {
-					return false
-				}
-				continue
-			}
-			matched++
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-			if f.Min != nil && v < *f.Min {
-				return false
-			}
-			if f.Max != nil && v > *f.Max {
-				return false
-			}
-			continue
-		}
-		if _, clash := ctx.Numeric[f.Name]; clash {
-			return false
-		}
-		c, ok := ctx.Categorical[f.Name]
-		if !ok {
-			if f.Required {
-				return false
-			}
-			continue
-		}
-		matched++
-		if _, known := ef.cat[c]; !known {
-			return false
-		}
-	}
-	return matched == len(ctx.Numeric)+len(ctx.Categorical)
+	return e.s.EncodeInto(ctx, out)
 }

@@ -180,6 +180,16 @@ func (f *Field) width() int {
 	return 1
 }
 
+// category returns c's index in the field's category set, or -1.
+func (f *Field) category(c string) int {
+	for j, cat := range f.Categories {
+		if cat == c {
+			return j
+		}
+	}
+	return -1
+}
+
 // normalize folds v into the field's running statistics and returns the
 // normalized value.
 func (f *Field) normalize(v float64) float64 {
@@ -376,22 +386,33 @@ func (s *Schema) Clone() *Schema {
 // normalization state. It returns nil or a *ValidationError listing
 // every violation: unknown fields, missing required fields, values
 // outside bounds, non-finite values, type mismatches, and unknown
-// categories.
+// categories. A valid context allocates nothing: unknown fields are
+// found by counting the context entries that matched a declared field,
+// and only a context with unmatched entries pays for the name lookup
+// that lists them.
 func (s *Schema) ValidateContext(ctx Context) error {
 	var errs []*FieldError
 	fail := func(name, format string, args ...any) {
 		errs = append(errs, &FieldError{Field: name, Reason: fmt.Sprintf(format, args...)})
 	}
+	matched := 0
 	for i := range s.Fields {
 		f := &s.Fields[i]
+		v, isNum := ctx.Numeric[f.Name]
+		c, isCat := ctx.Categorical[f.Name]
+		if isNum {
+			matched++
+		}
+		if isCat {
+			matched++
+		}
 		switch f.kind() {
 		case KindNumeric:
-			if _, clash := ctx.Categorical[f.Name]; clash {
+			if isCat {
 				fail(f.Name, "expected a number, got a string")
 				continue
 			}
-			v, ok := ctx.Numeric[f.Name]
-			if !ok {
+			if !isNum {
 				if f.Required {
 					fail(f.Name, "required field missing")
 				}
@@ -408,47 +429,41 @@ func (s *Schema) ValidateContext(ctx Context) error {
 				fail(f.Name, "value %g above maximum %g", v, *f.Max)
 			}
 		case KindCategorical:
-			if _, clash := ctx.Numeric[f.Name]; clash {
+			if isNum {
 				fail(f.Name, "expected a category string, got a number")
 				continue
 			}
-			c, ok := ctx.Categorical[f.Name]
-			if !ok {
+			if !isCat {
 				if f.Required {
 					fail(f.Name, "required field missing")
 				}
 				continue
 			}
-			known := false
-			for _, cat := range f.Categories {
-				if cat == c {
-					known = true
-					break
-				}
-			}
-			if !known {
+			if f.category(c) < 0 {
 				fail(f.Name, "unknown category %q (known: %s)", c, strings.Join(f.Categories, ", "))
 			}
 		}
 	}
-	declared := make(map[string]bool, len(s.Fields))
-	for i := range s.Fields {
-		declared[s.Fields[i].Name] = true
-	}
-	var unknown []string
-	for k := range ctx.Numeric {
-		if !declared[k] {
-			unknown = append(unknown, k)
+	if matched != len(ctx.Numeric)+len(ctx.Categorical) {
+		declared := make(map[string]bool, len(s.Fields))
+		for i := range s.Fields {
+			declared[s.Fields[i].Name] = true
 		}
-	}
-	for k := range ctx.Categorical {
-		if !declared[k] {
-			unknown = append(unknown, k)
+		var unknown []string
+		for k := range ctx.Numeric {
+			if !declared[k] {
+				unknown = append(unknown, k)
+			}
 		}
-	}
-	sort.Strings(unknown)
-	for _, k := range unknown {
-		fail(k, "unknown field")
+		for k := range ctx.Categorical {
+			if !declared[k] {
+				unknown = append(unknown, k)
+			}
+		}
+		sort.Strings(unknown)
+		for _, k := range unknown {
+			fail(k, "unknown field")
+		}
 	}
 	if len(errs) == 0 {
 		return nil
@@ -456,29 +471,26 @@ func (s *Schema) ValidateContext(ctx Context) error {
 	return &ValidationError{fields: errs}
 }
 
-// Encode validates ctx and encodes it into the schema's vector layout,
-// folding each present (or defaulted) numeric value into that field's
-// running normalization statistics. The encoding is deterministic:
-// declared field order, one slot per numeric field, one one-hot block
-// per categorical field.
+// Encode validates ctx and encodes it into a fresh vector in the
+// schema's layout — EncodeInto with a new buffer.
 func (s *Schema) Encode(ctx Context) ([]float64, error) {
+	return s.EncodeInto(ctx, make([]float64, 0, s.EncodedDim()))
+}
+
+// EncodeInto validates ctx and appends its encoding to out (typically
+// a reused buffer sliced to out[:0]), folding each present (or
+// defaulted) numeric value into that field's running normalization
+// statistics. The encoding is deterministic: declared field order, one
+// slot per numeric field, one one-hot block per categorical field. A
+// rejected context advances no statistic, and a valid one allocates
+// nothing beyond growing out.
+func (s *Schema) EncodeInto(ctx Context, out []float64) ([]float64, error) {
 	if err := s.ValidateContext(ctx); err != nil {
 		return nil, err
 	}
-	return s.EncodeValidated(ctx), nil
-}
-
-// EncodeValidated encodes a context the caller has already checked with
-// ValidateContext, skipping re-validation — the second phase of the
-// batch pattern (validate every item, then encode every item) so
-// validation is not paid twice per item under the stream lock. The
-// result is unspecified for contexts ValidateContext would reject.
-func (s *Schema) EncodeValidated(ctx Context) []float64 {
-	out := make([]float64, 0, s.EncodedDim())
 	for i := range s.Fields {
 		f := &s.Fields[i]
-		switch f.kind() {
-		case KindNumeric:
+		if f.kind() == KindNumeric {
 			v, ok := ctx.Numeric[f.Name]
 			if !ok {
 				if f.Default == nil {
@@ -490,21 +502,22 @@ func (s *Schema) EncodeValidated(ctx Context) []float64 {
 				v = *f.Default
 			}
 			out = append(out, f.normalize(v))
-		case KindCategorical:
-			c, ok := ctx.Categorical[f.Name]
-			if !ok {
-				c = f.DefaultCategory // "" selects no category: all zeros
-			}
-			for _, cat := range f.Categories {
-				if cat == c {
-					out = append(out, 1)
-				} else {
-					out = append(out, 0)
-				}
+			continue
+		}
+		c, ok := ctx.Categorical[f.Name]
+		if !ok {
+			c = f.DefaultCategory // "" selects no category: all zeros
+		}
+		hot := f.category(c)
+		for j := range f.Categories {
+			if j == hot {
+				out = append(out, 1)
+			} else {
+				out = append(out, 0)
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Context is one workflow's named feature values: numbers for numeric

@@ -327,3 +327,61 @@ func TestFromMapTypes(t *testing.T) {
 		t.Fatal("slice value accepted")
 	}
 }
+
+// TestEncodeIntoOnePath: EncodeInto is the one validate + encode path.
+// A valid context allocates nothing beyond the caller's buffer and
+// encodes exactly as Encode does; a context with an unknown field is
+// rejected with the same error ValidateContext reports, and leaves the
+// normalization statistics untouched.
+func TestEncodeIntoOnePath(t *testing.T) {
+	s := testSchema(t)
+	ref := s.Clone()
+	ctx := Context{
+		Numeric:     map[string]float64{"size": 40, "cpu": 3},
+		Categorical: map[string]string{"site": "nautilus"},
+	}
+	buf := make([]float64, 0, s.EncodedDim())
+	for i := 0; i < 3; i++ {
+		got, err := s.EncodeInto(ctx, buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Encode(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("EncodeInto = %v, Encode = %v", got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.EncodeInto(ctx, buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("EncodeInto of a valid context: %v allocs/op, want 0", allocs)
+	}
+
+	statsBefore, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := Context{
+		Numeric:     map[string]float64{"size": 40, "bogus": 1},
+		Categorical: map[string]string{"site": "local"},
+	}
+	_, err = s.EncodeInto(bad, buf[:0])
+	if err == nil || err.Error() != s.ValidateContext(bad).Error() {
+		t.Fatalf("EncodeInto error %v, ValidateContext error %v", err, s.ValidateContext(bad))
+	}
+	if !strings.Contains(err.Error(), `field "bogus": unknown field`) {
+		t.Fatalf("unknown field not reported: %v", err)
+	}
+	statsAfter, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(statsBefore) != string(statsAfter) {
+		t.Fatalf("rejected context moved the statistics:\n%s\n%s", statsBefore, statsAfter)
+	}
+}

@@ -158,6 +158,9 @@ func (st *stream) addArmLocked(cfg hardware.Config, warm armset.Warm, weight flo
 	if err := grown.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadArmRequest, err)
 	}
+	if err := checkShape(len(grown), st.engine.Dim()); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadArmRequest, err)
+	}
 	// The warm mass is resolved before the arm set changes: nearest-
 	// neighbor distance and the pooled average run over the pre-add set.
 	warmMass, haveWarm := st.warmMassLocked(cfg, warm, weight)

@@ -184,6 +184,29 @@ func defaulted(v, def float64) float64 {
 // for it. The paper's workloads use a handful of features.
 const maxDim = 1024
 
+// maxModelCells bounds an engine's model state: arms × (dim+1)², the
+// entries of the (dim+1)² factor a linear model keeps per arm. 1<<22
+// entries is 32 MiB of factors — three arms at maxDim, 256 at dim 127.
+// A stream's arm count comes from outside (a create request's hardware
+// list, one AddArm per request), so the shape is checked before
+// anything is built for it. A snapshot is not checked: its policy is
+// already sized by its own payload, and a stream saved before the bound
+// existed must still load.
+const maxModelCells = 1 << 22
+
+// checkShape rejects a feature dimension over maxDim and an engine
+// shape whose model state would exceed maxModelCells.
+func checkShape(arms, dim int) error {
+	if dim > maxDim {
+		return fmt.Errorf("serve: feature dimension %d exceeds the maximum %d", dim, maxDim)
+	}
+	if cells := (dim + 1) * (dim + 1); dim >= 0 && arms > maxModelCells/cells {
+		return fmt.Errorf("serve: %d arms at feature dimension %d exceed the model-state bound: arms × (dim+1)² must not exceed %d",
+			arms, dim, maxModelCells)
+	}
+	return nil
+}
+
 // newEngine builds the engine a stream (or shadow) serves from. opts
 // parameterises Algorithm 1 and is ignored by the other policies, which
 // take their parameters from spec. adapt (already canonical — see
@@ -192,9 +215,16 @@ const maxDim = 1024
 // policy.Linear.SetAdaptation; policies without models (random) reject
 // any mode but "none".
 func newEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, adapt AdaptSpec) (Engine, error) {
-	if dim > maxDim {
-		return nil, fmt.Errorf("serve: feature dimension %d exceeds the maximum %d", dim, maxDim)
+	if err := checkShape(len(hw), dim); err != nil {
+		return nil, err
 	}
+	return buildEngine(hw, dim, opts, spec, adapt)
+}
+
+// buildEngine is newEngine without the shape check; only the restore
+// path calls it directly, after checking the dimension alone (see
+// maxModelCells).
+func buildEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, adapt AdaptSpec) (Engine, error) {
 	kind, err := spec.kind()
 	if err != nil {
 		return nil, err
@@ -447,7 +477,11 @@ func restorePolicyEngine(data []byte) (*policyEngine, error) {
 	// policy it wraps: build the policy the envelope promises and compare
 	// the headers, so a state that contradicts itself is rejected
 	// instead of serving one policy under another's name or shape.
-	want, err := newEngine(st.Hardware, st.Dim, core.Options{}, st.Spec, defaultAdapt())
+	// Zero arms: the dimension is bounded, the model state is not.
+	if err := checkShape(0, st.Dim); err != nil {
+		return nil, fmt.Errorf("serve: corrupt engine state: %w", err)
+	}
+	want, err := buildEngine(st.Hardware, st.Dim, core.Options{}, st.Spec, defaultAdapt())
 	if err != nil {
 		return nil, fmt.Errorf("serve: corrupt engine state: %w", err)
 	}

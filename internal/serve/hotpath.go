@@ -2,27 +2,26 @@ package serve
 
 import "banditware/internal/schema"
 
-// Zero-allocation serving API.
+// The serving primitives.
 //
-// The classic Recommend/Observe pair allocates per call by contract: a
-// fresh Ticket with its own Predicted slice and a rendered ID string.
-// The *Into / *Seq variants below keep those contracts out of the hot
-// path: the caller owns one Ticket and hands it back every call (its
-// Predicted backing array is reused), the ticket identity travels as
-// the integer Seq instead of a formatted string, and observes key by
-// (stream, seq) directly. On a warmed stream the full
-// RecommendInto → ObserveSeq cycle allocates nothing
-// (pinned by alloc_test.go).
+// RecommendInto, RecommendCtxInto and ObserveSeqOutcome are the
+// request path: the caller owns one Ticket and hands it back every
+// call (its Predicted backing array is reused), the ticket identity
+// travels as the integer Seq, and observes key by (stream, seq). On a
+// warmed stream the full RecommendInto → ObserveSeq cycle allocates
+// nothing (pinned by alloc_test.go).
 //
-// The two APIs are interchangeable mid-stream: RecommendInto consumes
-// exploration randomness exactly like Recommend, and a ticket issued by
-// either can be redeemed by ObserveOutcome (by ID) or ObserveSeqOutcome
-// (by Seq — every tracked Ticket carries it).
+// The ticket forms built on them wrap them: Recommend and RecommendCtx
+// issue into a fresh Ticket and render its ID, ObserveOutcome parses an
+// ID into (stream, seq), and Observe and ObserveSeq map a bare runtime
+// to the default Outcome. The batch forms take the stream lock once and
+// run the same issueLocked and observeTicketLocked per item. A ticket
+// from any recommend form redeems through any observe form.
 
-// RecommendInto is Recommend writing into a caller-reused Ticket: every
-// field is (re)set, t.Predicted's backing array is reused, and the ID
-// string is not rendered — t.ID is "" and t.Seq carries the ticket
-// identity for ObserveSeq. Callers that need the string ID use
+// RecommendInto issues a decision ticket into a caller-reused Ticket:
+// every field is (re)set, t.Predicted's backing array is reused, and
+// the ID string is not rendered — t.ID is "" and t.Seq carries the
+// ticket identity for ObserveSeq. Callers that need the string ID use
 // Recommend.
 func (s *Service) RecommendInto(name string, x []float64, t *Ticket) error {
 	st, err := s.stream(name)
@@ -31,12 +30,12 @@ func (s *Service) RecommendInto(name string, x []float64, t *Ticket) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.recommendIntoLocked(s.now(), x, t, true, false)
+	return st.issueLocked(s.now(), x, t)
 }
 
-// RecommendCtxInto is RecommendCtx writing into a caller-reused Ticket:
-// the context is validated and encoded by the stream's compiled encoder
-// into a stream-retained scratch buffer, then served exactly like
+// RecommendCtxInto is RecommendInto for a named context: the context is
+// validated and encoded against the stream's schema into a
+// stream-retained scratch buffer, then served exactly like
 // RecommendInto.
 func (s *Service) RecommendCtxInto(name string, ctx schema.Context, t *Ticket) error {
 	st, err := s.stream(name)
@@ -45,29 +44,33 @@ func (s *Service) RecommendCtxInto(name string, ctx schema.Context, t *Ticket) e
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	x, err := st.enc.EncodeInto(ctx, st.encScratch[:0])
+	x, err := st.encodeLocked(ctx)
 	if err != nil {
 		return err
 	}
-	st.encScratch = x
-	return st.recommendIntoLocked(s.now(), x, t, true, false)
+	return st.issueLocked(s.now(), x, t)
 }
 
 // ObserveSeqOutcome redeems a ticket by its sequence number (Ticket.Seq)
-// — ObserveOutcome without the ID round-trip. Semantics are identical:
-// the outcome is validated before the ticket is resolved, and each
-// ticket redeems exactly once.
+// with a structured Outcome. The outcome is validated before the ticket
+// is resolved, and each ticket redeems exactly once.
 func (s *Service) ObserveSeqOutcome(name string, seq uint64, o Outcome) error {
 	if err := validateOutcome(o); err != nil {
 		return err
 	}
+	return s.redeem(name, seq, o)
+}
+
+// redeem is ObserveSeqOutcome past its validation: every caller has
+// already validated o at its public entry point.
+func (s *Service) redeem(name string, seq uint64, o Outcome) error {
 	st, err := s.stream(name)
 	if err != nil {
 		return err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.observeTicketLocked(s.now(), "", seq, o)
+	return st.observeTicketLocked(s.now(), seq, o)
 }
 
 // ObserveSeq redeems a ticket by sequence number with a bare runtime —

@@ -642,27 +642,30 @@ func handleObserve(svc *Service, w http.ResponseWriter, r *http.Request, streamN
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	// Observation validity first (422), then ticket shape, then the
+	// ticket's stream — the order every observe path keeps.
 	o, err := req.outcome()
+	if err == nil {
+		err = validateOutcome(o)
+	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	switch {
 	case req.Ticket != "":
-		if streamName != "" {
-			owner, _, err := ParseTicketID(req.Ticket)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			if owner != streamName {
-				writeJSON(w, http.StatusBadRequest, errorResponse{
-					Error: fmt.Sprintf("ticket %q belongs to stream %q, not %q", req.Ticket, owner, streamName),
-				})
-				return
-			}
+		owner, seq, err := ParseTicketID(req.Ticket)
+		if err != nil {
+			writeError(w, err)
+			return
 		}
-		if err := svc.ObserveOutcome(req.Ticket, o); err != nil {
+		if streamName != "" && owner != streamName {
+			writeJSON(w, http.StatusBadRequest, errorResponse{
+				Error: fmt.Sprintf("ticket %q belongs to stream %q, not %q", req.Ticket, owner, streamName),
+			})
+			return
+		}
+		if err := svc.redeem(owner, seq, o); err != nil {
 			writeError(w, err)
 			return
 		}

@@ -95,9 +95,10 @@ func TestObserveErrorConsistency(t *testing.T) {
 }
 
 // TestHTTPObserveErrorConsistency drives the same matrix over HTTP: the
-// single route answers 422 for every malformed observation (whatever
-// the ticket), and the batch route reports the identical error text at
-// the item's index.
+// top-level and stream-scoped single routes answer 422 for every
+// malformed observation (whatever the ticket, including one owned by
+// another stream or one that does not parse), and the batch route
+// reports the identical error text at the item's index.
 func TestHTTPObserveErrorConsistency(t *testing.T) {
 	svc, srv := newTestServer(t)
 	createJobsStream(t, srv.URL)
@@ -122,6 +123,13 @@ func TestHTTPObserveErrorConsistency(t *testing.T) {
 			if code != http.StatusUnprocessableEntity {
 				t.Errorf("%s / %s: single status %d, want 422 (%v)", obsName, id, code, errResp)
 				continue
+			}
+			var scopedResp map[string]any
+			code = doJSON(t, "POST", srv.URL+"/v1/streams/jobs/observe", single, &scopedResp)
+			if code != http.StatusUnprocessableEntity {
+				t.Errorf("%s / %s: stream-scoped status %d, want 422 (%v)", obsName, id, code, scopedResp)
+			} else if got, want := scopedResp["error"], errResp["error"]; got != want {
+				t.Errorf("%s / %s: stream-scoped error %q, top-level error %q", obsName, id, got, want)
 			}
 			var batchResp observeBatchResponse
 			code = doJSON(t, "POST", srv.URL+"/v1/streams/jobs/observe/batch", map[string]any{

@@ -316,11 +316,8 @@ type stream struct {
 	mu sync.Mutex
 	// sch encodes named contexts into the engine's vector space. Never
 	// nil: raw-dimension streams carry the identity schema. Guarded by mu
-	// because Encode mutates normalization statistics. enc is sch
-	// compiled for the hot path (category index maps resolved once);
-	// rebuilt whenever sch is replaced.
+	// because encoding mutates normalization statistics.
 	sch     *schema.Schema
-	enc     *schema.Encoder
 	engine  Engine
 	shadows []*shadow
 	// encScratch and predScratch are per-stream reusable buffers for
@@ -502,7 +499,6 @@ func (s *Service) adopt(name string, eng Engine, sch *schema.Schema, rw rewardSt
 	for i, hw := range eng.Hardware() {
 		st.armLabels[i] = hw.String()
 	}
-	st.enc = st.sch.Compile()
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	cur := *s.streams.Load()
@@ -608,68 +604,70 @@ func ParseTicketID(id string) (stream string, seq uint64, err error) {
 
 // --- serving path ----------------------------------------------------
 
-// recommendLocked issues one decision. With track set it deposits a
-// pending ticket in the ledger (recording each shadow's own selection
-// for the same context, so the eventual observation can score them);
-// untracked decisions (the classic arm+features Observe flow) consume
-// exploration randomness identically but leave no ledger state and no
-// shadow selections. Callers hold st.mu.
-func (st *stream) recommendLocked(now time.Time, x []float64, track bool) (Ticket, error) {
-	var t Ticket
-	if err := st.recommendIntoLocked(now, x, &t, track, true); err != nil {
-		return Ticket{}, err
-	}
-	return t, nil
-}
-
-// recommendIntoLocked is recommendLocked writing into a caller-reused
-// Ticket: t.Predicted's backing array is reused, the pending-ledger
-// entry is written into the ledger's slab, and with renderID false the
-// ID string is not built (t.Seq carries the ticket identity — the
-// zero-allocation path). Every Ticket field is (re)set. Callers hold
-// st.mu.
-func (st *stream) recommendIntoLocked(now time.Time, x []float64, t *Ticket, track, renderID bool) error {
-	d := &st.decScratch
-	d.Predicted = t.Predicted[:0]
+// selectLocked asks the engine for a decision on x into d, rerouting
+// off an arm the lifecycle does not let serve. Callers hold st.mu.
+func (st *stream) selectLocked(x []float64, d *core.Decision) error {
 	if err := st.engine.RecommendInto(x, d); err != nil {
 		return err
 	}
 	if !st.life.AllActive() && !st.life.Servable(d.Arm) {
 		st.rerouteLocked(d, x)
 	}
-	t.ID = ""
-	t.Stream = st.name
-	t.Arm = d.Arm
-	t.Hardware = st.armLabels[d.Arm]
-	t.Explored = d.Explored
-	t.Predicted = d.Predicted
-	t.Epsilon = d.Epsilon
-	t.IssuedAt = now
-	t.Seq = 0
-	if track {
-		seq := st.nextSeq
-		st.nextSeq++
-		t.Seq = seq
-		if renderID {
-			t.ID = ticketID(st.name, seq)
-		}
-		st.ledger.add(seq, d.Arm, x, st.shadowRecommendLocked(x), now)
-		st.issued++
+	return nil
+}
+
+// issueLocked issues one decision ticket into a caller-reused Ticket:
+// it selects an arm, deposits the features (and each shadow's own
+// selection for the same context, so the eventual observation can
+// score them) in the ledger's slab, and sets every Ticket field but ID.
+// t.Predicted's backing array is reused and t.Seq carries the ticket
+// identity, so nothing is allocated. Callers hold st.mu.
+func (st *stream) issueLocked(now time.Time, x []float64, t *Ticket) error {
+	d := &st.decScratch
+	d.Predicted = t.Predicted[:0]
+	if err := st.selectLocked(x, d); err != nil {
+		return err
+	}
+	seq := st.nextSeq
+	st.nextSeq++
+	st.ledger.add(seq, d.Arm, x, st.shadowRecommendLocked(x), now)
+	st.issued++
+	*t = Ticket{
+		Stream:    st.name,
+		Arm:       d.Arm,
+		Hardware:  st.armLabels[d.Arm],
+		Explored:  d.Explored,
+		Predicted: d.Predicted,
+		Epsilon:   d.Epsilon,
+		IssuedAt:  now,
+		Seq:       seq,
 	}
 	return nil
 }
 
+// encodeLocked validates and encodes ctx against the stream's schema
+// into the stream's reusable encode buffer (valid until the next call).
+// Callers hold st.mu.
+func (st *stream) encodeLocked(ctx schema.Context) ([]float64, error) {
+	x, err := st.sch.EncodeInto(ctx, st.encScratch[:0])
+	if err != nil {
+		return nil, err
+	}
+	st.encScratch = x
+	return x, nil
+}
+
 // Recommend issues a decision ticket for one workflow on the named
 // stream. The features are retained in the stream's pending ledger until
-// Observe redeems the ticket (or it is evicted/expired).
+// Observe redeems the ticket (or it is evicted/expired). It is
+// RecommendInto into a fresh Ticket plus the rendered ID.
 func (s *Service) Recommend(name string, x []float64) (Ticket, error) {
-	st, err := s.stream(name)
-	if err != nil {
+	var t Ticket
+	if err := s.RecommendInto(name, x, &t); err != nil {
 		return Ticket{}, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.recommendLocked(s.now(), x, true)
+	t.ID = ticketID(name, t.Seq)
+	return t, nil
 }
 
 // RecommendCtx issues a decision ticket for one workflow described by a
@@ -679,20 +677,15 @@ func (s *Service) Recommend(name string, x []float64) (Ticket, error) {
 // encoded — numeric fields normalized against the stream's running
 // statistics, categorical fields one-hot expanded — before the engine
 // selects. On streams created without a schema the identity layout
-// (fields "x0".."x{dim-1}") applies.
+// (fields "x0".."x{dim-1}") applies. It is RecommendCtxInto into a
+// fresh Ticket plus the rendered ID.
 func (s *Service) RecommendCtx(name string, ctx schema.Context) (Ticket, error) {
-	st, err := s.stream(name)
-	if err != nil {
+	var t Ticket
+	if err := s.RecommendCtxInto(name, ctx, &t); err != nil {
 		return Ticket{}, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	x, err := st.enc.EncodeInto(ctx, st.encScratch[:0])
-	if err != nil {
-		return Ticket{}, err
-	}
-	st.encScratch = x
-	return st.recommendLocked(s.now(), x, true)
+	t.ID = ticketID(name, t.Seq)
+	return t, nil
 }
 
 // RecommendUntracked issues a decision without a ticket, for callers
@@ -709,11 +702,8 @@ func (s *Service) RecommendUntracked(name string, x []float64) (core.Decision, e
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var d core.Decision
-	if err := st.engine.RecommendInto(x, &d); err != nil {
+	if err := st.selectLocked(x, &d); err != nil {
 		return core.Decision{}, err
-	}
-	if !st.life.AllActive() && !st.life.Servable(d.Arm) {
-		st.rerouteLocked(&d, x)
 	}
 	return d, nil
 }
@@ -738,11 +728,10 @@ func (s *Service) RecommendBatch(name string, xs [][]float64) ([]Ticket, error) 
 	now := s.now()
 	out := make([]Ticket, len(xs))
 	for i, x := range xs {
-		t, err := st.recommendLocked(now, x, true)
-		if err != nil {
+		if err := st.issueLocked(now, x, &out[i]); err != nil {
 			return nil, fmt.Errorf("serve: batch item %d: %w", i, err)
 		}
-		out[i] = t
+		out[i].ID = ticketID(name, out[i].Seq)
 	}
 	return out, nil
 }
@@ -767,13 +756,14 @@ func (s *Service) RecommendBatchCtx(name string, ctxs []schema.Context) ([]Ticke
 	now := s.now()
 	out := make([]Ticket, len(ctxs))
 	for i, c := range ctxs {
-		// Every context passed the pre-validation above, so this is pure
-		// encoding (validation is not paid twice under the lock).
-		t, err := st.recommendLocked(now, st.sch.EncodeValidated(c), true)
+		x, err := st.encodeLocked(c)
+		if err == nil {
+			err = st.issueLocked(now, x, &out[i])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("serve: batch item %d: %w", i, err)
 		}
-		out[i] = t
+		out[i].ID = ticketID(name, out[i].Seq)
 	}
 	return out, nil
 }
@@ -851,22 +841,17 @@ func (st *stream) predictLocked(x []float64) []float64 {
 
 // observeTicketLocked redeems a ticket by sequence number, trains the
 // engine under the stream's reward, and feeds the outcome to every
-// shadow. The outcome is validated *before* the ticket is redeemed, so
-// a malformed observation (negative runtime, unknown metric) never
-// burns the ticket — or, worse, corrupts the chosen arm's model. id is
-// the caller's rendered ticket ID for error messages; pass "" to have
-// it rendered from (stream, seq) only if an error occurs. Callers hold
-// st.mu.
-func (st *stream) observeTicketLocked(now time.Time, id string, seq uint64, o Outcome) error {
-	if err := validateOutcome(o); err != nil {
-		return err
-	}
+// shadow. The outcome must already be validated: every caller checks
+// it at its public entry point, before the ticket is redeemed, so a
+// malformed observation (negative runtime, unknown metric) never burns
+// the ticket — or, worse, corrupts the chosen arm's model. A ticket
+// error names the ticket by its ID, rendered only on that path
+// (ParseTicketID accepts only the rendered form, so it is the caller's
+// ID too). Callers hold st.mu.
+func (st *stream) observeTicketLocked(now time.Time, seq uint64, o Outcome) error {
 	arm, x, shadowArms, err := st.ledger.take(seq, now)
 	if err != nil {
-		if id == "" {
-			id = ticketID(st.name, seq)
-		}
-		return fmt.Errorf("%w (ticket %q)", err, id)
+		return fmt.Errorf("%w (ticket %q)", err, ticketID(st.name, seq))
 	}
 	// x aliases the ledger slab, which nothing below writes: engines
 	// never retain the features slice (window/batch paths copy before
@@ -887,7 +872,8 @@ func (st *stream) observeTicketLocked(now time.Time, id string, seq uint64, o Ou
 //
 // The outcome is validated before the ticket is resolved, so a
 // malformed observation reports ErrBadOutcome whatever the state of
-// its ticket — the same precedence as every other observe path.
+// its ticket — the same precedence as every other observe path. It is
+// ParseTicketID plus ObserveSeqOutcome.
 func (s *Service) ObserveOutcome(ticketID string, o Outcome) error {
 	if err := validateOutcome(o); err != nil {
 		return err
@@ -896,13 +882,7 @@ func (s *Service) ObserveOutcome(ticketID string, o Outcome) error {
 	if err != nil {
 		return err
 	}
-	st, err := s.stream(name)
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.observeTicketLocked(s.now(), ticketID, seq, o)
+	return s.redeem(name, seq, o)
 }
 
 // Observe redeems a decision ticket with the workflow's measured
@@ -958,7 +938,7 @@ func (s *Service) ObserveBatchIndexed(obs []TicketObservation) (applied int, err
 		st.mu.Lock()
 		now := s.now()
 		for _, i := range idxs {
-			if err := st.observeTicketLocked(now, obs[i].TicketID, seqs[i], outcomes[i]); err != nil {
+			if err := st.observeTicketLocked(now, seqs[i], outcomes[i]); err != nil {
 				errs[i] = err
 				continue
 			}
@@ -1013,11 +993,10 @@ func (s *Service) ObserveDirectOutcomeCtx(name string, arm int, ctx schema.Conte
 	if err := st.checkArmLocked(arm); err != nil {
 		return err
 	}
-	x, err := st.enc.EncodeInto(ctx, st.encScratch[:0])
+	x, err := st.encodeLocked(ctx)
 	if err != nil {
 		return err
 	}
-	st.encScratch = x
 	return st.observeDirectLocked(arm, x, o)
 }
 
