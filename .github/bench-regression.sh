@@ -38,9 +38,14 @@ workdir=$(mktemp -d)
 trap 'git worktree remove --force "$workdir/base" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 git worktree add --detach "$workdir/base" "$merge_base" >/dev/null
 
+# The replication step, BenchmarkCaptureApplyDelta (one capture, encode
+# and apply over 64 streams per policy, about 3 ms an iteration), runs
+# in the same file at 200 iterations: 20000 would take a minute per run.
 run_bench() { # run_bench <dir> <out-file>
   (cd "$1" && go test -run='^$' -bench="$pattern" -benchmem \
-      -count="$count" -benchtime="$benchtime" $pkgs) | tee "$2"
+      -count="$count" -benchtime="$benchtime" $pkgs &&
+    go test -run='^$' -bench='CaptureApplyDelta$' -benchmem \
+      -count="$count" -benchtime=200x ./internal/serve/) | tee "$2"
 }
 
 echo "benchdiff: benchmarking base..." >&2

@@ -130,10 +130,10 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// arm is the per-hardware state: the online model plus (optionally) the
-// stored observations D_i for batch refitting and introspection.
+// arm is the per-hardware state beyond the arm's estimator (which lives
+// in Bandit.est): the stored observations D_i for batch refitting and
+// the cached prediction model.
 type arm struct {
-	rls   *regress.RLS
 	xs    [][]float64
 	ys    []float64
 	model regress.Model // snapshot used for predictions
@@ -150,6 +150,7 @@ type Bandit struct {
 	hw    hardware.Set
 	dim   int
 	eps   float64
+	est   *regress.Arms // per-arm estimators, forgetting and windows
 	arms  []*arm
 	rnd   *rng.Source
 	round int
@@ -207,13 +208,14 @@ func New(hw hardware.Set, dim int, opts Options) (*Bandit, error) {
 	if forget == 0 {
 		forget = 1
 	}
+	est, err := regress.NewArms(len(hw), dim, opts.RidgeLambda, forget, opts.WindowSize)
+	if err != nil {
+		return nil, err
+	}
+	b.est = est
 	b.arms = make([]*arm, len(hw))
 	for i := range b.arms {
-		rls, err := regress.NewRLSForgetting(dim, opts.RidgeLambda, forget)
-		if err != nil {
-			return nil, err
-		}
-		b.arms[i] = &arm{rls: rls, model: regress.Zero(dim)}
+		b.arms[i] = &arm{model: regress.Zero(dim)}
 	}
 	return b, nil
 }
@@ -254,7 +256,7 @@ func (b *Bandit) ArmObservations(i int) (int, error) {
 	if i < 0 || i >= len(b.arms) {
 		return 0, ErrArm
 	}
-	return b.arms[i].rls.N(), nil
+	return b.est.At(i).N(), nil
 }
 
 // PredictAll returns the estimated runtime R̂(H_i, x) for every arm
@@ -402,7 +404,7 @@ func (b *Bandit) PredictWithCI(x []float64, z float64) ([]Interval, error) {
 			out[i].Hi = math.Inf(1)
 			continue
 		}
-		u := a.rls.Uncertainty(sx)
+		u := b.est.At(i).Uncertainty(sx)
 		half := z * a.resid.StdDev() * math.Sqrt(1+u)
 		out[i].Lo = mid - half
 		out[i].Hi = mid + half
@@ -441,29 +443,10 @@ func (b *Bandit) Observe(armIdx int, x []float64, runtime float64) error {
 	// One-step-ahead residual, recorded before the model absorbs the
 	// observation (an honest out-of-sample error).
 	a.resid.Add(runtime - a.model.Predict(sx))
-	if b.opts.WindowSize > 0 {
-		// Sliding window: retain the last WindowSize observations and
-		// rebuild the arm's estimator from them, so evicted observations
-		// leave no trace (contrast forgetting, which only fades them).
-		// AppendWindow validates before buffering, so a rejected
-		// observation never poisons the window.
-		var err error
-		a.xs, a.ys, err = regress.AppendWindow(a.xs, a.ys, sx, runtime, b.opts.WindowSize)
-		if err != nil {
-			return err
-		}
-		fresh, err := regress.RefitWindow(b.dim, b.opts.RidgeLambda, a.xs, a.ys)
-		if err != nil {
-			return err
-		}
-		a.rls = fresh
-		a.rls.ModelInto(&a.model)
-		b.decayLocked()
-		return nil
-	}
-	if err := a.rls.Update(sx, runtime); err != nil {
+	if err := b.est.Update(armIdx, sx, runtime); err != nil {
 		return err
 	}
+	rls := b.est.At(armIdx)
 	if b.opts.BatchRefit {
 		a.xs = append(a.xs, append([]float64(nil), sx...))
 		a.ys = append(a.ys, runtime)
@@ -471,11 +454,11 @@ func (b *Bandit) Observe(armIdx int, x []float64, runtime float64) error {
 		if err != nil {
 			// Degenerate designs (e.g. a single repeated point) fall back
 			// to the online estimate, which is always defined.
-			m = a.rls.Model()
+			m = rls.Model()
 		}
 		a.model = m
 	} else {
-		a.rls.ModelInto(&a.model)
+		rls.ModelInto(&a.model)
 	}
 	b.decayLocked()
 	return nil
@@ -500,15 +483,110 @@ func (b *Bandit) ResetArm(i int) error {
 	if i < 0 || i >= len(b.arms) {
 		return ErrArm
 	}
-	forget := b.opts.ForgettingFactor
-	if forget == 0 {
-		forget = 1
+	b.est.Reset(i)
+	b.arms[i] = &arm{model: regress.Zero(b.dim)}
+	return nil
+}
+
+// AddArm grows the bandit with one new hardware configuration at
+// runtime. The new arm starts from the ridge prior (callers that want
+// a warm start merge sufficient statistics afterwards via
+// MergeArmDelta). Returns the new arm's index.
+//
+// The hardware set is copied on append: callers may hold references
+// to the previous Hardware() slice.
+func (b *Bandit) AddArm(cfg hardware.Config) (int, error) {
+	hw := append(append(hardware.Set{}, b.hw...), cfg)
+	if err := hw.Validate(); err != nil {
+		return 0, err
 	}
-	rls, err := regress.NewRLSForgetting(b.dim, b.opts.RidgeLambda, forget)
-	if err != nil {
+	b.hw = hw
+	b.est.Add()
+	b.arms = append(b.arms, &arm{model: regress.Zero(b.dim)})
+	return len(b.arms) - 1, nil
+}
+
+// RemoveArm retires arm i, discarding its estimator and shifting the
+// indices of every later arm down by one. The last remaining arm
+// cannot be removed.
+func (b *Bandit) RemoveArm(i int) error {
+	if i < 0 || i >= len(b.arms) {
+		return ErrArm
+	}
+	if len(b.arms) == 1 {
+		return fmt.Errorf("core: cannot remove the last arm")
+	}
+	b.hw = append(append(hardware.Set{}, b.hw[:i]...), b.hw[i+1:]...)
+	b.est.Remove(i)
+	b.arms = append(b.arms[:i], b.arms[i+1:]...)
+	return nil
+}
+
+// Delta hooks for replicated serving: ArmSufficient and ArmPrior feed
+// delta extraction (an arm's information-form statistics over scaled
+// features, and its prior as the base after a reset), MergeArmDelta
+// folds a peer's delta in, and AbsorbRounds replays the peer's rounds.
+// The arm hooks fail with regress.ErrNotMergeable unless the per-arm
+// state is a pure sum of observation contributions: sliding windows and
+// exponential forgetting are not (see regress.Arms), and
+// batch refit keeps raw observations a delta would have to ship.
+
+// mergeableArm reports regress.ErrNotMergeable for batch refit, and
+// ErrArm for an out-of-range arm; the estimator set checks its own
+// memory mode.
+func (b *Bandit) mergeableArm(i int) error {
+	if b.opts.BatchRefit {
+		return fmt.Errorf("%w: batch refit retains raw observations", regress.ErrNotMergeable)
+	}
+	if i < 0 || i >= len(b.arms) {
+		return ErrArm
+	}
+	return nil
+}
+
+// ArmSufficient returns arm i's current sufficient statistics.
+func (b *Bandit) ArmSufficient(i int) (regress.Sufficient, error) {
+	if err := b.mergeableArm(i); err != nil {
+		return regress.Sufficient{}, err
+	}
+	return b.est.Sufficient(i)
+}
+
+// ArmPrior returns the sufficient statistics of arm i's untrained prior.
+func (b *Bandit) ArmPrior(i int) (regress.Sufficient, error) {
+	if err := b.mergeableArm(i); err != nil {
+		return regress.Sufficient{}, err
+	}
+	return b.est.Prior(i)
+}
+
+// MergeArmDelta folds a peer's additive delta into arm i and refreshes
+// the arm's prediction model. The residual-variance tracker is not
+// merged — it feeds only the advisory confidence intervals and remains
+// a local estimate.
+func (b *Bandit) MergeArmDelta(i int, delta regress.Sufficient) error {
+	if err := b.mergeableArm(i); err != nil {
 		return err
 	}
-	b.arms[i] = &arm{rls: rls, model: regress.Zero(b.dim)}
+	if err := b.est.Merge(i, delta); err != nil {
+		return err
+	}
+	b.arms[i].model = b.est.At(i).Model()
+	return nil
+}
+
+// AbsorbRounds replays k rounds' worth of ε decay and round-counter
+// advance, as if this bandit had observed the k observations a peer's
+// delta carries. Each round applies the same ε ← α·ε (floored at
+// MinEpsilon) step as Observe, so a replica that merges peers' rounds
+// walks the exact decay schedule of a single node seeing all traffic.
+func (b *Bandit) AbsorbRounds(k int) error {
+	if k < 0 {
+		return fmt.Errorf("core: negative round count %d", k)
+	}
+	for j := 0; j < k; j++ {
+		b.decayLocked()
+	}
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"banditware/internal/hardware"
+	"banditware/internal/regress"
 )
 
 func deltaHW() hardware.Set {
@@ -138,11 +139,14 @@ func TestBanditDeltaNonMergeableModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if err := b.DeltaMergeable(); !errors.Is(err, ErrNotMergeable) {
-			t.Fatalf("%s: DeltaMergeable = %v, want ErrNotMergeable", c.name, err)
-		}
-		if _, err := b.ArmSufficient(0); !errors.Is(err, ErrNotMergeable) {
+		if _, err := b.ArmSufficient(0); !errors.Is(err, regress.ErrNotMergeable) {
 			t.Fatalf("%s: ArmSufficient = %v, want ErrNotMergeable", c.name, err)
+		}
+		if _, err := b.ArmPrior(0); !errors.Is(err, regress.ErrNotMergeable) {
+			t.Fatalf("%s: ArmPrior = %v, want ErrNotMergeable", c.name, err)
+		}
+		if err := b.MergeArmDelta(0, regress.Sufficient{Dim: 2}); !errors.Is(err, regress.ErrNotMergeable) {
+			t.Fatalf("%s: MergeArmDelta = %v, want ErrNotMergeable", c.name, err)
 		}
 	}
 	// The default stationary configuration is mergeable.
@@ -150,7 +154,7 @@ func TestBanditDeltaNonMergeableModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DeltaMergeable(); err != nil {
+	if _, err := b.ArmPrior(0); err != nil {
 		t.Fatalf("stationary bandit not mergeable: %v", err)
 	}
 }

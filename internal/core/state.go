@@ -48,8 +48,12 @@ func (b *Bandit) SaveState(w io.Writer) error {
 		Arms:     make([]armState, len(b.arms)),
 		Models:   make([]regress.Model, len(b.arms)),
 	}
+	_, _, wxs, wys := b.est.Adaptation()
 	for i, a := range b.arms {
-		st.Arms[i] = armState{RLS: a.rls, Xs: a.xs, Ys: a.ys}
+		st.Arms[i] = armState{RLS: b.est.At(i), Xs: a.xs, Ys: a.ys}
+		if wxs != nil {
+			st.Arms[i].Xs, st.Arms[i].Ys = wxs[i], wys[i]
+		}
 		st.Models[i] = a.model.Clone()
 	}
 	enc := json.NewEncoder(w)
@@ -73,24 +77,28 @@ func LoadState(r io.Reader) (*Bandit, error) {
 	// Check each estimator against the declared dimension before
 	// building a bandit of that dimension: the estimators were sized by
 	// their own payload, the dimension by nothing.
-	for i := range st.Arms {
-		if st.Arms[i].RLS == nil {
-			return nil, fmt.Errorf("core: corrupt state: arm %d missing estimator", i)
-		}
-		if d := st.Arms[i].RLS.Dim(); d != st.Dim {
-			return nil, fmt.Errorf("core: corrupt state: arm %d estimator has dim %d, want %d", i, d, st.Dim)
-		}
+	est := make([]*regress.RLS, len(st.Arms))
+	xs := make([][][]float64, len(st.Arms))
+	ys := make([][]float64, len(st.Arms))
+	for i, a := range st.Arms {
+		est[i], xs[i], ys[i] = a.RLS, a.Xs, a.Ys
+	}
+	if err := regress.CheckEstimators(est, len(st.Arms), st.Dim); err != nil {
+		return nil, fmt.Errorf("core: corrupt state: %w", err)
 	}
 	b, err := New(st.Hardware, st.Dim, st.Options)
 	if err != nil {
 		return nil, err
 	}
+	if err := b.est.Restore(est, xs, ys); err != nil {
+		return nil, fmt.Errorf("core: corrupt state: %w", err)
+	}
 	b.eps = st.Epsilon
 	b.round = st.Round
 	for i := range st.Arms {
-		b.arms[i].rls = st.Arms[i].RLS
-		b.arms[i].xs = st.Arms[i].Xs
-		b.arms[i].ys = st.Arms[i].Ys
+		if b.opts.WindowSize == 0 {
+			b.arms[i].xs, b.arms[i].ys = xs[i], ys[i]
+		}
 		b.arms[i].model = st.Models[i]
 	}
 	return b, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -183,7 +184,7 @@ func TestResetArm(t *testing.T) {
 // TestWindowedRejectedObservationDoesNotPoisonArm: a non-finite
 // observation is rejected without entering the window buffer, so
 // subsequent valid observations (and snapshots) are unaffected. Before
-// AppendWindow validated up front, the rejected features were buffered
+// the window update validated up front, the rejected features were buffered
 // first and every later rebuild of the arm failed forever.
 func TestWindowedRejectedObservationDoesNotPoisonArm(t *testing.T) {
 	b, err := New(windowHW(), 1, Options{ZeroEpsilon: true, WindowSize: 4})
@@ -213,5 +214,47 @@ func TestWindowedRejectedObservationDoesNotPoisonArm(t *testing.T) {
 	}
 	if _, err := LoadState(&buf); err != nil {
 		t.Fatalf("snapshot after rejected observation: %v", err)
+	}
+}
+
+// TestLoadStateRejectsCorruptWindow: a windowed state whose buffers do
+// not fit the bandit's shape is rejected at load. Loading used to accept
+// an arm with fewer feature rows than runtimes, and its next Observe
+// panicked rebuilding the window.
+func TestLoadStateRejectsCorruptWindow(t *testing.T) {
+	b, err := New(windowHW(), 1, Options{ZeroEpsilon: true, WindowSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := b.Observe(0, []float64{float64(i + 1)}, float64(10+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := b.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func(arm map[string]any){
+		"xs/ys mismatch": func(arm map[string]any) { arm["xs"] = arm["xs"].([]any)[:1] },
+		"overfull window": func(arm map[string]any) {
+			arm["xs"] = append(arm["xs"].([]any), []any{1.0}, []any{2.0})
+			arm["ys"] = append(arm["ys"].([]any), 1.0, 2.0)
+		},
+		"feature dim": func(arm map[string]any) { arm["xs"].([]any)[0] = []any{1.0, 2.0} },
+	}
+	for name, corrupt := range cases {
+		var st map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(st["arms"].([]any)[0].(map[string]any))
+		data, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadState(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: corrupt window state accepted", name)
+		}
 	}
 }

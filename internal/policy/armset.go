@@ -12,18 +12,9 @@ import "errors"
 // errLastArm rejects removing a policy's only arm.
 var errLastArm = errors.New("policy: cannot remove the last arm")
 
-// AddArm appends a fresh estimator honouring the configured adaptation
-// mode.
+// AddArm appends an untrained arm in the configured adaptation mode.
 func (l *Linear) AddArm() error {
-	rls, err := l.fresh()
-	if err != nil {
-		return err
-	}
-	l.arms = append(l.arms, rls)
-	if l.window > 0 {
-		l.wxs = append(l.wxs, nil)
-		l.wys = append(l.wys, nil)
-	}
+	l.arms.Add()
 	return nil
 }
 
@@ -32,14 +23,10 @@ func (l *Linear) RemoveArm(arm int) error {
 	if err := l.checkArm(arm); err != nil {
 		return err
 	}
-	if len(l.arms) == 1 {
+	if l.arms.Len() == 1 {
 		return errLastArm
 	}
-	l.arms = append(l.arms[:arm], l.arms[arm+1:]...)
-	if l.window > 0 {
-		l.wxs = append(l.wxs[:arm], l.wxs[arm+1:]...)
-		l.wys = append(l.wys[:arm], l.wys[arm+1:]...)
-	}
+	l.arms.Remove(arm)
 	return nil
 }
 

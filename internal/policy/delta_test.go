@@ -95,7 +95,7 @@ func TestPolicyDeltaMergeReproducesSingleLearner(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := dst.MergeArmSufficient(a, delta); err != nil {
+					if err := dst.MergeArmDelta(a, delta); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -148,11 +148,11 @@ func TestPolicyDeltaAdaptiveModesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, p := range map[string]*Linear{"window": windowed, "forgetting": forgetting} {
-		if _, err := p.ArmSufficient(0); !errors.Is(err, ErrNotMergeable) {
+		if _, err := p.ArmSufficient(0); !errors.Is(err, regress.ErrNotMergeable) {
 			t.Fatalf("%s ArmSufficient: %v, want ErrNotMergeable", name, err)
 		}
-		if err := p.MergeArmSufficient(0, regress.Sufficient{Dim: 2}); !errors.Is(err, ErrNotMergeable) {
-			t.Fatalf("%s MergeArmSufficient: %v, want ErrNotMergeable", name, err)
+		if err := p.MergeArmDelta(0, regress.Sufficient{Dim: 2}); !errors.Is(err, regress.ErrNotMergeable) {
+			t.Fatalf("%s MergeArmDelta: %v, want ErrNotMergeable", name, err)
 		}
 	}
 	if _, err := mk().ArmSufficient(5); !errors.Is(err, ErrArm) {

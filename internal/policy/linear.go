@@ -10,51 +10,6 @@ import (
 	"banditware/internal/stats"
 )
 
-// linArms is the per-arm linear-model state the Linear policies share,
-// with optional exponential forgetting or a sliding window over the
-// last `window` observations per arm (see Linear.SetAdaptation).
-type linArms struct {
-	dim    int
-	lambda float64
-	forget float64 // (0, 1]; 1 = none
-	window int     // 0 = none
-	arms   []*regress.RLS
-	// wxs/wys are the per-arm window buffers (window > 0 only).
-	wxs [][][]float64
-	wys [][]float64
-}
-
-func newLinArms(numArms, dim int, lambda float64) (linArms, error) {
-	if numArms < 1 {
-		return linArms{}, errors.New("policy: need at least one arm")
-	}
-	if dim < 0 {
-		return linArms{}, fmt.Errorf("policy: negative dimension %d", dim)
-	}
-	la := linArms{dim: dim, lambda: lambda, forget: 1, arms: make([]*regress.RLS, numArms)}
-	for i := range la.arms {
-		rls, err := la.fresh()
-		if err != nil {
-			return linArms{}, err
-		}
-		la.arms[i] = rls
-	}
-	return la, nil
-}
-
-// fresh returns an untrained estimator honouring the configured
-// forgetting factor.
-func (la *linArms) fresh() (*regress.RLS, error) {
-	return regress.NewRLSForgetting(la.dim, la.lambda, la.forget)
-}
-
-func (la *linArms) checkArm(arm int) error {
-	if arm < 0 || arm >= len(la.arms) {
-		return ErrArm
-	}
-	return nil
-}
-
 // Linear is a contextual bandit over per-arm linear runtime models whose
 // selection rule is one of five types, each with at most one parameter:
 //
@@ -76,9 +31,10 @@ func (la *linArms) checkArm(arm int) error {
 //
 // Construct with the New* function of the rule.
 type Linear struct {
-	linArms
-	kind  string  // the selection rule: one of the five types above
-	param float64 // ε, β, posterior scale v or temperature τ; 0 for greedy
+	dim   int
+	arms  *regress.Arms // per-arm estimators, forgetting and windows
+	kind  string        // the selection rule: one of the five types above
+	param float64       // ε, β, posterior scale v or temperature τ; 0 for greedy
 	seed  uint64
 	// rnd drives exploration (nil for greedy and LinUCB, which draw no
 	// randomness); unit is its standard-normal draw, bound once so
@@ -146,11 +102,14 @@ func newLinear(kind string, numArms, dim int, param float64, seed uint64) (*Line
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownType, kind)
 	}
-	la, err := newLinArms(numArms, dim, 0)
+	if numArms < 1 {
+		return nil, errors.New("policy: need at least one arm")
+	}
+	arms, err := regress.NewArms(numArms, dim, 0, 1, 0)
 	if err != nil {
 		return nil, err
 	}
-	l := &Linear{linArms: la, kind: kind, param: param}
+	l := &Linear{dim: dim, arms: arms, kind: kind, param: param}
 	if random {
 		l.seed = seed
 		l.rnd = rng.New(seed)
@@ -188,18 +147,18 @@ func (l *Linear) SelectInto(x, preds []float64) (int, []float64, error) {
 	switch l.kind {
 	case TypeEpsGreedy:
 		if l.rnd.Float64() < l.param {
-			return l.rnd.Intn(len(l.arms)), preds, nil
+			return l.rnd.Intn(l.arms.Len()), preds, nil
 		}
 	case TypeLinUCB:
 		scores := l.scores[:0]
-		for i, a := range l.arms {
+		for i, a := range l.arms.Estimators() {
 			scores = append(scores, preds[i]-l.param*math.Sqrt(a.Uncertainty(x)))
 		}
 		l.scores = scores
 		return stats.ArgMin(scores), preds, nil
 	case TypeLinTS:
 		scores := l.scores[:0]
-		for _, a := range l.arms {
+		for _, a := range l.arms.Estimators() {
 			scores = append(scores, a.SamplePredict(l.param, l.unit, x))
 		}
 		l.scores = scores
@@ -250,7 +209,7 @@ func (l *Linear) PredictAllInto(x, out []float64) ([]float64, error) {
 	if len(x) != l.dim {
 		return nil, ErrDim
 	}
-	for _, a := range l.arms {
+	for _, a := range l.arms.Estimators() {
 		out = append(out, a.Predict(x))
 	}
 	return out, nil
@@ -261,13 +220,18 @@ func (l *Linear) ArmModel(arm int) (regress.Model, error) {
 	if err := l.checkArm(arm); err != nil {
 		return regress.Model{}, err
 	}
-	return l.arms[arm].Model(), nil
+	return l.arms.At(arm).Model(), nil
 }
 
-// Update implements Policy. A windowed policy appends to the arm's
-// window buffer (evicting past the window) and rebuilds its estimator
-// from the retained observations; AppendWindow validates before
-// buffering, so a rejected value never poisons the window.
+// checkArm reports ErrArm for an out-of-range arm.
+func (l *Linear) checkArm(arm int) error {
+	if arm < 0 || arm >= l.arms.Len() {
+		return ErrArm
+	}
+	return nil
+}
+
+// Update implements Policy.
 func (l *Linear) Update(arm int, x []float64, runtime float64) error {
 	if err := l.checkArm(arm); err != nil {
 		return err
@@ -275,20 +239,7 @@ func (l *Linear) Update(arm int, x []float64, runtime float64) error {
 	if len(x) != l.dim {
 		return ErrDim
 	}
-	if l.window == 0 {
-		return l.arms[arm].Update(x, runtime)
-	}
-	var err error
-	l.wxs[arm], l.wys[arm], err = regress.AppendWindow(l.wxs[arm], l.wys[arm], x, runtime, l.window)
-	if err != nil {
-		return err
-	}
-	fresh, err := regress.RefitWindow(l.dim, l.lambda, l.wxs[arm], l.wys[arm])
-	if err != nil {
-		return err
-	}
-	l.arms[arm] = fresh
-	return nil
+	return l.arms.Update(arm, x, runtime)
 }
 
 // SetAdaptation configures non-stationary learning: exponential
@@ -297,34 +248,16 @@ func (l *Linear) Update(arm int, x []float64, runtime float64) error {
 // estimators, so it must be called before the policy absorbs any
 // observation.
 func (l *Linear) SetAdaptation(forget float64, window int) error {
-	if forget <= 0 || forget > 1 {
-		return fmt.Errorf("policy: forgetting factor %v outside (0, 1]", forget)
-	}
-	if window < 0 {
-		return fmt.Errorf("policy: negative window %d", window)
-	}
-	if forget < 1 && window > 0 {
-		return errors.New("policy: forgetting and windowing are mutually exclusive")
-	}
-	for i, a := range l.arms {
+	for i, a := range l.arms.Estimators() {
 		if a.N() > 0 {
 			return fmt.Errorf("policy: arm %d already trained; set adaptation before updates", i)
 		}
 	}
-	l.forget = forget
-	l.window = window
-	l.wxs, l.wys = nil, nil
-	if window > 0 {
-		l.wxs = make([][][]float64, len(l.arms))
-		l.wys = make([][]float64, len(l.arms))
+	arms, err := regress.NewArms(l.arms.Len(), l.dim, 0, forget, window)
+	if err != nil {
+		return err
 	}
-	for i := range l.arms {
-		rls, err := l.fresh()
-		if err != nil {
-			return err
-		}
-		l.arms[i] = rls
-	}
+	l.arms = arms
 	return nil
 }
 
@@ -335,13 +268,35 @@ func (l *Linear) ResetArm(arm int) error {
 	if err := l.checkArm(arm); err != nil {
 		return err
 	}
-	rls, err := l.fresh()
-	if err != nil {
+	l.arms.Reset(arm)
+	return nil
+}
+
+// Delta hooks for replicated serving: ArmSufficient and ArmPrior feed
+// delta extraction (current statistics, and the prior as the base after
+// an arm reset), and MergeArmDelta folds a peer's delta in. All three
+// fail with regress.ErrNotMergeable when the policy forgets or windows.
+
+// ArmSufficient returns arm's current sufficient statistics.
+func (l *Linear) ArmSufficient(arm int) (regress.Sufficient, error) {
+	if err := l.checkArm(arm); err != nil {
+		return regress.Sufficient{}, err
+	}
+	return l.arms.Sufficient(arm)
+}
+
+// ArmPrior returns the sufficient statistics of arm's untrained prior.
+func (l *Linear) ArmPrior(arm int) (regress.Sufficient, error) {
+	if err := l.checkArm(arm); err != nil {
+		return regress.Sufficient{}, err
+	}
+	return l.arms.Prior(arm)
+}
+
+// MergeArmDelta folds a peer's additive delta into arm's model.
+func (l *Linear) MergeArmDelta(arm int, delta regress.Sufficient) error {
+	if err := l.checkArm(arm); err != nil {
 		return err
 	}
-	l.arms[arm] = rls
-	if l.window > 0 {
-		l.wxs[arm], l.wys[arm] = nil, nil
-	}
-	return nil
+	return l.arms.Merge(arm, delta)
 }

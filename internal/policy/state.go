@@ -93,89 +93,14 @@ type Snapshotter interface {
 	Snapshot() (State, error)
 }
 
-// adaptState records the linArms adaptation configuration (and live
-// window buffers) in st. Non-adaptive policies record nothing, so their
-// states are byte-identical to the pre-adaptation format.
-func (la *linArms) adaptState(st *State) {
-	if la.forget < 1 {
-		st.Forget = la.forget
-	}
-	if la.window > 0 {
-		st.Window = la.window
-		st.WindowXs = la.wxs
-		st.WindowYs = la.wys
-	}
-}
-
-// checkArms validates restored per-arm estimators against the state's
-// declared shape. Restore runs it before building a policy of that
-// shape: the estimators were sized by their own payload, the declared
-// arm count and dimension by nothing.
-func checkArms(arms []*regress.RLS, numArms, dim int) error {
-	if len(arms) != numArms {
-		return fmt.Errorf("policy: state has %d arms, want %d", len(arms), numArms)
-	}
-	for i, a := range arms {
-		if a == nil {
-			return fmt.Errorf("policy: state arm %d missing estimator", i)
-		}
-		if a.Dim() != dim {
-			return fmt.Errorf("%w: state arm %d has dim %d, want %d", ErrDim, i, a.Dim(), dim)
-		}
-	}
-	return nil
-}
-
-// restoreAdapt applies a snapshotted adaptation configuration,
-// validating the window buffers against the policy's shape. The
-// per-arm estimators (already restored) carry their own forgetting.
-func (la *linArms) restoreAdapt(st State) error {
-	forget := st.Forget
-	if forget == 0 {
-		forget = 1 // states written before adaptation existed
-	}
-	if forget < 0 || forget > 1 {
-		return fmt.Errorf("policy: corrupt state: forgetting factor %v", forget)
-	}
-	if st.Window < 0 {
-		return fmt.Errorf("policy: corrupt state: negative window %d", st.Window)
-	}
-	if forget < 1 && st.Window > 0 {
-		return errors.New("policy: corrupt state: both forgetting and window set")
-	}
-	la.forget = forget
-	la.window = st.Window
-	if st.Window == 0 {
-		return nil
-	}
-	if len(st.WindowXs) != len(la.arms) || len(st.WindowYs) != len(la.arms) {
-		return fmt.Errorf("policy: corrupt state: %d/%d window buffers for %d arms",
-			len(st.WindowXs), len(st.WindowYs), len(la.arms))
-	}
-	for i := range st.WindowXs {
-		if len(st.WindowXs[i]) != len(st.WindowYs[i]) || len(st.WindowYs[i]) > st.Window {
-			return fmt.Errorf("policy: corrupt state: arm %d window holds %d/%d values (cap %d)",
-				i, len(st.WindowXs[i]), len(st.WindowYs[i]), st.Window)
-		}
-		for _, x := range st.WindowXs[i] {
-			if len(x) != la.dim {
-				return fmt.Errorf("%w: arm %d window features have dim %d, want %d",
-					ErrDim, i, len(x), la.dim)
-			}
-		}
-	}
-	la.wxs, la.wys = st.WindowXs, st.WindowYs
-	return nil
-}
-
 // Snapshot implements Snapshotter. Only the rules that draw randomness
 // record their seed.
 func (l *Linear) Snapshot() (State, error) {
 	st := State{
 		Type:    l.kind,
-		NumArms: len(l.arms),
+		NumArms: l.arms.Len(),
 		Dim:     l.dim,
-		Arms:    l.arms,
+		Arms:    l.arms.Estimators(),
 	}
 	if l.rnd != nil {
 		st.Seed = l.seed
@@ -183,7 +108,15 @@ func (l *Linear) Snapshot() (State, error) {
 	if f := st.param(); f != nil {
 		*f = l.param
 	}
-	l.adaptState(&st)
+	// Non-adaptive policies record no adaptation, so their states are
+	// byte-identical to the pre-adaptation format.
+	forget, window, xs, ys := l.arms.Adaptation()
+	if forget < 1 {
+		st.Forget = forget
+	}
+	if window > 0 {
+		st.Window, st.WindowXs, st.WindowYs = window, xs, ys
+	}
 	return st, nil
 }
 
@@ -210,16 +143,25 @@ func Restore(st State) (Policy, error) {
 	if f := st.param(); f != nil {
 		param = *f
 	}
-	if err := checkArms(st.Arms, st.NumArms, st.Dim); err != nil {
-		return nil, err
+	// The estimators were sized by their own payload, the declared arm
+	// count and dimension by nothing: check them before building a
+	// policy of that shape.
+	if err := regress.CheckEstimators(st.Arms, st.NumArms, st.Dim); err != nil {
+		return nil, fmt.Errorf("policy: corrupt state: %w", err)
 	}
 	l, err := newLinear(st.Type, st.NumArms, st.Dim, param, st.Seed)
 	if err != nil {
 		return nil, err
 	}
-	l.arms = st.Arms
-	if err := l.restoreAdapt(st); err != nil {
-		return nil, err
+	forget := st.Forget
+	if forget == 0 {
+		forget = 1 // states written before adaptation existed
+	}
+	if err := l.SetAdaptation(forget, st.Window); err != nil {
+		return nil, fmt.Errorf("policy: corrupt state: %w", err)
+	}
+	if err := l.arms.Restore(st.Arms, st.WindowXs, st.WindowYs); err != nil {
+		return nil, fmt.Errorf("policy: corrupt state: %w", err)
 	}
 	return l, nil
 }

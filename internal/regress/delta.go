@@ -1,17 +1,11 @@
 package regress
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"banditware/internal/linalg"
 )
-
-// ErrNotMergeable reports a delta operation on an estimator whose state
-// is not additive (exponential forgetting discounts old information, so
-// "change since a base" is no longer a sum of per-observation terms).
-var ErrNotMergeable = errors.New("regress: estimator state is not delta-mergeable")
 
 // Sufficient is the information-form summary of an RLS estimator: the
 // information matrix A = RᵀR = P + Σ aaᵀ, the information vector
@@ -179,8 +173,9 @@ func (r *RLS) Prior() Sufficient {
 // by re-factoring A' = R'ᵀR' (Cholesky) and forward-solving R'ᵀz' = b'.
 // Estimators with exponential forgetting reject the merge — their state
 // is not a sum — and a delta that would make A' lose positive
-// definiteness (e.g. one extracted against the wrong base) is rejected
-// without modifying the estimator.
+// definiteness (e.g. one extracted against the wrong base), or whose
+// merged statistics or model would not be finite, is rejected without
+// modifying the estimator.
 func (r *RLS) ApplyDelta(delta Sufficient) error {
 	if r.forget != 1 {
 		return fmt.Errorf("%w: estimator uses exponential forgetting", ErrNotMergeable)
@@ -207,6 +202,10 @@ func (r *RLS) ApplyDelta(delta Sufficient) error {
 	for i := range b {
 		b[i] = cur.B[i] + delta.bt(i)
 	}
+	// Each summand is finite (Validate), but a sum can overflow.
+	if !linalg.VecIsFinite(a) || !linalg.VecIsFinite(b) {
+		return fmt.Errorf("%w: merged sufficient statistics overflow", ErrBadInput)
+	}
 	nr, err := cholUpper(a, d)
 	if err != nil {
 		return err
@@ -220,10 +219,24 @@ func (r *RLS) ApplyDelta(delta Sufficient) error {
 		}
 		nz[i] = s / nr[i*d+i]
 	}
+	// A finite factor can still carry a model that is not: a huge b
+	// over a weakly informed direction solves to an infinite weight.
+	// Require Σ|wᵢ| finite, so the merged model predicts a finite
+	// runtime for every context in the unit box. The solve goes into the
+	// cached solution, which a rejection marks stale.
+	backSubstitute(nr, nz, r.w)
+	norm := 0.0
+	for _, v := range r.w {
+		norm += math.Abs(v)
+	}
+	if math.IsNaN(norm) || math.IsInf(norm, 0) {
+		r.wValid = false
+		return fmt.Errorf("%w: merged model is not finite", ErrBadInput)
+	}
 	copy(r.r, nr)
 	copy(r.z, nz)
 	r.n += delta.N
-	r.wValid = false
+	r.wValid = true
 	return nil
 }
 

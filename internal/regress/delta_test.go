@@ -223,6 +223,39 @@ func TestDeltaNonPositiveDefiniteRejected(t *testing.T) {
 	}
 }
 
+// TestDeltaNonFiniteMergeRejected: each delta below is finite and
+// positive semidefinite, yet merging it would leave the estimator with
+// an infinite model (a huge b over the weakly informed prior) or
+// overflowing statistics (a second near-maximal A on the same entry).
+// Both are rejected without modifying the estimator.
+func TestDeltaNonFiniteMergeRejected(t *testing.T) {
+	r, _ := NewRLS(1, 0)
+	if err := r.Update([]float64{1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	huge := Sufficient{Dim: 1, N: 1, A: []float64{0, 0, 0, 0}, B: []float64{1e303, -1e303}}
+	if err := r.ApplyDelta(huge); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("infinite-model merge: err = %v, want ErrBadInput", err)
+	}
+	big := Sufficient{Dim: 1, N: 1, A: []float64{math.MaxFloat64, 0, 0, 1}, B: []float64{0, 0}}
+	if err := r.ApplyDelta(big); err != nil {
+		t.Fatalf("first near-maximal merge: %v", err)
+	}
+	before := r.Sufficient()
+	if err := r.ApplyDelta(big); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("overflowing merge: err = %v, want ErrBadInput", err)
+	}
+	after := r.Sufficient()
+	for i := range before.A {
+		if before.A[i] != after.A[i] {
+			t.Fatal("failed merge mutated estimator")
+		}
+	}
+	if p := r.Predict([]float64{1}); math.IsNaN(p) || math.IsInf(p, 0) {
+		t.Fatalf("estimator predicts %v after the rejected merges", p)
+	}
+}
+
 func TestDeltaShapeValidation(t *testing.T) {
 	r, _ := NewRLS(2, 1e-3)
 	cases := []Sufficient{

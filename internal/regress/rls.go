@@ -66,6 +66,12 @@ func NewRLSForgetting(dim int, lambda, forget float64) (*RLS, error) {
 	if forget <= 0 || forget > 1 {
 		return nil, fmt.Errorf("regress: forgetting factor %v outside (0, 1]", forget)
 	}
+	return newRLS(dim, lambda, forget), nil
+}
+
+// newRLS is NewRLSForgetting after validation: dim >= 0, lambda > 0,
+// forget in (0, 1].
+func newRLS(dim int, lambda, forget float64) *RLS {
 	r := &RLS{
 		dim:    dim,
 		lambda: lambda,
@@ -77,7 +83,7 @@ func NewRLSForgetting(dim int, lambda, forget float64) (*RLS, error) {
 	r.w = make([]float64, r.d)
 	r.arow = make([]float64, r.d)
 	r.initPrior()
-	return r, nil
+	return r
 }
 
 func (r *RLS) initPrior() {
@@ -164,15 +170,21 @@ func (r *RLS) solve() {
 	if r.wValid {
 		return
 	}
-	d := r.d
-	for i := d - 1; i >= 0; i-- {
-		s := r.z[i]
-		for j := i + 1; j < d; j++ {
-			s -= r.r[i*d+j] * r.w[j]
-		}
-		r.w[i] = s / r.r[i*d+i]
-	}
+	backSubstitute(r.r, r.z, r.w)
 	r.wValid = true
+}
+
+// backSubstitute solves R·w = z for the d×d upper-triangular row-major
+// R, d = len(z), writing w.
+func backSubstitute(R, z, w []float64) {
+	d := len(z)
+	for i := d - 1; i >= 0; i-- {
+		s := z[i]
+		for j := i + 1; j < d; j++ {
+			s -= R[i*d+j] * w[j]
+		}
+		w[i] = s / R[i*d+i]
+	}
 }
 
 // Model returns the current model snapshot.

@@ -7,8 +7,10 @@ package serve
 // and the online drift detector fires on the swapped arm only.
 
 import (
+	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"banditware/internal/core"
 	"banditware/internal/rng"
@@ -232,16 +234,14 @@ func TestAdaptSpecValidation(t *testing.T) {
 	if !errors.Is(err, ErrBadAdapt) {
 		t.Errorf("reset-on-drift random stream: error %v, want ErrBadAdapt", err)
 	}
-	// An adaptation mode conflicts with the raw Options memory knobs
-	// (two sources of truth) — both directions are rejected, never
-	// silently merged.
+	// Adapt is the only memory knob: the raw Options equivalents are
+	// rejected, with or without an adaptation mode beside them.
 	err = s.CreateStream("x", StreamConfig{
 		Hardware: testHW(), Dim: 1,
 		Options: core.Options{ForgettingFactor: 0.9},
-		Adapt:   AdaptSpec{Mode: AdaptForgetting, Factor: 0.95},
 	})
 	if !errors.Is(err, ErrBadAdapt) {
-		t.Errorf("conflicting forgetting config: error %v, want ErrBadAdapt", err)
+		t.Errorf("raw forgetting knob: error %v, want ErrBadAdapt", err)
 	}
 	err = s.CreateStream("x", StreamConfig{
 		Hardware: testHW(), Dim: 1,
@@ -249,7 +249,7 @@ func TestAdaptSpecValidation(t *testing.T) {
 		Adapt:   AdaptSpec{Mode: AdaptWindow, Window: 64},
 	})
 	if !errors.Is(err, ErrBadAdapt) {
-		t.Errorf("conflicting window config: error %v, want ErrBadAdapt", err)
+		t.Errorf("raw window knob: error %v, want ErrBadAdapt", err)
 	}
 	if s.NumStreams() != 0 {
 		t.Fatalf("rejected specs left %d streams behind", s.NumStreams())
@@ -345,5 +345,48 @@ func TestShadowsInheritAdaptation(t *testing.T) {
 	}
 	if arm != 0 {
 		t.Fatalf("adaptive primary exploits arm %d post-swap, want 0", arm)
+	}
+}
+
+// TestRawForgettingStreamStillLoads: CreateStream refuses the raw
+// Options memory knobs, but a stream that carries one (saved before the
+// refusal, or adopted as a ready-made bandit) still saves, loads and
+// re-saves to the same bytes, and keeps forgetting.
+func TestRawForgettingStreamStillLoads(t *testing.T) {
+	b, err := core.New(testHW(), 1, core.Options{ForgettingFactor: 0.9, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := ServiceOptions{Now: func() time.Time { return time.Unix(1700000000, 0) }}
+	s := NewService(clock)
+	if err := s.AdoptBandit("f", b, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		tk, err := s.Recommend("f", []float64{float64(i%5 + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Observe(tk.ID, float64(10+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var first bytes.Buffer
+	if err := s.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(bytes.NewReader(first.Bytes()), clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := back.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("raw-forgetting stream re-saved to different bytes")
+	}
+	if !bytes.Contains(second.Bytes(), []byte(`"ForgettingFactor": 0.9`)) {
+		t.Fatal("re-saved stream lost its forgetting factor")
 	}
 }

@@ -167,7 +167,7 @@ func TestAllocClassicRecommendPinned(t *testing.T) {
 	// fresh Ticket's Predicted slice (plus their escape-analysis fallout
 	// in the returned Ticket). Pinned at the current exact cost; fails
 	// only on increase.
-	const pin = 5
+	const pin = 4
 	s := newTestService(t, ServiceOptions{}, "hot")
 	x := []float64{1.5}
 	for i := 0; i < warmCycles; i++ {

@@ -189,15 +189,13 @@ func (st *stream) addArmLocked(cfg hardware.Config, warm armset.Warm, weight flo
 	}
 	st.life.Add(trial)
 	if haveWarm {
-		if src, err := deltaSource(st.engine); err == nil && src.merge != nil {
-			if err := src.merge(idx, warmMass); err == nil {
-				// The warm seed is borrowed knowledge, not local traffic:
-				// record it as foreign so delta capture never ships it and
-				// fleet merges stay echo-free.
-				m := st.ensureMergedLocked(len(st.engine.Hardware()), st.engine.Dim())
-				if sum, err := m.arms[idx].Add(warmMass); err == nil {
-					m.arms[idx] = sum
-				}
+		if err := st.engine.MergeArmDelta(idx, warmMass); err == nil {
+			// The warm seed is borrowed knowledge, not local traffic:
+			// record it as foreign so delta capture never ships it and
+			// fleet merges stay echo-free.
+			m := st.ensureMergedLocked(len(st.engine.Hardware()), st.engine.Dim())
+			if sum, err := m.arms[idx].Add(warmMass); err == nil {
+				m.arms[idx] = sum
 			}
 		}
 	}
@@ -212,21 +210,18 @@ func (st *stream) warmMassLocked(cfg hardware.Config, warm armset.Warm, weight f
 	if warm == armset.WarmCold {
 		return regress.Sufficient{}, false
 	}
-	src, err := deltaSource(st.engine)
-	if err != nil || src.modelFree {
-		return regress.Sufficient{}, false
-	}
 	hw := st.engine.Hardware()
 	dim := st.engine.Dim()
 	// learned is an arm's full data mass — everything above the ridge
 	// prior, local and fleet-merged alike — the most informed seed
-	// available on this replica.
+	// available on this replica. A model-free or non-mergeable engine
+	// has none, and the start degrades to cold.
 	learned := func(a int) (regress.Sufficient, bool) {
-		cur, err := src.suff(a)
+		cur, err := st.engine.ArmSufficient(a)
 		if err != nil {
 			return regress.Sufficient{}, false
 		}
-		prior, err := src.prior(a)
+		prior, err := st.engine.ArmPrior(a)
 		if err != nil {
 			return regress.Sufficient{}, false
 		}

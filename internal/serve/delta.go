@@ -158,59 +158,20 @@ func (st *stream) armGenAt(arm int) uint64 {
 	return 0
 }
 
-// engineDeltaSource adapts the two engine families' delta hooks behind
-// one function set. modelFree engines (random) have no arm statistics
-// but still replicate rounds and counters.
-type engineDeltaSource struct {
-	modelFree bool
-	suff      func(arm int) (regress.Sufficient, error)
-	prior     func(arm int) (regress.Sufficient, error)
-	merge     func(arm int, delta regress.Sufficient) error
-	absorb    func(k int) error
-}
-
-// deltaSource resolves an engine's delta hooks, or ErrNotMergeable for
-// configurations whose state is not additive.
-func deltaSource(eng Engine) (engineDeltaSource, error) {
-	switch e := eng.(type) {
-	case banditEngine:
-		if err := e.DeltaMergeable(); err != nil {
-			return engineDeltaSource{}, fmt.Errorf("%w: %v", ErrNotMergeable, err)
-		}
-		return engineDeltaSource{
-			suff:   e.ArmSufficient,
-			prior:  e.ArmPrior,
-			merge:  e.MergeArmDelta,
-			absorb: e.AbsorbRounds,
-		}, nil
-	case *policyEngine:
-		if e.lin == nil {
-			// Model-free policy: nothing to merge beyond rounds/counters.
-			return engineDeltaSource{modelFree: true, absorb: e.absorbRounds}, nil
-		}
-		// Probe one arm so windowed/forgetting configurations surface as
-		// ErrNotMergeable up front (the configuration is fixed for the
-		// engine's lifetime, so a passing probe holds forever).
-		if _, err := e.lin.ArmSufficient(0); err != nil {
-			return engineDeltaSource{}, fmt.Errorf("%w: %v", ErrNotMergeable, err)
-		}
-		return engineDeltaSource{
-			suff:   e.lin.ArmSufficient,
-			prior:  e.lin.ArmPrior,
-			merge:  e.lin.MergeArmSufficient,
-			absorb: e.absorbRounds,
-		}, nil
+// deltaMode probes how a stream's engine replicates. A model-free
+// engine (random) ships rounds and counters but no arm statistics; a
+// configuration whose state is not additive is ErrNotMergeable. The
+// configuration is fixed for the engine's lifetime, so one probe of arm
+// 0 holds for every arm.
+func deltaMode(eng Engine) (modelFree bool, err error) {
+	_, err = eng.ArmPrior(0)
+	switch {
+	case err == nil:
+		return false, nil
+	case errors.Is(err, ErrUnsupported):
+		return true, nil
 	}
-	return engineDeltaSource{}, fmt.Errorf("%w: engine %T has no delta support", ErrNotMergeable, eng)
-}
-
-// absorbRounds adds k rounds merged from peers to the round counter.
-func (e *policyEngine) absorbRounds(k int) error {
-	if k < 0 {
-		return fmt.Errorf("serve: negative round count %d", k)
-	}
-	e.round += k
-	return nil
+	return false, fmt.Errorf("%w: %v", ErrNotMergeable, err)
 }
 
 // peerStreamBase is one peer's acknowledged baseline for one stream:
@@ -272,6 +233,7 @@ func (s *Service) CaptureDelta(base *SyncState) (*DeltaCapture, error) {
 	}
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
+	streams := s.allStreams()
 	c := &DeltaCapture{
 		svc:   s,
 		base:  base,
@@ -282,9 +244,9 @@ func (s *Service) CaptureDelta(base *SyncState) (*DeltaCapture, error) {
 			Delta:   true,
 			SavedAt: s.now().UnixNano(),
 		},
-		next: make(map[string]*peerStreamBase),
+		next: make(map[string]*peerStreamBase, len(streams)),
 	}
-	for _, st := range s.allStreams() {
+	for _, st := range streams {
 		st.mu.Lock()
 		sd, nb, err := st.captureDeltaLocked(base.streams[st.name])
 		st.mu.Unlock()
@@ -331,7 +293,7 @@ func (c *DeltaCapture) Commit() {
 // first sync — ship everything local) and the baseline a commit should
 // advance to. Returns a nil streamDelta when nothing changed.
 func (st *stream) captureDeltaLocked(prev *peerStreamBase) (*streamDelta, *peerStreamBase, error) {
-	src, err := deltaSource(st.engine)
+	modelFree, err := deltaMode(st.engine)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -379,17 +341,17 @@ func (st *stream) captureDeltaLocked(prev *peerStreamBase) (*streamDelta, *peerS
 	changed := sd.Rounds > 0 || sd.Issued > 0 || sd.Observed > 0 || sd.Failures > 0 ||
 		sd.RewardTotal != 0 || sd.RuntimeTotal != 0
 
-	if !src.modelFree {
+	if !modelFree {
 		nb.arms = make([]regress.Sufficient, arms)
 		nb.gens = make([]uint64, arms)
 		armDeltas := make([]regress.Sufficient, arms)
 		anyArm := false
 		for a := 0; a < arms; a++ {
-			cur, err := src.suff(a)
+			cur, err := st.engine.ArmSufficient(a)
 			if err != nil {
 				return nil, nil, err
 			}
-			prior, err := src.prior(a)
+			prior, err := st.engine.ArmPrior(a)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -568,7 +530,7 @@ func (s *Service) ApplyDelta(r io.Reader) (DeltaStats, error) {
 }
 
 func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
-	src, err := deltaSource(st.engine)
+	modelFree, err := deltaMode(st.engine)
 	if err != nil {
 		return err
 	}
@@ -583,7 +545,7 @@ func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
 		return fmt.Errorf("%w: negative rounds %d", ErrBadDelta, sd.Rounds)
 	case len(sd.Arms) > 0 && len(sd.Arms) != arms:
 		return fmt.Errorf("%w: %d arm deltas for %d arms", ErrBadDelta, len(sd.Arms), arms)
-	case len(sd.Arms) > 0 && src.modelFree:
+	case len(sd.Arms) > 0 && modelFree:
 		return fmt.Errorf("%w: arm deltas for model-free policy %q", ErrBadDelta, sd.Policy)
 	case len(sd.DriftByArm) > 0 && len(sd.DriftByArm) != arms:
 		return fmt.Errorf("%w: %d drift counts for %d arms", ErrBadDelta, len(sd.DriftByArm), arms)
@@ -596,7 +558,7 @@ func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
 		if d.IsZero() {
 			continue
 		}
-		if err := src.merge(a, d); err != nil {
+		if err := st.engine.MergeArmDelta(a, d); err != nil {
 			return err
 		}
 		sum, err := m.arms[a].Add(d)
@@ -607,7 +569,7 @@ func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
 		stats.Arms++
 	}
 	if sd.Rounds > 0 {
-		if err := src.absorb(sd.Rounds); err != nil {
+		if err := st.engine.AbsorbRounds(sd.Rounds); err != nil {
 			return err
 		}
 		m.rounds += sd.Rounds
@@ -665,20 +627,20 @@ func (s *Service) ImportSnapshot(r io.Reader) error {
 // rebaselineForeignLocked marks a stream's entire current state as
 // foreign: local share zero, so delta extraction starts from here.
 func (st *stream) rebaselineForeignLocked() {
-	src, err := deltaSource(st.engine)
+	modelFree, err := deltaMode(st.engine)
 	if err != nil {
 		return // non-mergeable streams are not replicated
 	}
 	arms := len(st.engine.Hardware())
 	dim := st.engine.Dim()
 	m := st.ensureMergedLocked(arms, dim)
-	if !src.modelFree {
+	if !modelFree {
 		for a := 0; a < arms; a++ {
-			cur, err := src.suff(a)
+			cur, err := st.engine.ArmSufficient(a)
 			if err != nil {
 				continue
 			}
-			prior, err := src.prior(a)
+			prior, err := st.engine.ArmPrior(a)
 			if err != nil {
 				continue
 			}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -49,11 +50,7 @@ func armSuff(t *testing.T, s *Service, name string, arm int) regress.Sufficient 
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	src, err := deltaSource(st.engine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suff, err := src.suff(arm)
+	suff, err := st.engine.ArmSufficient(arm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -821,5 +818,76 @@ func TestApplyDeltaRejectsMalformed(t *testing.T) {
 	}
 	if !svc.Ready() {
 		t.Fatal("service stuck not-ready after rejected deltas")
+	}
+}
+
+// BenchmarkCaptureApplyDelta times one replication step per policy
+// type: CaptureDelta over a 64-stream service, the envelope's JSON
+// encode, and ApplyDelta on a peer serving the same streams. The
+// capture is never committed, so every iteration ships the same delta:
+// each stream's full local state after 24 observations. The peer keeps
+// absorbing it, which leaves its models well-posed (the same positive
+// semidefinite mass, added again).
+//
+// The first step, which also builds the peer's merge accounting, runs
+// untimed, and each timed step starts from a heap collected twice
+// outside the timer. The JSON encoder's pooled buffer survives one
+// collection and not two, and regrows in about twenty allocations, so
+// without this allocs/op would depend on when the collector ran.
+func BenchmarkCaptureApplyDelta(b *testing.B) {
+	for _, kind := range []string{
+		PolicyAlgorithm1, PolicyLinUCB, PolicyLinTS, PolicyEpsGreedy,
+		PolicyGreedy, PolicySoftmax, PolicyRandom,
+	} {
+		b.Run(kind, func(b *testing.B) {
+			src, peer := NewService(ServiceOptions{}), NewService(ServiceOptions{})
+			for i := 0; i < 64; i++ {
+				name := fmt.Sprintf("s%04d", i)
+				cfg := StreamConfig{
+					Hardware: testHW(), Dim: 2, Options: core.Options{Seed: 7},
+					Policy: PolicySpec{Type: kind, Seed: 7},
+				}
+				for _, s := range []*Service{src, peer} {
+					if err := s.CreateStream(name, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for j := 0; j < 24; j++ {
+					arm, x, rt := deltaObservation(i + j)
+					if err := src.ObserveDirect(name, arm, x, rt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			sync := src.NewSyncState()
+			var buf bytes.Buffer
+			step := func() {
+				c, err := src.CaptureDelta(sync)
+				if err != nil {
+					b.Fatal(err)
+				}
+				buf.Reset()
+				if err := c.Encode(&buf); err != nil {
+					b.Fatal(err)
+				}
+				stats, err := peer.ApplyDelta(&buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if stats.Streams != 64 {
+					b.Fatalf("applied %d streams, want 64", stats.Streams)
+				}
+			}
+			step()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC()
+				b.StartTimer()
+				step()
+			}
+		})
 	}
 }

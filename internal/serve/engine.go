@@ -66,6 +66,17 @@ type Engine interface {
 	// arm-set elasticity.
 	AddArm(cfg hardware.Config) error
 	RemoveArm(arm int) error
+	// ArmSufficient and ArmPrior return one arm's information-form
+	// statistics and its untrained prior, MergeArmDelta folds a peer's
+	// additive delta into the arm, and AbsorbRounds adds k rounds merged
+	// from peers — the delta-replication hooks. A configuration whose
+	// state is not additive (window, forgetting, batch refit) answers
+	// regress.ErrNotMergeable; model-free policies answer ErrUnsupported
+	// for the three arm hooks.
+	ArmSufficient(arm int) (regress.Sufficient, error)
+	ArmPrior(arm int) (regress.Sufficient, error)
+	MergeArmDelta(arm int, delta regress.Sufficient) error
+	AbsorbRounds(k int) error
 }
 
 // CIProvider is an optional Engine extension exposing per-arm prediction
@@ -210,10 +221,11 @@ func checkShape(arms, dim int) error {
 // newEngine builds the engine a stream (or shadow) serves from. opts
 // parameterises Algorithm 1 and is ignored by the other policies, which
 // take their parameters from spec. adapt (already canonical — see
-// compileAdapt) configures model forgetting or windowing: Algorithm 1
-// takes it through its Options, the linear-model policies through
-// policy.Linear.SetAdaptation; policies without models (random) reject
-// any mode but "none".
+// compileAdapt) configures model forgetting or windowing, which every
+// linear engine hands to its regress.Arms (Algorithm 1 through its
+// Options, the other linear policies through policy.Linear.
+// SetAdaptation); policies without models (random) reject any mode but
+// "none".
 func newEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, adapt AdaptSpec) (Engine, error) {
 	if err := checkShape(len(hw), dim); err != nil {
 		return nil, err
@@ -232,19 +244,6 @@ func buildEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, a
 	if kind == PolicyAlgorithm1 {
 		if spec.Seed != 0 {
 			opts.Seed = spec.Seed
-		}
-		if adapt.Mode != AdaptNone {
-			// The adaptation spec is the single source of truth for the
-			// memory knobs: a stream that also sets the raw Options
-			// equivalents is ambiguous and rejected, not silently merged.
-			if opts.ForgettingFactor != 0 {
-				return nil, fmt.Errorf("%w: adaptation mode %q conflicts with the stream's forgetting_factor option",
-					ErrBadAdapt, adapt.Mode)
-			}
-			if opts.WindowSize != 0 {
-				return nil, fmt.Errorf("%w: adaptation mode %q conflicts with the stream's WindowSize option",
-					ErrBadAdapt, adapt.Mode)
-			}
 		}
 		switch adapt.Mode {
 		case AdaptForgetting:
@@ -427,6 +426,40 @@ func (e *policyEngine) Model(arm int) (regress.Model, error) {
 		return regress.Model{}, errModelFree
 	}
 	return e.lin.ArmModel(arm)
+}
+
+// ArmSufficient implements Engine.
+func (e *policyEngine) ArmSufficient(arm int) (regress.Sufficient, error) {
+	if e.lin == nil {
+		return regress.Sufficient{}, errModelFree
+	}
+	return e.lin.ArmSufficient(arm)
+}
+
+// ArmPrior implements Engine.
+func (e *policyEngine) ArmPrior(arm int) (regress.Sufficient, error) {
+	if e.lin == nil {
+		return regress.Sufficient{}, errModelFree
+	}
+	return e.lin.ArmPrior(arm)
+}
+
+// MergeArmDelta implements Engine.
+func (e *policyEngine) MergeArmDelta(arm int, delta regress.Sufficient) error {
+	if e.lin == nil {
+		return errModelFree
+	}
+	return e.lin.MergeArmDelta(arm, delta)
+}
+
+// AbsorbRounds implements Engine: the policies keep no ε schedule, so
+// merged rounds only advance the round counter.
+func (e *policyEngine) AbsorbRounds(k int) error {
+	if k < 0 {
+		return fmt.Errorf("serve: negative round count %d", k)
+	}
+	e.round += k
+	return nil
 }
 
 // policyEngineState is the JSON wire form of a policyEngine.

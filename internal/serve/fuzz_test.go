@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"testing"
 	"time"
 
 	"banditware/internal/core"
+	"banditware/internal/linalg"
+	"banditware/internal/regress"
 )
 
 // FuzzAdaptSpec drives the adaptation-spec wire decoder and compiler
@@ -214,4 +218,127 @@ func FuzzLoadService(f *testing.F) {
 			t.Fatalf("Save → Load → Save is not byte-stable:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// deltaFuzzLive are the live streams FuzzApplyDelta's peer captures
+// from and its target merges into: one per engine family.
+var deltaFuzzLive = []StreamConfig{
+	{Hardware: testHW(), Dim: 2, Options: core.Options{Seed: 1}},
+	{Hardware: testHW(), Dim: 2, Policy: PolicySpec{Type: PolicyLinUCB}},
+}
+
+// deltaFuzzService returns base (or an empty service) with the live
+// streams "live0" (Algorithm 1) and "live1" (LinUCB) added.
+func deltaFuzzService(tb testing.TB, base []byte) *Service {
+	tb.Helper()
+	opts := ServiceOptions{Now: goldenClock().now}
+	s := NewService(opts)
+	if base != nil {
+		var err error
+		if s, err = Load(bytes.NewReader(base), opts); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i, cfg := range deltaFuzzLive {
+		if err := s.CreateStream(fmt.Sprintf("live%d", i), cfg); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s
+}
+
+// FuzzApplyDelta drives ApplyDelta with arbitrary bytes, as they arrive
+// from a fleet peer. The target is the v5 fixture service (the LinUCB
+// and Algorithm 1 streams v6-delta.json was captured for) plus one live
+// stream of each family; the seeds are that fixture and two live
+// captures from a peer. Invariants: nothing panics; a rejection is an
+// error in the delta vocabulary; and, accepted or not (a rejected
+// envelope keeps the streams it merged before the bad one), every arm
+// keeps finite sufficient statistics, a positive-definite Gram matrix
+// and finite predictions.
+func FuzzApplyDelta(f *testing.F) {
+	v5 := readGolden(f, "v5.json")
+	f.Add(readGolden(f, "v6-delta.json"))
+	// Hostile envelopes: a huge b over a weakly informed arm, whose model
+	// would solve to infinite weights, and one stream listed twice with
+	// near-maximal A, whose merged statistics would overflow.
+	huge := `{"name":"%s","policy":"%s","dim":2,"arms":[{"dim":2,"n":1,"a":[0,0,0,0,0,0,0,0,0],"b":[1e300,1e300,-1e300]},{"dim":2},{"dim":2}]}`
+	big := `{"name":"live1","policy":"linucb","dim":2,"arms":[{"dim":2,"n":1,"a":[1.7976931348623157e308,0,0,0,0,0,0,0,0],"b":[0,0,0]},{"dim":2},{"dim":2}]}`
+	for _, streams := range []string{
+		fmt.Sprintf(huge, "live0", PolicyAlgorithm1) + "," + fmt.Sprintf(huge, "live1", PolicyLinUCB),
+		big + "," + big,
+	} {
+		f.Add([]byte(`{"format":"banditware-service","version":7,"delta":true,"streams":[` + streams + `]}`))
+	}
+	peer := deltaFuzzService(f, nil)
+	sync := peer.NewSyncState()
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 24; i++ {
+			arm, x, rt := deltaObservation(round*24 + i)
+			for _, name := range []string{"live0", "live1"} {
+				if err := peer.ObserveDirect(name, arm, x, rt); err != nil {
+					f.Fatal(err)
+				}
+			}
+		}
+		c, err := peer.CaptureDelta(sync)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := c.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		c.Commit()
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := deltaFuzzService(t, v5)
+		if _, err := s.ApplyDelta(bytes.NewReader(data)); err != nil &&
+			!errors.Is(err, ErrBadDelta) && !errors.Is(err, ErrNotMergeable) && !errors.Is(err, regress.ErrBadInput) {
+			t.Fatalf("rejection outside the delta vocabulary: %v", err)
+		}
+		for _, st := range s.allStreams() {
+			st.mu.Lock()
+			err := checkMergedArms(st.engine)
+			st.mu.Unlock()
+			if err != nil {
+				t.Fatalf("stream %q after ApplyDelta: %v", st.name, err)
+			}
+		}
+	})
+}
+
+// checkMergedArms reports an arm whose sufficient statistics are not
+// finite, whose Gram matrix is not positive definite, or whose model
+// predicts a non-finite runtime for the all-ones context.
+func checkMergedArms(eng Engine) error {
+	d := eng.Dim() + 1
+	for a := range eng.Hardware() {
+		suff, err := eng.ArmSufficient(a)
+		if err != nil {
+			return err
+		}
+		if err := suff.Validate(); err != nil {
+			return err
+		}
+		gram := &linalg.Matrix{Rows: d, Cols: d, Data: suff.A}
+		if _, err := linalg.NewCholesky(gram); err != nil {
+			return fmt.Errorf("arm %d Gram matrix: %w", a, err)
+		}
+	}
+	x := make([]float64, eng.Dim())
+	for i := range x {
+		x[i] = 1
+	}
+	preds, err := eng.PredictAllInto(x, nil)
+	if err != nil {
+		return err
+	}
+	for a, p := range preds {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return fmt.Errorf("arm %d predicts %v", a, p)
+		}
+	}
+	return nil
 }

@@ -333,7 +333,6 @@ type createStreamRequest struct {
 	MinEpsilon       float64  `json:"min_epsilon,omitempty"`
 	ToleranceRatio   float64  `json:"tolerance_ratio,omitempty"`
 	ToleranceSeconds float64  `json:"tolerance_seconds,omitempty"`
-	ForgettingFactor float64  `json:"forgetting_factor,omitempty"`
 	Seed             uint64   `json:"seed,omitempty"`
 
 	// Ledger overrides (0 = service defaults).
@@ -371,7 +370,6 @@ func handleCreateStream(svc *Service, w http.ResponseWriter, r *http.Request) {
 		MinEpsilon:       req.MinEpsilon,
 		ToleranceRatio:   req.ToleranceRatio,
 		ToleranceSeconds: req.ToleranceSeconds,
-		ForgettingFactor: req.ForgettingFactor,
 		Seed:             req.Seed,
 	}
 	if req.Epsilon0 != nil {

@@ -159,3 +159,22 @@ func TestHTTPStreamInfoCarriesArmState(t *testing.T) {
 		t.Fatalf("arm states in stats: %+v", stats.Streams)
 	}
 }
+
+// TestHTTPCreateRejectsForgettingFactor: a stream's memory is set by
+// "adapt" alone. The raw "forgetting_factor" option used to make a
+// stream forget while it reported mode "none" and was skipped by
+// replication; a create naming it is now refused with 400 by the strict
+// body decode.
+func TestHTTPCreateRejectsForgettingFactor(t *testing.T) {
+	_, srv := newTestServer(t)
+	var errResp map[string]any
+	if code := doJSON(t, "POST", srv.URL+"/v1/streams", map[string]any{
+		"name": "jobs", "hardware_spec": "H0=2x16;H1=3x24", "dim": 1, "seed": 1,
+		"forgetting_factor": 0.9,
+	}, &errResp); code != http.StatusBadRequest {
+		t.Fatalf("create with forgetting_factor: status %d (%v), want 400", code, errResp)
+	}
+	if code := doJSON(t, "GET", srv.URL+"/v1/streams/jobs", nil, &errResp); code != http.StatusNotFound {
+		t.Fatalf("rejected create registered the stream: status %d", code)
+	}
+}

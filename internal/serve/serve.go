@@ -178,7 +178,9 @@ type StreamConfig struct {
 	// (required numeric fields x0..x{dim-1}) and raw vectors unchanged.
 	Schema *schema.Schema
 	// Options are the Algorithm 1 parameters for this stream. They are
-	// ignored when Policy selects a non-Algorithm 1 policy.
+	// ignored when Policy selects a non-Algorithm 1 policy. Their memory
+	// knobs (ForgettingFactor, WindowSize) must stay zero: a stream's
+	// memory is set by Adapt alone.
 	Options core.Options
 	// Policy selects the stream's decision policy; the zero value is
 	// Algorithm 1 parameterised by Options.
@@ -440,6 +442,17 @@ func (s *Service) CreateStream(name string, cfg StreamConfig) error {
 	if err != nil {
 		return err
 	}
+	// Adapt is the one memory knob: a stream that forgot or windowed
+	// through the raw Options would report mode "none" and be skipped by
+	// replication as non-mergeable.
+	if cfg.Options.ForgettingFactor != 0 {
+		return fmt.Errorf("%w: set Adapt (mode %q, factor %v) instead of Options.ForgettingFactor",
+			ErrBadAdapt, AdaptForgetting, cfg.Options.ForgettingFactor)
+	}
+	if cfg.Options.WindowSize != 0 {
+		return fmt.Errorf("%w: set Adapt (mode %q, window %d) instead of Options.WindowSize",
+			ErrBadAdapt, AdaptWindow, cfg.Options.WindowSize)
+	}
 	adapt, err := compileAdapt(cfg.Adapt)
 	if err != nil {
 		return err
@@ -570,9 +583,15 @@ func (s *Service) NumStreams() int {
 // --- ticket ids ------------------------------------------------------
 
 // ticketID renders "stream#sequence". Stream names cannot contain '#'
-// (ValidStreamName), so the split is unambiguous.
+// (ValidStreamName), so the split is unambiguous. The ID is assembled
+// on the stack (a 128-byte name, '#' and up to 16 hex digits) and
+// copied out once, so every ID costs exactly one allocation.
 func ticketID(stream string, seq uint64) string {
-	return stream + "#" + strconv.FormatUint(seq, 16)
+	var buf [128 + 1 + 16]byte
+	b := append(buf[:0], stream...)
+	b = append(b, '#')
+	b = strconv.AppendUint(b, seq, 16)
+	return string(b)
 }
 
 // ParseTicketID splits a ticket ID into its stream name and sequence.
