@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -72,5 +73,52 @@ func TestPredictWithCIShrinksWithData(t *testing.T) {
 	if iv500[0].Hi-iv500[0].Lo >= iv10[0].Hi-iv10[0].Lo {
 		t.Fatalf("interval did not shrink with data: %v -> %v",
 			iv10[0].Hi-iv10[0].Lo, iv500[0].Hi-iv500[0].Lo)
+	}
+}
+
+// TestRefusedObservationKeepsIntervalFinite: an observation refused for
+// a non-finite feature, or for a finite feature whose one-step residual
+// squares past the float64 range, changes nothing, so the arm's
+// prediction interval stays finite and exactly as it was. The residual
+// tracker used to record the residual before the estimator refused the
+// features, leaving the interval at NaN or ±Inf for good.
+func TestRefusedObservationKeepsIntervalFinite(t *testing.T) {
+	for _, window := range []int{0, 4} {
+		for _, bad := range []float64{math.Inf(1), 1e200} {
+			t.Run(fmt.Sprintf("window=%d/x=%g", window, bad), func(t *testing.T) {
+				b := newTestBandit(t, 1, Options{Seed: 75, WindowSize: window})
+				for i := 1; i <= 5; i++ {
+					x := float64(i)
+					if err := b.Observe(0, []float64{x}, 3*x+5+0.1*float64(i%2)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before, err := b.PredictWithCI([]float64{3}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obsErr := b.Observe(0, []float64{bad}, 5)
+				if obsErr == nil {
+					t.Fatal("observation accepted")
+				}
+				after, err := b.PredictWithCI([]float64{3}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				iv := after[0]
+				if math.IsNaN(iv.Lo) || math.IsInf(iv.Lo, 0) || math.IsNaN(iv.Hi) || math.IsInf(iv.Hi, 0) {
+					t.Fatalf("interval %+v after a refused observation", iv)
+				}
+				if iv != before[0] {
+					t.Fatalf("interval moved from %+v to %+v", before[0], iv)
+				}
+				if obsErr != ErrBadValue {
+					t.Fatalf("err = %v, want ErrBadValue", obsErr)
+				}
+				if b.Round() != 5 {
+					t.Fatalf("round %d after a refused observation, want 5", b.Round())
+				}
+			})
+		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"banditware/internal/hardware"
+	"banditware/internal/linalg"
 	"banditware/internal/regress"
 	"banditware/internal/rng"
 	"banditware/internal/stats"
@@ -440,12 +441,23 @@ func (b *Bandit) Observe(armIdx int, x []float64, runtime float64) error {
 	}
 	a := b.arms[armIdx]
 	sx := b.scaled(x)
-	// One-step-ahead residual, recorded before the model absorbs the
-	// observation (an honest out-of-sample error).
-	a.resid.Add(runtime - a.model.Predict(sx))
+	if !linalg.VecIsFinite(sx) {
+		return ErrBadValue
+	}
+	// One-step-ahead residual, taken before the model absorbs the
+	// observation (an honest out-of-sample error) and recorded only once
+	// the estimator accepts it, so a refused observation leaves the
+	// residual tracker untouched. A residual whose square overflows
+	// would turn the tracker's variance, and every interval after it,
+	// into ±Inf or NaN for good.
+	resid := runtime - a.model.Predict(sx)
+	if sq := resid * resid; math.IsNaN(sq) || math.IsInf(sq, 0) {
+		return ErrBadValue
+	}
 	if err := b.est.Update(armIdx, sx, runtime); err != nil {
 		return err
 	}
+	a.resid.Add(resid)
 	rls := b.est.At(armIdx)
 	if b.opts.BatchRefit {
 		a.xs = append(a.xs, append([]float64(nil), sx...))

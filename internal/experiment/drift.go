@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"banditware/internal/core"
-	"banditware/internal/drift"
 	"banditware/internal/rng"
 	"banditware/internal/stats"
 	"banditware/internal/workloads"
@@ -160,188 +159,4 @@ func driftAccuracy(b *core.Bandit, d *workloads.Dataset, truth func(int, []float
 		}
 	}
 	return float64(correct) / float64(k)
-}
-
-// AdaptiveDriftModes are the adaptation modes RunAdaptiveDrift
-// compares, in result order: infinite-horizon learning, exponential
-// forgetting, and a per-arm sliding window.
-var AdaptiveDriftModes = []string{"none", "forgetting", "window"}
-
-// AdaptiveDriftConfig configures the online-adaptation counterpart of
-// RunDrift: the same mid-run environment swap, but comparing all three
-// adaptation modes the serving layer offers (none / forgetting /
-// window) with a per-arm Page-Hinkley drift detector running on each
-// bandit's chosen-arm residuals — the identical signal a live Service
-// stream monitors — so the offline recovery curves and the online
-// detection delay can be read together.
-type AdaptiveDriftConfig struct {
-	// Dataset supplies features and the pre-drift ground truth.
-	Dataset *workloads.Dataset
-	// SwapRound is when the drift happens (default NRounds/2).
-	SwapRound int
-	// NRounds, NSim, Seed as in BanditConfig.
-	NRounds int
-	NSim    int
-	Seed    uint64
-	// ForgettingFactor for the forgetting bandit (0 selects 0.98) and
-	// WindowSize for the windowed bandit (0 selects 64).
-	ForgettingFactor float64
-	WindowSize       int
-	// Detector tunes the per-arm Page-Hinkley detectors; zero fields
-	// select the drift package defaults plus a 20-sample warmup.
-	Detector drift.Config
-}
-
-// AdaptiveDriftResult reports per-round accuracy per mode plus the
-// detector outcomes.
-type AdaptiveDriftResult struct {
-	// Rounds holds the round index (1-based); Acc maps each mode in
-	// AdaptiveDriftModes to its mean per-round accuracy.
-	Rounds []int
-	Acc    map[string][]float64
-	// MeanDetections is the mean number of drift detections per
-	// simulation per mode; MeanFirstDetection the mean round (1-based)
-	// of the first detection among simulations that detected at all (0
-	// when none did), and DetectRate the fraction of simulations with
-	// at least one detection.
-	MeanDetections     map[string]float64
-	MeanFirstDetection map[string]float64
-	DetectRate         map[string]float64
-	// SwapRound echoes the drift point.
-	SwapRound int
-}
-
-// RunAdaptiveDrift runs the three adaptation modes through the same
-// drifting environment with online drift detection.
-func RunAdaptiveDrift(cfg AdaptiveDriftConfig) (*AdaptiveDriftResult, error) {
-	if cfg.Dataset == nil {
-		return nil, errors.New("experiment: nil dataset")
-	}
-	if err := cfg.Dataset.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.NRounds <= 0 || cfg.NSim <= 0 {
-		return nil, fmt.Errorf("experiment: need positive rounds/sims, got %d/%d", cfg.NRounds, cfg.NSim)
-	}
-	if cfg.SwapRound <= 0 {
-		cfg.SwapRound = cfg.NRounds / 2
-	}
-	if cfg.ForgettingFactor == 0 {
-		cfg.ForgettingFactor = 0.98
-	}
-	if cfg.WindowSize == 0 {
-		cfg.WindowSize = 64
-	}
-	if cfg.Detector.Warmup == 0 {
-		cfg.Detector.Warmup = 20
-	}
-	if err := cfg.Detector.Validate(); err != nil {
-		return nil, err
-	}
-	d := cfg.Dataset
-	dim := d.Dim()
-	scales := featureScales(d)
-	modes := AdaptiveDriftModes
-
-	res := &AdaptiveDriftResult{
-		SwapRound:          cfg.SwapRound,
-		Acc:                make(map[string][]float64, len(modes)),
-		MeanDetections:     make(map[string]float64, len(modes)),
-		MeanFirstDetection: make(map[string]float64, len(modes)),
-		DetectRate:         make(map[string]float64, len(modes)),
-	}
-	acc := make(map[string][][]float64, len(modes))
-	for _, m := range modes {
-		acc[m] = make([][]float64, cfg.NRounds)
-	}
-	totalDet := make(map[string]float64, len(modes))
-	firstDetSum := make(map[string]float64, len(modes))
-	firstDetN := make(map[string]int, len(modes))
-
-	root := rng.New(cfg.Seed)
-	for sim := 0; sim < cfg.NSim; sim++ {
-		simRng := root.Split()
-		mk := func(forget float64, window int) (*core.Bandit, error) {
-			return core.New(d.Hardware, dim, core.Options{
-				Seed:             simRng.Uint64(),
-				FeatureScale:     scales,
-				ForgettingFactor: forget,
-				WindowSize:       window,
-				// Keep a little exploration alive forever so drift is
-				// detectable at all (as in RunDrift).
-				MinEpsilon: 0.05,
-			})
-		}
-		bandits := make(map[string]*core.Bandit, len(modes))
-		detectors := make(map[string][]*drift.PageHinkley, len(modes))
-		firstDet := make(map[string]int, len(modes))
-		var err error
-		for _, m := range modes {
-			switch m {
-			case "forgetting":
-				bandits[m], err = mk(cfg.ForgettingFactor, 0)
-			case "window":
-				bandits[m], err = mk(0, cfg.WindowSize)
-			default:
-				bandits[m], err = mk(0, 0)
-			}
-			if err != nil {
-				return nil, err
-			}
-			ds := make([]*drift.PageHinkley, len(d.Hardware))
-			for i := range ds {
-				if ds[i], err = drift.New(cfg.Detector); err != nil {
-					return nil, err
-				}
-			}
-			detectors[m] = ds
-		}
-		for round := 0; round < cfg.NRounds; round++ {
-			swapped := round >= cfg.SwapRound
-			truth := driftTruth(d, swapped)
-			run := d.Runs[simRng.Intn(len(d.Runs))]
-			for _, m := range modes {
-				b := bandits[m]
-				dec, err := b.Recommend(run.Features)
-				if err != nil {
-					return nil, err
-				}
-				rt := truth(dec.Arm, run.Features) + simRng.Normal(0, d.Noise(dec.Arm, run.Features))
-				// The same residual a live stream monitors: observed
-				// signal minus the pre-update prediction for the arm.
-				if detectors[m][dec.Arm].Add(rt-dec.Predicted[dec.Arm]) && firstDet[m] == 0 {
-					firstDet[m] = round + 1
-				}
-				if err := b.Observe(dec.Arm, run.Features, rt); err != nil {
-					return nil, err
-				}
-				acc[m][round] = append(acc[m][round], driftAccuracy(b, d, truth, simRng))
-			}
-		}
-		for _, m := range modes {
-			for _, det := range detectors[m] {
-				totalDet[m] += float64(det.Detections())
-			}
-			if firstDet[m] > 0 {
-				firstDetSum[m] += float64(firstDet[m])
-				firstDetN[m]++
-			}
-		}
-	}
-	for r := 0; r < cfg.NRounds; r++ {
-		res.Rounds = append(res.Rounds, r+1)
-	}
-	for _, m := range modes {
-		series := make([]float64, cfg.NRounds)
-		for r := 0; r < cfg.NRounds; r++ {
-			series[r] = stats.Mean(acc[m][r])
-		}
-		res.Acc[m] = series
-		res.MeanDetections[m] = totalDet[m] / float64(cfg.NSim)
-		res.DetectRate[m] = float64(firstDetN[m]) / float64(cfg.NSim)
-		if firstDetN[m] > 0 {
-			res.MeanFirstDetection[m] = firstDetSum[m] / float64(firstDetN[m])
-		}
-	}
-	return res, nil
 }

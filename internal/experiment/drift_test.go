@@ -64,63 +64,3 @@ func TestRunDriftValidation(t *testing.T) {
 		t.Fatal("zero rounds should fail")
 	}
 }
-
-func TestRunAdaptiveDrift(t *testing.T) {
-	d, err := workloads.GenerateCycles(workloads.CyclesOptions{Seed: 47})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunAdaptiveDrift(AdaptiveDriftConfig{
-		Dataset:          d,
-		NRounds:          240,
-		NSim:             4,
-		Seed:             47,
-		ForgettingFactor: 0.95,
-		WindowSize:       40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SwapRound != 120 || len(res.Rounds) != 240 {
-		t.Fatalf("shape: swap %d, %d rounds", res.SwapRound, len(res.Rounds))
-	}
-	for _, m := range AdaptiveDriftModes {
-		if len(res.Acc[m]) != 240 {
-			t.Fatalf("mode %q: ragged accuracy series", m)
-		}
-	}
-	tail := func(m string) float64 { return stats.Mean(res.Acc[m][220:]) }
-	static, forget, window := tail("none"), tail("forgetting"), tail("window")
-	// Both adaptive modes recover past the static bandit by the end.
-	if forget <= static || window <= static {
-		t.Fatalf("adaptive end accuracies %.2f/%.2f did not beat static %.2f", forget, window, static)
-	}
-	// Every mode's detector noticed the swap, and never before it: the
-	// swap is the only mean shift in the run.
-	for _, m := range AdaptiveDriftModes {
-		if res.DetectRate[m] < 0.5 {
-			t.Errorf("mode %q: detect rate %.2f, want ≥ 0.5", m, res.DetectRate[m])
-		}
-		if first := res.MeanFirstDetection[m]; first > 0 && first <= float64(res.SwapRound) {
-			t.Errorf("mode %q: mean first detection at round %.0f, before the swap at %d", m, first, res.SwapRound)
-		}
-	}
-}
-
-func TestRunAdaptiveDriftValidation(t *testing.T) {
-	d, err := workloads.GenerateCycles(workloads.CyclesOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunAdaptiveDrift(AdaptiveDriftConfig{Dataset: nil, NRounds: 10, NSim: 1}); err == nil {
-		t.Fatal("nil dataset accepted")
-	}
-	if _, err := RunAdaptiveDrift(AdaptiveDriftConfig{Dataset: d, NRounds: 0, NSim: 1}); err == nil {
-		t.Fatal("zero rounds accepted")
-	}
-	bad := AdaptiveDriftConfig{Dataset: d, NRounds: 10, NSim: 1}
-	bad.Detector.Delta = -1
-	if _, err := RunAdaptiveDrift(bad); err == nil {
-		t.Fatal("bad detector config accepted")
-	}
-}

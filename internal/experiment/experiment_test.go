@@ -355,17 +355,6 @@ func TestOutputWriters(t *testing.T) {
 	if !strings.Contains(md, "Baseline (full fit)") {
 		t.Fatal("markdown missing baseline line")
 	}
-	lr, err := RunLinReg(LinRegConfig{Dataset: smallCycles(t), NModels: 5, TrainN: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := WriteLinRegCSV(&buf, lr); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 6 {
-		t.Fatalf("linreg csv lines = %d, want 6", got)
-	}
 	series, _, err := RunFit(FitConfig{
 		Bandit:  BanditConfig{Dataset: smallCycles(t), NRounds: 5, NSim: 1, Seed: 1},
 		Feature: "num_tasks", Lo: 100, Hi: 500, Steps: 3,

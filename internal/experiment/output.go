@@ -21,20 +21,6 @@ func WriteRoundsCSV(w io.Writer, res *BanditResult) error {
 	return nil
 }
 
-// WriteLinRegCSV writes the per-model score distribution.
-func WriteLinRegCSV(w io.Writer, res *LinRegResult) error {
-	if _, err := fmt.Fprintln(w, "model,rmse,r2,train_seconds"); err != nil {
-		return err
-	}
-	for i := range res.RMSE {
-		if _, err := fmt.Fprintf(w, "%d,%g,%g,%g\n",
-			i, res.RMSE[i], res.R2[i], res.TrainSeconds[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteFitCSV writes fit-overlay series in long form.
 func WriteFitCSV(w io.Writer, series []FitSeries, feature string) error {
 	if _, err := fmt.Fprintf(w, "hardware,%s,actual,predicted,full_fit\n", feature); err != nil {

@@ -116,65 +116,6 @@ func RunRegret(cfg RegretConfig) ([]RegretCurve, error) {
 	return curves, nil
 }
 
-// CompareRegret runs a Welch t-test on the final cumulative regrets of
-// two named curves' underlying simulations... it operates on the curve
-// summaries, so it re-runs the two policies with per-simulation
-// retention. For large claims prefer RunRegret + WelchTTest on raw
-// per-sim values; this helper answers "is A reliably better than B?".
-func CompareRegret(cfg RegretConfig, a, b string) (stats.TTestResult, error) {
-	finals := func(name string) ([]float64, error) {
-		factory, ok := cfg.Policies[name]
-		if !ok {
-			return nil, fmt.Errorf("experiment: unknown policy %q", name)
-		}
-		sub := cfg
-		sub.Policies = map[string]PolicyFactory{name: factory}
-		// Re-run retaining per-sim final regrets.
-		d := sub.Dataset
-		numArms := len(d.Hardware)
-		root := rng.New(sub.Seed)
-		out := make([]float64, 0, sub.NSim)
-		for sim := 0; sim < sub.NSim; sim++ {
-			simRng := root.Split()
-			p, err := factory(numArms, d.Dim(), sub.Seed+uint64(sim)*7919)
-			if err != nil {
-				return nil, err
-			}
-			cum := 0.0
-			for r := 0; r < sub.NRounds; r++ {
-				run := d.Runs[simRng.Intn(len(d.Runs))]
-				// Re-draw noise in stream order (same construction as
-				// RunRegret's streams).
-				noise := make([]float64, numArms)
-				for a := range noise {
-					noise[a] = simRng.Normal(0, 1)
-				}
-				arm, err := p.Select(run.Features)
-				if err != nil {
-					return nil, err
-				}
-				rt := d.Truth(arm, run.Features) + noise[arm]*d.Noise(arm, run.Features)
-				if err := p.Update(arm, run.Features, rt); err != nil {
-					return nil, err
-				}
-				best := d.BestArm(run.Features, 0, 0)
-				cum += d.Truth(arm, run.Features) - d.Truth(best, run.Features)
-			}
-			out = append(out, cum)
-		}
-		return out, nil
-	}
-	fa, err := finals(a)
-	if err != nil {
-		return stats.TTestResult{}, err
-	}
-	fb, err := finals(b)
-	if err != nil {
-		return stats.TTestResult{}, err
-	}
-	return stats.WelchTTest(fa, fb)
-}
-
 // WriteRegretCSV writes curves in long form (policy, round, cum, std).
 func WriteRegretCSV(w io.Writer, curves []RegretCurve) error {
 	if _, err := fmt.Fprintln(w, "policy,round,cumulative_regret_s,std"); err != nil {

@@ -85,34 +85,6 @@ func TestRunRegretValidation(t *testing.T) {
 	}
 }
 
-func TestCompareRegret(t *testing.T) {
-	d, err := workloads.GenerateCycles(workloads.CyclesOptions{Seed: 67})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := RegretConfig{
-		Dataset:  d,
-		NRounds:  120,
-		NSim:     6,
-		Seed:     67,
-		Policies: regretPolicies(d),
-	}
-	res, err := CompareRegret(cfg, "oracle", "random")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Oracle regret (0) vs random regret (large): decisive.
-	if res.P > 0.01 {
-		t.Fatalf("oracle-vs-random p = %v, want < 0.01", res.P)
-	}
-	if res.T >= 0 {
-		t.Fatalf("t = %v, want negative (oracle regret below random)", res.T)
-	}
-	if _, err := CompareRegret(cfg, "oracle", "nope"); err == nil {
-		t.Fatal("unknown policy should fail")
-	}
-}
-
 func TestWriteRegretCSV(t *testing.T) {
 	curves := []RegretCurve{{
 		Policy:     "x",

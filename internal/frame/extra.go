@@ -6,25 +6,6 @@ import (
 	"banditware/internal/stats"
 )
 
-// WithColumn returns a new frame equal to f plus a derived float column
-// computed row-by-row. The input frame is unchanged.
-func (f *Frame) WithColumn(name string, compute func(Row) float64) (*Frame, error) {
-	vals := make([]float64, f.NumRows())
-	for i := range vals {
-		vals[i] = compute(f.RowAt(i))
-	}
-	out := &Frame{index: make(map[string]int, len(f.cols)+1)}
-	for _, c := range f.cols {
-		if err := out.AddColumn(c); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.AddColumn(FloatCol(name, vals)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Describe returns a summary frame with one row per numeric column:
 // name, count, mean, std, min, median, max — the pandas describe()
 // analogue used when inspecting traces interactively.
@@ -61,101 +42,4 @@ func (f *Frame) Describe() (*Frame, error) {
 		FloatCol("median", median),
 		FloatCol("max", max),
 	)
-}
-
-// LeftJoin joins f with other on the named key, keeping every left row;
-// unmatched rows carry zero values ("" / 0) in the right columns. Column
-// collisions take the suffix, as in InnerJoin.
-func (f *Frame) LeftJoin(other *Frame, on, suffix string) (*Frame, error) {
-	kl, err := f.Column(on)
-	if err != nil {
-		return nil, err
-	}
-	kr, err := other.Column(on)
-	if err != nil {
-		return nil, err
-	}
-	buckets := map[string][]int{}
-	for i := 0; i < other.NumRows(); i++ {
-		k := kr.cell(i)
-		buckets[k] = append(buckets[k], i)
-	}
-	var leftIdx []int
-	var rightIdx []int // -1 = no match
-	for i := 0; i < f.NumRows(); i++ {
-		matches := buckets[kl.cell(i)]
-		if len(matches) == 0 {
-			leftIdx = append(leftIdx, i)
-			rightIdx = append(rightIdx, -1)
-			continue
-		}
-		for _, j := range matches {
-			leftIdx = append(leftIdx, i)
-			rightIdx = append(rightIdx, j)
-		}
-	}
-	out := &Frame{index: map[string]int{}}
-	for _, c := range f.cols {
-		if err := out.AddColumn(c.slice(leftIdx)); err != nil {
-			return nil, err
-		}
-	}
-	for _, c := range other.cols {
-		if c.Name == on {
-			continue
-		}
-		nc := &Column{Name: c.Name, Kind: c.Kind}
-		for _, j := range rightIdx {
-			switch c.Kind {
-			case Float:
-				if j < 0 {
-					nc.Floats = append(nc.Floats, 0)
-				} else {
-					nc.Floats = append(nc.Floats, c.Floats[j])
-				}
-			case Int:
-				if j < 0 {
-					nc.Ints = append(nc.Ints, 0)
-				} else {
-					nc.Ints = append(nc.Ints, c.Ints[j])
-				}
-			default:
-				if j < 0 {
-					nc.Strings = append(nc.Strings, "")
-				} else {
-					nc.Strings = append(nc.Strings, c.Strings[j])
-				}
-			}
-		}
-		if _, dup := out.index[nc.Name]; dup {
-			nc.Name += suffix
-			if _, dup2 := out.index[nc.Name]; dup2 {
-				return nil, fmt.Errorf("%w: %q even with suffix", ErrDupColumn, nc.Name)
-			}
-		}
-		if err := out.AddColumn(nc); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// DropDuplicates returns the rows whose rendered value of the named
-// column appears for the first time (first occurrence kept).
-func (f *Frame) DropDuplicates(by string) (*Frame, error) {
-	c, err := f.Column(by)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var idx []int
-	for i := 0; i < f.NumRows(); i++ {
-		k := c.cell(i)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		idx = append(idx, i)
-	}
-	return f.Take(idx), nil
 }

@@ -1,30 +1,6 @@
 package frame
 
-import (
-	"errors"
-	"testing"
-)
-
-func TestWithColumn(t *testing.T) {
-	f := sampleFrame(t)
-	g, err := f.WithColumn("runtime_min", func(r Row) float64 { return r.Float("runtime") / 60 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumCols() != f.NumCols()+1 {
-		t.Fatalf("cols = %d", g.NumCols())
-	}
-	if got := g.RowAt(0).Float("runtime_min"); got != 10.5/60 {
-		t.Fatalf("derived value = %v", got)
-	}
-	// Original unchanged.
-	if f.NumCols() != 3 {
-		t.Fatal("WithColumn mutated the input frame")
-	}
-	if _, err := g.WithColumn("runtime", func(Row) float64 { return 0 }); !errors.Is(err, ErrDupColumn) {
-		t.Fatal("duplicate derived name should fail")
-	}
-}
+import "testing"
 
 func TestDescribe(t *testing.T) {
 	f := sampleFrame(t)
@@ -49,62 +25,5 @@ func TestDescribe(t *testing.T) {
 	}
 	if runtimeRow.Float("min") != 5.0 || runtimeRow.Float("max") != 20.25 {
 		t.Fatalf("describe min/max = %v/%v", runtimeRow.Float("min"), runtimeRow.Float("max"))
-	}
-}
-
-func TestLeftJoin(t *testing.T) {
-	left, _ := New(
-		IntCol("id", []int64{1, 2, 3}),
-		FloatCol("x", []float64{10, 20, 30}),
-	)
-	right, _ := New(
-		IntCol("id", []int64{2}),
-		StringCol("tag", []string{"match"}),
-	)
-	j, err := left.LeftJoin(right, "id", "_r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumRows() != 3 {
-		t.Fatalf("left join rows = %d, want 3 (all left rows kept)", j.NumRows())
-	}
-	if j.RowAt(1).String("tag") != "match" {
-		t.Fatal("matched row lost its value")
-	}
-	if j.RowAt(0).String("tag") != "" || j.RowAt(2).String("tag") != "" {
-		t.Fatal("unmatched rows should carry zero values")
-	}
-}
-
-func TestLeftJoinCollision(t *testing.T) {
-	left, _ := New(IntCol("id", []int64{1}), FloatCol("v", []float64{1}))
-	right, _ := New(IntCol("id", []int64{1}), FloatCol("v", []float64{9}))
-	j, err := left.LeftJoin(right, "id", "_r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.RowAt(0).Float("v_r") != 9 {
-		t.Fatal("collision suffix not applied")
-	}
-}
-
-func TestDropDuplicates(t *testing.T) {
-	f, _ := New(
-		StringCol("hw", []string{"H0", "H1", "H0", "H2", "H1"}),
-		IntCol("n", []int64{1, 2, 3, 4, 5}),
-	)
-	d, err := f.DropDuplicates("hw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumRows() != 3 {
-		t.Fatalf("dedup rows = %d, want 3", d.NumRows())
-	}
-	// First occurrences kept.
-	if d.RowAt(0).Float("n") != 1 || d.RowAt(1).Float("n") != 2 || d.RowAt(2).Float("n") != 4 {
-		t.Fatal("wrong occurrences kept")
-	}
-	if _, err := f.DropDuplicates("nope"); !errors.Is(err, ErrNoColumn) {
-		t.Fatal("missing column should fail")
 	}
 }

@@ -1,7 +1,7 @@
 // Package frame implements a small columnar dataframe: typed columns
 // (float64, int64, string), CSV input/output with type inference, and the
-// relational operations the BanditWare input pipeline needs — select,
-// filter, sort, group-by aggregation, and inner join. It is the stand-in
+// operations the BanditWare input pipeline needs — select, filter, take,
+// concatenation and a numeric summary. It is the stand-in
 // for the pandas DataFrame the paper feeds to its framework (Figure 1).
 package frame
 
@@ -237,18 +237,6 @@ func (f *Frame) Take(idx []int) *Frame {
 		_ = out.AddColumn(c.slice(idx))
 	}
 	return out
-}
-
-// Head returns the first n rows (all rows if n exceeds NumRows).
-func (f *Frame) Head(n int) *Frame {
-	if n > f.NumRows() {
-		n = f.NumRows()
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return f.Take(idx)
 }
 
 // Row is a cursor over one row of a frame.

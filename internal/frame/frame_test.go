@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"banditware/internal/rng"
-	"banditware/internal/stats"
 )
 
 func sampleFrame(t *testing.T) *Frame {
@@ -91,7 +90,7 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestTakeAndHead(t *testing.T) {
+func TestTake(t *testing.T) {
 	f := sampleFrame(t)
 	taken := f.Take([]int{3, 0, 0})
 	if taken.NumRows() != 3 {
@@ -99,13 +98,6 @@ func TestTakeAndHead(t *testing.T) {
 	}
 	if taken.RowAt(0).String("hw") != "H2" || taken.RowAt(1).Float("runtime") != 10.5 {
 		t.Fatal("Take reordered incorrectly")
-	}
-	h := f.Head(2)
-	if h.NumRows() != 2 {
-		t.Fatalf("Head rows = %d", h.NumRows())
-	}
-	if f.Head(100).NumRows() != 4 {
-		t.Fatal("Head beyond length should clamp")
 	}
 }
 
@@ -132,113 +124,6 @@ func TestFilter(t *testing.T) {
 	none := f.Filter(func(Row) bool { return false })
 	if none.NumRows() != 0 {
 		t.Fatal("empty filter should keep zero rows")
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	f := sampleFrame(t)
-	sorted, err := f.SortBy("runtime")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := math.Inf(-1)
-	for i := 0; i < sorted.NumRows(); i++ {
-		v := sorted.RowAt(i).Float("runtime")
-		if v < prev {
-			t.Fatalf("not sorted at %d: %v < %v", i, v, prev)
-		}
-		prev = v
-	}
-	byName, err := f.SortBy("hw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byName.RowAt(0).String("hw") != "H0" {
-		t.Fatal("string sort failed")
-	}
-	if _, err := f.SortBy("nope"); !errors.Is(err, ErrNoColumn) {
-		t.Fatal("SortBy missing column should error")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	f := sampleFrame(t)
-	groups, err := f.GroupBy("hw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d, want 3", len(groups))
-	}
-	if groups[0].Key != "H0" || len(groups[0].Rows) != 2 {
-		t.Fatalf("first group = %+v", groups[0])
-	}
-	total := 0
-	for _, g := range groups {
-		total += len(g.Rows)
-	}
-	if total != f.NumRows() {
-		t.Fatalf("group row conservation violated: %d != %d", total, f.NumRows())
-	}
-}
-
-func TestAgg(t *testing.T) {
-	f := sampleFrame(t)
-	agg, err := f.Agg("hw", "runtime", "mean_runtime", stats.Mean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.NumRows() != 3 {
-		t.Fatalf("agg rows = %d", agg.NumRows())
-	}
-	if got := agg.RowAt(0).Float("mean_runtime"); got != 7.75 {
-		t.Fatalf("H0 mean = %v, want 7.75", got)
-	}
-}
-
-func TestInnerJoin(t *testing.T) {
-	left, _ := New(
-		IntCol("id", []int64{1, 2, 3}),
-		FloatCol("runtime", []float64{10, 20, 30}),
-	)
-	right, _ := New(
-		IntCol("id", []int64{2, 3, 4}),
-		FloatCol("runtime", []float64{21, 31, 41}),
-		StringCol("note", []string{"a", "b", "c"}),
-	)
-	j, err := left.InnerJoin(right, "id", "_h1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumRows() != 2 {
-		t.Fatalf("join rows = %d, want 2", j.NumRows())
-	}
-	names := strings.Join(j.Names(), ",")
-	if names != "id,runtime,runtime_h1,note" {
-		t.Fatalf("join columns = %s", names)
-	}
-	if j.RowAt(0).Float("runtime") != 20 || j.RowAt(0).Float("runtime_h1") != 21 {
-		t.Fatal("join values misaligned")
-	}
-}
-
-func TestInnerJoinDuplicateKeys(t *testing.T) {
-	left, _ := New(IntCol("id", []int64{1, 1}), FloatCol("x", []float64{1, 2}))
-	right, _ := New(IntCol("id", []int64{1, 1}), FloatCol("y", []float64{3, 4}))
-	j, err := left.InnerJoin(right, "id", "_r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumRows() != 4 {
-		t.Fatalf("cartesian join rows = %d, want 4", j.NumRows())
-	}
-}
-
-func TestInnerJoinMissingKey(t *testing.T) {
-	left, _ := New(IntCol("id", []int64{1}))
-	right, _ := New(IntCol("other", []int64{1}))
-	if _, err := left.InnerJoin(right, "id", "_r"); !errors.Is(err, ErrNoColumn) {
-		t.Fatal("join on missing right key should error")
 	}
 }
 

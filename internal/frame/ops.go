@@ -1,9 +1,6 @@
 package frame
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Filter returns the rows for which keep returns true, preserving order.
 func (f *Frame) Filter(keep func(Row) bool) *Frame {
@@ -14,132 +11,6 @@ func (f *Frame) Filter(keep func(Row) bool) *Frame {
 		}
 	}
 	return f.Take(idx)
-}
-
-// SortBy returns a new frame sorted ascending by the named column
-// (numeric order for float/int columns, lexicographic for strings).
-// The sort is stable.
-func (f *Frame) SortBy(name string) (*Frame, error) {
-	c, err := f.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, f.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	switch c.Kind {
-	case Float:
-		sort.SliceStable(idx, func(a, b int) bool { return c.Floats[idx[a]] < c.Floats[idx[b]] })
-	case Int:
-		sort.SliceStable(idx, func(a, b int) bool { return c.Ints[idx[a]] < c.Ints[idx[b]] })
-	default:
-		sort.SliceStable(idx, func(a, b int) bool { return c.Strings[idx[a]] < c.Strings[idx[b]] })
-	}
-	return f.Take(idx), nil
-}
-
-// Group holds the row indices of one group-by bucket.
-type Group struct {
-	Key  string
-	Rows []int
-}
-
-// GroupBy buckets rows by the rendered value of the named column. Groups
-// appear in order of first occurrence.
-func (f *Frame) GroupBy(name string) ([]Group, error) {
-	c, err := f.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	order := map[string]int{}
-	var groups []Group
-	for i := 0; i < f.NumRows(); i++ {
-		k := c.cell(i)
-		gi, ok := order[k]
-		if !ok {
-			gi = len(groups)
-			order[k] = gi
-			groups = append(groups, Group{Key: k})
-		}
-		groups[gi].Rows = append(groups[gi].Rows, i)
-	}
-	return groups, nil
-}
-
-// Agg computes an aggregate of the named float column per group, returning
-// a two-column frame (key column named by, aggregate named as).
-func (f *Frame) Agg(by, col, as string, agg func([]float64) float64) (*Frame, error) {
-	groups, err := f.GroupBy(by)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := f.Floats(col)
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(groups))
-	out := make([]float64, len(groups))
-	for i, g := range groups {
-		sub := make([]float64, len(g.Rows))
-		for j, r := range g.Rows {
-			sub[j] = vals[r]
-		}
-		keys[i] = g.Key
-		out[i] = agg(sub)
-	}
-	return New(StringCol(by, keys), FloatCol(as, out))
-}
-
-// InnerJoin joins f with other on equality of the named key column,
-// producing one output row per matching pair. Columns from other keep
-// their names unless they collide with a column of f, in which case they
-// get the given suffix. This is the merge step from the paper's Figure 1
-// pipeline (per-hardware frames joined on workflow ID).
-func (f *Frame) InnerJoin(other *Frame, on, suffix string) (*Frame, error) {
-	kl, err := f.Column(on)
-	if err != nil {
-		return nil, err
-	}
-	kr, err := other.Column(on)
-	if err != nil {
-		return nil, err
-	}
-	// Hash join: bucket right side by key.
-	buckets := map[string][]int{}
-	for i := 0; i < other.NumRows(); i++ {
-		k := kr.cell(i)
-		buckets[k] = append(buckets[k], i)
-	}
-	var leftIdx, rightIdx []int
-	for i := 0; i < f.NumRows(); i++ {
-		for _, j := range buckets[kl.cell(i)] {
-			leftIdx = append(leftIdx, i)
-			rightIdx = append(rightIdx, j)
-		}
-	}
-	out := &Frame{index: map[string]int{}}
-	for _, c := range f.cols {
-		if err := out.AddColumn(c.slice(leftIdx)); err != nil {
-			return nil, err
-		}
-	}
-	for _, c := range other.cols {
-		if c.Name == on {
-			continue // key already present from the left side
-		}
-		nc := c.slice(rightIdx)
-		if _, dup := out.index[nc.Name]; dup {
-			nc.Name = nc.Name + suffix
-			if _, dup2 := out.index[nc.Name]; dup2 {
-				return nil, fmt.Errorf("%w: %q even with suffix", ErrDupColumn, nc.Name)
-			}
-		}
-		if err := out.AddColumn(nc); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Concat appends the rows of other to f. Both frames must have identical

@@ -1,8 +1,7 @@
 // Package linalg implements the dense linear algebra this repository needs:
 // matrices and vectors, Cholesky and Householder-QR factorizations, linear
-// least squares, and serial / blocked / parallel matrix multiplication —
-// including the tiled, fully-parallel matrix *squaring* kernel used as the
-// paper's third workload application.
+// least squares, and the tiled, fully-parallel matrix multiplication and
+// *squaring* kernel used as the paper's third workload application.
 //
 // Matrices are dense, row-major float64. The package is stdlib-only and
 // allocation-conscious: hot paths accept destination arguments.
@@ -34,22 +33,6 @@ func NewMatrix(r, c int) *Matrix {
 		panic(fmt.Sprintf("linalg: NewMatrix(%d, %d)", r, c))
 	}
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, ErrShape
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("linalg: ragged row %d: %w", i, ErrShape)
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m, nil
 }
 
 // Identity returns the n×n identity matrix.
@@ -121,65 +104,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// Mul returns the matrix product a·b using the cache-friendly ikj loop
-// order. It returns ErrShape when a.Cols != b.Rows.
-func Mul(a, b *Matrix) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, ErrShape
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	mulInto(out, a, b, 0, a.Rows)
-	return out, nil
-}
-
-// mulInto computes rows [r0, r1) of dst = a·b. dst must be pre-zeroed in
-// that row range.
-func mulInto(dst, a, b *Matrix, r0, r1 int) {
-	n, p := a.Cols, b.Cols
-	for i := r0; i < r1; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < n; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*p : (k+1)*p]
-			for j, bv := range brow {
-				drow[j] += aik * bv
-			}
-		}
-	}
-}
-
-// MulVec returns the matrix-vector product m·x. It returns ErrShape when
-// len(x) != m.Cols.
-func MulVec(m *Matrix, x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, ErrShape
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out, nil
-}
-
-// MaxAbsDiff returns the largest absolute elementwise difference between a
-// and b, or +Inf if shapes differ.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return math.Inf(1)
-	}
-	max := 0.0
-	for i := range a.Data {
-		if d := math.Abs(a.Data[i] - b.Data[i]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // FrobeniusNorm returns the Frobenius norm of m.
 func (m *Matrix) FrobeniusNorm() float64 {
 	sum := 0.0
@@ -187,16 +111,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 		sum += v * v
 	}
 	return math.Sqrt(sum)
-}
-
-// IsFinite reports whether every element of m is finite (no NaN/Inf).
-func (m *Matrix) IsFinite() bool {
-	for _, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a small matrix for debugging; large matrices are elided.

@@ -9,21 +9,6 @@ import (
 // 64×64 float64 tiles (32 KiB) fit comfortably in L1/L2 on commodity CPUs.
 const DefaultTile = 64
 
-// MulBlocked returns a·b using cache-oblivious style tiling with the given
-// tile edge (0 selects DefaultTile). It returns ErrShape when the inner
-// dimensions differ.
-func MulBlocked(a, b *Matrix, tile int) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, ErrShape
-	}
-	if tile <= 0 {
-		tile = DefaultTile
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	mulBlockedRange(out, a, b, tile, 0, a.Rows)
-	return out, nil
-}
-
 // mulBlockedRange computes rows [r0, r1) of dst += a·b with tiling.
 func mulBlockedRange(dst, a, b *Matrix, tile, r0, r1 int) {
 	n, p := a.Cols, b.Cols

@@ -67,19 +67,3 @@ func solveRidge(a *Matrix, b []float64, ridge float64) ([]float64, error) {
 	}
 	return chol.Solve(atb)
 }
-
-// Residual returns b − A·x.
-func Residual(a *Matrix, x, b []float64) ([]float64, error) {
-	ax, err := MulVec(a, x)
-	if err != nil {
-		return nil, err
-	}
-	if len(ax) != len(b) {
-		return nil, ErrShape
-	}
-	r := make([]float64, len(b))
-	for i := range r {
-		r[i] = b[i] - ax[i]
-	}
-	return r, nil
-}

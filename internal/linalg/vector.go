@@ -17,45 +17,6 @@ func Dot(x, y []float64) float64 {
 	return sum
 }
 
-// Axpy computes y += a*x in place.
-func Axpy(a float64, x, y []float64) {
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
-	}
-	for i := 0; i < n; i++ {
-		y[i] += a * x[i]
-	}
-}
-
-// Norm2 returns the Euclidean norm of x, guarding against overflow for
-// large components.
-func Norm2(x []float64) float64 {
-	scale, ssq := 0.0, 1.0
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// ScaleVec multiplies every element of x by a, in place.
-func ScaleVec(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
 // CloneVec returns a copy of x.
 func CloneVec(x []float64) []float64 {
 	return append([]float64(nil), x...)

@@ -32,9 +32,10 @@ var fuzzRoutes = []struct {
 
 // newFuzzService builds the fuzz target's service: "typed" declares a
 // schema with bounds, a default, min-max and z-score normalization and
-// a categorical field; "jobs" is a raw dimension-1 stream. Each has
-// pending tickets (typed#0, typed#1, jobs#0, jobs#1) for observes to
-// redeem.
+// a categorical field; "jobs" is a raw dimension-1 stream. Every arm of
+// both has two observations, so every prediction interval starts
+// finite, and each stream has pending tickets (typed#0, typed#1,
+// jobs#0, jobs#1) for observes to redeem.
 func newFuzzService(tb testing.TB) *Service {
 	tb.Helper()
 	sch := testSchemaFields()
@@ -54,6 +55,17 @@ func newFuzzService(tb testing.TB) *Service {
 		Numeric:     map[string]float64{"num_tasks": 40, "input_mb": 300, "cpu_usage": 2},
 		Categorical: map[string]string{"site": "expanse"},
 	}
+	for arm := range testHW() {
+		for i := 1; i <= 2; i++ {
+			train := schema.Context{Numeric: map[string]float64{"num_tasks": float64(30 * i), "cpu_usage": float64(i)}}
+			if err := svc.ObserveDirectOutcomeCtx("typed", arm, train, Outcome{Runtime: float64(40*i + 10*arm)}); err != nil {
+				tb.Fatal(err)
+			}
+			if err := svc.ObserveDirect("jobs", arm, []float64{float64(2 * i)}, float64(20*i+5*arm)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
 	for i := 0; i < 2; i++ {
 		if _, err := svc.RecommendCtx("typed", ctx); err != nil {
 			tb.Fatal(err)
@@ -69,7 +81,7 @@ func newFuzzService(tb testing.TB) *Service {
 // with arbitrary bodies. Invariants: nothing panics and nothing answers
 // 5xx; every 4xx carries a JSON "error"; a rejected recommend leaves
 // the schema's normalization statistics byte-identical; and every arm's
-// PredictAll stays finite on both streams.
+// PredictAll and PredictWithCI stay finite on both streams.
 func FuzzHTTPRecommendObserve(f *testing.F) {
 	seeds := []struct {
 		route uint8
@@ -152,6 +164,17 @@ func FuzzHTTPRecommendObserve(f *testing.F) {
 			for arm, p := range preds {
 				if math.IsNaN(p) || math.IsInf(p, 0) {
 					t.Fatalf("%s after %s %q: arm %d predicts %v", name, rt.path, body, arm, p)
+				}
+			}
+			ivs, err := svc.PredictWithCI(name, x, 0)
+			if err != nil {
+				t.Fatalf("PredictWithCI(%s): %v", name, err)
+			}
+			for arm, iv := range ivs {
+				for _, v := range []float64{iv.Lo, iv.Mid, iv.Hi} {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("%s after %s %q: arm %d interval %+v", name, rt.path, body, arm, iv)
+					}
 				}
 			}
 		}

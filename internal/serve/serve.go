@@ -72,6 +72,7 @@ import (
 	"banditware/internal/core"
 	"banditware/internal/drift"
 	"banditware/internal/hardware"
+	"banditware/internal/linalg"
 	"banditware/internal/regress"
 	"banditware/internal/reward"
 	"banditware/internal/schema"
@@ -623,9 +624,25 @@ func ParseTicketID(id string) (stream string, seq uint64, err error) {
 
 // --- serving path ----------------------------------------------------
 
+// checkFeatures rejects a raw feature vector holding NaN or ±Inf with
+// core.ErrBadValue. Every entry point that takes a raw vector calls it
+// before any ticket, sequence number, ledger slot, residual or model
+// moves: a non-finite feature poisons the models it reaches, and a
+// pending ticket holding one makes Save fail for the whole service.
+func checkFeatures(x []float64) error {
+	if !linalg.VecIsFinite(x) {
+		return fmt.Errorf("%w: feature vector is not finite", core.ErrBadValue)
+	}
+	return nil
+}
+
 // selectLocked asks the engine for a decision on x into d, rerouting
-// off an arm the lifecycle does not let serve. Callers hold st.mu.
+// off an arm the lifecycle does not let serve. It is the one selection
+// step of both issue paths, so it checks x first. Callers hold st.mu.
 func (st *stream) selectLocked(x []float64, d *core.Decision) error {
+	if err := checkFeatures(x); err != nil {
+		return err
+	}
 	if err := st.engine.RecommendInto(x, d); err != nil {
 		return err
 	}
@@ -742,6 +759,9 @@ func (s *Service) RecommendBatch(name string, xs [][]float64) ([]Ticket, error) 
 		if len(x) != st.engine.Dim() {
 			return nil, fmt.Errorf("serve: batch item %d: %w (got %d, want %d)",
 				i, core.ErrDim, len(x), st.engine.Dim())
+		}
+		if err := checkFeatures(x); err != nil {
+			return nil, fmt.Errorf("serve: batch item %d: %w", i, err)
 		}
 	}
 	now := s.now()
@@ -978,6 +998,9 @@ func (s *Service) ObserveDirectOutcome(name string, arm int, x []float64, o Outc
 	if err := validateOutcome(o); err != nil {
 		return err
 	}
+	if err := checkFeatures(x); err != nil {
+		return err
+	}
 	st, err := s.stream(name)
 	if err != nil {
 		return err
@@ -1038,6 +1061,9 @@ func (st *stream) observeDirectLocked(arm int, x []float64, o Outcome) error {
 // without consuming exploration randomness or ledger space where the
 // stream's policy supports that (see Engine.Exploit).
 func (s *Service) Exploit(name string, x []float64) (int, error) {
+	if err := checkFeatures(x); err != nil {
+		return 0, err
+	}
 	st, err := s.stream(name)
 	if err != nil {
 		return 0, err
@@ -1060,6 +1086,9 @@ func (s *Service) Exploit(name string, x []float64) (int, error) {
 // stream, or ErrUnsupported when the stream's policy has no predictive
 // model.
 func (s *Service) PredictAll(name string, x []float64) ([]float64, error) {
+	if err := checkFeatures(x); err != nil {
+		return nil, err
+	}
 	st, err := s.stream(name)
 	if err != nil {
 		return nil, err
@@ -1073,6 +1102,9 @@ func (s *Service) PredictAll(name string, x []float64) ([]float64, error) {
 // ErrUnsupported when the stream's policy does not provide intervals
 // (only Algorithm 1 streams do).
 func (s *Service) PredictWithCI(name string, x []float64, z float64) ([]core.Interval, error) {
+	if err := checkFeatures(x); err != nil {
+		return nil, err
+	}
 	st, err := s.stream(name)
 	if err != nil {
 		return nil, err

@@ -105,6 +105,70 @@ func TestTicketIDRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFeaturesRefusedAtEntry: a raw feature vector holding
+// NaN or ±Inf is refused with core.ErrBadValue at every entry point,
+// before a ticket, sequence number or model moves. A ticket issued for
+// [+Inf] used to sit in the ledger and make Save fail for the whole
+// service until it left, and a refused direct observe used to leave the
+// arm's interval at NaN.
+func TestNonFiniteFeaturesRefusedAtEntry(t *testing.T) {
+	s := newTestService(t, ServiceOptions{}, "j")
+	for i := 1; i <= 5; i++ {
+		if err := s.ObserveDirect("j", 0, []float64{float64(i)}, 3*float64(i)+5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := s.stream("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := st.nextSeq
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x := []float64{bad}
+		if tk, err := s.Recommend("j", x); !errors.Is(err, core.ErrBadValue) {
+			t.Fatalf("Recommend(%v) = %+v, %v; want core.ErrBadValue", x, tk, err)
+		}
+		if _, err := s.RecommendBatch("j", [][]float64{{1}, x}); !errors.Is(err, core.ErrBadValue) {
+			t.Fatalf("RecommendBatch with %v: %v, want core.ErrBadValue", x, err)
+		}
+		if _, err := s.RecommendUntracked("j", x); !errors.Is(err, core.ErrBadValue) {
+			t.Fatalf("RecommendUntracked(%v): %v, want core.ErrBadValue", x, err)
+		}
+		if err := s.ObserveDirect("j", 0, x, 5); !errors.Is(err, core.ErrBadValue) {
+			t.Fatalf("ObserveDirect(%v): %v, want core.ErrBadValue", x, err)
+		}
+		if _, err := s.PredictAll("j", x); !errors.Is(err, core.ErrBadValue) {
+			t.Fatalf("PredictAll(%v): %v, want core.ErrBadValue", x, err)
+		}
+		if _, err := s.PredictWithCI("j", x, 0); !errors.Is(err, core.ErrBadValue) {
+			t.Fatalf("PredictWithCI(%v): %v, want core.ErrBadValue", x, err)
+		}
+		if _, err := s.Exploit("j", x); !errors.Is(err, core.ErrBadValue) {
+			t.Fatalf("Exploit(%v): %v, want core.ErrBadValue", x, err)
+		}
+	}
+	if st.nextSeq != seq {
+		t.Fatalf("nextSeq moved from %d to %d on refused recommends", seq, st.nextSeq)
+	}
+	info, err := s.StreamInfo("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Issued != 0 || info.Pending != 0 || info.Observed != 5 {
+		t.Fatalf("refused requests moved the stream: %+v", info)
+	}
+	if err := s.Save(new(bytes.Buffer)); err != nil {
+		t.Fatalf("Save after refused non-finite requests: %v", err)
+	}
+	ivs, err := s.PredictWithCI("j", []float64{3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iv := ivs[0]; math.IsNaN(iv.Lo) || math.IsInf(iv.Lo, 0) || math.IsNaN(iv.Hi) || math.IsInf(iv.Hi, 0) {
+		t.Fatalf("arm 0 interval %+v after refused observes", iv)
+	}
+}
+
 func TestTicketLifecycle(t *testing.T) {
 	s := newTestService(t, ServiceOptions{}, "jobs")
 	tk, err := s.Recommend("jobs", []float64{10})

@@ -83,68 +83,3 @@ func NRMSE(pred, actual []float64) (float64, error) {
 	}
 	return rmse / sd, nil
 }
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		dy := ys[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Histogram counts xs into nbins equal-width bins spanning [Min, Max].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a histogram of xs with nbins bins. Values exactly at
-// the upper edge fall in the last bin. It returns ErrEmpty for empty input
-// and an error for nbins < 1.
-func NewHistogram(xs []float64, nbins int) (Histogram, error) {
-	if len(xs) == 0 {
-		return Histogram{}, ErrEmpty
-	}
-	if nbins < 1 {
-		return Histogram{}, errors.New("stats: nbins < 1")
-	}
-	lo, hi := Min(xs), Max(xs)
-	h := Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-	if lo == hi {
-		h.Counts[0] = len(xs)
-		return h, nil
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		h.Counts[i]++
-	}
-	return h, nil
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}

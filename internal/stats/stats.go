@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics and model-quality
 // metrics used throughout the BanditWare evaluation: means and variances,
-// quantiles, histograms, online (Welford) accumulation, RMSE / MAE / R²,
-// and bootstrap confidence intervals.
+// quantiles, log-bucketed histograms, online (Welford) accumulation,
+// RMSE / MAE / R², and Welch's t-test.
 package stats
 
 import (
@@ -101,26 +101,6 @@ func ArgMin(xs []float64) int {
 	return best
 }
 
-// ArgMax returns the index of the largest element of xs, or -1 if empty.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := -1
-	for i, x := range xs {
-		if math.IsNaN(x) {
-			continue
-		}
-		if best == -1 || x > xs[best] {
-			best = i
-		}
-	}
-	if best == -1 {
-		return 0
-	}
-	return best
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (the "type 7" estimator used by
 // numpy and R). It returns NaN for empty input or q outside [0,1].
@@ -181,15 +161,6 @@ func Summarize(xs []float64) (Summary, error) {
 		Q3:     quantileSorted(sorted, 0.75),
 		Max:    sorted[len(sorted)-1],
 	}, nil
-}
-
-// Range returns Max-Min of xs (the "total range" the paper reports for its
-// linear-regression score distributions).
-func Range(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return Max(xs) - Min(xs)
 }
 
 // Welford accumulates a running mean and variance in a single pass using

@@ -53,16 +53,13 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestArgMinArgMax(t *testing.T) {
+func TestArgMinTies(t *testing.T) {
 	xs := []float64{3, -1, 7, -1}
 	if got := ArgMin(xs); got != 1 {
 		t.Fatalf("ArgMin = %d, want 1 (first of ties)", got)
 	}
-	if got := ArgMax(xs); got != 2 {
-		t.Fatalf("ArgMax = %d, want 2", got)
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Fatal("empty ArgMin/ArgMax should be -1")
+	if ArgMin(nil) != -1 {
+		t.Fatal("empty ArgMin should be -1")
 	}
 }
 
@@ -119,15 +116,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if _, err := Summarize(nil); err != ErrEmpty {
 		t.Fatalf("Summarize(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestRangeStat(t *testing.T) {
-	if got := Range([]float64{3, 9, 5}); got != 6 {
-		t.Fatalf("Range = %v, want 6", got)
-	}
-	if !math.IsNaN(Range(nil)) {
-		t.Fatal("Range(nil) should be NaN")
 	}
 }
 
@@ -255,80 +243,6 @@ func TestNRMSE(t *testing.T) {
 	sd := math.Sqrt(PopVariance(actual))
 	if !almostEqual(got, 1/sd, 1e-12) {
 		t.Fatalf("NRMSE = %v, want %v", got, 1/sd)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if got, _ := Pearson(xs, ys); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("Pearson = %v, want 1", got)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if got, _ := Pearson(xs, neg); !almostEqual(got, -1, 1e-12) {
-		t.Fatalf("Pearson = %v, want -1", got)
-	}
-	flat := []float64{5, 5, 5, 5}
-	if got, _ := Pearson(xs, flat); got != 0 {
-		t.Fatalf("Pearson with zero-variance arg = %v, want 0", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 11 {
-		t.Fatalf("histogram total = %d, want 11", total)
-	}
-	// Upper edge value (10) must land in the last bin.
-	if h.Counts[4] == 0 {
-		t.Fatal("upper edge value missing from last bin")
-	}
-	if _, err := NewHistogram(nil, 3); err != ErrEmpty {
-		t.Fatal("expected ErrEmpty")
-	}
-	if _, err := NewHistogram([]float64{1}, 0); err == nil {
-		t.Fatal("expected error for nbins=0")
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h, err := NewHistogram([]float64{5, 5, 5}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Counts[0] != 3 {
-		t.Fatalf("degenerate histogram: %v", h.Counts)
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	r := rng.New(7)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.Normal(10, 2)
-	}
-	lo, hi, err := MeanCI(xs, 500, 0.95, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= hi {
-		t.Fatalf("CI inverted: [%v, %v]", lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Fatalf("CI [%v, %v] does not cover true mean 10", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Fatalf("CI suspiciously wide: [%v, %v]", lo, hi)
-	}
-	if _, _, err := MeanCI(nil, 10, 0.95, rng.New(1)); err != ErrEmpty {
-		t.Fatal("expected ErrEmpty")
 	}
 }
 

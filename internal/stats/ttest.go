@@ -1,47 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// EWMA is an exponentially weighted moving average; the zero value with
-// a subsequent SetAlpha (or NewEWMA) is ready to use.
-type EWMA struct {
-	alpha float64
-	value float64
-	n     int
-}
-
-// NewEWMA returns an accumulator with smoothing factor alpha in (0, 1];
-// higher alpha weights recent observations more.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, errors.New("stats: EWMA alpha outside (0,1]")
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
-// Add incorporates one observation.
-func (e *EWMA) Add(x float64) {
-	if e.n == 0 {
-		e.value = x
-	} else {
-		e.value = e.alpha*x + (1-e.alpha)*e.value
-	}
-	e.n++
-}
-
-// Value returns the current average (NaN before any observation).
-func (e *EWMA) Value() float64 {
-	if e.n == 0 {
-		return math.NaN()
-	}
-	return e.value
-}
-
-// N returns the number of observations added.
-func (e *EWMA) N() int { return e.n }
+import "math"
 
 // TTestResult reports a two-sample Welch t-test.
 type TTestResult struct {

@@ -7,46 +7,6 @@ import (
 	"banditware/internal/rng"
 )
 
-func TestEWMA(t *testing.T) {
-	e, err := NewEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(e.Value()) {
-		t.Fatal("empty EWMA should be NaN")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Fatalf("first value = %v, want 10", e.Value())
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Fatalf("second value = %v, want 15", e.Value())
-	}
-	if e.N() != 2 {
-		t.Fatalf("N = %d", e.N())
-	}
-	if _, err := NewEWMA(0); err == nil {
-		t.Fatal("alpha 0 should fail")
-	}
-	if _, err := NewEWMA(1.5); err == nil {
-		t.Fatal("alpha > 1 should fail")
-	}
-}
-
-func TestEWMATracksDrift(t *testing.T) {
-	e, _ := NewEWMA(0.2)
-	for i := 0; i < 100; i++ {
-		e.Add(5)
-	}
-	for i := 0; i < 100; i++ {
-		e.Add(50)
-	}
-	if math.Abs(e.Value()-50) > 1 {
-		t.Fatalf("EWMA failed to track drift: %v", e.Value())
-	}
-}
-
 func TestWelchTTestDistinguishes(t *testing.T) {
 	r := rng.New(5)
 	xs := make([]float64, 60)

@@ -84,39 +84,3 @@ func RunMatMulKernel(s MatMulSpec) (KernelResult, error) {
 	elapsed := time.Since(start)
 	return KernelResult{Spec: s, Elapsed: elapsed, Checksum: sq.FrobeniusNorm()}, nil
 }
-
-// CollectKernelTrace measures the kernel across the given sizes and worker
-// counts (one run per combination) and returns the runs in Dataset form
-// with features matching MatMulFeatureNames. The hardware set must have
-// one entry per workers value; workers[i] models hardware arm i.
-func CollectKernelTrace(sizes []int, workers []int, sparsity float64, seed uint64) ([]Run, error) {
-	var runs []Run
-	id := 0
-	for _, n := range sizes {
-		for arm, w := range workers {
-			spec := MatMulSpec{
-				Size:     n,
-				Sparsity: sparsity,
-				MinValue: -10,
-				MaxValue: 10,
-				Workers:  w,
-				Seed:     seed + uint64(id),
-			}
-			res, err := RunMatMulKernel(spec)
-			if err != nil {
-				return nil, err
-			}
-			runs = append(runs, Run{
-				ID:  id,
-				Arm: arm,
-				Features: []float64{
-					float64(n), sparsity,
-					float64(spec.MinValue), float64(spec.MaxValue),
-				},
-				Runtime: res.Elapsed.Seconds(),
-			})
-			id++
-		}
-	}
-	return runs, nil
-}

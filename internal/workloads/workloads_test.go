@@ -394,24 +394,6 @@ func TestRunMatMulKernel(t *testing.T) {
 	}
 }
 
-func TestCollectKernelTrace(t *testing.T) {
-	runs, err := CollectKernelTrace([]int{32, 64}, []int{1, 2}, 0.1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 4 {
-		t.Fatalf("trace runs = %d, want 4", len(runs))
-	}
-	for _, r := range runs {
-		if r.Runtime <= 0 {
-			t.Fatal("non-positive measured runtime")
-		}
-		if r.Arm < 0 || r.Arm > 1 {
-			t.Fatalf("bad arm %d", r.Arm)
-		}
-	}
-}
-
 func TestFilterPreservesTruth(t *testing.T) {
 	d, err := GenerateMatMul(MatMulOptions{Seed: 17})
 	if err != nil {
