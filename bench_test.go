@@ -11,14 +11,13 @@
 package banditware
 
 import (
+	"io"
 	"strconv"
 	"sync/atomic"
 	"testing"
 
 	"banditware/internal/core"
-	"banditware/internal/dataset"
 	"banditware/internal/experiment"
-	"banditware/internal/frame"
 	"banditware/internal/linalg"
 	"banditware/internal/policy"
 	"banditware/internal/rng"
@@ -96,30 +95,18 @@ func runBanditBench(b *testing.B, d *workloads.Dataset, opts core.Options, round
 	}
 }
 
-// BenchmarkFig1MergePipeline — Figure 1: per-hardware frames → retrieve
-// useful columns → merge.
+// BenchmarkFig1MergePipeline — Figure 1: per-hardware tables → merge →
+// useful-column CSV.
 func BenchmarkFig1MergePipeline(b *testing.B) {
 	d := bp3dTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		perHW, err := dataset.PerHardwareFrames(d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		useful := make(map[string]*frame.Frame, len(perHW))
-		for name, f := range perHW {
-			u, err := dataset.RetrieveUseful(f, d.FeatureNames)
-			if err != nil {
-				b.Fatal(err)
-			}
-			useful[name] = u
-		}
-		merged, err := dataset.Merge(useful, d.Hardware.Names())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if merged.NumRows() != len(d.Runs) {
+		merged := workloads.Concat(d.PerArm()...)
+		if len(merged.Runs) != len(d.Runs) {
 			b.Fatal("merge lost rows")
+		}
+		if err := merged.WriteCSV(io.Discard, true); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

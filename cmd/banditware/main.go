@@ -7,7 +7,7 @@
 //	banditware recommend -state state.json -features 1,2,...
 //	banditware observe   -state state.json -arm K -features 1,2,... -runtime S
 //	banditware serve     [-port P] [-state svc.json] [-snapshot 30s] [-ttl 1h] [-pending N] [-create name:dim:hwspec] [-peers URL,URL] [-sync 1s] [-bootstrap]
-//	banditware router    -replicas URL,URL,... [-port P] [-poll 2s] [-vnodes N]
+//	banditware router    -replicas URL,URL,... [-port P] [-poll 2s]
 //	banditware arms      list|add|drain|promote|retire -addr URL -stream NAME [...]
 //	banditware kernel    -size N [-workers W] [-sparsity F]
 //
@@ -29,8 +29,10 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -39,7 +41,7 @@ import (
 	"banditware"
 	"banditware/internal/core"
 	"banditware/internal/experiment"
-	"banditware/internal/frame"
+	"banditware/internal/stats"
 	"banditware/internal/textplot"
 	"banditware/internal/workloads"
 )
@@ -102,7 +104,7 @@ commands:
               -bootstrap to import a peer snapshot before serving)
   router     front a replica fleet with the consistent-hash stream
              router (-replicas URL,URL required; -poll readiness
-             interval, -vnodes ring granularity)
+             interval)
   arms       manage a live stream's hardware arm set over the API
              (list, add -hardware "H3=8x64" [-warm pooled] [-trial],
               drain/promote/retire -arm K; -addr picks the serve
@@ -349,17 +351,53 @@ func cmdDescribe(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("describe: -in is required")
 	}
-	f, err := frame.ReadCSVFile(*in)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d rows × %d columns\n\n", *in, f.NumRows(), f.NumCols())
-	desc, err := f.Describe()
-	if err != nil {
-		return err
-	}
-	return desc.WriteCSV(os.Stdout)
+	return describeCSV(os.Stdout, *in)
 }
+
+// describeCSV writes the shape of the CSV file at path to w, then a CSV
+// table with one row (count, mean, std, min, median, max) per column
+// whose cells all parse as numbers.
+func describeCSV(w io.Writer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	cr := csv.NewReader(f)
+	cr.TrimLeadingSpace = true
+	records, err := cr.ReadAll()
+	if err != nil {
+		return fmt.Errorf("describe: reading csv: %w", err)
+	}
+	if len(records) == 0 {
+		return fmt.Errorf("describe: empty csv (no header)")
+	}
+	header, rows := records[0], records[1:]
+	fmt.Fprintf(w, "%s: %d rows × %d columns\n\n", path, len(rows), len(header))
+	out := csv.NewWriter(w)
+	out.Write([]string{"column", "count", "mean", "std", "min", "median", "max"})
+	vals := make([]float64, len(rows))
+columns:
+	for j, name := range header {
+		for i, rec := range rows {
+			v, err := strconv.ParseFloat(rec[j], 64)
+			if err != nil {
+				continue columns
+			}
+			vals[i] = v
+		}
+		s, err := stats.Summarize(vals)
+		if err != nil { // no rows
+			continue
+		}
+		out.Write([]string{name, strconv.Itoa(s.N), fmtFloat(s.Mean), fmtFloat(s.Std),
+			fmtFloat(s.Min), fmtFloat(s.Median), fmtFloat(s.Max)})
+	}
+	out.Flush()
+	return out.Error()
+}
+
+func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 func cmdKernel(args []string) error {
 	fs := flag.NewFlagSet("kernel", flag.ExitOnError)

@@ -29,7 +29,6 @@ func cmdRouter(args []string) error {
 	port := fs.Int("port", 8090, "listen port (ignored when -addr is set)")
 	replicas := fs.String("replicas", "", "comma-separated replica base URLs, e.g. http://10.0.0.1:8080,http://10.0.0.2:8080 (required)")
 	poll := fs.Duration("poll", 0, "replica readiness poll interval (0 = 2s)")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = 64)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -38,10 +37,7 @@ func cmdRouter(args []string) error {
 		return fmt.Errorf("router: -replicas is required")
 	}
 
-	router, err := dist.NewRouter(urls, dist.RouterOptions{
-		VNodes:       *vnodes,
-		PollInterval: *poll,
-	})
+	router, err := dist.NewRouter(urls, dist.RouterOptions{PollInterval: *poll})
 	if err != nil {
 		return fmt.Errorf("router: %w", err)
 	}

@@ -7,9 +7,7 @@ import (
 	"strings"
 
 	"banditware/internal/core"
-	"banditware/internal/dataset"
 	"banditware/internal/experiment"
-	"banditware/internal/frame"
 	"banditware/internal/policy"
 	"banditware/internal/rng"
 	"banditware/internal/stats"
@@ -74,38 +72,26 @@ func writeRounds(dir, title string, res *experiment.BanditResult) error {
 }
 
 // ---------------------------------------------------------------------
-// fig1 — framework overview pipeline (per-hardware frames → merge).
+// fig1 — framework overview pipeline (per-hardware tables → merge).
 
 func runFig1(cfg benchConfig, dir string) (string, error) {
 	d, err := workloads.GenerateBP3D(workloads.BP3DOptions{Seed: cfg.Seed})
 	if err != nil {
 		return "", err
 	}
-	perHW, err := dataset.PerHardwareFrames(d)
-	if err != nil {
-		return "", err
-	}
-	useful := make(map[string]*frame.Frame, len(perHW))
+	perHW := d.PerArm()
 	var perHWCounts []string
-	for _, name := range d.Hardware.Names() {
-		u, err := dataset.RetrieveUseful(perHW[name], d.FeatureNames)
-		if err != nil {
-			return "", err
-		}
-		useful[name] = u
-		perHWCounts = append(perHWCounts, fmt.Sprintf("%s: %d rows", name, u.NumRows()))
+	for arm, name := range d.Hardware.Names() {
+		perHWCounts = append(perHWCounts, fmt.Sprintf("%s: %d rows", name, len(perHW[arm].Runs)))
 	}
-	merged, err := dataset.Merge(useful, d.Hardware.Names())
-	if err != nil {
-		return "", err
-	}
-	if err := merged.WriteCSVFile(filepath.Join(dir, "data.csv")); err != nil {
+	merged := workloads.Concat(perHW...)
+	if err := merged.WriteCSVFile(filepath.Join(dir, "data.csv"), true); err != nil {
 		return "", err
 	}
 	return fmt.Sprintf(
 		"Figure 1 pipeline: %d raw BP3D runs split per hardware (%s), "+
 			"projected to useful columns, merged back to %d rows × %d cols.",
-		len(d.Runs), strings.Join(perHWCounts, ", "), merged.NumRows(), merged.NumCols()), nil
+		len(d.Runs), strings.Join(perHWCounts, ", "), len(merged.Runs), len(merged.Columns(true))), nil
 }
 
 // ---------------------------------------------------------------------

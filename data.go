@@ -1,7 +1,8 @@
 package banditware
 
 import (
-	"banditware/internal/dataset"
+	"os"
+
 	"banditware/internal/workloads"
 )
 
@@ -54,15 +55,23 @@ func GenerateLLM(opts LLMOptions) (*Trace, error) {
 }
 
 // WriteTraceCSV persists a trace in the canonical long form
-// (id, hardware, cpus, memory_gb, features..., runtime).
-func WriteTraceCSV(t *Trace, path string) error { return dataset.WriteCSV(t, path) }
+// (id, hardware, cpus, memory_gb, features..., runtime). Only the trace's
+// shape is checked, so a trace loaded by ReadTraceCSV can be written
+// back; a file this function wrote round-trips byte for byte.
+func WriteTraceCSV(t *Trace, path string) error { return t.WriteCSVFile(path, false) }
 
 // ReadTraceCSV loads a trace from canonical long-form CSV. Traces loaded
 // from CSV carry no generative ground truth (Truth/Noise are nil): they
 // support offline training and evaluation but not counterfactual
-// simulation.
+// simulation. A missing column or a cell that does not parse is an
+// error naming the row and column.
 func ReadTraceCSV(path string, featureNames []string) (*Trace, error) {
-	return dataset.ReadCSV(path, featureNames)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return workloads.ReadCSV(f, featureNames)
 }
 
 // FitOffline trains a recommender from a recorded trace by replaying

@@ -15,8 +15,7 @@ import (
 	"log"
 
 	"banditware"
-	"banditware/internal/dataset"
-	"banditware/internal/frame"
+	"banditware/internal/workloads"
 )
 
 func main() {
@@ -26,25 +25,14 @@ func main() {
 	}
 
 	// --- Figure 1 pipeline -------------------------------------------
-	perHW, err := dataset.PerHardwareFrames(trace)
-	if err != nil {
-		log.Fatal(err)
-	}
+	perHW := trace.PerArm()
+	cols := len(trace.Columns(true)) // the "Retrieve Useful Data" projection
 	fmt.Println("per-hardware performance tables (the raw input of Figure 1):")
-	useful := make(map[string]*frame.Frame, len(perHW))
-	for _, name := range trace.Hardware.Names() {
-		u, err := dataset.RetrieveUseful(perHW[name], trace.FeatureNames)
-		if err != nil {
-			log.Fatal(err)
-		}
-		useful[name] = u
-		fmt.Printf("  %s: %d runs × %d columns\n", name, u.NumRows(), u.NumCols())
+	for arm, name := range trace.Hardware.Names() {
+		fmt.Printf("  %s: %d runs × %d columns\n", name, len(perHW[arm].Runs), cols)
 	}
-	merged, err := dataset.Merge(useful, trace.Hardware.Names())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("merged training table: %d rows × %d columns\n\n", merged.NumRows(), merged.NumCols())
+	merged := workloads.Concat(perHW...)
+	fmt.Printf("merged training table: %d rows × %d columns\n\n", len(merged.Runs), cols)
 
 	// --- offline bootstrap, then online use --------------------------
 	rec, err := banditware.FitOffline(trace, banditware.Options{

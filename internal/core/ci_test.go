@@ -122,3 +122,41 @@ func TestRefusedObservationKeepsIntervalFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedObservationKeepsVarianceFinite: two residuals whose squares
+// are each finite can still overflow the residual tracker's sum of
+// squares, and with it every interval of the arm. The observation that
+// would do so is refused with ErrBadValue and leaves the interval as it
+// was.
+func TestRefusedObservationKeepsVarianceFinite(t *testing.T) {
+	b := newTestBandit(t, 1, Options{Seed: 75})
+	for i := 1; i <= 5; i++ {
+		x := float64(i)
+		if err := b.Observe(0, []float64{x}, 3*x+5+0.1*float64(i%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Observe(0, []float64{3}, 1e154); err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.5}
+	preds, err := b.PredictAll(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := b.PredictWithCI(x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A residual of -1.3e154: its square is finite, the sum of squares is not.
+	if err := b.Observe(0, x, preds[0]-1.3e154); err != ErrBadValue {
+		t.Fatalf("err = %v, want ErrBadValue", err)
+	}
+	after, err := b.PredictWithCI(x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iv := after[0]; math.IsInf(iv.Lo, 0) || math.IsInf(iv.Hi, 0) || iv != before[0] {
+		t.Fatalf("interval %+v after a refused observation, was %+v", iv, before[0])
+	}
+}

@@ -447,17 +447,20 @@ func (b *Bandit) Observe(armIdx int, x []float64, runtime float64) error {
 	// One-step-ahead residual, taken before the model absorbs the
 	// observation (an honest out-of-sample error) and recorded only once
 	// the estimator accepts it, so a refused observation leaves the
-	// residual tracker untouched. A residual whose square overflows
-	// would turn the tracker's variance, and every interval after it,
-	// into ±Inf or NaN for good.
+	// residual tracker untouched. A residual whose square overflows, or
+	// one that would overflow the tracker's sum of squares, would turn
+	// the tracker's variance, and every interval after it, into ±Inf or
+	// NaN for good.
 	resid := runtime - a.model.Predict(sx)
-	if sq := resid * resid; math.IsNaN(sq) || math.IsInf(sq, 0) {
+	next := a.resid
+	next.Add(resid)
+	if sq := resid * resid; math.IsNaN(sq) || math.IsInf(sq, 0) || math.IsInf(next.Variance(), 0) {
 		return ErrBadValue
 	}
 	if err := b.est.Update(armIdx, sx, runtime); err != nil {
 		return err
 	}
-	a.resid.Add(resid)
+	a.resid = next
 	rls := b.est.At(armIdx)
 	if b.opts.BatchRefit {
 		a.xs = append(a.xs, append([]float64(nil), sx...))

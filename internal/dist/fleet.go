@@ -21,10 +21,6 @@ type FleetOptions struct {
 	SyncInterval time.Duration
 	// PollInterval paces the router's membership monitor (0 = default).
 	PollInterval time.Duration
-	// VNodes is the router ring's virtual-node count (0 = default).
-	VNodes int
-	// ServiceOptions seed each replica's serve.Service.
-	ServiceOptions serve.ServiceOptions
 }
 
 // LocalFleet runs a whole fleet — N replicas and a router — on
@@ -81,7 +77,7 @@ func NewLocalFleet(opts FleetOptions) (*LocalFleet, error) {
 				peers = append(peers, u)
 			}
 		}
-		rep := NewReplica(serve.NewService(opts.ServiceOptions), ReplicaOptions{
+		rep := NewReplica(serve.NewService(serve.ServiceOptions{}), ReplicaOptions{
 			Self:         urls[i],
 			Peers:        peers,
 			SyncInterval: opts.SyncInterval,
@@ -100,10 +96,7 @@ func NewLocalFleet(opts FleetOptions) (*LocalFleet, error) {
 		f.nodes = append(f.nodes, node)
 	}
 
-	router, err := NewRouter(urls, RouterOptions{
-		VNodes:       opts.VNodes,
-		PollInterval: opts.PollInterval,
-	})
+	router, err := NewRouter(urls, RouterOptions{PollInterval: opts.PollInterval})
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -178,7 +171,7 @@ func (f *LocalFleet) Restart(i int) error {
 			peers = append(peers, p.url)
 		}
 	}
-	rep := NewReplica(serve.NewService(f.opts.ServiceOptions), ReplicaOptions{
+	rep := NewReplica(serve.NewService(serve.ServiceOptions{}), ReplicaOptions{
 		Self:         n.url,
 		Peers:        peers,
 		SyncInterval: f.opts.SyncInterval,

@@ -11,9 +11,9 @@ import (
 // the caller does not say.
 const defaultPollInterval = 2 * time.Second
 
-// defaultProbeTimeout bounds a readiness probe when the caller supplies
-// no client: a probe that takes seconds is a failure in itself.
-const defaultProbeTimeout = 2 * time.Second
+// probeTimeout bounds a readiness probe: a probe that takes seconds is a
+// failure in itself.
+const probeTimeout = 2 * time.Second
 
 // MemberState is one member's last observed health.
 type MemberState struct {
@@ -51,18 +51,15 @@ type Monitor struct {
 }
 
 // NewMonitor builds a monitor over the member base URLs. interval 0
-// selects the default; client nil uses a defaultProbeTimeout client.
-func NewMonitor(urls []string, interval time.Duration, client *http.Client) *Monitor {
+// selects the default.
+func NewMonitor(urls []string, interval time.Duration) *Monitor {
 	if interval <= 0 {
 		interval = defaultPollInterval
-	}
-	if client == nil {
-		client = &http.Client{Timeout: defaultProbeTimeout}
 	}
 	m := &Monitor{
 		urls:     append([]string(nil), urls...),
 		interval: interval,
-		client:   client,
+		client:   &http.Client{Timeout: probeTimeout},
 		states:   make(map[string]*MemberState, len(urls)),
 	}
 	for _, u := range urls {

@@ -31,10 +31,10 @@ type ReplicaOptions struct {
 	// SyncInterval paces the background push loop started by Start
 	// (0 = default; loops are optional — SyncOnce drives a manual sync).
 	SyncInterval time.Duration
-	// Client performs the delta POSTs and bootstrap GETs (nil = a
-	// 10-second-timeout default).
-	Client *http.Client
 }
+
+// peerClient performs the delta POSTs and bootstrap GETs.
+var peerClient = &http.Client{Timeout: 10 * time.Second}
 
 // Replica wraps a serve.Service with the fleet-facing endpoints and
 // the delta push loop:
@@ -74,9 +74,6 @@ type ReplicaSyncStats struct {
 func NewReplica(svc *serve.Service, opts ReplicaOptions) *Replica {
 	if opts.SyncInterval <= 0 {
 		opts.SyncInterval = defaultSyncInterval
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 10 * time.Second}
 	}
 	r := &Replica{
 		svc:   svc,
@@ -182,7 +179,7 @@ func (r *Replica) syncPeer(peer string) error {
 	if err := cap.Encode(&buf); err != nil {
 		return err
 	}
-	resp, err := r.opts.Client.Post(peer+"/v1/dist/delta", "application/json", &buf)
+	resp, err := peerClient.Post(peer+"/v1/dist/delta", "application/json", &buf)
 	if err != nil {
 		return err
 	}
@@ -213,7 +210,7 @@ func (r *Replica) countSync(ok bool) {
 func (r *Replica) Bootstrap() error {
 	var errs []error
 	for _, peer := range r.opts.Peers {
-		resp, err := r.opts.Client.Get(peer + "/v1/dist/snapshot")
+		resp, err := peerClient.Get(peer + "/v1/dist/snapshot")
 		if err != nil {
 			errs = append(errs, fmt.Errorf("peer %s: %w", peer, err))
 			continue

@@ -17,10 +17,10 @@ import (
 	"sort"
 )
 
-// defaultVNodes is the virtual-node count per member. 64 points per
-// member keeps the stream load split within a few percent of even for
-// small fleets while the ring stays tiny (a few KB).
-const defaultVNodes = 64
+// vnodes is the virtual-node count per member. 64 points per member
+// keeps the stream load split within a few percent of even for small
+// fleets while the ring stays tiny (a few KB).
+const vnodes = 64
 
 // Ring is an immutable consistent-hash ring: keys map to the member
 // owning the first ring point at or after the key's hash. Rebuilding
@@ -37,13 +37,10 @@ type ringPoint struct {
 	member string
 }
 
-// NewRing builds a ring over members with vnodes virtual nodes each
-// (0 = default). Duplicate members collapse; a nil or empty member set
-// yields an empty ring whose Owner returns "".
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+// NewRing builds a ring over members with vnodes virtual nodes each.
+// Duplicate members collapse; a nil or empty member set yields an
+// empty ring whose Owner returns "".
+func NewRing(members []string) *Ring {
 	seen := make(map[string]bool, len(members))
 	r := &Ring{}
 	for _, m := range members {

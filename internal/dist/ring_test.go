@@ -7,8 +7,8 @@ import (
 
 func TestRingDeterministicAndComplete(t *testing.T) {
 	members := []string{"http://a", "http://b", "http://c"}
-	r1 := NewRing(members, 0)
-	r2 := NewRing([]string{"http://c", "http://a", "http://b", "http://a"}, 0)
+	r1 := NewRing(members)
+	r2 := NewRing([]string{"http://c", "http://a", "http://b", "http://a"})
 	if got := r1.Members(); len(got) != 3 {
 		t.Fatalf("members = %v", got)
 	}
@@ -23,7 +23,7 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	members := []string{"http://a", "http://b", "http://c"}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	counts := map[string]int{}
 	const n = 3000
 	for i := 0; i < n; i++ {
@@ -42,8 +42,8 @@ func TestRingBalance(t *testing.T) {
 // — every key owned by a survivor keeps its owner, which is what keeps
 // streams (and their pending tickets) pinned during a replica loss.
 func TestRingStability(t *testing.T) {
-	full := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
-	reduced := NewRing([]string{"http://a", "http://c"}, 0)
+	full := NewRing([]string{"http://a", "http://b", "http://c"})
+	reduced := NewRing([]string{"http://a", "http://c"})
 	moved := 0
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("stream-%d", i)
@@ -66,7 +66,7 @@ func TestRingStability(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	if owner := NewRing(nil, 0).Owner("x"); owner != "" {
+	if owner := NewRing(nil).Owner("x"); owner != "" {
 		t.Fatalf("empty ring owner = %q", owner)
 	}
 }

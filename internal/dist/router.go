@@ -19,12 +19,8 @@ import (
 
 // RouterOptions configure a fleet router.
 type RouterOptions struct {
-	// VNodes is the ring's virtual-node count per member (0 = default).
-	VNodes int
 	// PollInterval paces the membership monitor (0 = default).
 	PollInterval time.Duration
-	// Client probes member readiness (nil = short-timeout default).
-	Client *http.Client
 }
 
 // Router fronts a replica fleet with one serving endpoint. Streams are
@@ -45,7 +41,6 @@ type RouterOptions struct {
 //	GET /v1/readyz            503 until at least one replica is ready
 type Router struct {
 	monitor *Monitor
-	vnodes  int
 
 	mu      sync.RWMutex
 	ring    *Ring
@@ -77,7 +72,6 @@ func NewRouter(members []string, opts RouterOptions) (*Router, error) {
 		return nil, fmt.Errorf("dist: router needs at least one member")
 	}
 	rt := &Router{
-		vnodes:  opts.VNodes,
 		proxies: make(map[string]*httputil.ReverseProxy, len(members)),
 		stats:   make(map[string]*proxyStats, len(members)),
 	}
@@ -101,7 +95,7 @@ func NewRouter(members []string, opts RouterOptions) (*Router, error) {
 		rt.proxies[member] = p
 		rt.stats[member] = &proxyStats{}
 	}
-	rt.monitor = NewMonitor(members, opts.PollInterval, opts.Client)
+	rt.monitor = NewMonitor(members, opts.PollInterval)
 	rt.monitor.OnChange = func(ready []string) { rt.setRing(ready) }
 	rt.setRing(members) // optimistic until the first probe
 	rt.handler = rt.buildHandler()
@@ -137,7 +131,7 @@ func (rt *Router) CheckNow() []string { return rt.monitor.CheckNow() }
 func (rt *Router) Handler() http.Handler { return rt.handler }
 
 func (rt *Router) setRing(members []string) {
-	ring := NewRing(members, rt.vnodes)
+	ring := NewRing(members)
 	rt.mu.Lock()
 	rt.ring = ring
 	rt.mu.Unlock()

@@ -3,9 +3,6 @@ package regress
 import (
 	"errors"
 	"fmt"
-	"math"
-
-	"banditware/internal/linalg"
 )
 
 // ErrNotMergeable reports a delta operation on an estimator whose state
@@ -30,6 +27,9 @@ type Arms struct {
 	forget float64 // (0, 1]; 1 = none
 	window int     // 0 = none
 	est    []*RLS
+	// spare receives a copy of an arm's estimator for each update, which
+	// is swapped in only if the refit model stays finite.
+	spare *RLS
 	// xs and ys are the per-arm window buffers (window > 0 only).
 	xs [][][]float64
 	ys [][]float64
@@ -55,6 +55,7 @@ func NewArms(n, dim int, lambda, forget float64, window int) (*Arms, error) {
 		lambda = DefaultLambda
 	}
 	a := &Arms{dim: dim, lambda: lambda, forget: forget, window: window, est: make([]*RLS, n)}
+	a.spare = a.fresh()
 	for i := range a.est {
 		a.est[i] = a.fresh()
 	}
@@ -88,15 +89,36 @@ func (a *Arms) Adaptation() (forget float64, window int, xs [][][]float64, ys []
 
 // Update absorbs one observation into arm i. A windowed arm appends it
 // to its buffer (evicting past the window) and rebuilds its estimator
-// from the retained observations; the observation is validated before
-// it is buffered, so a rejected value never poisons the window. x is
-// copied; the caller may reuse it.
+// from the retained observations. The refit model must stay finite over
+// the unit box (see RLS.ApplyDelta): a finite but huge y over a weakly
+// informed direction would solve to an infinite weight and every
+// prediction after it to ±Inf or NaN, so such an observation is refused
+// with ErrBadInput. A refused observation leaves the arm, its window
+// included, unchanged. x is copied; the caller may reuse it.
 func (a *Arms) Update(i int, x []float64, y float64) error {
 	if a.window == 0 {
-		return a.est[i].Update(x, y)
+		next := a.spare
+		a.est[i].copyInto(next)
+		if err := next.Update(x, y); err != nil {
+			return err
+		}
+		if !next.modelFinite() {
+			return errModelOverflow
+		}
+		a.est[i], a.spare = next, a.est[i]
+		return nil
 	}
-	if !linalg.VecIsFinite(x) || math.IsNaN(y) || math.IsInf(y, 0) {
-		return fmt.Errorf("%w: non-finite observation", ErrBadInput)
+	fresh := newRLS(a.dim, a.lambda, 1)
+	for j := max(0, len(a.ys[i])+1-a.window); j < len(a.ys[i]); j++ {
+		if err := fresh.Update(a.xs[i][j], a.ys[i][j]); err != nil {
+			return err
+		}
+	}
+	if err := fresh.Update(x, y); err != nil {
+		return err
+	}
+	if !fresh.modelFinite() {
+		return errModelOverflow
 	}
 	xs := append(a.xs[i], append([]float64(nil), x...))
 	ys := append(a.ys[i], y)
@@ -105,15 +127,11 @@ func (a *Arms) Update(i int, x []float64, y float64) error {
 		ys = append(ys[:0], ys[drop:]...)
 	}
 	a.xs[i], a.ys[i] = xs, ys
-	fresh := newRLS(a.dim, a.lambda, 1)
-	for j := range ys {
-		if err := fresh.Update(xs[j], ys[j]); err != nil {
-			return err
-		}
-	}
 	a.est[i] = fresh
 	return nil
 }
+
+var errModelOverflow = fmt.Errorf("%w: observation would make the model non-finite", ErrBadInput)
 
 // Reset restores arm i to the untrained prior, dropping its window.
 func (a *Arms) Reset(i int) {

@@ -225,11 +225,7 @@ func (r *RLS) ApplyDelta(delta Sufficient) error {
 	// runtime for every context in the unit box. The solve goes into the
 	// cached solution, which a rejection marks stale.
 	backSubstitute(nr, nz, r.w)
-	norm := 0.0
-	for _, v := range r.w {
-		norm += math.Abs(v)
-	}
-	if math.IsNaN(norm) || math.IsInf(norm, 0) {
+	if !unitBoxFinite(r.w) {
 		r.wValid = false
 		return fmt.Errorf("%w: merged model is not finite", ErrBadInput)
 	}

@@ -3,7 +3,9 @@ package regress
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -429,5 +431,43 @@ func TestStandardize(t *testing.T) {
 	o, m, s := Standardize(nil)
 	if o != nil || m != nil || s != nil {
 		t.Fatal("empty input should return nils")
+	}
+}
+
+// TestArmsUpdateRefusesOverflowingModel: a finite but huge target over a
+// weakly informed direction would solve to an infinite weight (and NaN
+// predictions at x = 0). Arms.Update refuses it with ErrBadInput and
+// leaves the arm, window included, as it was; the next ordinary
+// observation is accepted.
+func TestArmsUpdateRefusesOverflowingModel(t *testing.T) {
+	for _, window := range []int{0, 3} {
+		a, err := NewArms(1, 1, 0, 1, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []float64{2, 4, 6} {
+			if err := a.Update(0, []float64{x}, 3*x+5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := a.At(0).Model()
+		_, _, xs, ys := a.Adaptation()
+		var wantXs, wantYs string
+		if window > 0 {
+			wantXs, wantYs = fmt.Sprint(xs[0]), fmt.Sprint(ys[0])
+		}
+		if err := a.Update(0, []float64{1.4e-76}, 1.75e308); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("window %d: err = %v, want ErrBadInput", window, err)
+		}
+		after := a.At(0).Model()
+		if !reflect.DeepEqual(after, before) || a.At(0).N() != 3 {
+			t.Fatalf("window %d: refused update moved the model from %+v to %+v", window, before, after)
+		}
+		if _, _, xs, ys := a.Adaptation(); window > 0 && (fmt.Sprint(xs[0]) != wantXs || fmt.Sprint(ys[0]) != wantYs) {
+			t.Fatalf("window %d: refused update moved the window to %v %v", window, xs[0], ys[0])
+		}
+		if err := a.Update(0, []float64{8}, 29); err != nil {
+			t.Fatalf("window %d: ordinary update after a refusal: %v", window, err)
+		}
 	}
 }

@@ -163,6 +163,31 @@ func (r *RLS) Update(x []float64, y float64) error {
 	return nil
 }
 
+// copyInto overwrites dst, an estimator of the same dimension, with r's
+// state, reusing dst's buffers.
+func (r *RLS) copyInto(dst *RLS) {
+	dst.lambda, dst.forget, dst.n, dst.wValid = r.lambda, r.forget, r.n, r.wValid
+	copy(dst.r, r.r)
+	copy(dst.z, r.z)
+	copy(dst.w, r.w)
+}
+
+// modelFinite solves for the model and reports whether Σ|wᵢ|, intercept
+// included, is finite, so the model predicts a finite runtime for every
+// context in the unit box.
+func (r *RLS) modelFinite() bool {
+	r.solve()
+	return unitBoxFinite(r.w)
+}
+
+func unitBoxFinite(w []float64) bool {
+	norm := 0.0
+	for _, v := range w {
+		norm += math.Abs(v)
+	}
+	return !math.IsNaN(norm) && !math.IsInf(norm, 0)
+}
+
 // solve refreshes the cached solution w from R·w = z by back substitution.
 // The diagonal of R is bounded below by √λ, so the solve is always
 // defined.

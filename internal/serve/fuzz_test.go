@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"testing"
@@ -341,4 +343,123 @@ func checkMergedArms(eng Engine) error {
 		}
 	}
 	return nil
+}
+
+// rawFuzzStreams are the streams FuzzServiceRawVectors drives: an
+// Algorithm 1 and a LinUCB stream, both raw and of dimension 1.
+var rawFuzzStreams = []struct {
+	name string
+	cfg  StreamConfig
+}{
+	{"alg1", StreamConfig{Hardware: testHW(), Dim: 1, Options: core.Options{Seed: 1}}},
+	{"linucb", StreamConfig{Hardware: testHW(), Dim: 1, Policy: PolicySpec{Type: PolicyLinUCB}}},
+}
+
+// rawFuzzStep encodes one FuzzServiceRawVectors step: the op byte, then
+// the feature's and the runtime's float64 bits, little-endian.
+func rawFuzzStep(op byte, x, runtime float64) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte{op}, math.Float64bits(x))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(runtime))
+}
+
+// FuzzServiceRawVectors drives the in-process raw-vector API —
+// RecommendInto, ObserveSeq and ObserveDirect — with arbitrary float64
+// bit patterns. The input is a program of 17-byte steps (rawFuzzStep).
+// Bit 0 of the op byte picks the stream; (op>>1)%3 picks recommend,
+// ticket observe or direct observe; op>>3 picks which issued ticket to
+// redeem, or the arm of a direct observe (an out-of-range arm
+// included). Any call may be refused. Invariants, after any program:
+// nothing panics, Save succeeds, and for every context in the unit box
+// every PredictAll value on both streams and every PredictWithCI bound
+// of the Algorithm 1 stream is finite. (Past the unit box a finite
+// linear model can still overflow: a weight of 1e307 predicts -Inf at
+// x = -100.)
+func FuzzServiceRawVectors(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, prog := range [][]rawFuzzStepArgs{
+		{{0, 1, 0}, {2, 0, 12}, {4, 2, 7}},
+		{{0, 1e200, 0}, {2, 0, 5}, {2, 0, 5}},
+		{{1, 1e200, 0}, {3, 0, 5}, {5, 1e200, 5}},
+		{{0, nan, 0}, {0, inf, 0}, {0, -inf, 0}, {4, nan, 5}, {4, inf, 5}},
+		{{0, 3, 0}, {2, 0, 1e308}, {0, 3, 0}, {2, 0, -1e308}, {2, 0, nan}, {2, 0, inf}},
+		{{4, 1e154, 1e308}, {5, -1e154, 1e308}, {12, 2, 3}, {28, 2, 3}},
+		{{0, 5e-324, 0}, {2, 0, 5e-324}, {4, -0.0, 0}, {1, math.MaxFloat64, 0}, {3, 0, math.MaxFloat64}},
+	} {
+		var b []byte
+		for _, s := range prog {
+			b = append(b, rawFuzzStep(s.op, s.x, s.runtime)...)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		svc := NewService(ServiceOptions{})
+		for _, s := range rawFuzzStreams {
+			if err := svc.CreateStream(s.name, s.cfg); err != nil {
+				t.Fatal(err)
+			}
+			// Two observations per arm, so every interval starts finite.
+			for arm := range testHW() {
+				for i := 1; i <= 2; i++ {
+					if err := svc.ObserveDirect(s.name, arm, []float64{float64(2 * i)}, float64(20*i+5*arm)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		var tk Ticket
+		var issued [2][]uint64
+		for ; len(prog) >= 17; prog = prog[17:] {
+			op := prog[0]
+			x := []float64{math.Float64frombits(binary.LittleEndian.Uint64(prog[1:]))}
+			runtime := math.Float64frombits(binary.LittleEndian.Uint64(prog[9:]))
+			s, pick := int(op&1), int(op>>3)
+			name := rawFuzzStreams[s].name
+			switch (op >> 1) % 3 {
+			case 0:
+				if svc.RecommendInto(name, x, &tk) == nil {
+					issued[s] = append(issued[s], tk.Seq)
+				}
+			case 1:
+				seq := uint64(pick)
+				if n := len(issued[s]); n > 0 {
+					seq = issued[s][pick%n]
+				}
+				svc.ObserveSeq(name, seq, runtime)
+			case 2:
+				svc.ObserveDirect(name, pick%(len(testHW())+1), x, runtime)
+			}
+		}
+		if err := svc.Save(io.Discard); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		for _, s := range rawFuzzStreams {
+			for _, x := range [][]float64{{-1}, {0}, {0.5}, {1}} {
+				preds, err := svc.PredictAll(s.name, x)
+				if err != nil {
+					t.Fatalf("PredictAll(%s, %v): %v", s.name, x, err)
+				}
+				for arm, p := range preds {
+					if math.IsNaN(p) || math.IsInf(p, 0) {
+						t.Fatalf("%s: arm %d predicts %v at %v", s.name, arm, p, x)
+					}
+				}
+				ivs, err := svc.PredictWithCI(s.name, x, 0)
+				if err != nil && !errors.Is(err, ErrUnsupported) { // only Algorithm 1 has intervals
+					t.Fatalf("PredictWithCI(%s, %v): %v", s.name, x, err)
+				}
+				for arm, iv := range ivs {
+					for _, v := range []float64{iv.Lo, iv.Mid, iv.Hi} {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("%s: arm %d interval %+v at %v", s.name, arm, iv, x)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+type rawFuzzStepArgs struct {
+	op         byte
+	x, runtime float64
 }

@@ -4,19 +4,20 @@ import "banditware/internal/schema"
 
 // The serving primitives.
 //
-// RecommendInto, RecommendCtxInto and ObserveSeqOutcome are the
-// request path: the caller owns one Ticket and hands it back every
-// call (its Predicted backing array is reused), the ticket identity
-// travels as the integer Seq, and observes key by (stream, seq). On a
-// warmed stream the full RecommendInto → ObserveSeq cycle allocates
-// nothing (pinned by alloc_test.go).
+// RecommendInto, RecommendCtxInto and ObserveSeq are the request path:
+// the caller owns one Ticket and hands it back every call (its
+// Predicted backing array is reused), the ticket identity travels as
+// the integer Seq, and observes key by (stream, seq). On a warmed
+// stream the full RecommendInto → ObserveSeq cycle allocates nothing
+// (pinned by alloc_test.go).
 //
 // The ticket forms built on them wrap them: Recommend and RecommendCtx
 // issue into a fresh Ticket and render its ID, ObserveOutcome parses an
-// ID into (stream, seq), and Observe and ObserveSeq map a bare runtime
-// to the default Outcome. The batch forms take the stream lock once and
-// run the same issueLocked and observeTicketLocked per item. A ticket
-// from any recommend form redeems through any observe form.
+// ID into (stream, seq) and redeems it as ObserveSeq does, and Observe
+// maps a bare runtime to the default Outcome. The batch forms take the
+// stream lock once and run the same issueLocked and observeTicketLocked
+// per item. A ticket from any recommend form redeems through any
+// observe form.
 
 // RecommendInto issues a decision ticket into a caller-reused Ticket:
 // every field is (re)set, t.Predicted's backing array is reused, and
@@ -51,18 +52,19 @@ func (s *Service) RecommendCtxInto(name string, ctx schema.Context, t *Ticket) e
 	return st.issueLocked(s.now(), x, t)
 }
 
-// ObserveSeqOutcome redeems a ticket by its sequence number (Ticket.Seq)
-// with a structured Outcome. The outcome is validated before the ticket
-// is resolved, and each ticket redeems exactly once.
-func (s *Service) ObserveSeqOutcome(name string, seq uint64, o Outcome) error {
+// ObserveSeq redeems a ticket by its sequence number (Ticket.Seq) with a
+// bare runtime, mapped to the default Outcome. The outcome is validated
+// before the ticket is resolved, and each ticket redeems exactly once.
+func (s *Service) ObserveSeq(name string, seq uint64, runtime float64) error {
+	o := Outcome{Runtime: runtime}
 	if err := validateOutcome(o); err != nil {
 		return err
 	}
 	return s.redeem(name, seq, o)
 }
 
-// redeem is ObserveSeqOutcome past its validation: every caller has
-// already validated o at its public entry point.
+// redeem resolves the named stream and redeems ticket seq with o. Every
+// caller has already validated o at its public entry point.
 func (s *Service) redeem(name string, seq uint64, o Outcome) error {
 	st, err := s.stream(name)
 	if err != nil {
@@ -71,12 +73,6 @@ func (s *Service) redeem(name string, seq uint64, o Outcome) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.observeTicketLocked(s.now(), seq, o)
-}
-
-// ObserveSeq redeems a ticket by sequence number with a bare runtime —
-// ObserveSeqOutcome with the scalar mapped to the default Outcome.
-func (s *Service) ObserveSeq(name string, seq uint64, runtime float64) error {
-	return s.ObserveSeqOutcome(name, seq, Outcome{Runtime: runtime})
 }
 
 // Close releases nothing and always returns nil: every observe applies

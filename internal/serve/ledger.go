@@ -307,27 +307,34 @@ func (l *ledger) put(seq uint64, arm int, x []float64, at int64, shadowArms map[
 	l.link(i)
 }
 
-// take redeems a ticket: removes it and returns its arm, features and
-// shadow selections. A ticket can be taken exactly once; a second take
-// (or a take after eviction) reports ErrTicketNotFound, and a take past
-// the ttl reports ErrTicketExpired. The returned features alias the
-// ledger's slab and stay valid until the next add or restore.
-func (l *ledger) take(seq uint64, now time.Time) (arm int, x []float64, shadowArms map[string]int, err error) {
+// find resolves a ticket for redemption without removing it: a ticket
+// that was never issued, was already redeemed or was evicted reports
+// ErrTicketNotFound, and one past the ttl is dropped and reports
+// ErrTicketExpired. The caller reads the slot's arm, features and shadow
+// selections, and removes it with redeemed only once its observation is
+// accepted, so a refused observation leaves the ticket pending.
+func (l *ledger) find(seq uint64, now time.Time) (int32, error) {
 	// Look up before sweeping so redeeming an expired ticket reports
 	// ErrTicketExpired rather than being swept into ErrTicketNotFound.
 	i := l.lookup(seq)
 	if i == noSlot {
 		l.sweep(now)
-		return 0, nil, nil, ErrTicketNotFound
+		return noSlot, ErrTicketNotFound
 	}
-	shadowArms = l.shadowOf(i)
+	if l.expiredBy(i, now) {
+		l.drop(i)
+		l.sweep(now)
+		l.expired++
+		return noSlot, ErrTicketExpired
+	}
+	return i, nil
+}
+
+// redeemed removes slot i, resolved by find, once its observation has
+// been applied: the ticket cannot be redeemed again.
+func (l *ledger) redeemed(i int32, now time.Time) {
 	l.drop(i)
 	l.sweep(now)
-	if l.expiredBy(i, now) {
-		l.expired++
-		return 0, nil, nil, ErrTicketExpired
-	}
-	return int(l.slots[i].arm), l.features(i), shadowArms, nil
 }
 
 // restore re-inserts a ticket during snapshot load, bypassing eviction

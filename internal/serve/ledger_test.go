@@ -19,6 +19,19 @@ func mkPending(l *ledger, seq uint64, at time.Time) {
 	l.add(seq, 0, []float64{float64(seq)}, nil, at)
 }
 
+// take redeems a ticket whose observation is accepted: find, then
+// redeemed. The returned features alias the freed slot, readable until
+// the next add or restore.
+func (l *ledger) take(seq uint64, now time.Time) (arm int, x []float64, shadowArms map[string]int, err error) {
+	i, err := l.find(seq, now)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	arm, x, shadowArms = int(l.slots[i].arm), l.features(i), l.shadowOf(i)
+	l.redeemed(i, now)
+	return arm, x, shadowArms, nil
+}
+
 func TestLedgerTakeOnce(t *testing.T) {
 	now := time.Unix(1000, 0)
 	l := newLedger(4, 0, 1)

@@ -11,8 +11,12 @@ package serve
 
 import (
 	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"banditware/internal/core"
 )
 
 // badObservations enumerate observation-level failures: each must
@@ -147,5 +151,101 @@ func TestHTTPObserveErrorConsistency(t *testing.T) {
 	code := doJSON(t, "POST", srv.URL+"/v1/observe", map[string]any{"ticket": live.ID, "runtime": 9}, nil)
 	if code != http.StatusOK {
 		t.Fatalf("live ticket was burned: status %d", code)
+	}
+}
+
+// TestRefusedObservationKeepsTicket: an observation the engine refuses
+// does not burn its ticket, on any observe path. At x = 1e200 the
+// Algorithm 1 update squares the feature past float64, so the engine
+// reports core.ErrBadValue; the single, batch and HTTP routes must all
+// report that same refusal, again on every retry, and leave the ticket
+// pending.
+func TestRefusedObservationKeepsTicket(t *testing.T) {
+	svc := newTestService(t, ServiceOptions{}, "j")
+	for arm := range testHW() {
+		for i := 1; i <= 5; i++ {
+			if err := svc.ObserveDirect("j", arm, []float64{float64(i)}, 3*float64(i)+5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tk, err := svc.Recommend("j", []float64{1e200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+	httpErr := func(path string, body any) error {
+		var resp errorResponse
+		if code := doJSON(t, "POST", srv.URL+path, body, &resp); code != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400", path, code)
+		}
+		return errors.New(resp.Error)
+	}
+	paths := map[string]func() error{
+		"Observe":        func() error { return svc.Observe(tk.ID, 5) },
+		"ObserveOutcome": func() error { return svc.ObserveOutcome(tk.ID, Outcome{Runtime: 5}) },
+		"ObserveSeq":     func() error { return svc.ObserveSeq("j", tk.Seq, 5) },
+		"ObserveBatchIndexed": func() error {
+			_, errs := svc.ObserveBatchIndexed([]TicketObservation{{TicketID: tk.ID, Runtime: 5}})
+			return errs[0]
+		},
+		"POST /v1/observe": func() error {
+			return httpErr("/v1/observe", map[string]any{"ticket": tk.ID, "runtime": 5})
+		},
+		"POST /v1/streams/j/observe": func() error {
+			return httpErr("/v1/streams/j/observe", map[string]any{"ticket": tk.ID, "runtime": 5})
+		},
+		"POST /v1/streams/j/observe/batch": func() error {
+			var resp observeBatchResponse
+			body := map[string]any{"observations": []map[string]any{{"ticket": tk.ID, "runtime": 5}}}
+			if code := doJSON(t, "POST", srv.URL+"/v1/streams/j/observe/batch", body, &resp); code != http.StatusOK || len(resp.Results) != 1 {
+				t.Fatalf("batch observe: status %d, %+v", code, resp)
+			}
+			return errors.New(resp.Results[0].Error)
+		},
+	}
+	want := core.ErrBadValue.Error()
+	for round := 0; round < 2; round++ {
+		for name, observe := range paths {
+			if err := observe(); err == nil || err.Error() != want {
+				t.Errorf("round %d, %s: %v, want the engine's refusal %q", round, name, err, want)
+			}
+			info, err := svc.StreamInfo("j")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Pending != 1 || info.Observed != 15 {
+				t.Fatalf("round %d, %s: pending %d, observed %d; want the ticket still pending and nothing applied",
+					round, name, info.Pending, info.Observed)
+			}
+		}
+	}
+}
+
+// TestOutcomeTotalsOverflowRefused: the stream's outcome totals are
+// snapshot state, so an observation that would overflow them is refused
+// with core.ErrBadValue, and Save keeps working. A model-free policy
+// accepts any finite runtime, so only the totals guard stands in the way.
+func TestOutcomeTotalsOverflowRefused(t *testing.T) {
+	svc := NewService(ServiceOptions{})
+	if err := svc.CreateStream("r", StreamConfig{Hardware: testHW(), Dim: 1, Policy: PolicySpec{Type: PolicyRandom}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.ObserveDirect("r", 0, []float64{1}, 1e308); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.ObserveDirect("r", 1, []float64{1}, 1e308); !errors.Is(err, core.ErrBadValue) {
+		t.Fatalf("err = %v, want core.ErrBadValue", err)
+	}
+	info, err := svc.StreamInfo("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Observed != 1 {
+		t.Fatalf("observed %d, want 1", info.Observed)
+	}
+	if err := svc.Save(io.Discard); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
 }

@@ -843,6 +843,12 @@ func (st *stream) applyOutcomeLocked(arm int, x []float64, o Outcome) error {
 		return err
 	}
 	score := st.rw.fn(o, st.engine.Hardware()[arm])
+	// The outcome aggregates are snapshot state: one that overflowed
+	// would fail every Save after it.
+	rewardTotal, runtimeTotal := st.rewardTotal+score, st.runtimeTotal+o.Runtime
+	if math.IsInf(rewardTotal, 0) || math.IsInf(runtimeTotal, 0) {
+		return fmt.Errorf("%w (the stream's outcome totals would overflow)", core.ErrBadValue)
+	}
 	// Drift monitoring residual: the engine's estimate for the chosen
 	// arm, taken before the observation refits it (an honest
 	// out-of-sample error). Model-free policies have no prediction and
@@ -855,8 +861,7 @@ func (st *stream) applyOutcomeLocked(arm int, x []float64, o Outcome) error {
 		return err
 	}
 	st.observed++
-	st.rewardTotal += score
-	st.runtimeTotal += o.Runtime
+	st.rewardTotal, st.runtimeTotal = rewardTotal, runtimeTotal
 	if o.Failed() {
 		st.failures++
 	}
@@ -881,25 +886,31 @@ func (st *stream) predictLocked(x []float64) []float64 {
 // observeTicketLocked redeems a ticket by sequence number, trains the
 // engine under the stream's reward, and feeds the outcome to every
 // shadow. The outcome must already be validated: every caller checks
-// it at its public entry point, before the ticket is redeemed, so a
+// it at its public entry point, before the ticket is resolved, so a
 // malformed observation (negative runtime, unknown metric) never burns
-// the ticket — or, worse, corrupts the chosen arm's model. A ticket
-// error names the ticket by its ID, rendered only on that path
-// (ParseTicketID accepts only the rendered form, so it is the caller's
-// ID too). Callers hold st.mu.
+// the ticket — or, worse, corrupts the chosen arm's model. The ticket is
+// removed only after the engine accepts the observation, so one the
+// engine refuses (a non-finite feature product, say) leaves it pending
+// for a retry. A ticket error names the ticket by its ID, rendered only
+// on that path (ParseTicketID accepts only the rendered form, so it is
+// the caller's ID too). Callers hold st.mu.
 func (st *stream) observeTicketLocked(now time.Time, seq uint64, o Outcome) error {
-	arm, x, shadowArms, err := st.ledger.take(seq, now)
+	i, err := st.ledger.find(seq, now)
 	if err != nil {
 		return fmt.Errorf("%w (ticket %q)", err, ticketID(st.name, seq))
 	}
 	// x aliases the ledger slab, which nothing below writes: engines
 	// never retain the features slice (window/batch paths copy before
 	// buffering) and no ticket is issued under this lock.
-	err = st.applyOutcomeLocked(arm, x, o)
-	if err == nil && len(st.shadows) > 0 {
-		st.shadowObserveLocked(shadowArms, arm, x, o)
+	arm, x := int(st.ledger.slots[i].arm), st.ledger.features(i)
+	if err := st.applyOutcomeLocked(arm, x, o); err != nil {
+		return err
 	}
-	return err
+	if len(st.shadows) > 0 {
+		st.shadowObserveLocked(st.ledger.shadowOf(i), arm, x, o)
+	}
+	st.ledger.redeemed(i, now)
+	return nil
 }
 
 // ObserveOutcome redeems a decision ticket with the workflow's
@@ -912,7 +923,7 @@ func (st *stream) observeTicketLocked(now time.Time, seq uint64, o Outcome) erro
 // The outcome is validated before the ticket is resolved, so a
 // malformed observation reports ErrBadOutcome whatever the state of
 // its ticket — the same precedence as every other observe path. It is
-// ParseTicketID plus ObserveSeqOutcome.
+// ParseTicketID plus the redeem behind ObserveSeq.
 func (s *Service) ObserveOutcome(ticketID string, o Outcome) error {
 	if err := validateOutcome(o); err != nil {
 		return err

@@ -57,16 +57,26 @@ type Dataset struct {
 // ErrEmptyDataset is returned by operations that need at least one run.
 var ErrEmptyDataset = errors.New("workloads: empty dataset")
 
-// Validate checks internal consistency.
+// Validate checks internal consistency, ground truth included.
 func (d *Dataset) Validate() error {
+	if err := d.checkShape(); err != nil {
+		return err
+	}
+	if d.Truth == nil || d.Noise == nil {
+		return errors.New("workloads: dataset missing ground truth")
+	}
+	return nil
+}
+
+// checkShape checks what a recorded trace needs without its ground truth:
+// a valid hardware set, at least one run, in-range arm indices, feature
+// vectors of the declared length and finite runtimes.
+func (d *Dataset) checkShape() error {
 	if err := d.Hardware.Validate(); err != nil {
 		return err
 	}
 	if len(d.Runs) == 0 {
 		return ErrEmptyDataset
-	}
-	if d.Truth == nil || d.Noise == nil {
-		return errors.New("workloads: dataset missing ground truth")
 	}
 	dim := len(d.FeatureNames)
 	for i, r := range d.Runs {
