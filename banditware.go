@@ -38,7 +38,6 @@
 // of named recommender streams with decision tickets, batch operations,
 // whole-service snapshots, and an HTTP front-end (ServiceHandler,
 // mounted by `banditware serve`; docs/API.md is the route reference).
-// SafeRecommender remains as the lock-guarded single-stream shim.
 //
 // # Policy selection
 //
@@ -54,10 +53,10 @@
 //		Policy:   banditware.PolicySpec{Type: banditware.PolicyLinUCB, Beta: 1.5},
 //	})
 //
-// A stream can additionally carry shadow policies (Service.AttachShadow)
-// that see all traffic but never serve, accumulating agreement and
-// regret counters — live A/B evaluation of a candidate policy before
-// switching a stream over.
+// A stream can additionally carry shadow policies (StreamConfig.Shadows
+// at creation, Service.AttachShadow later) that see all traffic but
+// never serve, accumulating agreement and regret counters — live A/B
+// evaluation of a candidate policy before switching a stream over.
 //
 // # Feature schemas
 //
@@ -149,6 +148,9 @@ type Decision = core.Decision
 // Model is a learned linear runtime model for one hardware arm.
 type Model = regress.Model
 
+// Interval is a prediction interval for one arm.
+type Interval = core.Interval
+
 // ParseHardware parses "H0=2x16" / "(2,16)" style hardware descriptions.
 func ParseHardware(s string) (Hardware, error) { return hardware.Parse(s) }
 
@@ -163,8 +165,9 @@ func NDPHardware() HardwareSet { return hardware.NDPDefault() }
 // Schema declares a stream's feature layout as ordered named fields —
 // numeric (optional bounds, default, online min-max or z-score
 // normalization) and categorical (one-hot expanded into the model
-// dimension). Attach one via StreamConfig.Schema (or the HTTP "schema"
-// field, or `banditware serve -schema`): the stream's dimension derives
+// dimension). Attach one via StreamConfig.Schema (or the "schema" field
+// of the create document that POST /v1/streams and `banditware serve
+// -create` read): the stream's dimension derives
 // from it, contexts submitted through Service.RecommendCtx /
 // ObserveDirectOutcomeCtx / RecommendBatchCtx (or HTTP {"context": {...}})
 // are validated and deterministically encoded against it, and its
@@ -210,7 +213,7 @@ var (
 )
 
 // ParseSchema decodes and validates a schema from its JSON form (the
-// same document accepted by the HTTP create route and `serve -schema`).
+// "schema" field of the create document).
 func ParseSchema(data []byte) (*Schema, error) { return schema.Parse(data) }
 
 // IdentitySchema returns the schema equivalent of a bare
@@ -260,6 +263,20 @@ func (r *Recommender) Step(features []float64, run func(arm int) float64) (Decis
 // PredictAll returns the current runtime estimate for every arm.
 func (r *Recommender) PredictAll(features []float64) ([]float64, error) {
 	return r.b.PredictAll(features)
+}
+
+// PredictWithCI returns per-arm runtime estimates with approximate
+// prediction intervals (z <= 0 selects 1.96 ≈ 95%). Arms that have not
+// observed at least two runs report infinite intervals.
+func (r *Recommender) PredictWithCI(features []float64, z float64) ([]Interval, error) {
+	return r.b.PredictWithCI(features, z)
+}
+
+// Exploit returns the tolerant selection for the features without
+// consuming exploration randomness — use it to serve read-only
+// recommendations (dashboards, dry runs) that must not perturb learning.
+func (r *Recommender) Exploit(features []float64) (int, error) {
+	return r.b.Exploit(features)
 }
 
 // Model returns a snapshot of arm i's learned linear model.

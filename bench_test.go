@@ -505,7 +505,7 @@ func newBenchService(b *testing.B, n int) *Service {
 // one stream (round-robin) and does full recommend→observe ticket round
 // trips. With streams=1 all goroutines contend on one stream lock — the
 // mutex-wrapper regime; more streams spread the load across per-stream
-// locks. Compare against BenchmarkSafeRecommenderParallel.
+// locks.
 func BenchmarkServiceRecommendParallel(b *testing.B) {
 	for _, streams := range []int{1, 4, 16} {
 		b.Run("streams="+strconv.Itoa(streams), func(b *testing.B) {
@@ -527,34 +527,6 @@ func BenchmarkServiceRecommendParallel(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkSafeRecommenderParallel is the single-stream global-lock
-// baseline: one SafeRecommender (the historical "wrap it in a mutex"
-// scaling story) hammered by every goroutine.
-func BenchmarkSafeRecommenderParallel(b *testing.B) {
-	safe, err := NewSafe(NDPHardware(), 1, Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for j := 1; j <= 8; j++ {
-		if err := safe.Observe(j%3, []float64{float64(j)}, float64(3*j)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		x := []float64{42}
-		for pb.Next() {
-			d, err := safe.Recommend(x)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := safe.Observe(d.Arm, x, 100); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // benchSchema is the schema-encoding benchmark layout: three numeric

@@ -6,7 +6,7 @@
 //	banditware init      -state state.json -hardware "H0=2x16;H1=3x24" -dim D
 //	banditware recommend -state state.json -features 1,2,...
 //	banditware observe   -state state.json -arm K -features 1,2,... -runtime S
-//	banditware serve     [-port P] [-state svc.json] [-snapshot 30s] [-ttl 1h] [-pending N] [-create name:dim:hwspec] [-peers URL,URL] [-sync 1s] [-bootstrap]
+//	banditware serve     [-port P] [-state svc.json] [-snapshot 30s] [-ttl 1h] [-pending N] [-create stream.json] [-peers URL,URL] [-sync 1s] [-bootstrap]
 //	banditware router    -replicas URL,URL,... [-port P] [-poll 2s]
 //	banditware arms      list|add|drain|promote|retire -addr URL -stream NAME [...]
 //	banditware kernel    -size N [-workers W] [-sparsity F]
@@ -98,7 +98,8 @@ commands:
   serve      run the concurrent multi-stream HTTP recommender service
              (-port, -addr, -state snapshot file, -snapshot interval,
               -ttl ticket expiry, -pending ledger capacity,
-              -create name:dim:hwspec to register streams at startup;
+              -create stream.json to register a stream at startup from
+              a POST /v1/streams body (repeatable);
               -peers URL,URL to join a scale-out fleet, with -sync
               delta push interval, -self advertised URL, and
               -bootstrap to import a peer snapshot before serving)

@@ -10,8 +10,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -23,14 +21,11 @@ import (
 // cmdServe runs the HTTP/JSON serving layer: a multi-stream Service
 // behind the /v1 API (see banditware.ServiceHandler for the routes).
 // Streams come from three places: a state snapshot (-state, loaded at
-// startup when the file exists), -create flags (optionally paired with
-// -schema name=path to declare a named feature schema from a JSON
-// file, deriving the stream's dimension, with -reward name=spec to
-// select the stream's reward function, and with -adapt name=spec to
-// select its non-stationarity adaptation and on-drift response), and
-// the POST /v1/streams endpoint at runtime. With -state set, the
-// service snapshots itself to the file on shutdown and every -snapshot
-// interval (atomically, via a temp file and rename).
+// startup when the file exists), -create files (each holding one
+// POST /v1/streams body, read by the same serve.ParseCreateRequest the
+// route uses), and the POST /v1/streams endpoint at runtime. With
+// -state set, the service snapshots itself to the file on shutdown and
+// every -snapshot interval (atomically, via a temp file and rename).
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "", "listen address (host:port; default uses -port)")
@@ -44,52 +39,8 @@ func cmdServe(args []string) error {
 	syncEvery := fs.Duration("sync", 0, "delta push interval to peers (0 = 1s; needs -peers)")
 	bootstrap := fs.Bool("bootstrap", false, "import a full snapshot from the first reachable peer before serving — the join/rejoin path (needs -peers)")
 	var creates []string
-	fs.Func("create", "create a stream at startup as name:dim:hwspec[:policy], e.g. jobs:1:\"H0=2x16;H1=3x24\" or jobs:1:\"H0=2x16;H1=3x24\":linucb,beta=2 (repeatable; dim 0 with -schema derives it)", func(v string) error {
+	fs.Func("create", "create a stream at startup from a JSON file holding one POST /v1/streams body (repeatable)", func(v string) error {
 		creates = append(creates, v)
-		return nil
-	})
-	schemaFiles := make(map[string]string)
-	fs.Func("schema", "attach a feature schema to a -create stream as name=path/to/schema.json (repeatable)", func(v string) error {
-		name, path, ok := strings.Cut(v, "=")
-		if !ok || name == "" || path == "" {
-			return fmt.Errorf("serve: bad -schema %q (want name=path)", v)
-		}
-		if _, dup := schemaFiles[name]; dup {
-			return fmt.Errorf("serve: duplicate -schema for stream %q", name)
-		}
-		schemaFiles[name] = path
-		return nil
-	})
-	rewards := make(map[string]banditware.RewardSpec)
-	fs.Func("reward", "set a -create stream's reward function as name=type[,key=value...], e.g. jobs=cost_weighted,lambda=0.5 or jobs=deadline,deadline=300,penalty=5 (repeatable; types: runtime, cost_weighted, deadline, failure_penalty)", func(v string) error {
-		name, tok, ok := strings.Cut(v, "=")
-		if !ok || name == "" || tok == "" {
-			return fmt.Errorf("serve: bad -reward %q (want name=spec)", v)
-		}
-		if _, dup := rewards[name]; dup {
-			return fmt.Errorf("serve: duplicate -reward for stream %q", name)
-		}
-		spec, err := parseRewardToken(tok)
-		if err != nil {
-			return fmt.Errorf("serve: bad -reward %q: %w", v, err)
-		}
-		rewards[name] = spec
-		return nil
-	})
-	adapts := make(map[string]banditware.AdaptSpec)
-	fs.Func("adapt", "set a -create stream's non-stationarity adaptation as name=mode[,key=value...], e.g. jobs=forgetting,factor=0.95 or jobs=window,n=128,on_drift=reset (repeatable; modes: none, forgetting, window; keys: factor, window/n, on_drift, delta, threshold, min_samples, warmup)", func(v string) error {
-		name, tok, ok := strings.Cut(v, "=")
-		if !ok || name == "" || tok == "" {
-			return fmt.Errorf("serve: bad -adapt %q (want name=spec)", v)
-		}
-		if _, dup := adapts[name]; dup {
-			return fmt.Errorf("serve: duplicate -adapt for stream %q", name)
-		}
-		spec, err := parseAdaptToken(tok)
-		if err != nil {
-			return fmt.Errorf("serve: bad -adapt %q: %w", v, err)
-		}
-		adapts[name] = spec
 		return nil
 	})
 	if err := fs.Parse(args); err != nil {
@@ -110,43 +61,9 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	created := make(map[string]bool, len(creates))
-	for _, spec := range creates {
-		name, cfg, err := parseCreateSpec(spec)
-		if err != nil {
-			return err
-		}
-		if path, ok := schemaFiles[name]; ok {
-			sch, err := loadSchemaFile(path)
-			if err != nil {
-				return fmt.Errorf("serve: -schema %s=%s: %w", name, path, err)
-			}
-			cfg.Schema = sch
-		}
-		if rw, ok := rewards[name]; ok {
-			cfg.Reward = rw
-		}
-		if ad, ok := adapts[name]; ok {
-			cfg.Adapt = ad
-		}
-		if err := svc.CreateStream(name, cfg); err != nil {
-			return fmt.Errorf("serve: -create %q: %w", spec, err)
-		}
-		created[name] = true
-	}
-	for name := range schemaFiles {
-		if !created[name] {
-			return fmt.Errorf("serve: -schema names stream %q but no -create does", name)
-		}
-	}
-	for name := range rewards {
-		if !created[name] {
-			return fmt.Errorf("serve: -reward names stream %q but no -create does", name)
-		}
-	}
-	for name := range adapts {
-		if !created[name] {
-			return fmt.Errorf("serve: -adapt names stream %q but no -create does", name)
+	for _, path := range creates {
+		if err := createFromFile(svc, path); err != nil {
+			return fmt.Errorf("serve: -create %s: %w", path, err)
 		}
 	}
 
@@ -231,153 +148,19 @@ func cmdServe(args []string) error {
 	}
 }
 
-// parseCreateSpec parses "name:dim:hwspec[:policy]". Hardware names may
-// themselves contain ':', so the remainder after "name:dim:" is first
-// tried as a whole hardware spec (the PR-1 form); only when that fails
-// is it split at its last colon into hwspec and policy token.
-func parseCreateSpec(spec string) (string, banditware.StreamConfig, error) {
-	parts := strings.SplitN(spec, ":", 3)
-	if len(parts) != 3 {
-		return "", banditware.StreamConfig{}, fmt.Errorf("serve: bad -create %q (want name:dim:hwspec[:policy])", spec)
-	}
-	dim, err := strconv.Atoi(parts[1])
+// createFromFile creates the stream described by the create document in
+// the file at path.
+func createFromFile(svc *banditware.Service, path string) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return "", banditware.StreamConfig{}, fmt.Errorf("serve: bad dim in -create %q: %w", spec, err)
+		return err
 	}
-	rest := parts[2]
-	cfg := banditware.StreamConfig{Dim: dim}
-	set, hwErr := banditware.ParseHardwareSet(rest)
-	if hwErr != nil {
-		i := strings.LastIndex(rest, ":")
-		if i < 0 {
-			return "", banditware.StreamConfig{}, hwErr
-		}
-		set, hwErr = banditware.ParseHardwareSet(rest[:i])
-		if hwErr != nil {
-			return "", banditware.StreamConfig{}, hwErr
-		}
-		pol, err := parsePolicyToken(rest[i+1:])
-		if err != nil {
-			return "", banditware.StreamConfig{}, fmt.Errorf("serve: bad policy in -create %q: %w", spec, err)
-		}
-		cfg.Policy = pol
-	}
-	cfg.Hardware = set
-	return parts[0], cfg, nil
-}
-
-// parsePolicyToken parses the CLI policy form "type[,key=value...]",
-// e.g. "linucb", "linucb,beta=2", "softmax,temp=0.5,seed=7". Keys:
-// beta, eps[ilon], temp[erature], scale (lints posterior scale), seed.
-func parsePolicyToken(tok string) (banditware.PolicySpec, error) {
-	fields := strings.Split(tok, ",")
-	spec := banditware.PolicySpec{Type: strings.TrimSpace(fields[0])}
-	for _, kv := range fields[1:] {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return spec, fmt.Errorf("bad parameter %q (want key=value)", kv)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		var ferr error
-		switch k {
-		case "beta":
-			spec.Beta, ferr = strconv.ParseFloat(v, 64)
-		case "eps", "epsilon":
-			spec.Epsilon, ferr = strconv.ParseFloat(v, 64)
-		case "temp", "temperature":
-			spec.Temperature, ferr = strconv.ParseFloat(v, 64)
-		case "scale", "posterior_scale":
-			spec.PosteriorScale, ferr = strconv.ParseFloat(v, 64)
-		case "seed":
-			spec.Seed, ferr = strconv.ParseUint(v, 10, 64)
-		default:
-			return spec, fmt.Errorf("unknown policy parameter %q", k)
-		}
-		if ferr != nil {
-			return spec, fmt.Errorf("bad value for %q: %w", k, ferr)
-		}
-	}
-	return spec, nil
-}
-
-// parseRewardToken parses the CLI reward form "type[,key=value...]",
-// e.g. "cost_weighted,lambda=0.5", "deadline,deadline=300,penalty=5",
-// "failure_penalty,penalty=900". Keys: lambda, deadline
-// (deadline_seconds), penalty.
-func parseRewardToken(tok string) (banditware.RewardSpec, error) {
-	fields := strings.Split(tok, ",")
-	spec := banditware.RewardSpec{Type: strings.TrimSpace(fields[0])}
-	for _, kv := range fields[1:] {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return spec, fmt.Errorf("bad parameter %q (want key=value)", kv)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		var ferr error
-		switch k {
-		case "lambda":
-			spec.Lambda, ferr = strconv.ParseFloat(v, 64)
-		case "deadline", "deadline_seconds":
-			spec.DeadlineSeconds, ferr = strconv.ParseFloat(v, 64)
-		case "penalty":
-			spec.Penalty, ferr = strconv.ParseFloat(v, 64)
-		default:
-			return spec, fmt.Errorf("unknown reward parameter %q", k)
-		}
-		if ferr != nil {
-			return spec, fmt.Errorf("bad value for %q: %w", k, ferr)
-		}
-	}
-	return spec, nil
-}
-
-// parseAdaptToken parses the CLI adaptation form "mode[,key=value...]",
-// e.g. "forgetting,factor=0.95", "window,n=128,on_drift=reset",
-// "none,on_drift=reset,threshold=20". Keys: factor, window (n),
-// on_drift, delta, threshold, min_samples, warmup.
-func parseAdaptToken(tok string) (banditware.AdaptSpec, error) {
-	fields := strings.Split(tok, ",")
-	spec := banditware.AdaptSpec{Mode: strings.TrimSpace(fields[0])}
-	for _, kv := range fields[1:] {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return spec, fmt.Errorf("bad parameter %q (want key=value)", kv)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		var ferr error
-		switch k {
-		case "factor":
-			spec.Factor, ferr = strconv.ParseFloat(v, 64)
-		case "window", "n":
-			spec.Window, ferr = strconv.Atoi(v)
-		case "on_drift":
-			spec.OnDrift = v
-		case "delta", "drift_delta":
-			spec.DriftDelta, ferr = strconv.ParseFloat(v, 64)
-		case "threshold", "drift_threshold":
-			spec.DriftThreshold, ferr = strconv.ParseFloat(v, 64)
-		case "min_samples", "drift_min_samples":
-			spec.DriftMinSamples, ferr = strconv.Atoi(v)
-		case "warmup", "drift_warmup":
-			spec.DriftWarmup, ferr = strconv.Atoi(v)
-		default:
-			return spec, fmt.Errorf("unknown adaptation parameter %q", k)
-		}
-		if ferr != nil {
-			return spec, fmt.Errorf("bad value for %q: %w", k, ferr)
-		}
-	}
-	return spec, nil
-}
-
-// loadSchemaFile reads and validates a feature-schema JSON file (the
-// same document the HTTP create route accepts under "schema").
-func loadSchemaFile(path string) (*banditware.Schema, error) {
-	data, err := os.ReadFile(path)
+	defer f.Close()
+	name, cfg, err := serve.ParseCreateRequest(f)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return banditware.ParseSchema(data)
+	return svc.CreateStream(name, cfg)
 }
 
 func loadOrNewService(path string, opts banditware.ServiceOptions) (*banditware.Service, error) {

@@ -1,86 +1,101 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"banditware"
 )
 
-func TestParseCreateSpec(t *testing.T) {
-	cases := []struct {
-		spec    string
-		name    string
-		dim     int
-		arms    int
-		policy  string
-		beta    float64
-		wantErr bool
-	}{
-		// PR-1 forms keep working, including ':' inside hardware names.
-		{spec: "jobs:1:H0=2x16;H1=3x24", name: "jobs", dim: 1, arms: 2},
-		{spec: "jobs:2:rack:0=2x16;rack:1=3x24", name: "jobs", dim: 2, arms: 2},
-		// Policy suffix, with and without parameters.
-		{spec: "ucb:1:H0=2x16;H1=3x24:linucb", name: "ucb", dim: 1, arms: 2, policy: "linucb"},
-		{spec: "ucb:1:H0=2x16:linucb,beta=2.5,seed=7", name: "ucb", dim: 1, arms: 1, policy: "linucb", beta: 2.5},
-		// Colon-bearing names combine with a policy via the last colon.
-		{spec: "j:1:rack:0=2x16:softmax,temp=0.5", name: "j", dim: 1, arms: 1, policy: "softmax"},
-		{spec: "jobs", wantErr: true},
-		{spec: "jobs:x:H0=2x16", wantErr: true},
-		{spec: "jobs:1:H0=2x16:linucb,beta=oops", wantErr: true},
-		{spec: "jobs:1:notahardware", wantErr: true},
+// createExample is the checked-in create document the docs show: a
+// schema, a LinUCB policy, a cost_weighted reward, forgetting and one
+// shadow.
+const createExample = "testdata/create_bp3d.json"
+
+// createFrom writes doc to a file and creates its stream on a fresh
+// service the way `serve -create` does.
+func createFrom(t *testing.T, doc string) (*banditware.Service, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stream.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		name, cfg, err := parseCreateSpec(c.spec)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("parseCreateSpec(%q) accepted", c.spec)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseCreateSpec(%q): %v", c.spec, err)
-			continue
-		}
-		if name != c.name || cfg.Dim != c.dim || len(cfg.Hardware) != c.arms ||
-			cfg.Policy.Type != c.policy || cfg.Policy.Beta != c.beta {
-			t.Errorf("parseCreateSpec(%q) = %q, %+v", c.spec, name, cfg)
-		}
-		// Every accepted spec must actually create a stream.
-		svc := banditware.NewService(banditware.ServiceOptions{})
-		if err := svc.CreateStream(name, cfg); err != nil {
-			t.Errorf("CreateStream from %q: %v", c.spec, err)
+	svc := banditware.NewService(banditware.ServiceOptions{})
+	return svc, createFromFile(svc, path)
+}
+
+// TestServeCreateFile: `serve -create` reads a POST /v1/streams body,
+// and the same bytes give the same stream through either door.
+func TestServeCreateFile(t *testing.T) {
+	doc, err := os.ReadFile(createExample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile := banditware.NewService(banditware.ServiceOptions{})
+	if err := createFromFile(fromFile, createExample); err != nil {
+		t.Fatalf("create from %s: %v", createExample, err)
+	}
+	fromHTTP := banditware.NewService(banditware.ServiceOptions{})
+	rec := httptest.NewRecorder()
+	banditware.ServiceHandler(fromHTTP).ServeHTTP(rec,
+		httptest.NewRequest(http.MethodPost, "/v1/streams", bytes.NewReader(doc)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("POST /v1/streams: %d %s", rec.Code, rec.Body)
+	}
+	a, err := fromFile.StreamInfo("bp3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fromHTTP.StreamInfo("bp3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("file and HTTP creates differ:\n%+v\n%+v", a, b)
+	}
+	if a.Policy != banditware.PolicyLinUCB || a.Reward.Type != banditware.RewardCostWeighted ||
+		a.Adapt.Mode != banditware.AdaptForgetting || len(a.Shadows) != 1 {
+		t.Fatalf("example stream = %+v", a)
+	}
+
+	// A name the service already holds, a missing file, a malformed
+	// document and an unknown field are all refused.
+	if err := createFromFile(fromFile, createExample); !errors.Is(err, banditware.ErrStreamExists) {
+		t.Fatalf("second create: %v, want ErrStreamExists", err)
+	}
+	if err := createFromFile(fromFile, filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Fatal("missing file accepted")
+	}
+	for _, bad := range []string{
+		`{"name": "j", "hardware_spec": "H0=2x16"`,
+		`{"name": "j", "hardware_spec": "H0=2x16", "colour": "blue"}`,
+		`{"name": "j"}`,
+		`{"name": "j", "hardware_spec": "notahardware"}`,
+	} {
+		if _, err := createFrom(t, bad); err == nil {
+			t.Errorf("create accepted %s", bad)
 		}
 	}
 }
 
-// TestSchemaFileCreate: a -schema JSON file pairs with a dim-0 -create
-// spec — the stream's dimension derives from the schema, and the stream
-// then serves named contexts.
-func TestSchemaFileCreate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "schema.json")
-	blob := []byte(`{
-	  "fields": [
+// TestCreateFileSchema: a create document with a schema and no dim
+// derives the stream's dimension from the schema, and the stream serves
+// named contexts; an invalid schema is refused with the schema sentinel.
+func TestCreateFileSchema(t *testing.T) {
+	svc, err := createFrom(t, `{
+	  "name": "typed", "hardware_spec": "H0=2x16;H1=3x24",
+	  "schema": {"fields": [
 	    {"name": "num_tasks", "required": true, "min": 0},
 	    {"name": "site", "kind": "categorical", "categories": ["expanse", "nautilus"]}
-	  ]
+	  ]}
 	}`)
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sch, err := loadSchemaFile(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	name, cfg, err := parseCreateSpec("typed:0:H0=2x16;H1=3x24")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Schema = sch
-	svc := banditware.NewService(banditware.ServiceOptions{})
-	if err := svc.CreateStream(name, cfg); err != nil {
 		t.Fatal(err)
 	}
 	info, err := svc.StreamInfo("typed")
@@ -100,108 +115,59 @@ func TestSchemaFileCreate(t *testing.T) {
 	if err := svc.Observe(tk.ID, 30); err != nil {
 		t.Fatal(err)
 	}
-	// An invalid schema file is rejected with the schema sentinel.
-	if err := os.WriteFile(path, []byte(`{"fields": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadSchemaFile(path); !errors.Is(err, banditware.ErrInvalidSchema) {
-		t.Fatalf("empty schema file: %v", err)
-	}
-	if _, err := loadSchemaFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing schema file accepted")
+	if _, err := createFrom(t, `{"name": "typed", "hardware_spec": "H0=2x16", "schema": {"fields": []}}`); !errors.Is(err, banditware.ErrInvalidSchema) {
+		t.Fatalf("empty schema: %v, want ErrInvalidSchema", err)
 	}
 }
 
-// TestParseRewardToken: the CLI reward form pairs with -create exactly
-// like a -schema file does, and a stream created from it learns under
-// that reward.
-func TestParseRewardToken(t *testing.T) {
-	spec, err := parseRewardToken("cost_weighted,lambda=0.5")
-	if err != nil || spec.Type != banditware.RewardCostWeighted || spec.Lambda != 0.5 {
-		t.Fatalf("parseRewardToken = %+v, %v", spec, err)
-	}
-	spec, err = parseRewardToken("deadline,deadline=300,penalty=5")
-	if err != nil || spec.DeadlineSeconds != 300 || spec.Penalty != 5 {
-		t.Fatalf("parseRewardToken deadline = %+v, %v", spec, err)
-	}
-	if _, err := parseRewardToken("cost_weighted,unknown=1"); err == nil {
-		t.Fatal("unknown parameter accepted")
-	}
-	if _, err := parseRewardToken("cost_weighted,lambda=oops"); err == nil {
-		t.Fatal("bad value accepted")
-	}
-	// An accepted token actually parameterises a stream.
-	name, cfg, err := parseCreateSpec("jobs:1:H0=2x16;H1=16x64")
+// TestCreateFileReward: the document's reward parameterises the stream,
+// and an unknown reward type is refused with its sentinel.
+func TestCreateFileReward(t *testing.T) {
+	svc, err := createFrom(t, `{"name": "jobs", "hardware_spec": "H0=2x16;H1=16x64", "dim": 1,
+	  "reward": {"type": "failure_penalty", "penalty": 200}}`)
 	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Reward, err = parseRewardToken("failure_penalty,penalty=200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := banditware.NewService(banditware.ServiceOptions{})
-	if err := svc.CreateStream(name, cfg); err != nil {
 		t.Fatal(err)
 	}
 	rw, err := svc.StreamReward("jobs")
 	if err != nil || rw.Type != banditware.RewardFailurePenalty || rw.Penalty != 200 {
 		t.Fatalf("StreamReward = %+v, %v", rw, err)
 	}
-	// An unknown reward type surfaces at create time with the sentinel.
-	cfg.Reward = banditware.RewardSpec{Type: "??"}
-	if err := svc.CreateStream("other", cfg); !errors.Is(err, banditware.ErrBadReward) {
-		t.Fatalf("bad reward create: %v", err)
+	if _, err := createFrom(t, `{"name": "jobs", "hardware_spec": "H0=2x16", "dim": 1, "reward": "??"}`); !errors.Is(err, banditware.ErrBadReward) {
+		t.Fatalf("unknown reward: %v, want ErrBadReward", err)
 	}
 }
 
-func TestParsePolicyToken(t *testing.T) {
-	spec, err := parsePolicyToken("lints,scale=0.5,seed=3")
-	if err != nil || spec.Type != "lints" || spec.PosteriorScale != 0.5 || spec.Seed != 3 {
-		t.Fatalf("parsePolicyToken = %+v, %v", spec, err)
+// TestCreateFilePolicy: the document's policy reaches the stream, and
+// an unknown policy type is refused with its sentinel.
+func TestCreateFilePolicy(t *testing.T) {
+	svc, err := createFrom(t, `{"name": "ucb", "hardware_spec": "H0=2x16;H1=3x24", "dim": 1, "seed": 3,
+	  "policy": {"type": "lints", "posterior_scale": 0.5}}`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := parsePolicyToken("linucb,unknown=1"); err == nil {
-		t.Fatal("unknown parameter accepted")
+	if p, err := svc.Policy("ucb"); err != nil || p != banditware.PolicyLinTS {
+		t.Fatalf("Policy = %q, %v", p, err)
 	}
-	if _, err := parsePolicyToken("linucb,beta"); err == nil {
-		t.Fatal("missing value accepted")
+	if _, err := createFrom(t, `{"name": "q", "hardware_spec": "H0=2x16", "dim": 1, "policy": "quantum"}`); !errors.Is(err, banditware.ErrUnknownPolicy) {
+		t.Fatalf("unknown policy: %v, want ErrUnknownPolicy", err)
 	}
 }
 
-func TestParseAdaptToken(t *testing.T) {
-	spec, err := parseAdaptToken("forgetting,factor=0.95")
-	if err != nil || spec.Mode != "forgetting" || spec.Factor != 0.95 {
-		t.Fatalf("parseAdaptToken = %+v, %v", spec, err)
-	}
-	spec, err = parseAdaptToken("window,n=128,on_drift=reset,threshold=20")
-	if err != nil || spec.Mode != "window" || spec.Window != 128 ||
-		spec.OnDrift != "reset" || spec.DriftThreshold != 20 {
-		t.Fatalf("parseAdaptToken window = %+v, %v", spec, err)
-	}
-	if _, err := parseAdaptToken("forgetting,unknown=1"); err == nil {
-		t.Fatal("unknown adaptation parameter accepted")
-	}
-	if _, err := parseAdaptToken("window,n=oops"); err == nil {
-		t.Fatal("bad window value accepted")
-	}
-	// The parsed spec drives stream creation end to end.
-	svc := banditware.NewService(banditware.ServiceOptions{})
-	name, cfg, err := parseCreateSpec(`jobs:1:H0=2x16;H1=3x24`)
+// TestCreateFileAdapt: the document's adaptation reaches the stream, and
+// an unknown mode is refused with its sentinel.
+func TestCreateFileAdapt(t *testing.T) {
+	svc, err := createFrom(t, `{"name": "jobs", "hardware_spec": "H0=2x16;H1=3x24", "dim": 1,
+	  "adapt": {"mode": "window", "window": 128, "on_drift": "reset", "drift_threshold": 20}}`)
 	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Adapt, err = parseAdaptToken("forgetting,factor=0.9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.CreateStream(name, cfg); err != nil {
 		t.Fatal(err)
 	}
 	adapt, err := svc.StreamAdapt("jobs")
-	if err != nil || adapt.Mode != banditware.AdaptForgetting || adapt.Factor != 0.9 {
+	if err != nil || adapt.Mode != banditware.AdaptWindow || adapt.Window != 128 ||
+		adapt.OnDrift != banditware.DriftReset || adapt.DriftThreshold != 20 {
 		t.Fatalf("created stream adapt = %+v, %v", adapt, err)
 	}
-	if _, err := parseAdaptToken("none"); err != nil {
-		t.Fatalf("bare mode token: %v", err)
+	if _, err := createFrom(t, `{"name": "jobs", "hardware_spec": "H0=2x16", "dim": 1, "adapt": "sideways"}`); !errors.Is(err, banditware.ErrBadAdapt) {
+		t.Fatalf("unknown adaptation: %v, want ErrBadAdapt", err)
 	}
 }
 

@@ -55,7 +55,8 @@ func GenerateLLM(opts LLMOptions) (*Trace, error) {
 }
 
 // WriteTraceCSV persists a trace in the canonical long form
-// (id, hardware, cpus, memory_gb, features..., runtime). Only the trace's
+// (id, hardware, cpus, memory_gb, features..., runtime), with a gpus
+// column after memory_gb when some arm has GPUs. Only the trace's
 // shape is checked, so a trace loaded by ReadTraceCSV can be written
 // back; a file this function wrote round-trips byte for byte.
 func WriteTraceCSV(t *Trace, path string) error { return t.WriteCSVFile(path, false) }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"banditware/internal/cluster"
@@ -139,48 +138,5 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 	if finite == 0 {
 		t.Fatal("no arm has a finite interval after 200 observations")
-	}
-}
-
-func TestSafeRecommenderConcurrent(t *testing.T) {
-	safe, err := NewSafe(NDPHardware(), 1, Options{Seed: 85})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	const goroutines = 8
-	const perG = 200
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := rng.New(uint64(100 + g))
-			for i := 0; i < perG; i++ {
-				x := []float64{r.Uniform(1, 100)}
-				d, err := safe.Recommend(x)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := safe.Observe(d.Arm, x, 2*x[0]+float64(d.Arm)*10); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := safe.PredictAll(x); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if safe.Round() != goroutines*perG {
-		t.Fatalf("rounds = %d, want %d", safe.Round(), goroutines*perG)
-	}
-	if safe.Epsilon() >= 1 {
-		t.Fatal("epsilon did not decay")
-	}
-	if len(safe.Hardware()) != 3 {
-		t.Fatal("hardware lost")
 	}
 }

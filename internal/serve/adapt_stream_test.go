@@ -317,10 +317,10 @@ func TestShadowsInheritAdaptation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("jobs", "greedy-shadow", PolicySpec{Type: PolicyGreedy}); err != nil {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "greedy-shadow", Policy: PolicySpec{Type: PolicyGreedy}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("jobs", "random-shadow", PolicySpec{Type: PolicyRandom}); err != nil {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "random-shadow", Policy: PolicySpec{Type: PolicyRandom}}); err != nil {
 		t.Fatalf("model-free shadow on adaptive stream: %v", err)
 	}
 	env := &driftEnv{r: rng.New(13)}
@@ -364,7 +364,7 @@ func TestRawForgettingStreamStillLoads(t *testing.T) {
 	}
 	clock := ServiceOptions{Now: func() time.Time { return time.Unix(1700000000, 0) }}
 	s := NewService(clock)
-	if err := s.AdoptBandit("f", b, 0, 0); err != nil {
+	if err := s.adoptBandit("f", b); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {

@@ -158,7 +158,7 @@ func (st *stream) addArmLocked(cfg hardware.Config, warm armset.Warm, weight flo
 	if err := grown.Validate(); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadArmRequest, err)
 	}
-	if err := checkShape(len(grown), st.engine.Dim()); err != nil {
+	if err := checkStreamShape(len(grown), len(st.shadows), st.engine.Dim()); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadArmRequest, err)
 	}
 	// The warm mass is resolved before the arm set changes: nearest-

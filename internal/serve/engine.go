@@ -195,47 +195,43 @@ func defaulted(v, def float64) float64 {
 // for it. The paper's workloads use a handful of features.
 const maxDim = 1024
 
-// maxModelCells bounds an engine's model state: arms × (dim+1)², the
-// entries of the (dim+1)² factor a linear model keeps per arm. 1<<22
-// entries is 32 MiB of factors — three arms at maxDim, 256 at dim 127.
-// A stream's arm count comes from outside (a create request's hardware
-// list, one AddArm per request), so the shape is checked before
-// anything is built for it. A snapshot is not checked: its policy is
-// already sized by its own payload, and a stream saved before the bound
-// existed must still load.
+// maxModelCells bounds a stream's model state: arms × (dim+1)², the
+// entries of the (dim+1)² factor a linear model keeps per arm, for the
+// stream's engine and again for each of its shadows, which have the
+// same shape. 1<<22 entries is 32 MiB of factors — three arms at
+// maxDim, 256 at dim 127, or half of either with one shadow. A stream's
+// arm and shadow counts come from outside (a create request's hardware
+// and shadow lists, one AddArm or shadow attach per request), so the
+// shape is checked before anything is built for it. A snapshot is not
+// checked: its policies are already sized by its own payload, and a
+// stream saved before the bound existed must still load.
 const maxModelCells = 1 << 22
 
-// checkShape rejects a feature dimension over maxDim and an engine
-// shape whose model state would exceed maxModelCells.
-func checkShape(arms, dim int) error {
+// checkShape is checkStreamShape for one engine alone.
+func checkShape(arms, dim int) error { return checkStreamShape(arms, 0, dim) }
+
+// checkStreamShape rejects a feature dimension over maxDim and a stream
+// of arms arms and shadows shadows whose model state would exceed
+// maxModelCells: arms × (1 + shadows) × (dim+1)².
+func checkStreamShape(arms, shadows, dim int) error {
 	if dim > maxDim {
 		return fmt.Errorf("serve: feature dimension %d exceeds the maximum %d", dim, maxDim)
 	}
-	if cells := (dim + 1) * (dim + 1); dim >= 0 && arms > maxModelCells/cells {
-		return fmt.Errorf("serve: %d arms at feature dimension %d exceed the model-state bound: arms × (dim+1)² must not exceed %d",
-			arms, dim, maxModelCells)
+	if cells := (dim + 1) * (dim + 1) * (1 + shadows); dim >= 0 && arms > maxModelCells/cells {
+		return fmt.Errorf("serve: %d arms with %d shadows at feature dimension %d exceed the model-state bound: arms × (1 + shadows) × (dim+1)² must not exceed %d",
+			arms, shadows, dim, maxModelCells)
 	}
 	return nil
 }
 
-// newEngine builds the engine a stream (or shadow) serves from. opts
+// buildEngine builds the engine a stream (or shadow) serves from. opts
 // parameterises Algorithm 1 and is ignored by the other policies, which
 // take their parameters from spec. adapt (already canonical — see
 // compileAdapt) configures model forgetting or windowing, which every
 // linear engine hands to its regress.Arms (Algorithm 1 through its
 // Options, the other linear policies through policy.Linear.
 // SetAdaptation); policies without models (random) reject any mode but
-// "none".
-func newEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, adapt AdaptSpec) (Engine, error) {
-	if err := checkShape(len(hw), dim); err != nil {
-		return nil, err
-	}
-	return buildEngine(hw, dim, opts, spec, adapt)
-}
-
-// buildEngine is newEngine without the shape check; only the restore
-// path calls it directly, after checking the dimension alone (see
-// maxModelCells).
+// "none". Callers check the shape first (see maxModelCells).
 func buildEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, adapt AdaptSpec) (Engine, error) {
 	kind, err := spec.kind()
 	if err != nil {

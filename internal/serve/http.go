@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -207,7 +208,10 @@ func writeError(w http.ResponseWriter, err error) {
 		return
 	}
 	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrStreamNotFound), errors.Is(err, ErrTicketNotFound),
 		errors.Is(err, ErrShadowNotFound):
 		code = http.StatusNotFound
@@ -255,16 +259,19 @@ func schemaFieldErrors(err error) []*schema.FieldError {
 // exhaust server memory.
 const maxBodyBytes = 16 << 20
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeJSON decodes one JSON document into v, refusing unknown fields.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, code, errorResponse{Error: "malformed request body: " + err.Error()})
+		return fmt.Errorf("malformed request body: %w", err)
+	}
+	return nil
+}
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
+		writeError(w, err)
 		return false
 	}
 	return true
@@ -276,23 +283,6 @@ type hardwareDTO struct {
 	CPUs     int     `json:"cpus"`
 	MemoryGB float64 `json:"memory_gb"`
 	GPUs     int     `json:"gpus,omitempty"`
-}
-
-// shadowDTO is the wire form of one shadow attachment. Reward, when
-// given, is the shadow's own reward spec; absent means the shadow
-// inherits the stream's reward.
-type shadowDTO struct {
-	Name   string      `json:"name"`
-	Policy PolicySpec  `json:"policy"`
-	Reward *RewardSpec `json:"reward,omitempty"`
-}
-
-// attach attaches the shadow to stream, honouring its optional reward.
-func (sh shadowDTO) attach(svc *Service, stream string) error {
-	if sh.Reward != nil {
-		return svc.AttachShadowReward(stream, sh.Name, sh.Policy, *sh.Reward)
-	}
-	return svc.AttachShadow(stream, sh.Name, sh.Policy)
 }
 
 type createStreamRequest struct {
@@ -322,7 +312,7 @@ type createStreamRequest struct {
 	// with observe-only drift detection.
 	Adapt *AdaptSpec `json:"adapt,omitempty"`
 	// Shadows are shadow policies to attach at creation time.
-	Shadows []shadowDTO `json:"shadows,omitempty"`
+	Shadows []ShadowConfig `json:"shadows,omitempty"`
 
 	// Algorithm 1 options; zero values select the paper's defaults.
 	// Ignored (except seed, which also feeds non-Algorithm 1 policies)
@@ -340,130 +330,82 @@ type createStreamRequest struct {
 	TicketTTLSeconds float64 `json:"ticket_ttl_seconds,omitempty"`
 }
 
-func handleCreateStream(svc *Service, w http.ResponseWriter, r *http.Request) {
+// ParseCreateRequest decodes one create document, the body of POST
+// /v1/streams (see docs/API.md), into the stream's name and config. It
+// refuses unknown fields and maps the document's conveniences: hardware
+// as objects or as a hardware_spec string, an explicit epsilon0 of 0,
+// the stream seed for a policy and shadows that set none, and
+// ticket_ttl_seconds. The config is checked when CreateStream builds it.
+func ParseCreateRequest(r io.Reader) (string, StreamConfig, error) {
 	var req createStreamRequest
-	if !decodeBody(w, r, &req) {
-		return
+	if err := decodeJSON(r, &req); err != nil {
+		return "", StreamConfig{}, err
 	}
 	var set hardware.Set
 	switch {
 	case len(req.Hardware) > 0 && req.HardwareSpec != "":
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "give hardware or hardware_spec, not both"})
-		return
+		return "", StreamConfig{}, errors.New("give hardware or hardware_spec, not both")
 	case len(req.Hardware) > 0:
 		for _, h := range req.Hardware {
 			set = append(set, hardware.Config{Name: h.Name, CPUs: h.CPUs, MemoryGB: h.MemoryGB, GPUs: h.GPUs})
 		}
 	case req.HardwareSpec != "":
 		var err error
-		set, err = hardware.ParseSet(req.HardwareSpec)
-		if err != nil {
-			writeError(w, err)
-			return
+		if set, err = hardware.ParseSet(req.HardwareSpec); err != nil {
+			return "", StreamConfig{}, err
 		}
 	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "hardware or hardware_spec is required"})
-		return
+		return "", StreamConfig{}, errors.New("hardware or hardware_spec is required")
 	}
-	opts := core.Options{
-		Alpha:            req.Alpha,
-		MinEpsilon:       req.MinEpsilon,
-		ToleranceRatio:   req.ToleranceRatio,
-		ToleranceSeconds: req.ToleranceSeconds,
-		Seed:             req.Seed,
-	}
-	if req.Epsilon0 != nil {
-		opts.Epsilon0 = *req.Epsilon0
-		opts.ZeroEpsilon = *req.Epsilon0 == 0
-	}
-	var spec PolicySpec
-	if req.Policy != nil {
-		spec = *req.Policy
-		if spec.Seed == 0 {
-			spec.Seed = req.Seed
-		}
-	}
-	var adaptSpec AdaptSpec
-	if req.Adapt != nil {
-		adaptSpec = *req.Adapt
-	}
-	// The canonical adaptation the stream will carry: shadows replay
-	// under it (see attachShadow), so shadow pre-validation must build
-	// engines the same way. A bad spec fails here, before anything is
-	// created.
-	shadowAdapt, err := compileAdapt(adaptSpec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	shadowAdapt.OnDrift = DriftObserve
-	// Validate every shadow before creating the stream, so a bad shadow
-	// never leaves a transiently servable half-configured stream behind.
-	// Engine construction is deterministic, so specs that pass here
-	// cannot fail at attach time.
-	shadows := make([]shadowDTO, 0, len(req.Shadows))
-	seen := make(map[string]bool, len(req.Shadows))
-	for _, sh := range req.Shadows {
-		// Shadows inherit the stream seed unless they set their own,
-		// like the primary policy.
-		if sh.Policy.Seed == 0 {
-			sh.Policy.Seed = req.Seed
-		}
-		if !ValidStreamName(sh.Name) {
-			writeError(w, fmt.Errorf("shadow: %w: %q", ErrBadStreamName, sh.Name))
-			return
-		}
-		if seen[sh.Name] {
-			writeError(w, fmt.Errorf("shadow %q: %w", sh.Name, ErrShadowExists))
-			return
-		}
-		seen[sh.Name] = true
-		shadowDim := req.Dim
-		if req.Schema != nil {
-			shadowDim = req.Schema.EncodedDim()
-		}
-		shAdapt := shadowAdapt
-		if k, kerr := sh.Policy.kind(); kerr == nil && k == PolicyRandom {
-			shAdapt = defaultAdapt()
-		}
-		if _, err := newEngine(set, shadowDim, core.Options{Seed: sh.Policy.Seed}, sh.Policy, shAdapt); err != nil {
-			writeError(w, fmt.Errorf("shadow %q: %w", sh.Name, err))
-			return
-		}
-		if sh.Reward != nil {
-			if _, err := compileReward(*sh.Reward); err != nil {
-				writeError(w, fmt.Errorf("shadow %q: %w", sh.Name, err))
-				return
-			}
-		}
-		shadows = append(shadows, sh)
-	}
-	var rewardSpec RewardSpec
-	if req.Reward != nil {
-		rewardSpec = *req.Reward
-	}
-	err = svc.CreateStream(req.Name, StreamConfig{
-		Hardware:   set,
-		Dim:        req.Dim,
-		Schema:     req.Schema,
-		Options:    opts,
-		Policy:     spec,
-		Reward:     rewardSpec,
-		Adapt:      adaptSpec,
+	cfg := StreamConfig{
+		Hardware: set,
+		Dim:      req.Dim,
+		Schema:   req.Schema,
+		Options: core.Options{
+			Alpha:            req.Alpha,
+			MinEpsilon:       req.MinEpsilon,
+			ToleranceRatio:   req.ToleranceRatio,
+			ToleranceSeconds: req.ToleranceSeconds,
+			Seed:             req.Seed,
+		},
+		Shadows:    req.Shadows,
 		MaxPending: req.MaxPending,
 		TicketTTL:  time.Duration(req.TicketTTLSeconds * float64(time.Second)),
-	})
+	}
+	if req.Epsilon0 != nil {
+		cfg.Options.Epsilon0 = *req.Epsilon0
+		cfg.Options.ZeroEpsilon = *req.Epsilon0 == 0
+	}
+	if req.Policy != nil {
+		cfg.Policy = *req.Policy
+		if cfg.Policy.Seed == 0 {
+			cfg.Policy.Seed = req.Seed
+		}
+	}
+	for i := range cfg.Shadows {
+		if cfg.Shadows[i].Policy.Seed == 0 {
+			cfg.Shadows[i].Policy.Seed = req.Seed
+		}
+	}
+	if req.Reward != nil {
+		cfg.Reward = *req.Reward
+	}
+	if req.Adapt != nil {
+		cfg.Adapt = *req.Adapt
+	}
+	return req.Name, cfg, nil
+}
+
+func handleCreateStream(svc *Service, w http.ResponseWriter, r *http.Request) {
+	name, cfg, err := ParseCreateRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = svc.CreateStream(name, cfg)
+	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	for _, sh := range shadows {
-		if err := sh.attach(svc, req.Name); err != nil {
-			writeError(w, fmt.Errorf("shadow %q: %w", sh.Name, err))
-			return
-		}
-	}
-	info, err := svc.StreamInfo(req.Name)
+	info, err := svc.StreamInfo(name)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -471,21 +413,13 @@ func handleCreateStream(svc *Service, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, info)
 }
 
-type attachShadowRequest struct {
-	Name   string     `json:"name"`
-	Policy PolicySpec `json:"policy"`
-	// Reward is the shadow's own reward spec; absent inherits the
-	// stream's.
-	Reward *RewardSpec `json:"reward,omitempty"`
-}
-
 func handleAttachShadow(svc *Service, w http.ResponseWriter, r *http.Request) {
-	var req attachShadowRequest
+	var req ShadowConfig
 	if !decodeBody(w, r, &req) {
 		return
 	}
 	stream := r.PathValue("name")
-	if err := (shadowDTO{Name: req.Name, Policy: req.Policy, Reward: req.Reward}).attach(svc, stream); err != nil {
+	if err := svc.AttachShadow(stream, req); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -154,22 +154,22 @@ func TestPolicySpecJSONForms(t *testing.T) {
 // attach/detach with proper errors.
 func TestShadowEvaluation(t *testing.T) {
 	s := newTestService(t, ServiceOptions{}, "jobs")
-	if err := s.AttachShadow("jobs", "ucb", PolicySpec{Type: PolicyLinUCB}); err != nil {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "ucb", Policy: PolicySpec{Type: PolicyLinUCB}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("jobs", "rand", PolicySpec{Type: PolicyRandom, Seed: 3}); err != nil {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "rand", Policy: PolicySpec{Type: PolicyRandom, Seed: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("jobs", "ucb", PolicySpec{Type: PolicyLinUCB}); !errors.Is(err, ErrShadowExists) {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "ucb", Policy: PolicySpec{Type: PolicyLinUCB}}); !errors.Is(err, ErrShadowExists) {
 		t.Fatalf("duplicate shadow: %v", err)
 	}
-	if err := s.AttachShadow("ghost", "x", PolicySpec{}); !errors.Is(err, ErrStreamNotFound) {
+	if err := s.AttachShadow("ghost", ShadowConfig{Name: "x", Policy: PolicySpec{}}); !errors.Is(err, ErrStreamNotFound) {
 		t.Fatalf("shadow on missing stream: %v", err)
 	}
-	if err := s.AttachShadow("jobs", "bad name", PolicySpec{}); !errors.Is(err, ErrBadStreamName) {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "bad name", Policy: PolicySpec{}}); !errors.Is(err, ErrBadStreamName) {
 		t.Fatalf("bad shadow name: %v", err)
 	}
-	if err := s.AttachShadow("jobs", "bad-type", PolicySpec{Type: "quantum"}); !errors.Is(err, ErrUnknownPolicy) {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "bad-type", Policy: PolicySpec{Type: "quantum"}}); !errors.Is(err, ErrUnknownPolicy) {
 		t.Fatalf("bad shadow policy: %v", err)
 	}
 
@@ -211,7 +211,7 @@ func TestShadowEvaluation(t *testing.T) {
 	}
 
 	// A shadow attached mid-stream only counts from its attachment.
-	if err := s.AttachShadow("jobs", "late", PolicySpec{Type: PolicyGreedy}); err != nil {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "late", Policy: PolicySpec{Type: PolicyGreedy}}); err != nil {
 		t.Fatal(err)
 	}
 	tk, err := s.Recommend("jobs", []float64{50})
@@ -256,7 +256,7 @@ func TestShadowEvaluation(t *testing.T) {
 // never credited with the old one's choices.
 func TestDetachPurgesPendingSelections(t *testing.T) {
 	s := newTestService(t, ServiceOptions{}, "jobs")
-	if err := s.AttachShadow("jobs", "cand", PolicySpec{Type: PolicyGreedy}); err != nil {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "cand", Policy: PolicySpec{Type: PolicyGreedy}}); err != nil {
 		t.Fatal(err)
 	}
 	tk, err := s.Recommend("jobs", []float64{5}) // cand's arm recorded
@@ -266,7 +266,7 @@ func TestDetachPurgesPendingSelections(t *testing.T) {
 	if err := s.DetachShadow("jobs", "cand"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("jobs", "cand", PolicySpec{Type: PolicyRandom, Seed: 2}); err != nil {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "cand", Policy: PolicySpec{Type: PolicyRandom, Seed: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Observe(tk.ID, 30); err != nil {
@@ -293,7 +293,7 @@ func TestSaveDetachConcurrent(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			name := fmt.Sprintf("sh%d", i)
-			if err := s.AttachShadow("jobs", name, PolicySpec{Type: PolicyGreedy}); err != nil {
+			if err := s.AttachShadow("jobs", ShadowConfig{Name: name, Policy: PolicySpec{Type: PolicyGreedy}}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -338,13 +338,13 @@ func TestSnapshotV2ByteForByte(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("alg1", "ucb-shadow", PolicySpec{Type: PolicyLinUCB}); err != nil {
+	if err := s.AttachShadow("alg1", ShadowConfig{Name: "ucb-shadow", Policy: PolicySpec{Type: PolicyLinUCB}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("alg1", "ts-shadow", PolicySpec{Type: PolicyLinTS, Seed: 8}); err != nil {
+	if err := s.AttachShadow("alg1", ShadowConfig{Name: "ts-shadow", Policy: PolicySpec{Type: PolicyLinTS, Seed: 8}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("ucb", "alg1-shadow", PolicySpec{Type: PolicyAlgorithm1, Seed: 9}); err != nil {
+	if err := s.AttachShadow("ucb", ShadowConfig{Name: "alg1-shadow", Policy: PolicySpec{Type: PolicyAlgorithm1, Seed: 9}}); err != nil {
 		t.Fatal(err)
 	}
 

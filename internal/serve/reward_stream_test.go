@@ -259,11 +259,11 @@ func TestShadowOwnRewardReplay(t *testing.T) {
 	}
 	// One shadow inherits the stream's (runtime) reward, one carries
 	// cost_weighted; both use greedy so the comparison is reward-only.
-	if err := s.AttachShadow("jobs", "inherit", PolicySpec{Type: PolicyGreedy}); err != nil {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "inherit", Policy: PolicySpec{Type: PolicyGreedy}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadowReward("jobs", "costly", PolicySpec{Type: PolicyGreedy},
-		RewardSpec{Type: RewardCostWeighted, Lambda: 2}); err != nil {
+	if err := s.AttachShadow("jobs", ShadowConfig{Name: "costly", Policy: PolicySpec{Type: PolicyGreedy},
+		Reward: &RewardSpec{Type: RewardCostWeighted, Lambda: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	hw := rewardTestHW()
@@ -325,8 +325,8 @@ func TestSnapshotV4RewardRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadowReward("slo", "cost-view", PolicySpec{Type: PolicyGreedy},
-		RewardSpec{Type: RewardCostWeighted, Lambda: 0.5}); err != nil {
+	if err := s.AttachShadow("slo", ShadowConfig{Name: "cost-view", Policy: PolicySpec{Type: PolicyGreedy},
+		Reward: &RewardSpec{Type: RewardCostWeighted, Lambda: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	f := false
@@ -411,7 +411,8 @@ func TestCreateStreamRejectsBadReward(t *testing.T) {
 	if err := s.CreateStream("x", StreamConfig{Hardware: testHW(), Dim: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadowReward("x", "sh", PolicySpec{}, RewardSpec{Type: "??"}); !errors.Is(err, ErrBadReward) {
+	if err := s.AttachShadow("x", ShadowConfig{Name: "sh", Policy: PolicySpec{},
+		Reward: &RewardSpec{Type: "??"}}); !errors.Is(err, ErrBadReward) {
 		t.Fatalf("bad shadow reward: %v, want ErrBadReward", err)
 	}
 }

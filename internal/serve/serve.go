@@ -196,6 +196,10 @@ type StreamConfig struct {
 	// horizon learning with observe-only drift detection, exactly the
 	// pre-adaptation behaviour.
 	Adapt AdaptSpec
+	// Shadows are shadow policies attached at creation time, in order:
+	// the stream is registered only once every one of them has attached,
+	// so a bad shadow fails the whole create.
+	Shadows []ShadowConfig
 	// MaxPending overrides the service default ledger capacity (0 = inherit).
 	MaxPending int
 	// TicketTTL overrides the service default ticket lifetime (0 = inherit).
@@ -419,11 +423,11 @@ func ValidStreamName(name string) bool {
 }
 
 // CreateStream registers a new stream under name, constructing its
-// engine from cfg.Policy (Algorithm 1 with cfg.Options by default).
-// When cfg.Schema is set, the model dimension is the schema's encoded
-// dimension (cfg.Dim must be 0 or agree) and the service keeps a
-// private clone of the schema, so the caller's copy never observes
-// normalization-state mutations.
+// engine from cfg.Policy (Algorithm 1 with cfg.Options by default) and
+// attaching cfg.Shadows. When cfg.Schema is set, the model dimension is
+// the schema's encoded dimension (cfg.Dim must be 0 or agree) and the
+// service keeps a private clone of the schema, so the caller's copy
+// never observes normalization-state mutations.
 func (s *Service) CreateStream(name string, cfg StreamConfig) error {
 	dim := cfg.Dim
 	var sch *schema.Schema
@@ -458,19 +462,31 @@ func (s *Service) CreateStream(name string, cfg StreamConfig) error {
 	if err != nil {
 		return err
 	}
-	eng, err := newEngine(cfg.Hardware, dim, cfg.Options, cfg.Policy, adapt)
+	if err := checkStreamShape(len(cfg.Hardware), len(cfg.Shadows), dim); err != nil {
+		return err
+	}
+	eng, err := buildEngine(cfg.Hardware, dim, cfg.Options, cfg.Policy, adapt)
 	if err != nil {
 		return err
 	}
-	return s.adopt(name, eng, sch, rw, adapt, cfg.MaxPending, cfg.TicketTTL)
+	st, err := s.newStream(name, eng, sch, rw, adapt, cfg.MaxPending, cfg.TicketTTL)
+	if err != nil {
+		return err
+	}
+	// No request can reach the stream before register, so its shadows
+	// attach without its lock and a failed one leaves nothing behind.
+	for _, sh := range cfg.Shadows {
+		if err := st.attachShadowLocked(sh); err != nil {
+			return fmt.Errorf("shadow %q: %w", sh.Name, err)
+		}
+	}
+	return s.register(st)
 }
 
-// AdoptBandit registers an already-constructed Algorithm 1 bandit as a
-// stream — the bridge from the single-recommender API (WrapSafe) and
-// from legacy snapshot restore. The caller must not use the bandit
-// directly afterwards.
-func (s *Service) AdoptBandit(name string, b *core.Bandit, maxPending int, ttl time.Duration) error {
-	return s.adopt(name, banditEngine{b}, nil, defaultReward(), defaultAdapt(), maxPending, ttl)
+// adoptBandit registers an already-constructed Algorithm 1 bandit as a
+// stream: the restore path of the legacy single-recommender format.
+func (s *Service) adoptBandit(name string, b *core.Bandit) error {
+	return s.adopt(name, banditEngine{b}, nil, defaultReward(), defaultAdapt(), 0, 0)
 }
 
 // defaultAdapt is the canonical default adaptation every pre-adaptation
@@ -483,13 +499,23 @@ func defaultAdapt() AdaptSpec {
 	return a
 }
 
-// adopt registers an engine as a stream. sch is the stream's declared
-// feature schema (already cloned and validated, its encoded dimension
-// equal to the engine's); nil selects the identity schema. rw is the
-// stream's compiled reward and adapt its canonical adaptation spec.
+// adopt registers an engine as a stream (see newStream).
 func (s *Service) adopt(name string, eng Engine, sch *schema.Schema, rw rewardState, adapt AdaptSpec, maxPending int, ttl time.Duration) error {
+	st, err := s.newStream(name, eng, sch, rw, adapt, maxPending, ttl)
+	if err != nil {
+		return err
+	}
+	return s.register(st)
+}
+
+// newStream wraps an engine in an unregistered stream. sch is the
+// stream's declared feature schema (already cloned and validated, its
+// encoded dimension equal to the engine's); nil selects the identity
+// schema. rw is the stream's compiled reward and adapt its canonical
+// adaptation spec.
+func (s *Service) newStream(name string, eng Engine, sch *schema.Schema, rw rewardState, adapt AdaptSpec, maxPending int, ttl time.Duration) (*stream, error) {
 	if !ValidStreamName(name) {
-		return fmt.Errorf("%w: %q", ErrBadStreamName, name)
+		return nil, fmt.Errorf("%w: %q", ErrBadStreamName, name)
 	}
 	if maxPending <= 0 {
 		maxPending = s.opts.MaxPending
@@ -513,17 +539,22 @@ func (s *Service) adopt(name string, eng Engine, sch *schema.Schema, rw rewardSt
 	for i, hw := range eng.Hardware() {
 		st.armLabels[i] = hw.String()
 	}
+	return st, nil
+}
+
+// register publishes a stream built by newStream under its name.
+func (s *Service) register(st *stream) error {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	cur := *s.streams.Load()
-	if _, ok := cur[name]; ok {
-		return fmt.Errorf("%w: %q", ErrStreamExists, name)
+	if _, ok := cur[st.name]; ok {
+		return fmt.Errorf("%w: %q", ErrStreamExists, st.name)
 	}
 	next := make(map[string]*stream, len(cur)+1)
 	for k, v := range cur {
 		next[k] = v
 	}
-	next[name] = st
+	next[st.name] = st
 	s.streams.Store(&next)
 	return nil
 }
@@ -722,26 +753,6 @@ func (s *Service) RecommendCtx(name string, ctx schema.Context) (Ticket, error) 
 	}
 	t.ID = ticketID(name, t.Seq)
 	return t, nil
-}
-
-// RecommendUntracked issues a decision without a ticket, for callers
-// that keep their own features and complete via ObserveDirect (the
-// single-recommender compatibility path). It consumes exploration
-// randomness exactly like Recommend. Shadows do not select here — they
-// select (and are scored) when the caller's ObserveDirect arrives, so
-// the decision and its observation stay paired.
-func (s *Service) RecommendUntracked(name string, x []float64) (core.Decision, error) {
-	st, err := s.stream(name)
-	if err != nil {
-		return core.Decision{}, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var d core.Decision
-	if err := st.selectLocked(x, &d); err != nil {
-		return core.Decision{}, err
-	}
-	return d, nil
 }
 
 // RecommendBatch issues one ticket per feature vector, atomically: the

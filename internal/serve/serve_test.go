@@ -131,9 +131,6 @@ func TestNonFiniteFeaturesRefusedAtEntry(t *testing.T) {
 		if _, err := s.RecommendBatch("j", [][]float64{{1}, x}); !errors.Is(err, core.ErrBadValue) {
 			t.Fatalf("RecommendBatch with %v: %v, want core.ErrBadValue", x, err)
 		}
-		if _, err := s.RecommendUntracked("j", x); !errors.Is(err, core.ErrBadValue) {
-			t.Fatalf("RecommendUntracked(%v): %v, want core.ErrBadValue", x, err)
-		}
 		if err := s.ObserveDirect("j", 0, x, 5); !errors.Is(err, core.ErrBadValue) {
 			t.Fatalf("ObserveDirect(%v): %v, want core.ErrBadValue", x, err)
 		}

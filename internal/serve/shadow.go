@@ -183,48 +183,51 @@ func (st *stream) shadowObserveLocked(shadowArms map[string]int, arm int, x []fl
 	}
 }
 
-// AttachShadow attaches a shadow policy to a stream under shadowName.
-// The shadow shares the stream's hardware set, feature dimension, and
-// — with this constructor — its reward; it receives every subsequent
-// context and observation and never serves traffic. Its evaluation
-// counters appear in StreamInfo, Stats, and the shadows HTTP endpoint.
-func (s *Service) AttachShadow(streamName, shadowName string, spec PolicySpec) error {
-	return s.attachShadow(streamName, shadowName, spec, nil)
+// ShadowConfig describes one shadow policy: its name (unique on the
+// stream, in the stream-name charset), its policy and, optionally, its
+// own reward. Its JSON form is one entry of the create document's
+// "shadows" list and the body of POST /v1/streams/{name}/shadows.
+type ShadowConfig struct {
+	Name   string     `json:"name"`
+	Policy PolicySpec `json:"policy"`
+	// Reward is the shadow's own reward spec: the shadow replays every
+	// Outcome through it instead of the stream's reward, so an operator
+	// can A/B a reward regime on live traffic. nil inherits the
+	// stream's reward.
+	Reward *RewardSpec `json:"reward,omitempty"`
 }
 
-// AttachShadowReward is AttachShadow with the shadow's own RewardSpec:
-// the shadow replays every Outcome through rw instead of the stream's
-// reward, so an operator can A/B a reward regime (same or different
-// policy) on live traffic before switching the stream over.
-func (s *Service) AttachShadowReward(streamName, shadowName string, spec PolicySpec, rw RewardSpec) error {
-	return s.attachShadow(streamName, shadowName, spec, &rw)
-}
-
-// attachShadow implements both attach forms. rwSpec nil inherits the
-// stream's reward.
-func (s *Service) attachShadow(streamName, shadowName string, spec PolicySpec, rwSpec *RewardSpec) error {
+// AttachShadow attaches a shadow policy to a stream. The shadow shares
+// the stream's hardware set and feature dimension; it receives every
+// subsequent context and observation and never serves traffic. Its
+// evaluation counters appear in StreamInfo, Stats, and the shadows HTTP
+// endpoint.
+func (s *Service) AttachShadow(streamName string, cfg ShadowConfig) error {
 	st, err := s.stream(streamName)
 	if err != nil {
 		return err
 	}
-	if !ValidStreamName(shadowName) {
-		return fmt.Errorf("%w: %q", ErrBadStreamName, shadowName)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.attachShadowLocked(cfg)
+}
+
+// attachShadowLocked builds and attaches one shadow, or changes nothing.
+// Callers hold st.mu (or own a stream not yet registered).
+func (st *stream) attachShadowLocked(cfg ShadowConfig) error {
+	if !ValidStreamName(cfg.Name) {
+		return fmt.Errorf("%w: %q", ErrBadStreamName, cfg.Name)
 	}
-	var rw rewardState
-	inherited := rwSpec == nil
+	rw, inherited := st.rw, cfg.Reward == nil
 	if !inherited {
-		if rw, err = compileReward(*rwSpec); err != nil {
+		var err error
+		if rw, err = compileReward(*cfg.Reward); err != nil {
 			return err
 		}
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if inherited {
-		rw = st.rw
-	}
 	for _, sh := range st.shadows {
-		if sh.name == shadowName {
-			return fmt.Errorf("%w: %q", ErrShadowExists, shadowName)
+		if sh.name == cfg.Name {
+			return fmt.Errorf("%w: %q", ErrShadowExists, cfg.Name)
 		}
 	}
 	// Shadows replay under the stream's adaptation mode, so their models
@@ -235,16 +238,20 @@ func (s *Service) attachShadow(streamName, shadowName string, spec PolicySpec, r
 	// reset stream.
 	shAdapt := st.adapt
 	shAdapt.OnDrift = DriftObserve
-	if k, kerr := spec.kind(); kerr == nil && k == PolicyRandom {
+	if k, kerr := cfg.Policy.kind(); kerr == nil && k == PolicyRandom {
 		// Model-free shadows have nothing to forget; attaching one to an
 		// adaptive stream must not fail.
 		shAdapt = defaultAdapt()
 	}
-	eng, err := newEngine(st.engine.Hardware(), st.engine.Dim(), core.Options{Seed: spec.Seed}, spec, shAdapt)
+	hw, dim := st.engine.Hardware(), st.engine.Dim()
+	if err := checkStreamShape(len(hw), len(st.shadows)+1, dim); err != nil {
+		return err
+	}
+	eng, err := buildEngine(hw, dim, core.Options{Seed: cfg.Policy.Seed}, cfg.Policy, shAdapt)
 	if err != nil {
 		return err
 	}
-	st.shadows = append(st.shadows, &shadow{name: shadowName, engine: eng, rw: rw, rwInherited: inherited})
+	st.shadows = append(st.shadows, &shadow{name: cfg.Name, engine: eng, rw: rw, rwInherited: inherited})
 	return nil
 }
 

@@ -427,7 +427,7 @@ func Load(r io.Reader, opts ServiceOptions) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: loading legacy recommender state: %w", err)
 		}
-		if err := s.AdoptBandit("default", b, 0, 0); err != nil {
+		if err := s.adoptBandit("default", b); err != nil {
 			return nil, err
 		}
 		return s, nil

@@ -46,7 +46,7 @@ func buildGoldenV2Service(t *testing.T, clock *fakeClock) *Service {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("alg1", "ts-shadow", PolicySpec{Type: PolicyLinTS, Seed: 6}); err != nil {
+	if err := s.AttachShadow("alg1", ShadowConfig{Name: "ts-shadow", Policy: PolicySpec{Type: PolicyLinTS, Seed: 6}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {

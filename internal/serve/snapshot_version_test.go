@@ -38,7 +38,7 @@ func buildMixedService(t *testing.T, clock *fakeClock) (*Service, []Ticket) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("typed", "greedy-shadow", PolicySpec{Type: PolicyGreedy}); err != nil {
+	if err := s.AttachShadow("typed", ShadowConfig{Name: "greedy-shadow", Policy: PolicySpec{Type: PolicyGreedy}}); err != nil {
 		t.Fatal(err)
 	}
 	var pendings []Ticket
@@ -134,7 +134,7 @@ func TestSnapshotReadsV2(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AttachShadow("alg1", "ts-shadow", PolicySpec{Type: PolicyLinTS, Seed: 6}); err != nil {
+	if err := s.AttachShadow("alg1", ShadowConfig{Name: "ts-shadow", Policy: PolicySpec{Type: PolicyLinTS, Seed: 6}}); err != nil {
 		t.Fatal(err)
 	}
 	var pending Ticket

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 
 	"banditware/internal/hardware"
@@ -22,12 +23,16 @@ import (
 
 // Column names of the canonical long-form table:
 //
-//	id, hardware, cpus, memory_gb, <features...>, runtime
+//	id, hardware, cpus, memory_gb, [gpus,] <features...>, runtime
+//
+// The gpus column is written only when some arm has GPUs, so a CPU-only
+// trace keeps the four-column hardware prefix.
 const (
 	ColID       = "id"
 	ColHardware = "hardware"
 	ColCPUs     = "cpus"
 	ColMemoryGB = "memory_gb"
+	ColGPUs     = "gpus"
 	ColRuntime  = "runtime"
 )
 
@@ -60,11 +65,14 @@ func Concat(parts ...*Dataset) *Dataset {
 
 // Columns returns the header of the canonical table. With useful set it
 // is the Figure 1 "Retrieve Useful Data" projection, which drops the
-// hardware shape columns cpus and memory_gb.
+// hardware shape columns cpus, memory_gb and gpus.
 func (d *Dataset) Columns(useful bool) []string {
 	cols := []string{ColID, ColHardware}
 	if !useful {
 		cols = append(cols, ColCPUs, ColMemoryGB)
+		if d.hasGPUs() {
+			cols = append(cols, ColGPUs)
+		}
 	}
 	cols = append(cols, d.FeatureNames...)
 	return append(cols, ColRuntime)
@@ -83,12 +91,16 @@ func (d *Dataset) WriteCSV(w io.Writer, useful bool) error {
 		return err
 	}
 	names := d.Hardware.Names()
-	rec := make([]string, 0, len(d.FeatureNames)+5)
+	gpus := d.hasGPUs()
+	rec := make([]string, 0, len(d.FeatureNames)+6)
 	for _, r := range d.Runs {
 		rec = append(rec[:0], strconv.Itoa(r.ID), names[r.Arm])
 		if !useful {
 			hw := d.Hardware[r.Arm]
 			rec = append(rec, strconv.Itoa(hw.CPUs), formatFloat(hw.MemoryGB))
+			if gpus {
+				rec = append(rec, strconv.Itoa(hw.GPUs))
+			}
 		}
 		for _, v := range r.Features {
 			rec = append(rec, formatFloat(v))
@@ -113,14 +125,25 @@ func (d *Dataset) WriteCSVFile(path string, useful bool) error {
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// hasGPUs reports whether some arm has GPUs, which adds the gpus column.
+func (d *Dataset) hasGPUs() bool {
+	for _, hw := range d.Hardware {
+		if hw.GPUs != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // ReadCSV loads a trace from the canonical long-form CSV table, taking
 // the named feature columns in order. The hardware set is rebuilt from
-// the hardware, cpus and memory_gb columns in first-seen order. A CSV
-// carries no ground truth, so Truth and Noise are nil: the trace supports
-// offline training and evaluation but not counterfactual simulation.
+// the hardware, cpus, memory_gb and (when the header has it) gpus
+// columns in first-seen order. A CSV carries no ground truth, so Truth
+// and Noise are nil: the trace supports offline training and evaluation
+// but not counterfactual simulation.
 //
-// A missing column, a cell that does not parse (id and cpus as integers,
-// the rest as finite numbers) or a hardware name whose cpus or memory_gb
+// A missing column, a cell that does not parse (id, cpus and gpus as
+// integers, the rest as finite numbers) or a hardware name whose shape
 // changes between rows is an ErrSchema naming the row and column.
 func ReadCSV(r io.Reader, featureNames []string) (*Dataset, error) {
 	cr := csv.NewReader(r)
@@ -149,6 +172,9 @@ func ReadCSV(r io.Reader, featureNames []string) (*Dataset, error) {
 		}
 		at[k] = j
 	}
+	// A feature that happens to be named gpus stays a feature.
+	gpuAt, hasGPUs := index[ColGPUs]
+	hasGPUs = hasGPUs && !slices.Contains(featureNames, ColGPUs)
 	arms := map[string]int{}
 	for i, rec := range records[1:] {
 		cell := func(k int) string { return rec[at[k]] }
@@ -173,14 +199,19 @@ func ReadCSV(r io.Reader, featureNames []string) (*Dataset, error) {
 			vals[k] = v
 		}
 		hw := hardware.Config{Name: cell(1), CPUs: cpus, MemoryGB: vals[3]}
+		if hasGPUs {
+			if hw.GPUs, err = strconv.Atoi(rec[gpuAt]); err != nil {
+				return nil, fmt.Errorf("%w: row %d, column %q: %q is not an integer", ErrSchema, i+1, ColGPUs, rec[gpuAt])
+			}
+		}
 		arm, seen := arms[hw.Name]
 		if !seen {
 			arm = len(d.Hardware)
 			arms[hw.Name] = arm
 			d.Hardware = append(d.Hardware, hw)
 		} else if d.Hardware[arm] != hw {
-			return nil, fmt.Errorf("%w: row %d, hardware %q: cpus %d, memory_gb %g differ from an earlier row",
-				ErrSchema, i+1, hw.Name, hw.CPUs, hw.MemoryGB)
+			return nil, fmt.Errorf("%w: row %d, hardware %q: cpus %d, memory_gb %g, gpus %d differ from an earlier row",
+				ErrSchema, i+1, hw.Name, hw.CPUs, hw.MemoryGB, hw.GPUs)
 		}
 		last := len(cols) - 1
 		d.Runs = append(d.Runs, Run{ID: id, Arm: arm, Features: vals[4:last:last], Runtime: vals[last]})

@@ -301,3 +301,83 @@ func TestFilterPartitionsRows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCSVRoundTripKeepsGPUs: a GPU-bearing trace writes a gpus column
+// after memory_gb and reads back with every arm's accelerators, and the
+// written-back file is byte-identical.
+func TestCSVRoundTripKeepsGPUs(t *testing.T) {
+	d, err := GenerateLLM(LLMOptions{Seed: 1, NumRuns: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.hasGPUs() {
+		t.Fatal("the LLM trace has no GPUs; it no longer tests the gpus column")
+	}
+	var buf bytes.Buffer
+	if err := d.WriteCSV(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	written := buf.String()
+	header, _, _ := strings.Cut(written, "\n")
+	if want := strings.Join([]string{ColID, ColHardware, ColCPUs, ColMemoryGB, ColGPUs}, ","); !strings.HasPrefix(header, want+",") {
+		t.Fatalf("header %q, want it to start with %q", header, want)
+	}
+	back, err := ReadCSV(strings.NewReader(written), d.FeatureNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Hardware, d.Hardware) {
+		t.Fatalf("hardware = %v, want %v", back.Hardware, d.Hardware)
+	}
+	if !reflect.DeepEqual(back.Runs, d.Runs) {
+		t.Fatal("runs changed in the round trip")
+	}
+	buf.Reset()
+	if err := back.WriteCSV(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != written {
+		t.Fatal("written-back CSV differs from the original")
+	}
+	// The useful projection drops the hardware shape, gpus included.
+	buf.Reset()
+	if err := d.WriteCSV(&buf, true); err != nil {
+		t.Fatal(err)
+	}
+	if header, _, _ := strings.Cut(buf.String(), "\n"); strings.Contains(header, ColGPUs) {
+		t.Fatalf("useful header %q carries gpus", header)
+	}
+}
+
+// TestReadCSVGPUColumn: the gpus column is optional (absent means 0), is
+// read as an integer, takes part in the per-hardware consistency check,
+// and a feature named gpus stays a feature.
+func TestReadCSVGPUColumn(t *testing.T) {
+	const header = "id,hardware,cpus,memory_gb,gpus,x,runtime\n"
+	d, err := ReadCSV(strings.NewReader(header+"0,G1,8,32,1,5,10\n1,C,2,16,0,5,12\n"), []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Hardware[0].GPUs != 1 || d.Hardware[1].GPUs != 0 {
+		t.Fatalf("hardware = %v", d.Hardware)
+	}
+	for _, tc := range []struct{ name, csv, want string }{
+		{"fractional gpus", header + "0,G1,8,32,1.5,5,10\n", `row 1, column "gpus"`},
+		{"gpus change", header + "0,G1,8,32,1,5,10\n1,G1,8,32,2,5,10\n", `row 2, hardware "G1"`},
+	} {
+		_, err := ReadCSV(strings.NewReader(tc.csv), []string{"x"})
+		if !errors.Is(err, ErrSchema) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrSchema naming %s", tc.name, err, tc.want)
+		}
+	}
+	if _, err := ReadCSV(strings.NewReader(header+"0,G1,8,32,-1,5,10\n"), []string{"x"}); err == nil {
+		t.Error("negative gpus accepted")
+	}
+	d, err = ReadCSV(strings.NewReader("id,hardware,cpus,memory_gb,gpus,runtime\n0,H0,2,16,4,10\n"), []string{ColGPUs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Hardware[0].GPUs != 0 || d.Runs[0].Features[0] != 4 {
+		t.Fatalf("a gpus feature was read as hardware: %v %v", d.Hardware, d.Runs[0].Features)
+	}
+}

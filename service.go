@@ -102,6 +102,11 @@ type ArmDrift = serve.ArmDrift
 // cumulative regret.
 type ShadowInfo = serve.ShadowInfo
 
+// ShadowConfig describes one shadow policy — name, policy, and an
+// optional reward of its own (nil inherits the stream's) — for
+// StreamConfig.Shadows and Service.AttachShadow.
+type ShadowConfig = serve.ShadowConfig
+
 // Canonical policy types for PolicySpec.Type and StreamInfo.Policy.
 const (
 	PolicyAlgorithm1 = serve.PolicyAlgorithm1

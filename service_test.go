@@ -126,80 +126,8 @@ func TestServiceLoadsLegacyRecommenderState(t *testing.T) {
 	}
 }
 
-// TestSafeRecommenderShim: the mutex-era API keeps its exact semantics
-// on top of the Service, including the legacy save format.
-func TestSafeRecommenderShim(t *testing.T) {
-	hw := serviceHW(t)
-	safe, err := NewSafe(hw, 1, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(2)
-	slopes := []float64{5, 3, 1}
-	for i := 0; i < 150; i++ {
-		x := []float64{r.Uniform(10, 100)}
-		d, err := safe.Recommend(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := safe.Observe(d.Arm, x, slopes[d.Arm]*x[0]+20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if safe.Round() != 150 {
-		t.Fatalf("round = %d", safe.Round())
-	}
-	if safe.Epsilon() >= 1 {
-		t.Fatal("epsilon did not decay")
-	}
-	if len(safe.Hardware()) != 3 {
-		t.Fatalf("hardware = %v", safe.Hardware())
-	}
-	if arm, err := safe.Exploit([]float64{80}); err != nil || arm != 2 {
-		t.Fatalf("exploit = %d, %v", arm, err)
-	}
-	if ci, err := safe.PredictWithCI([]float64{50}, 0); err != nil || len(ci) != 3 {
-		t.Fatalf("ci = %v, %v", ci, err)
-	}
-	// Recommend leaves no pending tickets behind.
-	if info, err := safe.Service().StreamInfo("default"); err != nil || info.Pending != 0 {
-		t.Fatalf("shim leaked tickets: %+v, %v", info, err)
-	}
-
-	// Save writes the legacy format: loadable by the single-recommender
-	// loader with identical predictions.
-	var buf bytes.Buffer
-	if err := safe.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := safe.PredictAll([]float64{60})
-	got, err := rec.PredictAll([]float64{60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(want[i]-got[i]) > 1e-12 {
-			t.Fatal("predictions drifted through legacy save")
-		}
-	}
-
-	// WrapSafe adopts an existing recommender.
-	wrapped := WrapSafe(rec)
-	if wrapped.Round() != 150 {
-		t.Fatalf("wrapped round = %d", wrapped.Round())
-	}
-	if _, err := wrapped.Recommend([]float64{10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServiceConcurrentStreams hammers several public-API streams from
-// many goroutines at once (run with -race; the shim equivalent lives in
-// integration_test.go as TestSafeRecommenderConcurrent).
+// many goroutines at once (run with -race).
 func TestServiceConcurrentStreams(t *testing.T) {
 	hw := serviceHW(t)
 	svc := NewService(ServiceOptions{})
@@ -252,7 +180,7 @@ func TestServicePolicyStreams(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.AttachShadow("ucb", "paper", PolicySpec{Type: PolicyAlgorithm1, Seed: 2}); err != nil {
+	if err := svc.AttachShadow("ucb", ShadowConfig{Name: "paper", Policy: PolicySpec{Type: PolicyAlgorithm1, Seed: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	r := rng.New(8)
@@ -299,7 +227,7 @@ func TestServicePolicyStreams(t *testing.T) {
 	if err := svc.DetachShadow("ucb", "ghost"); !errors.Is(err, ErrShadowNotFound) {
 		t.Fatalf("detach ghost: %v", err)
 	}
-	if err := svc.AttachShadow("ucb", "paper", PolicySpec{}); !errors.Is(err, ErrShadowExists) {
+	if err := svc.AttachShadow("ucb", ShadowConfig{Name: "paper", Policy: PolicySpec{}}); !errors.Is(err, ErrShadowExists) {
 		t.Fatalf("duplicate shadow: %v", err)
 	}
 }
