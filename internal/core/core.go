@@ -537,10 +537,10 @@ func (b *Bandit) RemoveArm(i int) error {
 	return nil
 }
 
-// Delta hooks for replicated serving: ArmSufficient and ArmPrior feed
-// delta extraction (an arm's information-form statistics over scaled
-// features, and its prior as the base after a reset), MergeArmDelta
-// folds a peer's delta in, and AbsorbRounds replays the peer's rounds.
+// Delta hooks for replicated serving: ArmLearned feeds delta extraction
+// (an arm's information-form statistics over scaled features, less its
+// prior), MergeArmDelta folds a peer's delta in, and AbsorbRounds
+// replays the peer's rounds.
 // The arm hooks fail with regress.ErrNotMergeable unless the per-arm
 // state is a pure sum of observation contributions: sliding windows and
 // exponential forgetting are not (see regress.Arms), and
@@ -559,20 +559,12 @@ func (b *Bandit) mergeableArm(i int) error {
 	return nil
 }
 
-// ArmSufficient returns arm i's current sufficient statistics.
-func (b *Bandit) ArmSufficient(i int) (regress.Sufficient, error) {
+// ArmLearned returns arm i's statistics less its untrained prior.
+func (b *Bandit) ArmLearned(i int) (regress.Sufficient, error) {
 	if err := b.mergeableArm(i); err != nil {
 		return regress.Sufficient{}, err
 	}
-	return b.est.Sufficient(i)
-}
-
-// ArmPrior returns the sufficient statistics of arm i's untrained prior.
-func (b *Bandit) ArmPrior(i int) (regress.Sufficient, error) {
-	if err := b.mergeableArm(i); err != nil {
-		return regress.Sufficient{}, err
-	}
-	return b.est.Prior(i)
+	return b.est.Learned(i)
 }
 
 // MergeArmDelta folds a peer's additive delta into arm i and refreshes
@@ -595,12 +587,25 @@ func (b *Bandit) MergeArmDelta(i int, delta regress.Sufficient) error {
 // delta carries. Each round applies the same ε ← α·ε (floored at
 // MinEpsilon) step as Observe, so a replica that merges peers' rounds
 // walks the exact decay schedule of a single node seeing all traffic.
+// Once a step leaves ε unchanged — at the floor, at 0, or with α = 1 —
+// every later step would too, so the rest of the rounds advance the
+// counter in one step: the loop runs at most about 75 000 times for
+// the default α whatever k is. A k that would overflow the round
+// counter is refused.
 func (b *Bandit) AbsorbRounds(k int) error {
 	if k < 0 {
 		return fmt.Errorf("core: negative round count %d", k)
 	}
+	if k > math.MaxInt-b.round {
+		return fmt.Errorf("core: %d rounds would overflow the round counter", k)
+	}
 	for j := 0; j < k; j++ {
+		eps := b.eps
 		b.decayLocked()
+		if b.eps == eps {
+			b.round += k - j - 1
+			break
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"banditware/internal/hardware"
 	"banditware/internal/regress"
@@ -64,15 +65,7 @@ func TestBanditDeltaMergeMatchesSingleNode(t *testing.T) {
 	}
 	for _, b := range fleet {
 		for a := 0; a < len(hw); a++ {
-			cur, err := b.ArmSufficient(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prior, err := b.ArmPrior(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			delta, err := cur.Sub(prior)
+			delta, err := b.ArmLearned(a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,11 +132,8 @@ func TestBanditDeltaNonMergeableModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if _, err := b.ArmSufficient(0); !errors.Is(err, regress.ErrNotMergeable) {
-			t.Fatalf("%s: ArmSufficient = %v, want ErrNotMergeable", c.name, err)
-		}
-		if _, err := b.ArmPrior(0); !errors.Is(err, regress.ErrNotMergeable) {
-			t.Fatalf("%s: ArmPrior = %v, want ErrNotMergeable", c.name, err)
+		if _, err := b.ArmLearned(0); !errors.Is(err, regress.ErrNotMergeable) {
+			t.Fatalf("%s: ArmLearned = %v, want ErrNotMergeable", c.name, err)
 		}
 		if err := b.MergeArmDelta(0, regress.Sufficient{Dim: 2}); !errors.Is(err, regress.ErrNotMergeable) {
 			t.Fatalf("%s: MergeArmDelta = %v, want ErrNotMergeable", c.name, err)
@@ -154,7 +144,7 @@ func TestBanditDeltaNonMergeableModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ArmPrior(0); err != nil {
+	if _, err := b.ArmLearned(0); err != nil {
 		t.Fatalf("stationary bandit not mergeable: %v", err)
 	}
 }
@@ -164,10 +154,61 @@ func TestBanditDeltaBadArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ArmSufficient(9); !errors.Is(err, ErrArm) {
+	if _, err := b.ArmLearned(9); !errors.Is(err, ErrArm) {
 		t.Fatalf("out-of-range arm: %v", err)
 	}
 	if err := b.AbsorbRounds(-1); err == nil {
 		t.Fatal("negative rounds accepted")
+	}
+}
+
+// TestAbsorbRoundsBounded: absorbing 2⁴⁰ rounds finishes promptly —
+// once a decay step leaves ε unchanged the rest advance the counter in
+// one step — and lands on the ε the step-by-step schedule reaches,
+// float-exact, for the default α, a floor, α = 1 and ε₀ = 0. A round
+// count that would overflow the counter is refused.
+func TestAbsorbRoundsBounded(t *testing.T) {
+	cases := []Options{
+		{},
+		{MinEpsilon: 0.05},
+		{Alpha: 1},
+		{Alpha: 0.5},
+		{ZeroEpsilon: true},
+	}
+	for _, opts := range cases {
+		b, err := New(deltaHW(), 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The schedule step by step, until it stops changing.
+		o := b.opts
+		want := o.Epsilon0
+		for {
+			next := max(want*o.Alpha, o.MinEpsilon)
+			if next == want {
+				break
+			}
+			want = next
+		}
+		const k = 1 << 40
+		done := make(chan error, 1)
+		go func() { done <- b.AbsorbRounds(k) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%+v: AbsorbRounds(2⁴⁰) still running after 10 s", opts)
+		}
+		if b.Round() != k || b.Epsilon() != want {
+			t.Fatalf("%+v: round %d, ε %v; want %d, %v", opts, b.Round(), b.Epsilon(), k, want)
+		}
+		if err := b.AbsorbRounds(math.MaxInt - k + 1); err == nil {
+			t.Fatalf("%+v: a round count past the counter's range was accepted", opts)
+		}
+		if b.Round() != k {
+			t.Fatalf("%+v: a refused absorb moved the round to %d", opts, b.Round())
+		}
 	}
 }

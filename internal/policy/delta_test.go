@@ -83,15 +83,7 @@ func TestPolicyDeltaMergeReproducesSingleLearner(t *testing.T) {
 			for _, shard := range fleetAll {
 				src := shard[name]
 				for a := 0; a < numArms; a++ {
-					cur, err := src.ArmSufficient(a)
-					if err != nil {
-						t.Fatal(err)
-					}
-					prior, err := src.ArmPrior(a)
-					if err != nil {
-						t.Fatal(err)
-					}
-					delta, err := cur.Sub(prior)
+					delta, err := src.ArmLearned(a)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,14 +140,14 @@ func TestPolicyDeltaAdaptiveModesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, p := range map[string]*Linear{"window": windowed, "forgetting": forgetting} {
-		if _, err := p.ArmSufficient(0); !errors.Is(err, regress.ErrNotMergeable) {
-			t.Fatalf("%s ArmSufficient: %v, want ErrNotMergeable", name, err)
+		if _, err := p.ArmLearned(0); !errors.Is(err, regress.ErrNotMergeable) {
+			t.Fatalf("%s ArmLearned: %v, want ErrNotMergeable", name, err)
 		}
 		if err := p.MergeArmDelta(0, regress.Sufficient{Dim: 2}); !errors.Is(err, regress.ErrNotMergeable) {
 			t.Fatalf("%s MergeArmDelta: %v, want ErrNotMergeable", name, err)
 		}
 	}
-	if _, err := mk().ArmSufficient(5); !errors.Is(err, ErrArm) {
+	if _, err := mk().ArmLearned(5); !errors.Is(err, ErrArm) {
 		t.Fatalf("out-of-range arm: %v", err)
 	}
 }

@@ -272,25 +272,17 @@ func (l *Linear) ResetArm(arm int) error {
 	return nil
 }
 
-// Delta hooks for replicated serving: ArmSufficient and ArmPrior feed
-// delta extraction (current statistics, and the prior as the base after
-// an arm reset), and MergeArmDelta folds a peer's delta in. All three
-// fail with regress.ErrNotMergeable when the policy forgets or windows.
+// Delta hooks for replicated serving: ArmLearned feeds delta
+// extraction (an arm's statistics less its prior), and MergeArmDelta
+// folds a peer's delta in. Both fail with regress.ErrNotMergeable when
+// the policy forgets or windows.
 
-// ArmSufficient returns arm's current sufficient statistics.
-func (l *Linear) ArmSufficient(arm int) (regress.Sufficient, error) {
+// ArmLearned returns arm's statistics less its untrained prior.
+func (l *Linear) ArmLearned(arm int) (regress.Sufficient, error) {
 	if err := l.checkArm(arm); err != nil {
 		return regress.Sufficient{}, err
 	}
-	return l.arms.Sufficient(arm)
-}
-
-// ArmPrior returns the sufficient statistics of arm's untrained prior.
-func (l *Linear) ArmPrior(arm int) (regress.Sufficient, error) {
-	if err := l.checkArm(arm); err != nil {
-		return regress.Sufficient{}, err
-	}
-	return l.arms.Prior(arm)
+	return l.arms.Learned(arm)
 }
 
 // MergeArmDelta folds a peer's additive delta into arm's model.

@@ -172,21 +172,13 @@ func (a *Arms) mergeable() error {
 	return nil
 }
 
-// Sufficient returns arm i's current information-form statistics.
-func (a *Arms) Sufficient(i int) (Sufficient, error) {
+// Learned returns arm i's statistics less its untrained prior (see
+// RLS.Learned).
+func (a *Arms) Learned(i int) (Sufficient, error) {
 	if err := a.mergeable(); err != nil {
 		return Sufficient{}, err
 	}
-	return a.est[i].Sufficient(), nil
-}
-
-// Prior returns the statistics of arm i's untrained prior — the delta
-// base after the arm was reset.
-func (a *Arms) Prior(i int) (Sufficient, error) {
-	if err := a.mergeable(); err != nil {
-		return Sufficient{}, err
-	}
-	return a.est[i].Prior(), nil
+	return a.est[i].Learned()
 }
 
 // Merge folds a peer's additive delta into arm i.

@@ -151,26 +151,42 @@ func (r *RLS) Sufficient() Sufficient {
 	return out
 }
 
-// Prior returns the information-form summary of this estimator's prior —
-// its state before any observation. Deltas for an estimator that was
-// reset since the last sync are taken against the prior, so the fresh
-// observations still ship while the (unretractable) prior is not
-// double-counted.
-func (r *RLS) Prior() Sufficient {
+// Learned returns the estimator's statistics less its untrained prior —
+// the information its observations and merged deltas added. It equals
+// Sufficient().Sub(prior) bit for bit, the canonical empty delta when
+// every entry cancels included, without building the prior. Deltas for
+// an estimator that was reset since the last sync are taken from here,
+// so the fresh observations still ship while the (unretractable) prior
+// is not double-counted.
+func (r *RLS) Learned() (Sufficient, error) {
+	out := r.Sufficient()
+	if err := out.Validate(); err != nil {
+		return Sufficient{}, err
+	}
 	d := r.d
-	out := Sufficient{Dim: r.dim, A: make([]float64, d*d), B: make([]float64, d)}
-	for i := 0; i < d; i++ {
-		out.A[i*d+i] = r.lambda
+	for i := 0; i < d-1; i++ {
+		out.A[i*d+i] -= r.lambda
 	}
 	// The intercept's prior weight is (√λ·1e-3)² — see initPrior.
-	out.A[(d-1)*d+(d-1)] = r.lambda * 1e-6
-	return out
+	out.A[d*d-1] -= r.lambda * 1e-6
+	zero := out.N == 0
+	for _, v := range out.A {
+		zero = zero && v == 0
+	}
+	for _, v := range out.B {
+		zero = zero && v == 0
+	}
+	if zero {
+		return Sufficient{Dim: r.dim}, nil
+	}
+	return out, nil
 }
 
-// ApplyDelta merges an additive delta (produced by Sufficient().Sub on a
-// peer estimator with the same dimension) into this estimator:
-// A' = RᵀR + ΔA, b' = Rᵀz + Δb, then the square-root form is recovered
-// by re-factoring A' = R'ᵀR' (Cholesky) and forward-solving R'ᵀz' = b'.
+// ApplyDelta merges an additive delta (produced by Learned or
+// Sufficient().Sub on a peer estimator with the same dimension) into
+// this estimator: A' = RᵀR + ΔA, b' = Rᵀz + Δb, then the square-root
+// form is recovered by re-factoring A' = R'ᵀR' (Cholesky) and
+// forward-solving R'ᵀz' = b'.
 // Estimators with exponential forgetting reject the merge — their state
 // is not a sum — and a delta that would make A' lose positive
 // definiteness (e.g. one extracted against the wrong base), or whose

@@ -71,7 +71,7 @@ func TestDeltaMergeMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := range shard {
-		delta, err := shard[k].Sufficient().Sub(shard[k].Prior())
+		delta, err := shard[k].Learned()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestDeltaIncrementalSync(t *testing.T) {
 
 	learner, _ := NewRLS(dim, 1e-3)
 	mirror, _ := NewRLS(dim, 1e-3)
-	base := learner.Prior()
+	base := priorOf(learner)
 	for i := range xs {
 		if err := learner.Update(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
@@ -272,10 +272,103 @@ func TestDeltaShapeValidation(t *testing.T) {
 	}
 }
 
+// priorOf builds the information-form summary of r's untrained prior:
+// λ on the diagonal, (√λ·1e-3)² for the intercept (see initPrior).
+func priorOf(r *RLS) Sufficient {
+	d := r.d
+	out := Sufficient{Dim: r.dim, A: make([]float64, d*d), B: make([]float64, d)}
+	for i := 0; i < d; i++ {
+		out.A[i*d+i] = r.lambda
+	}
+	out.A[d*d-1] = r.lambda * 1e-6
+	return out
+}
+
+// sameBits reports whether two statistics are identical bit for bit,
+// the nil-ness of the canonical empty form included.
+func sameBits(a, b Sufficient) bool {
+	if a.Dim != b.Dim || a.N != b.N || (a.A == nil) != (b.A == nil) || (a.B == nil) != (b.B == nil) ||
+		len(a.A) != len(b.A) || len(a.B) != len(b.B) {
+		return false
+	}
+	for i := range a.A {
+		if math.Float64bits(a.A[i]) != math.Float64bits(b.A[i]) {
+			return false
+		}
+	}
+	for i := range a.B {
+		if math.Float64bits(a.B[i]) != math.Float64bits(b.B[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLearnedMatchesSufficientLessPrior pins Learned to the two-step
+// form it replaces, Sufficient().Sub(prior), bit for bit: on a fresh
+// estimator, after random updates at
+// several ridge weights, after a merged delta and after a reset.
+func TestLearnedMatchesSufficientLessPrior(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	check := func(r *RLS, label string) {
+		t.Helper()
+		want, err := r.Sufficient().Sub(priorOf(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Learned()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("%s: Learned = %+v, want %+v", label, got, want)
+		}
+	}
+	for _, lambda := range []float64{0, 1e-9, 1e-3, 1, 37.5} {
+		for _, dim := range []int{0, 1, 3} {
+			r, err := NewRLS(dim, lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(r, "fresh")
+			for i := 0; i < 40; i++ {
+				x := make([]float64, dim)
+				for j := range x {
+					x[j] = rnd.NormFloat64() * math.Pow(10, float64(rnd.Intn(7)-3))
+				}
+				if err := r.Update(x, rnd.NormFloat64()*100); err != nil {
+					t.Fatal(err)
+				}
+				check(r, "after update")
+			}
+			peer, _ := NewRLS(dim, lambda)
+			for i := 0; i < 5; i++ {
+				x := make([]float64, dim)
+				for j := range x {
+					x[j] = rnd.Float64()
+				}
+				if err := peer.Update(x, rnd.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			delta, err := peer.Learned()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.ApplyDelta(delta); err != nil {
+				t.Fatal(err)
+			}
+			check(r, "after merge")
+			r.Reset()
+			check(r, "after reset")
+		}
+	}
+}
+
 func TestPriorMatchesFreshSufficient(t *testing.T) {
 	r, _ := NewRLS(3, 1e-3)
 	fresh := r.Sufficient()
-	prior := r.Prior()
+	prior := priorOf(r)
 	if prior.N != 0 {
 		t.Fatalf("prior N = %d", prior.N)
 	}
@@ -307,7 +400,7 @@ func TestDeltaAfterResetUsesPriorBase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	delta, err := learner.Sufficient().Sub(learner.Prior())
+	delta, err := learner.Learned()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -249,8 +249,8 @@ func (st *stream) driftByArmLocked() []uint64 {
 // peers. Callers hold st.mu.
 func (st *stream) armDriftCountLocked(arm int) uint64 {
 	n := st.detectors[arm].Detections()
-	if st.merged != nil && arm < len(st.merged.drift) {
-		n += st.merged.drift[arm]
+	if st.merged != nil && arm < len(st.merged.Drift) {
+		n += st.merged.Drift[arm]
 	}
 	return n
 }

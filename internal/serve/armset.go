@@ -181,10 +181,10 @@ func (st *stream) addArmLocked(cfg hardware.Config, warm armset.Warm, weight flo
 		st.armGen = append(st.armGen, 0)
 	}
 	if st.merged != nil {
-		st.merged.arms = append(st.merged.arms, regress.Sufficient{Dim: st.engine.Dim()})
-		st.merged.drift = append(st.merged.drift, 0)
-		if st.merged.driftBase != nil {
-			st.merged.driftBase = append(st.merged.driftBase, 0)
+		st.merged.Arms = append(st.merged.Arms, regress.Sufficient{Dim: st.engine.Dim()})
+		st.merged.Drift = append(st.merged.Drift, 0)
+		if st.merged.DriftBase != nil {
+			st.merged.DriftBase = append(st.merged.DriftBase, 0)
 		}
 	}
 	st.life.Add(trial)
@@ -193,9 +193,9 @@ func (st *stream) addArmLocked(cfg hardware.Config, warm armset.Warm, weight flo
 			// The warm seed is borrowed knowledge, not local traffic:
 			// record it as foreign so delta capture never ships it and
 			// fleet merges stay echo-free.
-			m := st.ensureMergedLocked(len(st.engine.Hardware()), st.engine.Dim())
-			if sum, err := m.arms[idx].Add(warmMass); err == nil {
-				m.arms[idx] = sum
+			m := st.ensureMergedLocked()
+			if sum, err := m.Arms[idx].Add(warmMass); err == nil {
+				m.Arms[idx] = sum
 			}
 		}
 	}
@@ -217,19 +217,8 @@ func (st *stream) warmMassLocked(cfg hardware.Config, warm armset.Warm, weight f
 	// available on this replica. A model-free or non-mergeable engine
 	// has none, and the start degrades to cold.
 	learned := func(a int) (regress.Sufficient, bool) {
-		cur, err := st.engine.ArmSufficient(a)
-		if err != nil {
-			return regress.Sufficient{}, false
-		}
-		prior, err := st.engine.ArmPrior(a)
-		if err != nil {
-			return regress.Sufficient{}, false
-		}
-		l, err := cur.Sub(prior)
-		if err != nil {
-			return regress.Sufficient{}, false
-		}
-		return l, true
+		l, err := st.engine.ArmLearned(a)
+		return l, err == nil
 	}
 	var donor regress.Sufficient
 	switch warm {
@@ -365,14 +354,14 @@ func (st *stream) retireArmLocked(s *Service, arm int) error {
 		st.armGen = append(st.armGen[:arm], st.armGen[arm+1:]...)
 	}
 	if m := st.merged; m != nil {
-		if arm < len(m.arms) {
-			m.arms = append(m.arms[:arm], m.arms[arm+1:]...)
+		if arm < len(m.Arms) {
+			m.Arms = append(m.Arms[:arm], m.Arms[arm+1:]...)
 		}
-		if arm < len(m.drift) {
-			m.drift = append(m.drift[:arm], m.drift[arm+1:]...)
+		if arm < len(m.Drift) {
+			m.Drift = append(m.Drift[:arm], m.Drift[arm+1:]...)
 		}
-		if arm < len(m.driftBase) {
-			m.driftBase = append(m.driftBase[:arm], m.driftBase[arm+1:]...)
+		if arm < len(m.DriftBase) {
+			m.DriftBase = append(m.DriftBase[:arm], m.DriftBase[arm+1:]...)
 		}
 	}
 	// Per-peer sync baselines splice in step, so the next capture

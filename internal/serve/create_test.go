@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"banditware/internal/hardware"
 )
@@ -195,6 +196,65 @@ func TestParseCreateRequestMapping(t *testing.T) {
 	}
 }
 
+// outOfRangeLedgerBodies are create documents whose ledger overrides
+// are negative or past a Duration: each used to create its stream with
+// the service defaults instead.
+var outOfRangeLedgerBodies = []string{
+	`{"name":"ttl-huge","hardware_spec":"H0=2x16","dim":1,"ticket_ttl_seconds":1e12}`,
+	`{"name":"ttl-neg","hardware_spec":"H0=2x16","dim":1,"ticket_ttl_seconds":-5}`,
+	`{"name":"cap-neg","hardware_spec":"H0=2x16","dim":1,"max_pending":-3}`,
+}
+
+// TestCreateRefusesOutOfRangeLedgerFields: a negative or unrepresentable
+// ticket_ttl_seconds and a negative max_pending get 400 and register
+// nothing, as do negative StreamConfig overrides; zero still inherits
+// the service defaults, and a positive override is kept as given.
+func TestCreateRefusesOutOfRangeLedgerFields(t *testing.T) {
+	svc := NewService(ServiceOptions{TicketTTL: time.Minute, MaxPending: 9})
+	h := NewHandler(svc)
+	for _, body := range outOfRangeLedgerBodies {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/streams", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("create %s: status %d, want 400 (%s)", body, rec.Code, rec.Body)
+		}
+	}
+	for _, cfg := range []StreamConfig{
+		{Hardware: testHW(), Dim: 1, MaxPending: -1},
+		{Hardware: testHW(), Dim: 1, TicketTTL: -time.Second},
+	} {
+		if err := svc.CreateStream("neg", cfg); err == nil {
+			t.Errorf("CreateStream accepted MaxPending %d, TicketTTL %v", cfg.MaxPending, cfg.TicketTTL)
+		}
+	}
+	if n := svc.NumStreams(); n != 0 {
+		t.Fatalf("refused creates registered %d streams", n)
+	}
+	for _, c := range []struct {
+		body string
+		cap  int
+		ttl  time.Duration
+	}{
+		{`{"name":"inherit","hardware_spec":"H0=2x16","dim":1,"ticket_ttl_seconds":0,"max_pending":0}`, 9, time.Minute},
+		{`{"name":"own","hardware_spec":"H0=2x16","dim":1,"ticket_ttl_seconds":2.5,"max_pending":3}`, 3, 2500 * time.Millisecond},
+	} {
+		name, cfg, err := ParseCreateRequest(strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.CreateStream(name, cfg); err != nil {
+			t.Fatal(err)
+		}
+		st, err := svc.stream(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ledger.cap != c.cap || st.ledger.ttl != c.ttl {
+			t.Errorf("%s: ledger capacity %d, TTL %v; want %d, %v", name, st.ledger.cap, st.ledger.ttl, c.cap, c.ttl)
+		}
+	}
+}
+
 // createSeeds are create documents from the HTTP tests: every policy,
 // reward and adaptation form, schemas, shadows, and refused bodies.
 var createSeeds = []string{
@@ -227,6 +287,9 @@ func FuzzParseCreateRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(example)
+	for _, seed := range outOfRangeLedgerBodies {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		name, cfg, err := ParseCreateRequest(bytes.NewReader(body))
 		if err != nil {
@@ -252,6 +315,11 @@ func FuzzParseCreateRequest(f *testing.F) {
 		info, err := svc.StreamInfo(name)
 		if err != nil {
 			t.Fatalf("StreamInfo of an accepted stream: %v", err)
+		}
+		if st, _ := svc.stream(name); (cfg.MaxPending != 0 && st.ledger.cap != cfg.MaxPending) ||
+			(cfg.TicketTTL != 0 && st.ledger.ttl != cfg.TicketTTL) {
+			t.Fatalf("ledger override max_pending %d, TTL %v became %d, %v",
+				cfg.MaxPending, cfg.TicketTTL, st.ledger.cap, st.ledger.ttl)
 		}
 		var snap bytes.Buffer
 		if err := svc.Save(&snap); err != nil {

@@ -29,7 +29,8 @@ import (
 // last-shipped" delta would re-broadcast those peer contributions,
 // double-counting them at the third replica. Each stream therefore
 // tracks its cumulative *foreign* contributions (mergedState, updated
-// by ApplyDelta) so delta extraction can ship only the local share:
+// by ApplyDelta and persisted as the snapshot's "dist" block) so delta
+// extraction can ship only the local share:
 //
 //	local = current − prior − merged
 //	delta to peer P = local − (local at last commit to P)
@@ -49,22 +50,75 @@ var (
 	ErrBadDelta = errors.New("serve: invalid delta envelope")
 )
 
+// counts is a stream's additive scalar state: ε-decay rounds plus the
+// outcome counters. The stream's live state, its foreign share, a peer's
+// baseline and the delta on the wire each carry one.
+type counts struct {
+	Rounds       int     `json:"rounds,omitempty"`
+	Issued       uint64  `json:"issued,omitempty"`
+	Observed     uint64  `json:"observed,omitempty"`
+	RewardTotal  float64 `json:"reward_total,omitempty"`
+	RuntimeTotal float64 `json:"runtime_total,omitempty"`
+	Failures     uint64  `json:"failures,omitempty"`
+}
+
+// plus returns c + d. An overflowing sum wraps Rounds negative or takes
+// a total to ±Inf, which finite reports.
+func (c counts) plus(d counts) counts {
+	return counts{
+		Rounds:       c.Rounds + d.Rounds,
+		Issued:       c.Issued + d.Issued,
+		Observed:     c.Observed + d.Observed,
+		RewardTotal:  c.RewardTotal + d.RewardTotal,
+		RuntimeTotal: c.RuntimeTotal + d.RuntimeTotal,
+		Failures:     c.Failures + d.Failures,
+	}
+}
+
+// since returns c − base with the rounds and counters clamped at zero:
+// a stale baseline (a stream deleted and recreated under its name)
+// ships nothing negative, and the next commit heals it.
+func (c counts) since(base counts) counts {
+	return counts{
+		Rounds:       max(c.Rounds-base.Rounds, 0),
+		Issued:       c.Issued - min(c.Issued, base.Issued),
+		Observed:     c.Observed - min(c.Observed, base.Observed),
+		RewardTotal:  c.RewardTotal - base.RewardTotal,
+		RuntimeTotal: c.RuntimeTotal - base.RuntimeTotal,
+		Failures:     c.Failures - min(c.Failures, base.Failures),
+	}
+}
+
+// finite reports non-negative rounds and finite totals: what Save can
+// encode and AbsorbRounds can reach.
+func (c counts) finite() bool {
+	return c.Rounds >= 0 && !math.IsNaN(c.RewardTotal) && !math.IsInf(c.RewardTotal, 0) &&
+		!math.IsNaN(c.RuntimeTotal) && !math.IsInf(c.RuntimeTotal, 0)
+}
+
+// countsLocked returns the stream's live counts. Callers hold st.mu.
+func (st *stream) countsLocked() counts {
+	return counts{
+		Rounds:       st.engine.Round(),
+		Issued:       st.issued,
+		Observed:     st.observed,
+		RewardTotal:  st.rewardTotal,
+		RuntimeTotal: st.runtimeTotal,
+		Failures:     st.failures,
+	}
+}
+
 // streamDelta is the wire form of one stream's additive change: the
 // per-arm sufficient-statistic deltas (index-aligned with the arm set;
 // canonical-zero entries mark unchanged arms), the ε-decay rounds to
 // absorb, the outcome counter increments, and per-arm drift detections.
 type streamDelta struct {
-	Name         string               `json:"name"`
-	Policy       string               `json:"policy"`
-	Dim          int                  `json:"dim"`
-	Rounds       int                  `json:"rounds,omitempty"`
-	Arms         []regress.Sufficient `json:"arms,omitempty"`
-	Issued       uint64               `json:"issued,omitempty"`
-	Observed     uint64               `json:"observed,omitempty"`
-	RewardTotal  float64              `json:"reward_total,omitempty"`
-	RuntimeTotal float64              `json:"runtime_total,omitempty"`
-	Failures     uint64               `json:"failures,omitempty"`
-	DriftByArm   []uint64             `json:"drift_by_arm,omitempty"`
+	Name   string               `json:"name"`
+	Policy string               `json:"policy"`
+	Dim    int                  `json:"dim"`
+	Arms   []regress.Sufficient `json:"arms,omitempty"`
+	counts
+	DriftByArm []uint64 `json:"drift_by_arm,omitempty"`
 }
 
 // deltaSnap is the delta envelope. It shares the snapshot format name
@@ -81,55 +135,28 @@ type deltaSnap struct {
 
 // mergedState accumulates the foreign contributions a stream has
 // absorbed via ApplyDelta (and, after ImportSnapshot, the imported
-// state itself), so delta extraction can subtract them out. driftBase
+// state itself), so delta extraction can subtract them out. DriftBase
 // marks detector counts that arrived with an imported snapshot — they
-// live inside the local detectors but are not local detections.
+// live inside the local detectors but are not local detections. Its
+// JSON form is the snapshot's version-6 "dist" block.
 type mergedState struct {
-	arms      []regress.Sufficient
-	rounds    int
-	issued    uint64
-	observed  uint64
-	failures  uint64
-	reward    float64
-	runtime   float64
-	drift     []uint64
-	driftBase []uint64
+	Arms []regress.Sufficient `json:"arms,omitempty"`
+	counts
+	Drift     []uint64 `json:"drift,omitempty"`
+	DriftBase []uint64 `json:"drift_base,omitempty"`
 }
 
-func (m *mergedState) empty() bool {
-	if m == nil {
-		return true
-	}
-	if m.rounds != 0 || m.issued != 0 || m.observed != 0 || m.failures != 0 ||
-		m.reward != 0 || m.runtime != 0 {
-		return false
-	}
-	for _, a := range m.arms {
-		if !a.IsZero() {
-			return false
-		}
-	}
-	for _, d := range m.drift {
-		if d != 0 {
-			return false
-		}
-	}
-	for _, d := range m.driftBase {
-		if d != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (st *stream) ensureMergedLocked(arms, dim int) *mergedState {
+// ensureMergedLocked returns the stream's merge accumulator, creating
+// an empty one shaped to the arm set on first use.
+func (st *stream) ensureMergedLocked() *mergedState {
 	if st.merged == nil {
+		arms := len(st.engine.Hardware())
 		st.merged = &mergedState{
-			arms:  make([]regress.Sufficient, arms),
-			drift: make([]uint64, arms),
+			Arms:  make([]regress.Sufficient, arms),
+			Drift: make([]uint64, arms),
 		}
-		for i := range st.merged.arms {
-			st.merged.arms[i] = regress.Sufficient{Dim: dim}
+		for i := range st.merged.Arms {
+			st.merged.Arms[i] = regress.Sufficient{Dim: st.engine.Dim()}
 		}
 	}
 	return st.merged
@@ -146,8 +173,8 @@ func (st *stream) bumpArmGenLocked(arm int) {
 	if arm < len(st.armGen) {
 		st.armGen[arm]++
 	}
-	if st.merged != nil && arm < len(st.merged.arms) {
-		st.merged.arms[arm] = regress.Sufficient{Dim: st.engine.Dim()}
+	if st.merged != nil && arm < len(st.merged.Arms) {
+		st.merged.Arms[arm] = regress.Sufficient{Dim: st.engine.Dim()}
 	}
 }
 
@@ -164,7 +191,7 @@ func (st *stream) armGenAt(arm int) uint64 {
 // configuration is fixed for the engine's lifetime, so one probe of arm
 // 0 holds for every arm.
 func deltaMode(eng Engine) (modelFree bool, err error) {
-	_, err = eng.ArmPrior(0)
+	_, err = eng.ArmLearned(0)
 	switch {
 	case err == nil:
 		return false, nil
@@ -178,15 +205,10 @@ func deltaMode(eng Engine) (modelFree bool, err error) {
 // the local contributions (and arm reset generations, detector counts,
 // counters) the peer had received as of the last committed sync.
 type peerStreamBase struct {
-	arms     []regress.Sufficient
-	gens     []uint64
-	rounds   int
-	issued   uint64
-	observed uint64
-	failures uint64
-	reward   float64
-	runtime  float64
-	drift    []uint64
+	counts
+	arms  []regress.Sufficient
+	gens  []uint64
+	drift []uint64
 }
 
 // SyncState tracks what one peer has already acknowledged, one per
@@ -243,6 +265,7 @@ func (s *Service) CaptureDelta(base *SyncState) (*DeltaCapture, error) {
 			Version: snapshotVersion,
 			Delta:   true,
 			SavedAt: s.now().UnixNano(),
+			Streams: make([]streamDelta, 0, len(streams)),
 		},
 		next: make(map[string]*peerStreamBase, len(streams)),
 	}
@@ -299,47 +322,17 @@ func (st *stream) captureDeltaLocked(prev *peerStreamBase) (*streamDelta, *peerS
 	}
 	dim := st.engine.Dim()
 	arms := len(st.engine.Hardware())
-	m := st.merged // may be nil: no foreign contributions yet
-	var mRounds int
-	var mIssued, mObserved, mFailures uint64
-	var mReward, mRuntime float64
-	if m != nil {
-		mRounds, mIssued, mObserved, mFailures = m.rounds, m.issued, m.observed, m.failures
-		mReward, mRuntime = m.reward, m.runtime
+	m := st.merged
+	if m == nil {
+		m = &mergedState{} // no foreign contributions yet
 	}
-
-	nb := &peerStreamBase{
-		rounds:   st.engine.Round() - mRounds,
-		issued:   st.issued - mIssued,
-		observed: st.observed - mObserved,
-		failures: st.failures - mFailures,
-		reward:   st.rewardTotal - mReward,
-		runtime:  st.runtimeTotal - mRuntime,
+	pb := prev
+	if pb == nil {
+		pb = &peerStreamBase{}
 	}
-	var zero peerStreamBase
-	pb := &zero
-	if prev != nil {
-		pb = prev
-	}
-	sd := streamDelta{Name: st.name, Policy: st.engine.Kind(), Dim: dim}
-	// Counter deltas clamp at zero defensively (a stale baseline after a
-	// stream was deleted and recreated); the commit self-heals the base.
-	if nb.rounds > pb.rounds {
-		sd.Rounds = nb.rounds - pb.rounds
-	}
-	if nb.issued > pb.issued {
-		sd.Issued = nb.issued - pb.issued
-	}
-	if nb.observed > pb.observed {
-		sd.Observed = nb.observed - pb.observed
-	}
-	if nb.failures > pb.failures {
-		sd.Failures = nb.failures - pb.failures
-	}
-	sd.RewardTotal = nb.reward - pb.reward
-	sd.RuntimeTotal = nb.runtime - pb.runtime
-	changed := sd.Rounds > 0 || sd.Issued > 0 || sd.Observed > 0 || sd.Failures > 0 ||
-		sd.RewardTotal != 0 || sd.RuntimeTotal != 0
+	nb := &peerStreamBase{counts: st.countsLocked().since(m.counts)}
+	sd := streamDelta{Name: st.name, Policy: st.engine.Kind(), Dim: dim, counts: nb.counts.since(pb.counts)}
+	changed := sd.counts != counts{}
 
 	if !modelFree {
 		nb.arms = make([]regress.Sufficient, arms)
@@ -347,20 +340,12 @@ func (st *stream) captureDeltaLocked(prev *peerStreamBase) (*streamDelta, *peerS
 		armDeltas := make([]regress.Sufficient, arms)
 		anyArm := false
 		for a := 0; a < arms; a++ {
-			cur, err := st.engine.ArmSufficient(a)
+			local, err := st.engine.ArmLearned(a)
 			if err != nil {
 				return nil, nil, err
 			}
-			prior, err := st.engine.ArmPrior(a)
-			if err != nil {
-				return nil, nil, err
-			}
-			local, err := cur.Sub(prior)
-			if err != nil {
-				return nil, nil, err
-			}
-			if m != nil && a < len(m.arms) && !m.arms[a].IsZero() {
-				if local, err = local.Sub(m.arms[a]); err != nil {
+			if a < len(m.Arms) && !m.Arms[a].IsZero() {
+				if local, err = local.Sub(m.Arms[a]); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -399,17 +384,13 @@ func (st *stream) captureDeltaLocked(prev *peerStreamBase) (*streamDelta, *peerS
 	}
 
 	// Drift: ship new local detections (detector counts minus the
-	// imported baseline); foreign detections live in merged.drift and are
+	// imported baseline); foreign detections live in merged.Drift and are
 	// never re-shipped.
 	det := make([]uint64, arms)
 	for i := 0; i < arms && i < len(st.detectors); i++ {
 		det[i] = st.detectors[i].Detections()
-		if m != nil && i < len(m.driftBase) {
-			if det[i] >= m.driftBase[i] {
-				det[i] -= m.driftBase[i]
-			} else {
-				det[i] = 0
-			}
+		if i < len(m.DriftBase) {
+			det[i] -= min(det[i], m.DriftBase[i])
 		}
 	}
 	nb.drift = det
@@ -536,6 +517,11 @@ func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
 	}
 	dim := st.engine.Dim()
 	arms := len(st.engine.Hardware())
+	var foreign counts
+	if st.merged != nil {
+		foreign = st.merged.counts
+	}
+	next := st.countsLocked().plus(sd.counts)
 	switch {
 	case sd.Policy != st.engine.Kind():
 		return fmt.Errorf("%w: delta for policy %q, stream runs %q", ErrBadDelta, sd.Policy, st.engine.Kind())
@@ -549,11 +535,12 @@ func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
 		return fmt.Errorf("%w: arm deltas for model-free policy %q", ErrBadDelta, sd.Policy)
 	case len(sd.DriftByArm) > 0 && len(sd.DriftByArm) != arms:
 		return fmt.Errorf("%w: %d drift counts for %d arms", ErrBadDelta, len(sd.DriftByArm), arms)
-	case math.IsNaN(sd.RewardTotal) || math.IsInf(sd.RewardTotal, 0) ||
-		math.IsNaN(sd.RuntimeTotal) || math.IsInf(sd.RuntimeTotal, 0):
-		return fmt.Errorf("%w: non-finite totals", ErrBadDelta)
+	case !next.finite() || !foreign.plus(sd.counts).finite():
+		// Save could not encode a total past ±MaxFloat64, and
+		// AbsorbRounds refuses a round counter past MaxInt.
+		return fmt.Errorf("%w: rounds or totals overflow the stream's", ErrBadDelta)
 	}
-	m := st.ensureMergedLocked(arms, dim)
+	m := st.ensureMergedLocked()
 	for a, d := range sd.Arms {
 		if d.IsZero() {
 			continue
@@ -561,33 +548,25 @@ func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
 		if err := st.engine.MergeArmDelta(a, d); err != nil {
 			return err
 		}
-		sum, err := m.arms[a].Add(d)
+		sum, err := m.Arms[a].Add(d)
 		if err != nil {
 			return err
 		}
-		m.arms[a] = sum
+		m.Arms[a] = sum
 		stats.Arms++
 	}
 	if sd.Rounds > 0 {
 		if err := st.engine.AbsorbRounds(sd.Rounds); err != nil {
 			return err
 		}
-		m.rounds += sd.Rounds
 		stats.Rounds += sd.Rounds
 	}
-	st.issued += sd.Issued
-	m.issued += sd.Issued
-	st.observed += sd.Observed
-	m.observed += sd.Observed
-	st.failures += sd.Failures
-	m.failures += sd.Failures
-	st.rewardTotal += sd.RewardTotal
-	m.reward += sd.RewardTotal
-	st.runtimeTotal += sd.RuntimeTotal
-	m.runtime += sd.RuntimeTotal
+	m.counts = m.counts.plus(sd.counts)
+	st.issued, st.observed, st.failures = next.Issued, next.Observed, next.Failures
+	st.rewardTotal, st.runtimeTotal = next.RewardTotal, next.RuntimeTotal
 	for a, n := range sd.DriftByArm {
-		if a < len(m.drift) {
-			m.drift[a] += n
+		if a < len(m.Drift) {
+			m.Drift[a] += n
 		}
 	}
 	return nil
@@ -632,31 +611,20 @@ func (st *stream) rebaselineForeignLocked() {
 		return // non-mergeable streams are not replicated
 	}
 	arms := len(st.engine.Hardware())
-	dim := st.engine.Dim()
-	m := st.ensureMergedLocked(arms, dim)
+	m := st.ensureMergedLocked()
 	if !modelFree {
 		for a := 0; a < arms; a++ {
-			cur, err := st.engine.ArmSufficient(a)
-			if err != nil {
-				continue
-			}
-			prior, err := st.engine.ArmPrior(a)
-			if err != nil {
-				continue
-			}
-			if local, err := cur.Sub(prior); err == nil {
-				m.arms[a] = local
+			if local, err := st.engine.ArmLearned(a); err == nil {
+				m.Arms[a] = local
 			}
 		}
 	}
-	m.rounds = st.engine.Round()
-	m.issued, m.observed, m.failures = st.issued, st.observed, st.failures
-	m.reward, m.runtime = st.rewardTotal, st.runtimeTotal
+	m.counts = st.countsLocked()
 	db := make([]uint64, arms)
 	for i := 0; i < arms && i < len(st.detectors); i++ {
 		db[i] = st.detectors[i].Detections()
 	}
-	m.driftBase = db
+	m.DriftBase = db
 }
 
 // Ready reports whether the service is fully serving: false only while
@@ -669,62 +637,44 @@ func (s *Service) Ready() bool { return s.maintenance.Load() == 0 }
 func (s *Service) beginMaintenance() { s.maintenance.Add(1) }
 func (s *Service) endMaintenance()   { s.maintenance.Add(-1) }
 
-// distSnap is the version-6 persisted form of a stream's mergedState,
-// omitted entirely (keeping v5 bodies byte-stable) until the stream
-// has absorbed foreign contributions.
-type distSnap struct {
-	Arms         []regress.Sufficient `json:"arms,omitempty"`
-	Rounds       int                  `json:"rounds,omitempty"`
-	Issued       uint64               `json:"issued,omitempty"`
-	Observed     uint64               `json:"observed,omitempty"`
-	RewardTotal  float64              `json:"reward_total,omitempty"`
-	RuntimeTotal float64              `json:"runtime_total,omitempty"`
-	Failures     uint64               `json:"failures,omitempty"`
-	Drift        []uint64             `json:"drift,omitempty"`
-	DriftBase    []uint64             `json:"drift_base,omitempty"`
-}
-
-// distSnapLocked returns the stream's persisted merged state, or nil
-// when it has never absorbed foreign contributions. The slices are
-// copies: Save encodes after releasing the stream locks, while delta
-// merges and arm retirement keep writing the live ones.
-func (st *stream) distSnapLocked() *distSnap {
+// distSnapLocked returns a copy of the stream's merge accumulator for
+// the snapshot's "dist" block, leaving out all-zero slices, or nil when
+// the stream has never absorbed foreign contributions (keeping v5
+// bodies byte-stable). The slices are copies: Save encodes after
+// releasing the stream locks, while delta merges and arm retirement
+// keep writing the live ones.
+func (st *stream) distSnapLocked() *mergedState {
 	m := st.merged
-	if m.empty() {
+	if m == nil {
 		return nil
 	}
-	ds := &distSnap{
-		Rounds:       m.rounds,
-		Issued:       m.issued,
-		Observed:     m.observed,
-		RewardTotal:  m.reward,
-		RuntimeTotal: m.runtime,
-		Failures:     m.failures,
+	ds := &mergedState{
+		Arms:      cloneUnlessZero(m.Arms, regress.Sufficient.IsZero),
+		counts:    m.counts,
+		Drift:     cloneUnlessZero(m.Drift, isZero),
+		DriftBase: cloneUnlessZero(m.DriftBase, isZero),
 	}
-	for _, a := range m.arms {
-		if !a.IsZero() {
-			ds.Arms = slices.Clone(m.arms)
-			break
-		}
-	}
-	for _, d := range m.drift {
-		if d != 0 {
-			ds.Drift = slices.Clone(m.drift)
-			break
-		}
-	}
-	for _, d := range m.driftBase {
-		if d != 0 {
-			ds.DriftBase = slices.Clone(m.driftBase)
-			break
-		}
+	if ds.Arms == nil && ds.Drift == nil && ds.DriftBase == nil && ds.counts == (counts{}) {
+		return nil
 	}
 	return ds
 }
 
+// cloneUnlessZero copies s, or returns nil when every element is zero.
+func cloneUnlessZero[T any](s []T, zero func(T) bool) []T {
+	for _, v := range s {
+		if !zero(v) {
+			return slices.Clone(s)
+		}
+	}
+	return nil
+}
+
+func isZero(n uint64) bool { return n == 0 }
+
 // restoreDistLocked rebuilds a stream's mergedState from its persisted
-// form.
-func (st *stream) restoreDistLocked(ds *distSnap) error {
+// "dist" block.
+func (st *stream) restoreDistLocked(ds *mergedState) error {
 	arms := len(st.engine.Hardware())
 	dim := st.engine.Dim()
 	if len(ds.Arms) > 0 && len(ds.Arms) != arms {
@@ -744,21 +694,15 @@ func (st *stream) restoreDistLocked(ds *distSnap) error {
 	if len(ds.DriftBase) > 0 && len(ds.DriftBase) != arms {
 		return fmt.Errorf("%d drift-base counts for %d arms", len(ds.DriftBase), arms)
 	}
-	if ds.Rounds < 0 {
-		return fmt.Errorf("negative merged rounds %d", ds.Rounds)
+	if !ds.finite() {
+		return errors.New("negative merged rounds or non-finite merged totals")
 	}
-	if math.IsNaN(ds.RewardTotal) || math.IsInf(ds.RewardTotal, 0) ||
-		math.IsNaN(ds.RuntimeTotal) || math.IsInf(ds.RuntimeTotal, 0) {
-		return errors.New("non-finite merged totals")
-	}
-	m := st.ensureMergedLocked(arms, dim)
-	copy(m.arms, ds.Arms)
-	m.rounds = ds.Rounds
-	m.issued, m.observed, m.failures = ds.Issued, ds.Observed, ds.Failures
-	m.reward, m.runtime = ds.RewardTotal, ds.RuntimeTotal
-	copy(m.drift, ds.Drift)
+	m := st.ensureMergedLocked()
+	copy(m.Arms, ds.Arms)
+	copy(m.Drift, ds.Drift)
+	m.counts = ds.counts
 	if len(ds.DriftBase) > 0 {
-		m.driftBase = append([]uint64(nil), ds.DriftBase...)
+		m.DriftBase = ds.DriftBase
 	}
 	return nil
 }

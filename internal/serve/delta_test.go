@@ -40,8 +40,8 @@ func deltaObservation(i int) (arm int, x []float64, runtime float64) {
 	return arm, x, runtime
 }
 
-// armSuff reads one arm's raw sufficient statistics straight from the
-// stream's engine.
+// armSuff reads one arm's learned statistics (less the prior) straight
+// from the stream's engine.
 func armSuff(t *testing.T, s *Service, name string, arm int) regress.Sufficient {
 	t.Helper()
 	st, err := s.stream(name)
@@ -50,7 +50,7 @@ func armSuff(t *testing.T, s *Service, name string, arm int) regress.Sufficient 
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	suff, err := st.engine.ArmSufficient(arm)
+	suff, err := st.engine.ArmLearned(arm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -819,6 +819,82 @@ func TestApplyDeltaRejectsMalformed(t *testing.T) {
 	if !svc.Ready() {
 		t.Fatal("service stuck not-ready after rejected deltas")
 	}
+}
+
+// TestApplyDeltaRefusesOverflow: a peer delta whose totals or rounds
+// would overflow the stream's own or its merged (foreign) share is
+// refused with ErrBadDelta before anything of that stream merges, so
+// Save keeps working for the whole service.
+func TestApplyDeltaRefusesOverflow(t *testing.T) {
+	const head = `{"format":"banditware-service","version":7,"delta":true,"streams":[`
+	apply := func(s *Service, stream string) error {
+		_, err := s.ApplyDelta(strings.NewReader(head + stream + `]}`))
+		return err
+	}
+	checkSave := func(t *testing.T, s *Service) {
+		t.Helper()
+		if err := s.Save(io.Discard); err != nil {
+			t.Fatalf("Save after a refused delta: %v", err)
+		}
+	}
+
+	t.Run("stream totals", func(t *testing.T) {
+		s := deltaFuzzService(t, nil)
+		totals := `{"name":"live0","policy":"algorithm1","dim":2,"reward_total":1.7e308,"runtime_total":1.7e308}`
+		if err := apply(s, totals); err != nil {
+			t.Fatal(err)
+		}
+		before := armSuff(t, s, "live0", 0)
+		arms := `"arms":[{"dim":2,"n":1,"a":[1,0,0,0,1,0,0,0,1],"b":[1,1,1]},{"dim":2},{"dim":2}]`
+		again := `{"name":"live0","policy":"algorithm1","dim":2,` + arms + `,"reward_total":1.7e308,"runtime_total":1.7e308}`
+		if err := apply(s, again); !errors.Is(err, ErrBadDelta) {
+			t.Fatalf("overflowing totals: err = %v, want ErrBadDelta", err)
+		}
+		info, err := s.StreamInfo("live0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.RewardTotal != 1.7e308 || info.RuntimeTotal != 1.7e308 {
+			t.Fatalf("totals after a refused delta: %v, %v", info.RewardTotal, info.RuntimeTotal)
+		}
+		suffClose(t, armSuff(t, s, "live0", 0), before, "arm 0 after a refused delta")
+		checkSave(t, s)
+	})
+
+	t.Run("merged totals", func(t *testing.T) {
+		// Local traffic and foreign deltas of opposite sign keep the
+		// stream's total finite while the foreign share overflows.
+		s := NewService(ServiceOptions{})
+		if err := s.CreateStream("r", deltaStreamCfg(PolicySpec{Type: PolicyRandom})); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ObserveDirect("r", 0, []float64{1, 1}, 1.5e308); err != nil {
+			t.Fatal(err)
+		}
+		negative := `{"name":"r","policy":"random","dim":2,"reward_total":-1.5e308}`
+		if err := apply(s, negative); err != nil {
+			t.Fatal(err)
+		}
+		if err := apply(s, negative); !errors.Is(err, ErrBadDelta) {
+			t.Fatalf("overflowing merged totals: err = %v, want ErrBadDelta", err)
+		}
+		checkSave(t, s)
+	})
+
+	t.Run("rounds", func(t *testing.T) {
+		s := deltaFuzzService(t, nil)
+		if err := s.ObserveDirect("live1", 0, []float64{1, 2}, 3); err != nil {
+			t.Fatal(err)
+		}
+		rounds := fmt.Sprintf(`{"name":"live1","policy":"linucb","dim":2,"rounds":%d}`, math.MaxInt)
+		if err := apply(s, rounds); !errors.Is(err, ErrBadDelta) {
+			t.Fatalf("overflowing rounds: err = %v, want ErrBadDelta", err)
+		}
+		if got := streamRound(t, s, "live1"); got != 1 {
+			t.Fatalf("round after a refused delta = %d, want 1", got)
+		}
+		checkSave(t, s)
+	})
 }
 
 // BenchmarkCaptureApplyDelta times one replication step per policy

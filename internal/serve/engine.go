@@ -66,15 +66,14 @@ type Engine interface {
 	// arm-set elasticity.
 	AddArm(cfg hardware.Config) error
 	RemoveArm(arm int) error
-	// ArmSufficient and ArmPrior return one arm's information-form
-	// statistics and its untrained prior, MergeArmDelta folds a peer's
-	// additive delta into the arm, and AbsorbRounds adds k rounds merged
-	// from peers — the delta-replication hooks. A configuration whose
-	// state is not additive (window, forgetting, batch refit) answers
+	// ArmLearned returns one arm's information-form statistics less its
+	// untrained prior, MergeArmDelta folds a peer's additive delta into
+	// the arm, and AbsorbRounds adds k rounds merged from peers — the
+	// delta-replication hooks. A configuration whose state is not
+	// additive (window, forgetting, batch refit) answers
 	// regress.ErrNotMergeable; model-free policies answer ErrUnsupported
-	// for the three arm hooks.
-	ArmSufficient(arm int) (regress.Sufficient, error)
-	ArmPrior(arm int) (regress.Sufficient, error)
+	// for the two arm hooks.
+	ArmLearned(arm int) (regress.Sufficient, error)
 	MergeArmDelta(arm int, delta regress.Sufficient) error
 	AbsorbRounds(k int) error
 }
@@ -424,20 +423,12 @@ func (e *policyEngine) Model(arm int) (regress.Model, error) {
 	return e.lin.ArmModel(arm)
 }
 
-// ArmSufficient implements Engine.
-func (e *policyEngine) ArmSufficient(arm int) (regress.Sufficient, error) {
+// ArmLearned implements Engine.
+func (e *policyEngine) ArmLearned(arm int) (regress.Sufficient, error) {
 	if e.lin == nil {
 		return regress.Sufficient{}, errModelFree
 	}
-	return e.lin.ArmSufficient(arm)
-}
-
-// ArmPrior implements Engine.
-func (e *policyEngine) ArmPrior(arm int) (regress.Sufficient, error) {
-	if e.lin == nil {
-		return regress.Sufficient{}, errModelFree
-	}
-	return e.lin.ArmPrior(arm)
+	return e.lin.ArmLearned(arm)
 }
 
 // MergeArmDelta implements Engine.
@@ -453,6 +444,9 @@ func (e *policyEngine) MergeArmDelta(arm int, delta regress.Sufficient) error {
 func (e *policyEngine) AbsorbRounds(k int) error {
 	if k < 0 {
 		return fmt.Errorf("serve: negative round count %d", k)
+	}
+	if k > math.MaxInt-e.round {
+		return fmt.Errorf("serve: %d rounds would overflow the round counter", k)
 	}
 	e.round += k
 	return nil

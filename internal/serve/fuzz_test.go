@@ -257,7 +257,7 @@ func deltaFuzzService(tb testing.TB, base []byte) *Service {
 // error in the delta vocabulary; and, accepted or not (a rejected
 // envelope keeps the streams it merged before the bad one), every arm
 // keeps finite sufficient statistics, a positive-definite Gram matrix
-// and finite predictions.
+// and finite predictions, and Save succeeds.
 func FuzzApplyDelta(f *testing.F) {
 	v5 := readGolden(f, "v5.json")
 	f.Add(readGolden(f, "v6-delta.json"))
@@ -266,9 +266,16 @@ func FuzzApplyDelta(f *testing.F) {
 	// near-maximal A, whose merged statistics would overflow.
 	huge := `{"name":"%s","policy":"%s","dim":2,"arms":[{"dim":2,"n":1,"a":[0,0,0,0,0,0,0,0,0],"b":[1e300,1e300,-1e300]},{"dim":2},{"dim":2}]}`
 	big := `{"name":"live1","policy":"linucb","dim":2,"arms":[{"dim":2,"n":1,"a":[1.7976931348623157e308,0,0,0,0,0,0,0,0],"b":[0,0,0]},{"dim":2},{"dim":2}]}`
+	// Totals and rounds that one envelope carries safely and a second
+	// would overflow.
+	totals := `{"name":"live0","policy":"algorithm1","dim":2,"reward_total":1.7e308,"runtime_total":1.7e308}`
+	rounds := `{"name":"live1","policy":"linucb","dim":2,"rounds":9223372036854775807}`
 	for _, streams := range []string{
 		fmt.Sprintf(huge, "live0", PolicyAlgorithm1) + "," + fmt.Sprintf(huge, "live1", PolicyLinUCB),
 		big + "," + big,
+		totals,
+		totals + "," + totals,
+		rounds + "," + rounds,
 	} {
 		f.Add([]byte(`{"format":"banditware-service","version":7,"delta":true,"streams":[` + streams + `]}`))
 	}
@@ -308,19 +315,25 @@ func FuzzApplyDelta(f *testing.F) {
 				t.Fatalf("stream %q after ApplyDelta: %v", st.name, err)
 			}
 		}
+		if err := s.Save(io.Discard); err != nil {
+			t.Fatalf("Save after ApplyDelta: %v", err)
+		}
 	})
 }
 
 // checkMergedArms reports an arm whose sufficient statistics are not
 // finite, whose Gram matrix is not positive definite, or whose model
-// predicts a non-finite runtime for the all-ones context.
+// predicts a non-finite runtime for the all-ones context. The
+// statistics are the estimators' full ones, prior included, read back
+// from the engine's SaveState document.
 func checkMergedArms(eng Engine) error {
+	est, err := engineEstimators(eng)
+	if err != nil {
+		return err
+	}
 	d := eng.Dim() + 1
-	for a := range eng.Hardware() {
-		suff, err := eng.ArmSufficient(a)
-		if err != nil {
-			return err
-		}
+	for a, r := range est {
+		suff := r.Sufficient()
 		if err := suff.Validate(); err != nil {
 			return err
 		}
@@ -343,6 +356,35 @@ func checkMergedArms(eng Engine) error {
 		}
 	}
 	return nil
+}
+
+// engineEstimators decodes an engine's per-arm estimators from its
+// SaveState document: Algorithm 1 keeps them under arms[].rls, the
+// linear policies under policy.arms.
+func engineEstimators(eng Engine) ([]*regress.RLS, error) {
+	var buf bytes.Buffer
+	if err := eng.SaveState(&buf); err != nil {
+		return nil, err
+	}
+	var doc struct {
+		Arms []struct {
+			RLS *regress.RLS `json:"rls"`
+		} `json:"arms"`
+		Policy struct {
+			Arms []*regress.RLS `json:"arms"`
+		} `json:"policy"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		return nil, err
+	}
+	est := doc.Policy.Arms
+	for _, a := range doc.Arms {
+		est = append(est, a.RLS)
+	}
+	if err := regress.CheckEstimators(est, len(eng.Hardware()), eng.Dim()); err != nil {
+		return nil, err
+	}
+	return est, nil
 }
 
 // rawFuzzStreams are the streams FuzzServiceRawVectors drives: an

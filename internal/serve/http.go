@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -335,11 +336,17 @@ type createStreamRequest struct {
 // refuses unknown fields and maps the document's conveniences: hardware
 // as objects or as a hardware_spec string, an explicit epsilon0 of 0,
 // the stream seed for a policy and shadows that set none, and
-// ticket_ttl_seconds. The config is checked when CreateStream builds it.
+// ticket_ttl_seconds, which must be a non-negative Duration. The config
+// is checked when CreateStream builds it.
 func ParseCreateRequest(r io.Reader) (string, StreamConfig, error) {
 	var req createStreamRequest
 	if err := decodeJSON(r, &req); err != nil {
 		return "", StreamConfig{}, err
+	}
+	ttl := req.TicketTTLSeconds * float64(time.Second)
+	if ttl < 0 || ttl >= math.MaxInt64 {
+		return "", StreamConfig{}, fmt.Errorf("ticket_ttl_seconds %v outside [0, %.0f)",
+			req.TicketTTLSeconds, float64(math.MaxInt64)/float64(time.Second))
 	}
 	var set hardware.Set
 	switch {
@@ -370,7 +377,7 @@ func ParseCreateRequest(r io.Reader) (string, StreamConfig, error) {
 		},
 		Shadows:    req.Shadows,
 		MaxPending: req.MaxPending,
-		TicketTTL:  time.Duration(req.TicketTTLSeconds * float64(time.Second)),
+		TicketTTL:  time.Duration(ttl),
 	}
 	if req.Epsilon0 != nil {
 		cfg.Options.Epsilon0 = *req.Epsilon0

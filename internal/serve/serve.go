@@ -200,9 +200,11 @@ type StreamConfig struct {
 	// the stream is registered only once every one of them has attached,
 	// so a bad shadow fails the whole create.
 	Shadows []ShadowConfig
-	// MaxPending overrides the service default ledger capacity (0 = inherit).
+	// MaxPending overrides the service default ledger capacity (0 =
+	// inherit; negative is refused).
 	MaxPending int
-	// TicketTTL overrides the service default ticket lifetime (0 = inherit).
+	// TicketTTL overrides the service default ticket lifetime (0 =
+	// inherit; negative is refused).
 	TicketTTL time.Duration
 }
 
@@ -429,6 +431,10 @@ func ValidStreamName(name string) bool {
 // service keeps a private clone of the schema, so the caller's copy
 // never observes normalization-state mutations.
 func (s *Service) CreateStream(name string, cfg StreamConfig) error {
+	if cfg.MaxPending < 0 || cfg.TicketTTL < 0 {
+		return fmt.Errorf("serve: negative max pending %d or ticket TTL %v (0 inherits the service default)",
+			cfg.MaxPending, cfg.TicketTTL)
+	}
 	dim := cfg.Dim
 	var sch *schema.Schema
 	if cfg.Schema != nil {

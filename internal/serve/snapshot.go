@@ -130,7 +130,7 @@ type streamSnap struct {
 	Drift json.RawMessage `json:"drift,omitempty"`
 	// Dist is the stream's accumulated foreign (fleet-replicated) state
 	// (version 6+); omitted until the stream has merged peer deltas.
-	Dist *distSnap `json:"dist,omitempty"`
+	Dist *mergedState `json:"dist,omitempty"`
 	// Arms is the stream's arm lifecycle state (version 7+); omitted in
 	// the steady state (all arms active, no generation bumps).
 	Arms       *armsetSnap   `json:"arms,omitempty"`

@@ -175,8 +175,14 @@ func TestRegenerateSnapshotGoldens(t *testing.T) {
 	// pin. v6 is the same service after absorbing a peer's delta (the
 	// dist blocks appear; the v6 body is the v7 save re-versioned,
 	// which the byte-stable upgrade promise makes exact for static arm
-	// sets), and v6-delta.json is that delta envelope itself (the delta
-	// wire format is unchanged in v7).
+	// sets).
+	//
+	// v6-delta.json is not rewritten: it is the frozen delta envelope of
+	// the version-6 writer, which listed "rounds" before "arms". Today's
+	// writer lists "arms" first, and ApplyDelta decodes by name, so the
+	// fixture pins that an old-order envelope from a mixed-version fleet
+	// still applies; the golden test's "current delta writer" case pins
+	// today's envelope against the same v5 → v6 transition.
 	//
 	// v7.json and v7-churn.json are not rewritten: they are frozen
 	// inputs since the writer lost the recommendation cache. They were
@@ -193,15 +199,7 @@ func TestRegenerateSnapshotGoldens(t *testing.T) {
 	write("v4.json", stripDriftBlocks(t, reversion(t, single.Bytes(), 7, 4)))
 	write("v3.json", stripRewardFields(stripDriftBlocks(t, reversion(t, single.Bytes(), 7, 3))))
 
-	delta := buildGoldenDelta(t)
-	// Delta envelopes are compact JSON, so the version marker has no
-	// space (reversion expects the indented form).
-	v6delta := bytes.Replace(delta, []byte(`"version":7`), []byte(`"version":6`), 1)
-	if bytes.Equal(v6delta, delta) {
-		t.Fatal("delta version marker not found")
-	}
-	write("v6-delta.json", v6delta)
-	if _, err := mixed.ApplyDelta(bytes.NewReader(delta)); err != nil {
+	if _, err := mixed.ApplyDelta(bytes.NewReader(buildGoldenDelta(t))); err != nil {
 		t.Fatal(err)
 	}
 	var v6 bytes.Buffer
@@ -297,6 +295,18 @@ func TestSnapshotGoldenFixtures(t *testing.T) {
 		}
 		if !bytes.Equal(resave(t, s), reversion(t, readGolden(t, "v6.json"), 6, 7)) {
 			t.Fatal("v5 fixture + delta fixture does not reproduce the v6 fixture")
+		}
+	})
+
+	t.Run("current delta writer", func(t *testing.T) {
+		// Today's writer's envelope for the same peer traffic makes the
+		// same v5 → v6 transition as the frozen fixture.
+		s := load(t, "v5.json")
+		if _, err := s.ApplyDelta(bytes.NewReader(buildGoldenDelta(t))); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resave(t, s), reversion(t, readGolden(t, "v6.json"), 6, 7)) {
+			t.Fatal("v5 fixture + current delta does not reproduce the v6 fixture")
 		}
 	})
 
