@@ -128,9 +128,9 @@ func TestCreateFileReward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := svc.StreamReward("jobs")
-	if err != nil || rw.Type != banditware.RewardFailurePenalty || rw.Penalty != 200 {
-		t.Fatalf("StreamReward = %+v, %v", rw, err)
+	info, err := svc.StreamInfo("jobs")
+	if rw := info.Reward; err != nil || rw.Type != banditware.RewardFailurePenalty || rw.Penalty != 200 {
+		t.Fatalf("reward = %+v, %v", rw, err)
 	}
 	if _, err := createFrom(t, `{"name": "jobs", "hardware_spec": "H0=2x16", "dim": 1, "reward": "??"}`); !errors.Is(err, banditware.ErrBadReward) {
 		t.Fatalf("unknown reward: %v, want ErrBadReward", err)
@@ -145,8 +145,8 @@ func TestCreateFilePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, err := svc.Policy("ucb"); err != nil || p != banditware.PolicyLinTS {
-		t.Fatalf("Policy = %q, %v", p, err)
+	if info, err := svc.StreamInfo("ucb"); err != nil || info.Policy != banditware.PolicyLinTS {
+		t.Fatalf("policy = %q, %v", info.Policy, err)
 	}
 	if _, err := createFrom(t, `{"name": "q", "hardware_spec": "H0=2x16", "dim": 1, "policy": "quantum"}`); !errors.Is(err, banditware.ErrUnknownPolicy) {
 		t.Fatalf("unknown policy: %v, want ErrUnknownPolicy", err)
@@ -161,10 +161,10 @@ func TestCreateFileAdapt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adapt, err := svc.StreamAdapt("jobs")
-	if err != nil || adapt.Mode != banditware.AdaptWindow || adapt.Window != 128 ||
+	info, err := svc.StreamInfo("jobs")
+	if adapt := info.Adapt; err != nil || adapt.Mode != banditware.AdaptWindow || adapt.Window != 128 ||
 		adapt.OnDrift != banditware.DriftReset || adapt.DriftThreshold != 20 {
-		t.Fatalf("created stream adapt = %+v, %v", adapt, err)
+		t.Fatalf("created stream adapt = %+v, %v", info.Adapt, err)
 	}
 	if _, err := createFrom(t, `{"name": "jobs", "hardware_spec": "H0=2x16", "dim": 1, "adapt": "sideways"}`); !errors.Is(err, banditware.ErrBadAdapt) {
 		t.Fatalf("unknown adaptation: %v, want ErrBadAdapt", err)

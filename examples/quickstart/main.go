@@ -96,8 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eps, _ := svc.Epsilon("quickstart")
-	fmt.Printf("\nafter %d workflows (epsilon now %.3f):\n\n", info.Round, eps)
+	fmt.Printf("\nafter %d workflows (epsilon now %.3f):\n\n", info.Round, info.Epsilon)
 	fmt.Println("hardware     true model                     learned model")
 	for i := range hw {
 		m, err := svc.Model("quickstart", i)
@@ -192,11 +191,11 @@ func costAwareDemo(svc *banditware.Service) {
 // the stream's own schema (Exploit takes raw vectors; the serving
 // routes RecommendCtx/ObserveDirectOutcomeCtx encode internally).
 func mustEncode(svc *banditware.Service, size float64, kind string) []float64 {
-	sch, err := svc.StreamSchema("quickstart")
+	info, err := svc.StreamInfo("quickstart")
 	if err != nil {
 		log.Fatal(err)
 	}
-	x, err := sch.Encode(banditware.Context{
+	x, err := info.Schema.Encode(banditware.Context{
 		Numeric:     map[string]float64{"size": size},
 		Categorical: map[string]string{"dataset": kind},
 	})

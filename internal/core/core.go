@@ -37,6 +37,12 @@ var (
 	ErrBadValue = errors.New("core: non-finite observation")
 )
 
+// MaxRounds bounds a round counter that arrives from outside: rounds
+// merged from peers and the counter of a loaded state. Local observes
+// advance the counter one at a time past it, and half of MaxInt leaves
+// them more headroom than any stream can use before overflow.
+const MaxRounds = math.MaxInt / 2
+
 // Options configures Algorithm 1. The zero value selects the paper's
 // experimental settings (α = 0.99, ε₀ = 1, zero tolerances).
 type Options struct {
@@ -590,14 +596,14 @@ func (b *Bandit) MergeArmDelta(i int, delta regress.Sufficient) error {
 // Once a step leaves ε unchanged — at the floor, at 0, or with α = 1 —
 // every later step would too, so the rest of the rounds advance the
 // counter in one step: the loop runs at most about 75 000 times for
-// the default α whatever k is. A k that would overflow the round
-// counter is refused.
+// the default α whatever k is. A k that would take the round counter
+// past MaxRounds is refused.
 func (b *Bandit) AbsorbRounds(k int) error {
 	if k < 0 {
 		return fmt.Errorf("core: negative round count %d", k)
 	}
-	if k > math.MaxInt-b.round {
-		return fmt.Errorf("core: %d rounds would overflow the round counter", k)
+	if k > MaxRounds-b.round {
+		return fmt.Errorf("core: %d rounds would take the round counter past %d", k, MaxRounds)
 	}
 	for j := 0; j < k; j++ {
 		eps := b.eps

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -410,6 +411,33 @@ func TestLoadStateErrors(t *testing.T) {
 	}
 	if _, err := LoadState(strings.NewReader(`{"version":1,"hardware":[{"Name":"H0","CPUs":1,"MemoryGB":1}],"dim":1,"arms":[],"models":[]}`)); err == nil {
 		t.Fatal("arm/hardware count mismatch should fail")
+	}
+}
+
+// TestLoadStateRefusesRoundOutOfRange: a saved round counter outside
+// [0, MaxRounds] is refused, so the next local observe cannot wrap it
+// negative.
+func TestLoadStateRefusesRoundOutOfRange(t *testing.T) {
+	b := newTestBandit(t, 1, Options{})
+	var buf bytes.Buffer
+	if err := b.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.String()
+	withRound := func(n int) string {
+		return strings.Replace(saved, `"round": 0,`, fmt.Sprintf(`"round": %d,`, n), 1)
+	}
+	for _, n := range []int{-5, math.MaxInt, MaxRounds + 1} {
+		if _, err := LoadState(strings.NewReader(withRound(n))); err == nil {
+			t.Fatalf("round %d: loaded", n)
+		}
+	}
+	back, err := LoadState(strings.NewReader(withRound(MaxRounds)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Round() != MaxRounds {
+		t.Fatalf("round %d, want %d", back.Round(), MaxRounds)
 	}
 }
 

@@ -212,3 +212,31 @@ func TestAbsorbRoundsBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestAbsorbRoundsStopsAtMaxRounds: merged rounds may take the counter
+// to MaxRounds and no further, so local observes after the largest
+// merge still count up from a positive round.
+func TestAbsorbRoundsStopsAtMaxRounds(t *testing.T) {
+	b, err := New(deltaHW(), 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AbsorbRounds(math.MaxInt); err == nil {
+		t.Fatal("MaxInt rounds absorbed into a fresh bandit")
+	}
+	if b.Round() != 0 {
+		t.Fatalf("a refused absorb moved the round to %d", b.Round())
+	}
+	if err := b.AbsorbRounds(MaxRounds); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AbsorbRounds(1); err == nil {
+		t.Fatal("a round past MaxRounds absorbed")
+	}
+	if err := b.Observe(0, []float64{1, 2}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if b.Round() != MaxRounds+1 {
+		t.Fatalf("round after a local observe = %d, want %d", b.Round(), MaxRounds+1)
+	}
+}

@@ -117,12 +117,28 @@ func TestRunRawVectors(t *testing.T) {
 	}
 }
 
+// slowTarget is an in-process target whose recommends take at least
+// delay, so how much of a trace fits in a time budget does not depend
+// on how fast the machine serves.
+type slowTarget struct {
+	*InProc
+	delay time.Duration
+}
+
+func (t slowTarget) Recommend(stream string, op *Op, tr *Trace) (Decision, error) {
+	time.Sleep(t.delay)
+	return t.InProc.Recommend(stream, op, tr)
+}
+
+// TestRunDurationCap: a closed run stops issuing at its Duration. Each
+// recommend takes at least 100µs, so the whole trace needs 10 s on two
+// workers and only a partial run fits in the 150 ms cap.
 func TestRunDurationCap(t *testing.T) {
 	tr, err := Generate(TraceConfig{Seed: 2, Streams: 4, Requests: 200000, ObserveRatio: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt := NewInProc()
+	tgt := slowTarget{NewInProc(), 100 * time.Microsecond}
 	defer tgt.Close()
 	start := time.Now()
 	res, err := Run(tgt, tr, RunOptions{Mode: ModeClosed, Concurrency: 2, Duration: 150 * time.Millisecond})

@@ -313,13 +313,3 @@ func (s *Service) Drift(name string) (DriftInfo, error) {
 	}
 	return info, nil
 }
-
-// StreamAdapt returns the named stream's canonical adaptation spec
-// (mode "none" for streams that never declared one).
-func (s *Service) StreamAdapt(name string) (AdaptSpec, error) {
-	st, err := s.stream(name)
-	if err != nil {
-		return AdaptSpec{}, err
-	}
-	return st.adapt, nil
-}

@@ -337,10 +337,7 @@ func TestShadowsInheritAdaptation(t *testing.T) {
 	feed(400)
 	env.swapped = true
 	feed(80)
-	shadows, err := s.Shadows("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	shadows := infoOf(t, s, "jobs").Shadows
 	if len(shadows) != 2 || shadows[0].Observations == 0 {
 		t.Fatalf("shadow counters: %+v", shadows)
 	}

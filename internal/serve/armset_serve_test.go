@@ -56,10 +56,7 @@ func TestArmChurnConvergesWithoutRestart(t *testing.T) {
 	if best, err := s.Exploit("jobs", []float64{5}); err != nil || best != 0 {
 		t.Fatalf("pre-churn favourite = %d (err %v), want arm 0", best, err)
 	}
-	preRound, err := s.Round("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	preRound := infoOf(t, s, "jobs").Round
 
 	// A strictly better configuration joins mid-trace, warm-started from
 	// the pooled statistics of the existing arms.
@@ -87,10 +84,7 @@ func TestArmChurnConvergesWithoutRestart(t *testing.T) {
 	}
 
 	// The stream was never recreated: rounds kept counting.
-	midRound, err := s.Round("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	midRound := infoOf(t, s, "jobs").Round
 	if midRound <= preRound {
 		t.Fatalf("round went %d -> %d across the add — stream state was reset", preRound, midRound)
 	}

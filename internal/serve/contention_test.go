@@ -103,7 +103,7 @@ func BenchmarkParallelRegistryRead(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if _, err := s.Epsilon("s00"); err != nil {
+					if _, err := s.StreamInfo("s00"); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -31,10 +31,7 @@ func TestCreateStreamShadowsAtomic(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	shadows, err := svc.Shadows("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	shadows := infoOf(t, svc, "jobs").Shadows
 	if len(shadows) != 2 || shadows[0].Name != "paper" || shadows[1].Name != "cheap" ||
 		shadows[0].Reward.Type != RewardRuntime || shadows[1].Reward.Type != RewardCostWeighted {
 		t.Fatalf("shadows = %+v", shadows)
@@ -112,8 +109,8 @@ func TestAttachShadowPastModelStateBound(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("HTTP attach past the bound: status %d body %s, want 400", rec.Code, rec.Body)
 	}
-	if shadows, err := svc.Shadows("wide"); err != nil || len(shadows) != 0 {
-		t.Fatalf("refused attaches left shadows: %+v, %v", shadows, err)
+	if shadows := infoOf(t, svc, "wide").Shadows; len(shadows) != 0 {
+		t.Fatalf("refused attaches left shadows: %+v", shadows)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 
+	"banditware/internal/core"
 	"banditware/internal/regress"
 )
 
@@ -89,10 +90,11 @@ func (c counts) since(base counts) counts {
 	}
 }
 
-// finite reports non-negative rounds and finite totals: what Save can
-// encode and AbsorbRounds can reach.
+// finite reports rounds in [0, core.MaxRounds] and finite totals: what
+// Save can encode and AbsorbRounds can reach.
 func (c counts) finite() bool {
-	return c.Rounds >= 0 && !math.IsNaN(c.RewardTotal) && !math.IsInf(c.RewardTotal, 0) &&
+	return c.Rounds >= 0 && c.Rounds <= core.MaxRounds &&
+		!math.IsNaN(c.RewardTotal) && !math.IsInf(c.RewardTotal, 0) &&
 		!math.IsNaN(c.RuntimeTotal) && !math.IsInf(c.RuntimeTotal, 0)
 }
 
@@ -537,7 +539,7 @@ func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
 		return fmt.Errorf("%w: %d drift counts for %d arms", ErrBadDelta, len(sd.DriftByArm), arms)
 	case !next.finite() || !foreign.plus(sd.counts).finite():
 		// Save could not encode a total past ±MaxFloat64, and
-		// AbsorbRounds refuses a round counter past MaxInt.
+		// AbsorbRounds refuses a round counter past core.MaxRounds.
 		return fmt.Errorf("%w: rounds or totals overflow the stream's", ErrBadDelta)
 	}
 	m := st.ensureMergedLocked()
@@ -695,7 +697,7 @@ func (st *stream) restoreDistLocked(ds *mergedState) error {
 		return fmt.Errorf("%d drift-base counts for %d arms", len(ds.DriftBase), arms)
 	}
 	if !ds.finite() {
-		return errors.New("negative merged rounds or non-finite merged totals")
+		return errors.New("merged rounds out of range or non-finite merged totals")
 	}
 	m := st.ensureMergedLocked()
 	copy(m.Arms, ds.Arms)

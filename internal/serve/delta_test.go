@@ -57,24 +57,6 @@ func armSuff(t *testing.T, s *Service, name string, arm int) regress.Sufficient 
 	return suff
 }
 
-func streamEpsilon(t *testing.T, s *Service, name string) float64 {
-	t.Helper()
-	st, err := s.stream(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st.engine.Epsilon()
-}
-
-func streamRound(t *testing.T, s *Service, name string) int {
-	t.Helper()
-	st, err := s.stream(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st.engine.Round()
-}
-
 // relClose reports a ≈ b within rel (with an absolute floor for values
 // near zero).
 func relClose(a, b, rel float64) bool {
@@ -257,7 +239,7 @@ func runDeltaMerge(t *testing.T, name string, spec PolicySpec, churn bool) {
 		shipDelta(t, sh, sh.NewSyncState(), merged)
 	}
 
-	if got, want := streamRound(t, merged, "s"), streamRound(t, single, "s"); got != want {
+	if got, want := infoOf(t, merged, "s").Round, infoOf(t, single, "s").Round; got != want {
 		t.Fatalf("merged rounds = %d, single-node = %d", got, want)
 	}
 	gi, err := merged.StreamInfo("s")
@@ -273,18 +255,14 @@ func runDeltaMerge(t *testing.T, name string, spec PolicySpec, churn bool) {
 			gi.Observed, gi.RewardTotal, wi.Observed, wi.RewardTotal)
 	}
 	if name == "algorithm1" {
-		if ge, we := streamEpsilon(t, merged, "s"), streamEpsilon(t, single, "s"); ge != we {
+		if ge, we := infoOf(t, merged, "s").Epsilon, infoOf(t, single, "s").Epsilon; ge != we {
 			t.Fatalf("merged ε = %v, single-node ε = %v (decay schedule must be float-exact)", ge, we)
 		}
 	}
 	if spec.Type == PolicyRandom {
 		return // model-free: rounds and counters are the whole state
 	}
-	hw, err := single.Hardware("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < len(hw); a++ {
+	for a := range infoOf(t, single, "s").Hardware {
 		suffClose(t, armSuff(t, merged, "s", a), armSuff(t, single, "s", a),
 			fmt.Sprintf("arm %d", a))
 	}
@@ -612,7 +590,7 @@ func TestImportSnapshotRebaselines(t *testing.T) {
 	if !joiner.Ready() {
 		t.Fatal("service not ready after import returned")
 	}
-	if got, want := streamRound(t, joiner, "s"), streamRound(t, donor, "s"); got != want {
+	if got, want := infoOf(t, joiner, "s").Round, infoOf(t, donor, "s").Round; got != want {
 		t.Fatalf("imported rounds = %d, donor = %d", got, want)
 	}
 
@@ -890,11 +868,50 @@ func TestApplyDeltaRefusesOverflow(t *testing.T) {
 		if err := apply(s, rounds); !errors.Is(err, ErrBadDelta) {
 			t.Fatalf("overflowing rounds: err = %v, want ErrBadDelta", err)
 		}
-		if got := streamRound(t, s, "live1"); got != 1 {
+		if got := infoOf(t, s, "live1").Round; got != 1 {
 			t.Fatalf("round after a refused delta = %d, want 1", got)
 		}
 		checkSave(t, s)
 	})
+}
+
+// TestApplyDeltaRefusesRoundsPastMax: a peer's rounds may not take a
+// stream's round counter past core.MaxRounds, in either engine family.
+// A delta to exactly MaxInt used to be accepted, and the next local
+// observe wrapped the counter negative.
+func TestApplyDeltaRefusesRoundsPastMax(t *testing.T) {
+	for _, c := range []struct{ stream, policy string }{
+		{"live0", PolicyAlgorithm1},
+		{"live1", PolicyLinUCB},
+	} {
+		s := deltaFuzzService(t, nil)
+		apply := func(rounds int) error {
+			_, err := s.ApplyDelta(strings.NewReader(fmt.Sprintf(
+				`{"format":"banditware-service","version":7,"delta":true,"streams":[{"name":%q,"policy":%q,"dim":2,"rounds":%d}]}`,
+				c.stream, c.policy, rounds)))
+			return err
+		}
+		for _, rounds := range []int{math.MaxInt, core.MaxRounds + 1} {
+			if err := apply(rounds); !errors.Is(err, ErrBadDelta) {
+				t.Fatalf("%s: %d rounds: err = %v, want ErrBadDelta", c.stream, rounds, err)
+			}
+		}
+		if got := infoOf(t, s, c.stream).Round; got != 0 {
+			t.Fatalf("%s: round after refused deltas = %d, want 0", c.stream, got)
+		}
+		if err := apply(core.MaxRounds); err != nil {
+			t.Fatalf("%s: %v", c.stream, err)
+		}
+		if err := s.ObserveDirect(c.stream, 0, []float64{1, 2}, 3); err != nil {
+			t.Fatal(err)
+		}
+		if got := infoOf(t, s, c.stream).Round; got != core.MaxRounds+1 {
+			t.Fatalf("%s: round after a local observe = %d, want %d", c.stream, got, core.MaxRounds+1)
+		}
+		if err := s.Save(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkCaptureApplyDelta times one replication step per policy

@@ -445,8 +445,8 @@ func (e *policyEngine) AbsorbRounds(k int) error {
 	if k < 0 {
 		return fmt.Errorf("serve: negative round count %d", k)
 	}
-	if k > math.MaxInt-e.round {
-		return fmt.Errorf("serve: %d rounds would overflow the round counter", k)
+	if k > core.MaxRounds-e.round {
+		return fmt.Errorf("serve: %d rounds would take the round counter past %d", k, core.MaxRounds)
 	}
 	e.round += k
 	return nil
@@ -484,6 +484,9 @@ func restorePolicyEngine(data []byte) (*policyEngine, error) {
 	var st policyEngineState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("serve: decoding policy engine state: %w", err)
+	}
+	if st.Round < 0 || st.Round > core.MaxRounds {
+		return nil, fmt.Errorf("serve: corrupt engine state: round %d outside [0, %d]", st.Round, core.MaxRounds)
 	}
 	// Restore the policy first: its estimators are sized by their own
 	// payload, while the envelope only declares a shape, and nothing is

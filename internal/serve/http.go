@@ -430,22 +430,25 @@ func handleAttachShadow(svc *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	shadows, err := svc.Shadows(stream)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, shadowsResponse{Shadows: shadows, Stream: stream})
+	writeShadows(svc, w, stream, http.StatusCreated)
 }
 
 func handleListShadows(svc *Service, w http.ResponseWriter, r *http.Request) {
-	stream := r.PathValue("name")
-	shadows, err := svc.Shadows(stream)
+	writeShadows(svc, w, r.PathValue("name"), http.StatusOK)
+}
+
+// writeShadows answers with the stream's shadows in attachment order.
+func writeShadows(svc *Service, w http.ResponseWriter, stream string, status int) {
+	info, err := svc.StreamInfo(stream)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, shadowsResponse{Shadows: shadows, Stream: stream})
+	shadows := info.Shadows
+	if shadows == nil {
+		shadows = []ShadowInfo{} // [] not null over HTTP
+	}
+	writeJSON(w, status, shadowsResponse{Shadows: shadows, Stream: stream})
 }
 
 // modelDTO is the wire form of one arm's learned linear model.
@@ -456,35 +459,40 @@ type modelDTO struct {
 }
 
 func handleInspectStream(svc *Service, w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	info, err := svc.StreamInfo(name)
+	info, models, err := svc.inspect(r.PathValue("name"))
 	if err != nil {
 		writeError(w, err)
 		return
-	}
-	hw, err := svc.Hardware(name)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	models := make([]modelDTO, len(hw))
-	for i := range hw {
-		m, err := svc.Model(name, i)
-		if errors.Is(err, ErrUnsupported) {
-			// Model-free policy (e.g. random): inspect without models.
-			models = nil
-			break
-		}
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		models[i] = modelDTO{Hardware: hw[i].String(), Weights: m.Weights, Bias: m.Bias}
 	}
 	writeJSON(w, http.StatusOK, struct {
 		StreamInfo
 		Models []modelDTO `json:"models,omitempty"`
 	}{info, models})
+}
+
+// inspect reads a stream's summary and every arm's model under one hold
+// of the stream lock, so both describe the same arm set while arms are
+// added or retired. Models is nil for a model-free policy.
+func (s *Service) inspect(name string) (StreamInfo, []modelDTO, error) {
+	st, err := s.stream(name)
+	if err != nil {
+		return StreamInfo{}, nil, err
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	info := st.infoLocked(s.now())
+	models := make([]modelDTO, len(st.armLabels))
+	for i, label := range st.armLabels {
+		m, err := st.engine.Model(i)
+		if errors.Is(err, ErrUnsupported) {
+			return info, nil, nil
+		}
+		if err != nil {
+			return StreamInfo{}, nil, err
+		}
+		models[i] = modelDTO{Hardware: label, Weights: m.Weights, Bias: m.Bias}
+	}
+	return info, models, nil
 }
 
 type recommendRequest struct {

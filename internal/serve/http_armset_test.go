@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"banditware/internal/hardware"
 )
 
 // armListing is the wire shape of every arm-lifecycle response.
@@ -176,5 +180,59 @@ func TestHTTPCreateRejectsForgettingFactor(t *testing.T) {
 	}
 	if code := doJSON(t, "GET", srv.URL+"/v1/streams/jobs", nil, &errResp); code != http.StatusNotFound {
 		t.Fatalf("rejected create registered the stream: status %d", code)
+	}
+}
+
+// TestInspectStreamDuringArmChurn: GET /v1/streams/{name} reads the
+// summary and every arm's model under one hold of the stream lock, so
+// arms added and retired concurrently never split the two. Every GET
+// answers 200 with one model per listed arm; reading them under
+// separate locks raced with AddArm and answered 400 when a retire
+// landed between the summary and a model read.
+func TestInspectStreamDuringArmChurn(t *testing.T) {
+	svc := newTestService(t, ServiceOptions{}, "s")
+	h := NewHandler(svc)
+	stop := make(chan struct{})
+	churned := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				churned <- nil
+				return
+			default:
+			}
+			arm, err := svc.AddArm("s", ArmAdd{Hardware: hardware.Config{Name: "H9", CPUs: 8, MemoryGB: 64}, Trial: true})
+			if err == nil {
+				err = svc.RetireArm("s", arm)
+			}
+			if err != nil {
+				churned <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-churned; err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := 0; i < 3000; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/streams/s", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %d: status %d body %s", i, rec.Code, rec.Body)
+		}
+		var got struct {
+			StreamInfo
+			Models []modelDTO `json:"models"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Models) != len(got.Hardware) {
+			t.Fatalf("GET %d: %d models for hardware %v", i, len(got.Models), got.Hardware)
+		}
 	}
 }

@@ -185,10 +185,7 @@ func FuzzHTTPRecommendObserve(f *testing.F) {
 // statistics included.
 func typedSchemaJSON(t *testing.T, svc *Service) []byte {
 	t.Helper()
-	sch, err := svc.StreamSchema("typed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sch := infoOf(t, svc, "typed").Schema
 	data, err := json.Marshal(sch)
 	if err != nil {
 		t.Fatal(err)

@@ -212,7 +212,7 @@ func TestHTTPShadowWithReward(t *testing.T) {
 	var tk Ticket
 	doJSON(t, "POST", srv.URL+"/v1/streams/jobs/recommend", map[string]any{"features": []float64{4}}, &tk)
 	doJSON(t, "POST", srv.URL+"/v1/observe", map[string]any{"ticket": tk.ID, "runtime": 10}, nil)
-	shadows, _ := svc.Shadows("jobs")
+	shadows := infoOf(t, svc, "jobs").Shadows
 	if shadows[0].RewardTotal <= 10 {
 		t.Fatalf("shadow reward total missing the cost surcharge: %+v", shadows[0])
 	}

@@ -164,19 +164,13 @@ func TestHTTPSchemaViolation422(t *testing.T) {
 func TestHTTPObserveDirectCtxBadArmKeepsSchema(t *testing.T) {
 	svc, srv := newTestServer(t)
 	createTypedStream(t, srv.URL)
-	before, err := svc.StreamSchema("typed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := infoOf(t, svc, "typed").Schema
 	code := doJSON(t, "POST", srv.URL+"/v1/streams/typed/observe",
 		map[string]any{"arm": 99, "context": map[string]any{"num_tasks": 10, "input_mb": 1e6}, "runtime": 5}, nil)
 	if code < 400 || code >= 500 {
 		t.Fatalf("bad-arm observe: status %d, want 4xx", code)
 	}
-	after, err := svc.StreamSchema("typed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := infoOf(t, svc, "typed").Schema
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("rejected observe changed the schema: %+v -> %+v",
 			before.Fields[1].Stats, after.Fields[1].Stats)

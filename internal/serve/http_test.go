@@ -150,7 +150,7 @@ func TestHTTPRecommendObserveRoundTrip(t *testing.T) {
 		map[string]any{"arm": arm, "features": []float64{10}, "runtime": 33}, nil); code != http.StatusOK {
 		t.Fatal("direct observe failed")
 	}
-	if n, _ := svc.Round("jobs"); n != 3 {
+	if n := infoOf(t, svc, "jobs").Round; n != 3 {
 		t.Fatalf("round = %d, want 3", n)
 	}
 	// Unknown stream recommend -> 404.

@@ -176,10 +176,7 @@ func TestShadowEvaluation(t *testing.T) {
 	const rounds = 80
 	driveStream(t, s, "jobs", []float64{5, 3, 1}, rounds)
 
-	shadows, err := s.Shadows("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	shadows := infoOf(t, s, "jobs").Shadows
 	if len(shadows) != 2 || shadows[0].Name != "ucb" || shadows[1].Name != "rand" {
 		t.Fatalf("shadows = %+v", shadows)
 	}
@@ -221,17 +218,17 @@ func TestShadowEvaluation(t *testing.T) {
 	if err := s.Observe(tk.ID, 70); err != nil {
 		t.Fatal(err)
 	}
-	shadows, _ = s.Shadows("jobs")
+	shadows = infoOf(t, s, "jobs").Shadows
 	if late := shadows[2]; late.Name != "late" || late.Decisions != 1 || late.Observations != 1 {
 		t.Fatalf("late shadow: %+v", shadows[2])
 	}
 
 	// ObserveDirect counts one decision and one observation per call.
-	before, _ := s.Shadows("jobs")
+	before := infoOf(t, s, "jobs").Shadows
 	if err := s.ObserveDirect("jobs", 1, []float64{30}, 110); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := s.Shadows("jobs")
+	after := infoOf(t, s, "jobs").Shadows
 	for i := range after {
 		if after[i].Decisions != before[i].Decisions+1 || after[i].Observations != before[i].Observations+1 {
 			t.Fatalf("direct observe shadow %s: %+v -> %+v", after[i].Name, before[i], after[i])
@@ -245,7 +242,7 @@ func TestShadowEvaluation(t *testing.T) {
 	if err := s.DetachShadow("jobs", "rand"); !errors.Is(err, ErrShadowNotFound) {
 		t.Fatalf("double detach: %v", err)
 	}
-	shadows, _ = s.Shadows("jobs")
+	shadows = infoOf(t, s, "jobs").Shadows
 	if len(shadows) != 2 || shadows[0].Name != "ucb" || shadows[1].Name != "late" {
 		t.Fatalf("after detach: %+v", shadows)
 	}
@@ -272,7 +269,7 @@ func TestDetachPurgesPendingSelections(t *testing.T) {
 	if err := s.Observe(tk.ID, 30); err != nil {
 		t.Fatal(err)
 	}
-	shadows, _ := s.Shadows("jobs")
+	shadows := infoOf(t, s, "jobs").Shadows
 	cand := shadows[0]
 	// The new shadow learns from the observation but must carry no
 	// agreement/regret credit for a selection it never made.
@@ -386,13 +383,13 @@ func TestSnapshotV2ByteForByte(t *testing.T) {
 
 	// The restored service still serves: pending tickets (with their
 	// shadow joins) redeem, and shadow counters advance.
-	preShadows, _ := back.Shadows("alg1")
+	preShadows := infoOf(t, back, "alg1").Shadows
 	for _, tk := range pendings {
 		if err := back.Observe(tk.ID, 99); err != nil {
 			t.Fatalf("pending ticket %s lost: %v", tk.ID, err)
 		}
 	}
-	postShadows, _ := back.Shadows("alg1")
+	postShadows := infoOf(t, back, "alg1").Shadows
 	if postShadows[0].Observations <= preShadows[0].Observations {
 		t.Fatalf("restored shadow did not observe: %+v -> %+v", preShadows[0], postShadows[0])
 	}

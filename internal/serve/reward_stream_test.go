@@ -157,7 +157,7 @@ func TestBadOutcomeDoesNotBurnTicket(t *testing.T) {
 	if err := s.ObserveDirect("jobs", 0, []float64{5}, -1); !errors.Is(err, ErrBadOutcome) {
 		t.Fatalf("ObserveDirect(-1) = %v, want ErrBadOutcome", err)
 	}
-	if n, _ := s.Round("jobs"); n != 1 {
+	if n := infoOf(t, s, "jobs").Round; n != 1 {
 		t.Fatalf("round = %d after rejected direct observe, want 1", n)
 	}
 
@@ -197,7 +197,7 @@ func TestObserveDirectRejectsBadArm(t *testing.T) {
 			t.Fatalf("ObserveDirectOutcome(arm=%d) = %v, want ErrArm", arm, err)
 		}
 	}
-	if n, _ := s.Round("jobs"); n != 0 {
+	if n := infoOf(t, s, "jobs").Round; n != 0 {
 		t.Fatalf("round advanced on rejected arms: %d", n)
 	}
 }
@@ -281,10 +281,7 @@ func TestShadowOwnRewardReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shadows, err := s.Shadows("jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	shadows := infoOf(t, s, "jobs").Shadows
 	byName := map[string]ShadowInfo{}
 	for _, sh := range shadows {
 		byName[sh.Name] = sh
@@ -370,7 +367,7 @@ func TestSnapshotV4RewardRoundTrip(t *testing.T) {
 		wantInfo.Failures != gotInfo.Failures {
 		t.Fatalf("reward state drifted:\n  want %+v\n  got  %+v", wantInfo, gotInfo)
 	}
-	gotShadows, _ := back.Shadows("slo")
+	gotShadows := infoOf(t, back, "slo").Shadows
 	if len(gotShadows) != 1 || gotShadows[0].Reward.Type != RewardCostWeighted {
 		t.Fatalf("shadow reward lost across snapshot: %+v", gotShadows)
 	}

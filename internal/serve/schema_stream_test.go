@@ -84,29 +84,26 @@ func TestRecommendCtxServesAndObserves(t *testing.T) {
 	if err := s.Observe(tk.ID, 120); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.Round("typed"); n != 1 {
+	if n := infoOf(t, s, "typed").Round; n != 1 {
 		t.Fatalf("round = %d", n)
 	}
 	// Direct context observe trains too.
 	if err := s.ObserveDirectOutcomeCtx("typed", 1, ctx, Outcome{Runtime: 80}); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.Round("typed"); n != 2 {
+	if n := infoOf(t, s, "typed").Round; n != 2 {
 		t.Fatalf("round = %d", n)
 	}
 	// The schema accumulated normalization state from both encodes.
-	sch, err := s.StreamSchema("typed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sch := infoOf(t, s, "typed").Schema
 	if sch.Fields[1].Stats == nil || sch.Fields[1].Stats.Count != 2 {
 		t.Fatalf("input_mb stats = %+v", sch.Fields[1].Stats)
 	}
 	// StreamSchema returns a copy: mutating it must not touch the live one.
 	sch.Fields[1].Stats.Count = 99
-	again, _ := s.StreamSchema("typed")
+	again := infoOf(t, s, "typed").Schema
 	if again.Fields[1].Stats.Count != 2 {
-		t.Fatal("StreamSchema aliases live state")
+		t.Fatal("StreamInfo.Schema aliases live state")
 	}
 }
 
@@ -116,10 +113,7 @@ func TestRecommendCtxServesAndObserves(t *testing.T) {
 // stream's normalization statistics exactly as they were.
 func TestObserveDirectCtxBadArmKeepsSchema(t *testing.T) {
 	s := newSchemaService(t, PolicySpec{})
-	before, err := s.StreamSchema("typed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := infoOf(t, s, "typed").Schema
 	ctx := schema.Context{Numeric: map[string]float64{"num_tasks": 10, "input_mb": 1e6}}
 	for _, arm := range []int{99, -1} {
 		err := s.ObserveDirectOutcomeCtx("typed", arm, ctx, Outcome{Runtime: 5})
@@ -127,15 +121,12 @@ func TestObserveDirectCtxBadArmKeepsSchema(t *testing.T) {
 			t.Fatalf("arm %d: err = %v, want core.ErrArm", arm, err)
 		}
 	}
-	after, err := s.StreamSchema("typed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := infoOf(t, s, "typed").Schema
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("rejected observe changed the schema:\nbefore %+v\nafter  %+v",
 			before.Fields[1].Stats, after.Fields[1].Stats)
 	}
-	if n, _ := s.Round("typed"); n != 0 {
+	if n := infoOf(t, s, "typed").Round; n != 0 {
 		t.Fatalf("round = %d after rejected observes, want 0", n)
 	}
 }
@@ -158,7 +149,7 @@ func TestRecommendCtxRejectsMalformedContexts(t *testing.T) {
 	if info.Issued != 0 || info.Pending != 0 {
 		t.Fatalf("rejected context issued a ticket: %+v", info)
 	}
-	sch, _ := s.StreamSchema("typed")
+	sch := infoOf(t, s, "typed").Schema
 	if sch.Fields[1].Stats != nil {
 		t.Fatalf("rejected context advanced stats: %+v", sch.Fields[1].Stats)
 	}
@@ -177,7 +168,7 @@ func TestRecommendBatchCtxAtomic(t *testing.T) {
 	if info.Issued != 0 {
 		t.Fatalf("failed batch issued tickets: %+v", info)
 	}
-	sch, _ := s.StreamSchema("typed")
+	sch := infoOf(t, s, "typed").Schema
 	if sch.Fields[1].Stats != nil {
 		t.Fatal("failed batch advanced normalization stats")
 	}
@@ -224,8 +215,8 @@ func TestRawVectorsUnaffectedBySchemaLayer(t *testing.T) {
 	if info.Schema != nil {
 		t.Fatalf("schemaless stream reports a schema: %+v", info.Schema)
 	}
-	if sch, _ := s.StreamSchema("plain"); sch != nil {
-		t.Fatalf("StreamSchema on schemaless stream: %+v", sch)
+	if sch := infoOf(t, s, "plain").Schema; sch != nil {
+		t.Fatalf("StreamInfo.Schema on schemaless stream: %+v", sch)
 	}
 	// ...but still serve named contexts through the identity layout.
 	tk, err := s.RecommendCtx("plain", schema.Num(map[string]float64{"x0": 7}))
@@ -288,8 +279,8 @@ func TestSchemaSnapshotRestoreIdenticalDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The restored schema carries the live normalization statistics.
-	origSch, _ := s.StreamSchema("typed")
-	backSch, _ := back.StreamSchema("typed")
+	origSch := infoOf(t, s, "typed").Schema
+	backSch := infoOf(t, back, "typed").Schema
 	if !reflect.DeepEqual(origSch, backSch) {
 		t.Fatalf("schema diverged across snapshot:\n%+v\nvs\n%+v", origSch, backSch)
 	}

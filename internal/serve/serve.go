@@ -603,16 +603,6 @@ func (s *Service) allStreams() []*stream {
 	return out
 }
 
-// StreamNames returns the registered stream names, sorted.
-func (s *Service) StreamNames() []string {
-	streams := s.allStreams()
-	names := make([]string, len(streams))
-	for i, st := range streams {
-		names[i] = st.name
-	}
-	return names
-}
-
 // NumStreams returns the number of registered streams.
 func (s *Service) NumStreams() int {
 	return len(*s.streams.Load())
@@ -1158,73 +1148,6 @@ func (s *Service) Model(name string, arm int) (regress.Model, error) {
 	return st.engine.Model(arm)
 }
 
-// StreamSchema returns a copy of the named stream's declared feature
-// schema, including its live normalization statistics, or nil when the
-// stream was created from a raw dimension.
-func (s *Service) StreamSchema(name string) (*schema.Schema, error) {
-	st, err := s.stream(name)
-	if err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.schemaDeclared {
-		return nil, nil
-	}
-	return st.sch.Clone(), nil
-}
-
-// StreamReward returns the named stream's canonical reward spec
-// (type "runtime" for streams that never declared one).
-func (s *Service) StreamReward(name string) (RewardSpec, error) {
-	st, err := s.stream(name)
-	if err != nil {
-		return RewardSpec{}, err
-	}
-	return st.rw.spec, nil
-}
-
-// Hardware returns the named stream's arm set.
-func (s *Service) Hardware(name string) (hardware.Set, error) {
-	st, err := s.stream(name)
-	if err != nil {
-		return nil, err
-	}
-	return st.engine.Hardware(), nil
-}
-
-// Epsilon returns the named stream's current exploration probability
-// (0 for policies without a decaying ε).
-func (s *Service) Epsilon(name string) (float64, error) {
-	st, err := s.stream(name)
-	if err != nil {
-		return 0, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.engine.Epsilon(), nil
-}
-
-// Round returns how many observations the named stream has absorbed.
-func (s *Service) Round(name string) (int, error) {
-	st, err := s.stream(name)
-	if err != nil {
-		return 0, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.engine.Round(), nil
-}
-
-// Policy returns the named stream's canonical policy type.
-func (s *Service) Policy(name string) (string, error) {
-	st, err := s.stream(name)
-	if err != nil {
-		return "", err
-	}
-	return st.engine.Kind(), nil
-}
-
 // infoLocked summarises the stream as of now, sweeping tickets past
 // their TTL first so Pending and Expired are current. Callers hold st.mu.
 func (st *stream) infoLocked(now time.Time) StreamInfo {
@@ -1261,7 +1184,8 @@ func (st *stream) infoLocked(now time.Time) StreamInfo {
 	}
 }
 
-// StreamInfo returns a point-in-time summary of one stream.
+// StreamInfo returns a point-in-time summary of one stream: every
+// field is read under one hold of the stream's lock.
 func (s *Service) StreamInfo(name string) (StreamInfo, error) {
 	st, err := s.stream(name)
 	if err != nil {

@@ -56,6 +56,17 @@ func newTestService(t *testing.T, opts ServiceOptions, streams ...string) *Servi
 	return s
 }
 
+// infoOf returns the named stream's StreamInfo, failing the test when
+// the stream does not exist.
+func infoOf(t testing.TB, s *Service, name string) StreamInfo {
+	t.Helper()
+	info, err := s.StreamInfo(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
 func TestStreamRegistry(t *testing.T) {
 	s := newTestService(t, ServiceOptions{}, "alpha", "beta")
 	if err := s.CreateStream("alpha", StreamConfig{Hardware: testHW(), Dim: 1}); !errors.Is(err, ErrStreamExists) {
@@ -66,9 +77,9 @@ func TestStreamRegistry(t *testing.T) {
 			t.Fatalf("create(%q): %v, want ErrBadStreamName", bad, err)
 		}
 	}
-	names := s.StreamNames()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
-		t.Fatalf("names = %v", names)
+	streams := s.Stats().Streams
+	if len(streams) != 2 || streams[0].Name != "alpha" || streams[1].Name != "beta" {
+		t.Fatalf("streams = %+v", streams)
 	}
 	if s.NumStreams() != 2 {
 		t.Fatalf("NumStreams = %d", s.NumStreams())
@@ -186,7 +197,7 @@ func TestTicketLifecycle(t *testing.T) {
 	if err := s.Observe(tk.ID, 42.0); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.Round("jobs"); n != 1 {
+	if n := infoOf(t, s, "jobs").Round; n != 1 {
 		t.Fatalf("round = %d after observe", n)
 	}
 	if err := s.Observe(tk.ID, 42.0); !errors.Is(err, ErrTicketNotFound) {
@@ -321,7 +332,7 @@ func TestBatchOps(t *testing.T) {
 			t.Fatalf("observation %d: err = %v, want %v", i, errs[i], want)
 		}
 	}
-	if n, _ := s.Round("jobs"); n != 2 {
+	if n := infoOf(t, s, "jobs").Round; n != 2 {
 		t.Fatalf("round = %d, want 2", n)
 	}
 }

@@ -274,19 +274,3 @@ func (s *Service) DetachShadow(streamName, shadowName string) error {
 	}
 	return fmt.Errorf("%w: %q", ErrShadowNotFound, shadowName)
 }
-
-// Shadows returns the evaluation counters of every shadow attached to a
-// stream, in attachment order.
-func (s *Service) Shadows(streamName string) ([]ShadowInfo, error) {
-	st, err := s.stream(streamName)
-	if err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := st.shadowsInfoLocked()
-	if out == nil {
-		out = []ShadowInfo{} // [] not null over HTTP
-	}
-	return out, nil
-}

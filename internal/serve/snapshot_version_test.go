@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,7 +177,7 @@ func TestSnapshotReadsV2(t *testing.T) {
 	if info.Reward.Type != RewardRuntime {
 		t.Fatalf("v2 restore reward = %+v, want runtime default", info.Reward)
 	}
-	if p, _ := back.Policy("ucb"); p != PolicyLinUCB {
+	if p := infoOf(t, back, "ucb").Policy; p != PolicyLinUCB {
 		t.Fatalf("v2 restore policy = %q", p)
 	}
 	// The v2 pending ticket still redeems, and re-saving upgrades the
@@ -667,11 +669,8 @@ func TestSnapshotAdaptiveStreamRoundTrip(t *testing.T) {
 		t.Fatal("adaptive snapshot not byte-for-byte stable across load/save")
 	}
 	for _, name := range names {
-		adapt, err := back.StreamAdapt(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := s.StreamAdapt(name)
+		adapt := infoOf(t, back, name).Adapt
+		want := infoOf(t, s, name).Adapt
 		if adapt != want {
 			t.Fatalf("stream %q restored adapt %+v, want %+v", name, adapt, want)
 		}
@@ -709,4 +708,42 @@ func TestSnapshotAdaptiveStreamRoundTrip(t *testing.T) {
 			t.Fatalf("stream %q diverged after restore: %v vs %v", name, a[1], b[1])
 		}
 	}
+}
+
+// TestLoadRefusesRoundOutOfRange: an engine's round counter outside
+// [0, core.MaxRounds] fails the load, for Algorithm 1 (v7.json) and for
+// a policy engine and a shadow (v5.json), rather than serving a stream
+// whose next observe wraps the counter.
+func TestLoadRefusesRoundOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		file  string
+		round string
+	}{
+		{"v7.json", `"round": 40,`},
+		{"v5.json", `"round": 35,`},
+	} {
+		data := string(readGolden(t, c.file))
+		n := strings.Count(data, c.round)
+		if n == 0 {
+			t.Fatalf("%s: no %s", c.file, c.round)
+		}
+		for i := 0; i < n; i++ {
+			for _, bad := range []int{-5, math.MaxInt} {
+				edited := replaceNth(data, c.round, fmt.Sprintf(`"round": %d,`, bad), i)
+				if _, err := Load(strings.NewReader(edited), ServiceOptions{}); err == nil {
+					t.Fatalf("%s: round %d at occurrence %d loaded", c.file, bad, i)
+				}
+			}
+		}
+	}
+}
+
+// replaceNth replaces the i-th (from 0) occurrence of old in s.
+func replaceNth(s, old, new string, i int) string {
+	at := 0
+	for ; i > 0; i-- {
+		at += strings.Index(s[at:], old) + len(old)
+	}
+	at += strings.Index(s[at:], old)
+	return s[:at] + new + s[at+len(old):]
 }

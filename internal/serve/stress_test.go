@@ -105,7 +105,7 @@ func TestConcurrentServeStress(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if n, _ := s.Round("s3"); n != iters {
+	if n := infoOf(t, s, "s3").Round; n != iters {
 		t.Fatalf("direct-observe stream round = %d, want %d", n, iters)
 	}
 }

@@ -214,8 +214,8 @@ func TestServicePolicyStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shadows, err := back.Shadows("ucb"); err != nil || len(shadows) != 1 || shadows[0].Observations != 120 {
-		t.Fatalf("restored shadows = %+v, %v", shadows, err)
+	if info, err := back.StreamInfo("ucb"); err != nil || len(info.Shadows) != 1 || info.Shadows[0].Observations != 120 {
+		t.Fatalf("restored shadows = %+v, %v", info.Shadows, err)
 	}
 	// Re-exported sentinels.
 	if err := svc.CreateStream("bad", StreamConfig{Hardware: hw, Dim: 1, Policy: PolicySpec{Type: "nope"}}); !errors.Is(err, ErrUnknownPolicy) {
@@ -302,11 +302,11 @@ func TestServiceSchemaPublicSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := back.StreamSchema("typed")
+	info, err := back.StreamInfo("typed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored == nil || restored.Fields[0].Stats == nil || restored.Fields[0].Stats.Count != 20 {
+	if restored := info.Schema; restored == nil || restored.Fields[0].Stats == nil || restored.Fields[0].Stats.Count != 20 {
 		t.Fatalf("restored schema = %+v", restored)
 	}
 	if _, err := back.RecommendCtx("typed", Context{
