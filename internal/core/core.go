@@ -37,11 +37,16 @@ var (
 	ErrBadValue = errors.New("core: non-finite observation")
 )
 
-// MaxRounds bounds a round counter that arrives from outside: rounds
-// merged from peers and the counter of a loaded state. Local observes
-// advance the counter one at a time past it, and half of MaxInt leaves
-// them more headroom than any stream can use before overflow.
+// MaxRounds bounds the round counter that rounds merged from peers may
+// reach. Local observes advance the counter one at a time past it.
 const MaxRounds = math.MaxInt / 2
+
+// MaxLoadedRound bounds the round counter of a loaded state. It lies a
+// quarter of MaxInt above MaxRounds, so a stream that merged up to
+// MaxRounds and then observed locally still loads, and as far below
+// MaxInt, so the observes after a load cannot wrap the counter either:
+// no stream comes near either margin.
+const MaxLoadedRound = MaxRounds + math.MaxInt/4
 
 // Options configures Algorithm 1. The zero value selects the paper's
 // experimental settings (α = 0.99, ε₀ = 1, zero tolerances).

@@ -415,8 +415,8 @@ func TestLoadStateErrors(t *testing.T) {
 }
 
 // TestLoadStateRefusesRoundOutOfRange: a saved round counter outside
-// [0, MaxRounds] is refused, so the next local observe cannot wrap it
-// negative.
+// [0, MaxLoadedRound] is refused, so the next local observe cannot wrap
+// it negative. A counter that local observes took past MaxRounds loads.
 func TestLoadStateRefusesRoundOutOfRange(t *testing.T) {
 	b := newTestBandit(t, 1, Options{})
 	var buf bytes.Buffer
@@ -427,17 +427,19 @@ func TestLoadStateRefusesRoundOutOfRange(t *testing.T) {
 	withRound := func(n int) string {
 		return strings.Replace(saved, `"round": 0,`, fmt.Sprintf(`"round": %d,`, n), 1)
 	}
-	for _, n := range []int{-5, math.MaxInt, MaxRounds + 1} {
+	for _, n := range []int{-5, math.MaxInt, MaxLoadedRound + 1} {
 		if _, err := LoadState(strings.NewReader(withRound(n))); err == nil {
 			t.Fatalf("round %d: loaded", n)
 		}
 	}
-	back, err := LoadState(strings.NewReader(withRound(MaxRounds)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Round() != MaxRounds {
-		t.Fatalf("round %d, want %d", back.Round(), MaxRounds)
+	for _, n := range []int{MaxRounds + 1, MaxLoadedRound} {
+		back, err := LoadState(strings.NewReader(withRound(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Round() != n {
+			t.Fatalf("round %d, want %d", back.Round(), n)
+		}
 	}
 }
 

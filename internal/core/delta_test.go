@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -215,7 +216,8 @@ func TestAbsorbRoundsBounded(t *testing.T) {
 
 // TestAbsorbRoundsStopsAtMaxRounds: merged rounds may take the counter
 // to MaxRounds and no further, so local observes after the largest
-// merge still count up from a positive round.
+// merge still count up from a positive round, and the state they leave
+// saves and loads back.
 func TestAbsorbRoundsStopsAtMaxRounds(t *testing.T) {
 	b, err := New(deltaHW(), 2, Options{})
 	if err != nil {
@@ -238,5 +240,16 @@ func TestAbsorbRoundsStopsAtMaxRounds(t *testing.T) {
 	}
 	if b.Round() != MaxRounds+1 {
 		t.Fatalf("round after a local observe = %d, want %d", b.Round(), MaxRounds+1)
+	}
+	var buf bytes.Buffer
+	if err := b.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadState(&buf)
+	if err != nil {
+		t.Fatalf("loading a state past MaxRounds: %v", err)
+	}
+	if back.Round() != MaxRounds+1 {
+		t.Fatalf("loaded round = %d, want %d", back.Round(), MaxRounds+1)
 	}
 }

@@ -70,8 +70,8 @@ func LoadState(r io.Reader) (*Bandit, error) {
 	if st.Version != stateVersion {
 		return nil, fmt.Errorf("core: unsupported state version %d", st.Version)
 	}
-	if st.Round < 0 || st.Round > MaxRounds {
-		return nil, fmt.Errorf("core: corrupt state: round %d outside [0, %d]", st.Round, MaxRounds)
+	if st.Round < 0 || st.Round > MaxLoadedRound {
+		return nil, fmt.Errorf("core: corrupt state: round %d outside [0, %d]", st.Round, MaxLoadedRound)
 	}
 	if len(st.Arms) != len(st.Hardware) || len(st.Models) != len(st.Hardware) {
 		return nil, fmt.Errorf("core: corrupt state: %d arms, %d models, %d hardware",

@@ -90,10 +90,10 @@ func (c counts) since(base counts) counts {
 	}
 }
 
-// finite reports rounds in [0, core.MaxRounds] and finite totals: what
-// Save can encode and AbsorbRounds can reach.
+// finite reports rounds in [0, core.MaxLoadedRound] and finite totals:
+// what Save can encode and Load accepts.
 func (c counts) finite() bool {
-	return c.Rounds >= 0 && c.Rounds <= core.MaxRounds &&
+	return c.Rounds >= 0 && c.Rounds <= core.MaxLoadedRound &&
 		!math.IsNaN(c.RewardTotal) && !math.IsInf(c.RewardTotal, 0) &&
 		!math.IsNaN(c.RuntimeTotal) && !math.IsInf(c.RuntimeTotal, 0)
 }
@@ -523,7 +523,8 @@ func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
 	if st.merged != nil {
 		foreign = st.merged.counts
 	}
-	next := st.countsLocked().plus(sd.counts)
+	live := st.countsLocked()
+	next := live.plus(sd.counts)
 	switch {
 	case sd.Policy != st.engine.Kind():
 		return fmt.Errorf("%w: delta for policy %q, stream runs %q", ErrBadDelta, sd.Policy, st.engine.Kind())
@@ -537,9 +538,13 @@ func (st *stream) applyDeltaLocked(sd *streamDelta, stats *DeltaStats) error {
 		return fmt.Errorf("%w: arm deltas for model-free policy %q", ErrBadDelta, sd.Policy)
 	case len(sd.DriftByArm) > 0 && len(sd.DriftByArm) != arms:
 		return fmt.Errorf("%w: %d drift counts for %d arms", ErrBadDelta, len(sd.DriftByArm), arms)
+	case sd.Rounds > max(core.MaxRounds-live.Rounds, 0):
+		// AbsorbRounds refuses to take the round counter past
+		// core.MaxRounds. A stream that local observes took past it
+		// still merges arm statistics, but no more rounds.
+		return fmt.Errorf("%w: %d rounds would take the round counter past %d", ErrBadDelta, sd.Rounds, core.MaxRounds)
 	case !next.finite() || !foreign.plus(sd.counts).finite():
-		// Save could not encode a total past ±MaxFloat64, and
-		// AbsorbRounds refuses a round counter past core.MaxRounds.
+		// Save could not encode a total past ±MaxFloat64.
 		return fmt.Errorf("%w: rounds or totals overflow the stream's", ErrBadDelta)
 	}
 	m := st.ensureMergedLocked()

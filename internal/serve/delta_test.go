@@ -860,58 +860,65 @@ func TestApplyDeltaRefusesOverflow(t *testing.T) {
 	})
 
 	t.Run("rounds", func(t *testing.T) {
-		s := deltaFuzzService(t, nil)
-		if err := s.ObserveDirect("live1", 0, []float64{1, 2}, 3); err != nil {
-			t.Fatal(err)
-		}
-		rounds := fmt.Sprintf(`{"name":"live1","policy":"linucb","dim":2,"rounds":%d}`, math.MaxInt)
-		if err := apply(s, rounds); !errors.Is(err, ErrBadDelta) {
-			t.Fatalf("overflowing rounds: err = %v, want ErrBadDelta", err)
-		}
-		if got := infoOf(t, s, "live1").Round; got != 1 {
-			t.Fatalf("round after a refused delta = %d, want 1", got)
-		}
-		checkSave(t, s)
-	})
-}
-
-// TestApplyDeltaRefusesRoundsPastMax: a peer's rounds may not take a
-// stream's round counter past core.MaxRounds, in either engine family.
-// A delta to exactly MaxInt used to be accepted, and the next local
-// observe wrapped the counter negative.
-func TestApplyDeltaRefusesRoundsPastMax(t *testing.T) {
-	for _, c := range []struct{ stream, policy string }{
-		{"live0", PolicyAlgorithm1},
-		{"live1", PolicyLinUCB},
-	} {
-		s := deltaFuzzService(t, nil)
-		apply := func(rounds int) error {
-			_, err := s.ApplyDelta(strings.NewReader(fmt.Sprintf(
-				`{"format":"banditware-service","version":7,"delta":true,"streams":[{"name":%q,"policy":%q,"dim":2,"rounds":%d}]}`,
-				c.stream, c.policy, rounds)))
-			return err
-		}
-		for _, rounds := range []int{math.MaxInt, core.MaxRounds + 1} {
-			if err := apply(rounds); !errors.Is(err, ErrBadDelta) {
-				t.Fatalf("%s: %d rounds: err = %v, want ErrBadDelta", c.stream, rounds, err)
+		arms := `"arms":[{"dim":2,"n":1,"a":[1,0,0,0,1,0,0,0,1],"b":[1,1,1]},{"dim":2},{"dim":2}],`
+		for _, c := range []struct{ stream, policy string }{
+			{"live0", PolicyAlgorithm1},
+			{"live1", PolicyLinUCB},
+		} {
+			delta := func(rounds int, arms string) string {
+				return fmt.Sprintf(`{"name":%q,"policy":%q,"dim":2,%s"rounds":%d}`, c.stream, c.policy, arms, rounds)
+			}
+			s := deltaFuzzService(t, nil)
+			if err := s.ObserveDirect(c.stream, 0, []float64{1, 2}, 3); err != nil {
+				t.Fatal(err)
+			}
+			// From round 1, MaxRounds more rounds pass the bound by one.
+			for _, rounds := range []int{math.MaxInt, core.MaxRounds} {
+				if err := apply(s, delta(rounds, "")); !errors.Is(err, ErrBadDelta) {
+					t.Fatalf("%s: %d rounds: err = %v, want ErrBadDelta", c.stream, rounds, err)
+				}
+				if got := infoOf(t, s, c.stream).Round; got != 1 {
+					t.Fatalf("%s: round after a refused delta = %d, want 1", c.stream, got)
+				}
+				checkSave(t, s)
+			}
+			// Merges may take the counter to exactly MaxRounds and a
+			// local observe past it. The stream then merges arm
+			// statistics but no more rounds, and its snapshot restores
+			// and bootstraps a joiner.
+			if err := apply(s, delta(core.MaxRounds-1, "")); err != nil {
+				t.Fatalf("%s: %v", c.stream, err)
+			}
+			if err := s.ObserveDirect(c.stream, 0, []float64{1, 2}, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := apply(s, delta(1, "")); !errors.Is(err, ErrBadDelta) {
+				t.Fatalf("%s: a round past MaxRounds: err = %v, want ErrBadDelta", c.stream, err)
+			}
+			if err := apply(s, delta(0, arms)); err != nil {
+				t.Fatalf("%s: arm statistics past MaxRounds: %v", c.stream, err)
+			}
+			var buf bytes.Buffer
+			if err := s.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			joiner := NewService(ServiceOptions{})
+			if err := joiner.ImportSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatalf("%s: importing a stream past MaxRounds: %v", c.stream, err)
+			}
+			buf.Reset()
+			if err := joiner.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back, err := Load(&buf, ServiceOptions{})
+			if err != nil {
+				t.Fatalf("%s: loading a stream past MaxRounds: %v", c.stream, err)
+			}
+			if got := infoOf(t, back, c.stream).Round; got != core.MaxRounds+1 {
+				t.Fatalf("%s: loaded round = %d, want %d", c.stream, got, core.MaxRounds+1)
 			}
 		}
-		if got := infoOf(t, s, c.stream).Round; got != 0 {
-			t.Fatalf("%s: round after refused deltas = %d, want 0", c.stream, got)
-		}
-		if err := apply(core.MaxRounds); err != nil {
-			t.Fatalf("%s: %v", c.stream, err)
-		}
-		if err := s.ObserveDirect(c.stream, 0, []float64{1, 2}, 3); err != nil {
-			t.Fatal(err)
-		}
-		if got := infoOf(t, s, c.stream).Round; got != core.MaxRounds+1 {
-			t.Fatalf("%s: round after a local observe = %d, want %d", c.stream, got, core.MaxRounds+1)
-		}
-		if err := s.Save(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 }
 
 // BenchmarkCaptureApplyDelta times one replication step per policy

@@ -485,8 +485,8 @@ func restorePolicyEngine(data []byte) (*policyEngine, error) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("serve: decoding policy engine state: %w", err)
 	}
-	if st.Round < 0 || st.Round > core.MaxRounds {
-		return nil, fmt.Errorf("serve: corrupt engine state: round %d outside [0, %d]", st.Round, core.MaxRounds)
+	if st.Round < 0 || st.Round > core.MaxLoadedRound {
+		return nil, fmt.Errorf("serve: corrupt engine state: round %d outside [0, %d]", st.Round, core.MaxLoadedRound)
 	}
 	// Restore the policy first: its estimators are sized by their own
 	// payload, while the envelope only declares a shape, and nothing is

@@ -257,7 +257,8 @@ func deltaFuzzService(tb testing.TB, base []byte) *Service {
 // error in the delta vocabulary; and, accepted or not (a rejected
 // envelope keeps the streams it merged before the bad one), every arm
 // keeps finite sufficient statistics, a positive-definite Gram matrix
-// and finite predictions, and Save succeeds.
+// and finite predictions, and after a local observe on each live
+// stream the service saves and loads back.
 func FuzzApplyDelta(f *testing.F) {
 	v5 := readGolden(f, "v5.json")
 	f.Add(readGolden(f, "v6-delta.json"))
@@ -270,12 +271,16 @@ func FuzzApplyDelta(f *testing.F) {
 	// would overflow.
 	totals := `{"name":"live0","policy":"algorithm1","dim":2,"reward_total":1.7e308,"runtime_total":1.7e308}`
 	rounds := `{"name":"live1","policy":"linucb","dim":2,"rounds":9223372036854775807}`
+	// Rounds that take each live stream to exactly core.MaxRounds, which
+	// the invariant's local observe then passes.
+	maxed := fmt.Sprintf(`{"name":"live0","policy":"algorithm1","dim":2,"rounds":%d},{"name":"live1","policy":"linucb","dim":2,"rounds":%[1]d}`, core.MaxRounds)
 	for _, streams := range []string{
 		fmt.Sprintf(huge, "live0", PolicyAlgorithm1) + "," + fmt.Sprintf(huge, "live1", PolicyLinUCB),
 		big + "," + big,
 		totals,
 		totals + "," + totals,
 		rounds + "," + rounds,
+		maxed,
 	} {
 		f.Add([]byte(`{"format":"banditware-service","version":7,"delta":true,"streams":[` + streams + `]}`))
 	}
@@ -315,8 +320,17 @@ func FuzzApplyDelta(f *testing.F) {
 				t.Fatalf("stream %q after ApplyDelta: %v", st.name, err)
 			}
 		}
-		if err := s.Save(io.Discard); err != nil {
+		for _, name := range []string{"live0", "live1"} {
+			if err := s.ObserveDirect(name, 0, []float64{1, 2}, 3); err != nil {
+				t.Fatalf("observe on %q after ApplyDelta: %v", name, err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
 			t.Fatalf("Save after ApplyDelta: %v", err)
+		}
+		if _, err := Load(&buf, ServiceOptions{}); err != nil {
+			t.Fatalf("Load after ApplyDelta and an observe: %v", err)
 		}
 	})
 }

@@ -99,7 +99,7 @@ func TestRecommendCtxServesAndObserves(t *testing.T) {
 	if sch.Fields[1].Stats == nil || sch.Fields[1].Stats.Count != 2 {
 		t.Fatalf("input_mb stats = %+v", sch.Fields[1].Stats)
 	}
-	// StreamSchema returns a copy: mutating it must not touch the live one.
+	// StreamInfo.Schema is a copy: mutating it must not touch the live one.
 	sch.Fields[1].Stats.Count = 99
 	again := infoOf(t, s, "typed").Schema
 	if again.Fields[1].Stats.Count != 2 {

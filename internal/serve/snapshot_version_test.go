@@ -711,7 +711,7 @@ func TestSnapshotAdaptiveStreamRoundTrip(t *testing.T) {
 }
 
 // TestLoadRefusesRoundOutOfRange: an engine's round counter outside
-// [0, core.MaxRounds] fails the load, for Algorithm 1 (v7.json) and for
+// [0, core.MaxLoadedRound] fails the load, for Algorithm 1 (v7.json) and for
 // a policy engine and a shadow (v5.json), rather than serving a stream
 // whose next observe wraps the counter.
 func TestLoadRefusesRoundOutOfRange(t *testing.T) {
@@ -728,7 +728,7 @@ func TestLoadRefusesRoundOutOfRange(t *testing.T) {
 			t.Fatalf("%s: no %s", c.file, c.round)
 		}
 		for i := 0; i < n; i++ {
-			for _, bad := range []int{-5, math.MaxInt} {
+			for _, bad := range []int{-5, core.MaxLoadedRound + 1, math.MaxInt} {
 				edited := replaceNth(data, c.round, fmt.Sprintf(`"round": %d,`, bad), i)
 				if _, err := Load(strings.NewReader(edited), ServiceOptions{}); err == nil {
 					t.Fatalf("%s: round %d at occurrence %d loaded", c.file, bad, i)
