@@ -168,9 +168,8 @@ func NDPHardware() HardwareSet { return hardware.NDPDefault() }
 // dimension). Attach one via StreamConfig.Schema (or the "schema" field
 // of the create document that POST /v1/streams and `banditware serve
 // -create` read): the stream's dimension derives
-// from it, contexts submitted through Service.RecommendCtx /
-// ObserveDirectOutcomeCtx / RecommendBatchCtx (or HTTP {"context": {...}})
-// are validated and deterministically encoded against it, and its
+// from it, contexts submitted through Service.RecommendCtx (or the
+// HTTP {"context": {...}} and {"contexts": [...]} bodies) are validated and deterministically encoded against it, and its
 // normalization statistics persist in service snapshots.
 type Schema = schema.Schema
 

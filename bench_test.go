@@ -492,7 +492,7 @@ func newBenchService(b *testing.B, n int) *Service {
 			b.Fatal(err)
 		}
 		for j := 1; j <= 8; j++ {
-			if err := svc.ObserveDirect(name, j%len(hw), []float64{float64(j)}, float64(3*j)); err != nil {
+			if err := svc.ObserveDirectOutcome(name, j%len(hw), []float64{float64(j)}, Outcome{Runtime: float64(3 * j)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -648,7 +648,7 @@ func BenchmarkObserveOutcome(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j := 1; j <= 8; j++ {
-			if err := svc.ObserveDirect("s", j%3, []float64{float64(j)}, float64(3*j)); err != nil {
+			if err := svc.ObserveDirectOutcome("s", j%3, []float64{float64(j)}, Outcome{Runtime: float64(3 * j)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -691,35 +691,6 @@ func BenchmarkObserveOutcome(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkServiceRecommendBatch measures the amortisation of taking the
-// stream lock once per batch instead of once per decision.
-func BenchmarkServiceRecommendBatch(b *testing.B) {
-	for _, size := range []int{1, 16, 128} {
-		b.Run("size="+strconv.Itoa(size), func(b *testing.B) {
-			svc := newBenchService(b, 1)
-			xs := make([][]float64, size)
-			for i := range xs {
-				xs[i] = []float64{float64(i + 1)}
-			}
-			obs := make([]TicketObservation, size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tks, err := svc.RecommendBatch("s0", xs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j, t := range tks {
-					obs[j] = TicketObservation{TicketID: t.ID, Runtime: 100}
-				}
-				if n, errs := svc.ObserveBatchIndexed(obs); n != len(obs) {
-					b.Fatal(errs)
-				}
-			}
-			b.ReportMetric(float64(size), "decisions/op")
 		})
 	}
 }

@@ -188,8 +188,8 @@ func costAwareDemo(svc *banditware.Service) {
 }
 
 // mustEncode builds the model-space vector for an exploit query using
-// the stream's own schema (Exploit takes raw vectors; the serving
-// routes RecommendCtx/ObserveDirectOutcomeCtx encode internally).
+// the stream's own schema (Exploit takes raw vectors; RecommendCtx and
+// the HTTP "context" bodies encode internally).
 func mustEncode(svc *banditware.Service, size float64, kind string) []float64 {
 	info, err := svc.StreamInfo("quickstart")
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"banditware/internal/serve"
 )
 
 // armChurn drives one arm-lifecycle request through the router.
@@ -100,7 +102,7 @@ func TestRouterBroadcastsArmChurn(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		arm := i % 4
 		x := []float64{float64(i%5 + 1), 3}
-		if err := f.Replica(i%3).Service().ObserveDirect("s0", arm, x, float64(10+arm)); err != nil {
+		if err := f.Replica(i%3).Service().ObserveDirectOutcome("s0", arm, x, serve.Outcome{Runtime: float64(10 + arm)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +134,7 @@ func TestRouterBroadcastsArmChurn(t *testing.T) {
 		}
 	}
 	// And the fleet still syncs and serves afterwards.
-	if err := f.Replica(0).Service().ObserveDirect("s0", 2, []float64{1, 1}, 9); err != nil {
+	if err := f.Replica(0).Service().ObserveDirectOutcome("s0", 2, []float64{1, 1}, serve.Outcome{Runtime: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.SyncAll(); err != nil {

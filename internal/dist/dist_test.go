@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -113,7 +114,7 @@ func TestReplicaSyncConvergence(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		arm := i % 3
 		x := []float64{float64(i%5 + 1), float64(i%3 + 1)}
-		if err := f.Replica(i%3).Service().ObserveDirect("s", arm, x, float64(10+arm)); err != nil {
+		if err := f.Replica(i%3).Service().ObserveDirectOutcome("s", arm, x, serve.Outcome{Runtime: float64(10 + arm)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +314,7 @@ func TestReplicaStatusAndSnapshotEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := f.Replica(0).Service().ObserveDirect("s", 1, []float64{2}, 20); err != nil {
+	if err := f.Replica(0).Service().ObserveDirectOutcome("s", 1, []float64{2}, serve.Outcome{Runtime: 20}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -363,5 +364,58 @@ func TestReplicaStatusAndSnapshotEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("full snapshot on delta route: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestReplicaStatusKeepsLastSyncError: a peer that refuses a delta with
+// 409 leaves its message in /v1/dist/status as last_error, with the time
+// in last_error_at; before any delivery fails, neither field appears.
+func TestReplicaStatusKeepsLastSyncError(t *testing.T) {
+	const refusal = `{"error":"serve: stream \"s\": delta not mergeable"}`
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusConflict)
+		io.WriteString(w, refusal)
+	}))
+	defer peer.Close()
+	svc := serve.NewService(serve.ServiceOptions{})
+	if err := svc.CreateStream("s", serve.StreamConfig{Hardware: testHW(), Dim: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplica(svc, ReplicaOptions{Peers: []string{peer.URL}})
+	status := func() map[string]any {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/dist/status", nil))
+		var body struct {
+			Sync map[string]any `json:"sync"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		return body.Sync
+	}
+
+	// Nothing to ship yet: the empty capture commits without a POST.
+	if err := r.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if sync := status(); sync["syncs"] != 1.0 || len(sync) != 3 {
+		t.Fatalf("status after a successful sync = %v, want only syncs, failures and last_sync", sync)
+	}
+
+	if err := svc.ObserveDirectOutcome("s", 1, []float64{2}, serve.Outcome{Runtime: 20}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SyncOnce(); err == nil {
+		t.Fatal("SyncOnce succeeded against a peer answering 409")
+	}
+	sync := status()
+	want := fmt.Sprintf("peer %s: delta rejected: 409 Conflict: %s", peer.URL, refusal)
+	if sync["last_error"] != want || sync["failures"] != 1.0 {
+		t.Fatalf("status = %v, want failures 1 and last_error %q", sync, want)
+	}
+	at, _ := sync["last_error_at"].(string)
+	if when, err := time.Parse(time.RFC3339Nano, at); err != nil || when.IsZero() {
+		t.Fatalf("last_error_at = %v (%v)", sync["last_error_at"], err)
 	}
 }

@@ -67,6 +67,12 @@ type ReplicaSyncStats struct {
 	Syncs    uint64    `json:"syncs"`
 	Failures uint64    `json:"failures"`
 	LastSync time.Time `json:"last_sync"`
+	// LastError is the latest failed delivery's error: the peer, and
+	// for a refused delta the peer's status and message. LastErrorAt is
+	// when it failed. Both are absent until a delivery fails and are
+	// kept through later successes.
+	LastError   string    `json:"last_error,omitempty"`
+	LastErrorAt time.Time `json:"last_error_at,omitzero"`
 }
 
 // NewReplica wraps svc as a fleet member. Start launches the push
@@ -153,12 +159,12 @@ func (r *Replica) Status() ReplicaStatus {
 func (r *Replica) SyncOnce() error {
 	var errs []error
 	for _, peer := range r.opts.Peers {
-		if err := r.syncPeer(peer); err != nil {
-			errs = append(errs, fmt.Errorf("peer %s: %w", peer, err))
-			r.countSync(false)
-		} else {
-			r.countSync(true)
+		err := r.syncPeer(peer)
+		if err != nil {
+			err = fmt.Errorf("peer %s: %w", peer, err)
+			errs = append(errs, err)
 		}
+		r.countSync(err)
 	}
 	return errors.Join(errs...)
 }
@@ -192,15 +198,16 @@ func (r *Replica) syncPeer(peer string) error {
 	return nil
 }
 
-func (r *Replica) countSync(ok bool) {
+func (r *Replica) countSync(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ok {
-		r.stats.Syncs++
-		r.stats.LastSync = time.Now()
-	} else {
+	if err != nil {
 		r.stats.Failures++
+		r.stats.LastError, r.stats.LastErrorAt = err.Error(), time.Now()
+		return
 	}
+	r.stats.Syncs++
+	r.stats.LastSync = time.Now()
 }
 
 // Bootstrap fetches a full snapshot from the first reachable peer and
@@ -250,7 +257,7 @@ func (r *Replica) Start() {
 			case <-stop:
 				return
 			case <-t.C:
-				r.SyncOnce() // per-peer failures are counted and retried
+				r.SyncOnce() // per-peer failures are counted, kept in Status and retried
 			}
 		}
 	}()

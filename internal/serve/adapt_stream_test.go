@@ -285,7 +285,7 @@ func TestAdaptivePolicyStreams(t *testing.T) {
 				// Off-policy traffic: both arms observed every round, so
 				// adaptation quality is isolated from exploration.
 				for arm := 0; arm < 2; arm++ {
-					if err := s.ObserveDirect(name, arm, []float64{x}, env.runtime(arm, x)); err != nil {
+					if err := s.ObserveDirectOutcome(name, arm, []float64{x}, Outcome{Runtime: env.runtime(arm, x)}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -328,7 +328,7 @@ func TestShadowsInheritAdaptation(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			x := float64(i%10 + 1)
 			for arm := 0; arm < 2; arm++ {
-				if err := s.ObserveDirect("jobs", arm, []float64{x}, env.runtime(arm, x)); err != nil {
+				if err := s.ObserveDirectOutcome("jobs", arm, []float64{x}, Outcome{Runtime: env.runtime(arm, x)}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -152,7 +152,7 @@ func TestArmLifecycleTransitions(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		x := []float64{float64(i%5 + 1)}
 		for arm := 0; arm < 2; arm++ {
-			if err := s.ObserveDirect("jobs", arm, x, 50+10*float64(arm)); err != nil {
+			if err := s.ObserveDirectOutcome("jobs", arm, x, Outcome{Runtime: 50 + 10*float64(arm)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -174,7 +174,7 @@ func TestArmLifecycleTransitions(t *testing.T) {
 	// The trial arm learns (it is strictly best) but is never chosen.
 	for i := 0; i < 40; i++ {
 		x := []float64{float64(i%5 + 1)}
-		if err := s.ObserveDirect("jobs", idx, x, 10); err != nil {
+		if err := s.ObserveDirectOutcome("jobs", idx, x, Outcome{Runtime: 10}); err != nil {
 			t.Fatal(err)
 		}
 		tk, err := s.Recommend("jobs", x)
@@ -218,7 +218,7 @@ func TestDrainedArmReroutes(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		x := []float64{float64(i%5 + 1)}
 		for arm, rt := range []float64{70, 30, 40} {
-			if err := s.ObserveDirect("jobs", arm, x, rt); err != nil {
+			if err := s.ObserveDirectOutcome("jobs", arm, x, Outcome{Runtime: rt}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -262,7 +262,7 @@ func TestAddArmWarmStart(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			x := []float64{float64(i%5 + 1)}
 			for arm, rt := range []float64{50, 60, 70} {
-				if err := s.ObserveDirect("jobs", arm, x, rt); err != nil {
+				if err := s.ObserveDirectOutcome("jobs", arm, x, Outcome{Runtime: rt}); err != nil {
 					t.Fatal(err)
 				}
 			}

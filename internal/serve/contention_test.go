@@ -111,3 +111,34 @@ func BenchmarkParallelRegistryRead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServiceRecommendBatch measures the amortisation of taking the
+// stream lock once per batch instead of once per decision: each op is
+// one batch recommend and one batch observe of its tickets, the paths
+// behind the HTTP batch routes.
+func BenchmarkServiceRecommendBatch(b *testing.B) {
+	for _, size := range []int{1, 16, 128} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			s := newBenchService(b, ServiceOptions{})
+			xs := make([][]float64, size)
+			for i := range xs {
+				xs[i] = []float64{float64(i + 1), 2, 3}
+			}
+			obs := make([]ticketObservation, size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tks, err := s.recommendBatch("s00", xs, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j, t := range tks {
+					obs[j] = ticketObservation{TicketID: t.ID, Runtime: 100}
+				}
+				if n, errs := s.observeBatch("s00", obs); n != len(obs) {
+					b.Fatal(errs)
+				}
+			}
+			b.ReportMetric(float64(size), "decisions/op")
+		})
+	}
+}

@@ -216,10 +216,10 @@ func runDeltaMerge(t *testing.T, name string, spec PolicySpec, churn bool) {
 			}
 			arm, x, rt = deltaChurnObservation(i)
 		}
-		if err := single.ObserveDirect("s", arm, x, rt); err != nil {
+		if err := single.ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
-		if err := shards[i%K].ObserveDirect("s", arm, x, rt); err != nil {
+		if err := shards[i%K].ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,7 +325,7 @@ func TestDeltaSyncIncremental(t *testing.T) {
 
 	for i := 0; i < 30; i++ {
 		arm, x, rt := deltaObservation(i)
-		if err := src.ObserveDirect("s", arm, x, rt); err != nil {
+		if err := src.ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -345,7 +345,7 @@ func TestDeltaSyncIncremental(t *testing.T) {
 	// next capture re-extracts the same change.
 	for i := 30; i < 60; i++ {
 		arm, x, rt := deltaObservation(i)
-		if err := src.ObserveDirect("s", arm, x, rt); err != nil {
+		if err := src.ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,11 +390,11 @@ func TestDeltaNoEcho(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		arm, x, rt := deltaObservation(i)
-		if err := a.ObserveDirect("s", arm, x, rt); err != nil {
+		if err := a.ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 		arm, x, rt = deltaObservation(i + 100)
-		if err := b.ObserveDirect("s", arm, x, rt); err != nil {
+		if err := b.ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +453,7 @@ func TestDeltaSkipsNonMergeable(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		arm, x, rt := deltaObservation(i)
 		for _, name := range []string{"ok", "windowed", "forgetting"} {
-			if err := s.ObserveDirect(name, arm, x, rt); err != nil {
+			if err := s.ObserveDirectOutcome(name, arm, x, Outcome{Runtime: rt}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -510,7 +510,7 @@ func TestDeltaArmResetReanchors(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		arm, x, rt := deltaObservation(i)
-		if err := src.ObserveDirect("s", arm, x, rt); err != nil {
+		if err := src.ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -532,7 +532,7 @@ func TestDeltaArmResetReanchors(t *testing.T) {
 
 	for i := 0; i < 9; i++ { // 9 observations, arms 0..2 each get 3
 		arm, x, rt := deltaObservation(i * 3)
-		if err := src.ObserveDirect("s", arm, x, rt); err != nil {
+		if err := src.ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -573,7 +573,7 @@ func TestImportSnapshotRebaselines(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		arm, x, rt := deltaObservation(i)
-		if err := donor.ObserveDirect("s", arm, x, rt); err != nil {
+		if err := donor.ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -605,7 +605,7 @@ func TestImportSnapshotRebaselines(t *testing.T) {
 	// Only the joiner's own post-import traffic replicates back.
 	for i := 0; i < 5; i++ {
 		arm, x, rt := deltaObservation(i + 200)
-		if err := joiner.ObserveDirect("s", arm, x, rt); err != nil {
+		if err := joiner.ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -727,7 +727,7 @@ func mergeInBackground(t *testing.T, merges int) (*Service, <-chan error) {
 	}
 	for i := 0; i < 64; i++ {
 		arm, x, rt := deltaObservation(i)
-		if err := src.ObserveDirect("s", arm, x, rt); err != nil {
+		if err := src.ObserveDirectOutcome("s", arm, x, Outcome{Runtime: rt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -846,7 +846,7 @@ func TestApplyDeltaRefusesOverflow(t *testing.T) {
 		if err := s.CreateStream("r", deltaStreamCfg(PolicySpec{Type: PolicyRandom})); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.ObserveDirect("r", 0, []float64{1, 1}, 1.5e308); err != nil {
+		if err := s.ObserveDirectOutcome("r", 0, []float64{1, 1}, Outcome{Runtime: 1.5e308}); err != nil {
 			t.Fatal(err)
 		}
 		negative := `{"name":"r","policy":"random","dim":2,"reward_total":-1.5e308}`
@@ -869,7 +869,7 @@ func TestApplyDeltaRefusesOverflow(t *testing.T) {
 				return fmt.Sprintf(`{"name":%q,"policy":%q,"dim":2,%s"rounds":%d}`, c.stream, c.policy, arms, rounds)
 			}
 			s := deltaFuzzService(t, nil)
-			if err := s.ObserveDirect(c.stream, 0, []float64{1, 2}, 3); err != nil {
+			if err := s.ObserveDirectOutcome(c.stream, 0, []float64{1, 2}, Outcome{Runtime: 3}); err != nil {
 				t.Fatal(err)
 			}
 			// From round 1, MaxRounds more rounds pass the bound by one.
@@ -889,7 +889,7 @@ func TestApplyDeltaRefusesOverflow(t *testing.T) {
 			if err := apply(s, delta(core.MaxRounds-1, "")); err != nil {
 				t.Fatalf("%s: %v", c.stream, err)
 			}
-			if err := s.ObserveDirect(c.stream, 0, []float64{1, 2}, 3); err != nil {
+			if err := s.ObserveDirectOutcome(c.stream, 0, []float64{1, 2}, Outcome{Runtime: 3}); err != nil {
 				t.Fatal(err)
 			}
 			if err := apply(s, delta(1, "")); !errors.Is(err, ErrBadDelta) {
@@ -954,7 +954,7 @@ func BenchmarkCaptureApplyDelta(b *testing.B) {
 				}
 				for j := 0; j < 24; j++ {
 					arm, x, rt := deltaObservation(i + j)
-					if err := src.ObserveDirect(name, arm, x, rt); err != nil {
+					if err := src.ObserveDirectOutcome(name, arm, x, Outcome{Runtime: rt}); err != nil {
 						b.Fatal(err)
 					}
 				}

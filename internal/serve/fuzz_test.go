@@ -290,7 +290,7 @@ func FuzzApplyDelta(f *testing.F) {
 		for i := 0; i < 24; i++ {
 			arm, x, rt := deltaObservation(round*24 + i)
 			for _, name := range []string{"live0", "live1"} {
-				if err := peer.ObserveDirect(name, arm, x, rt); err != nil {
+				if err := peer.ObserveDirectOutcome(name, arm, x, Outcome{Runtime: rt}); err != nil {
 					f.Fatal(err)
 				}
 			}
@@ -321,7 +321,7 @@ func FuzzApplyDelta(f *testing.F) {
 			}
 		}
 		for _, name := range []string{"live0", "live1"} {
-			if err := s.ObserveDirect(name, 0, []float64{1, 2}, 3); err != nil {
+			if err := s.ObserveDirectOutcome(name, 0, []float64{1, 2}, Outcome{Runtime: 3}); err != nil {
 				t.Fatalf("observe on %q after ApplyDelta: %v", name, err)
 			}
 		}
@@ -419,7 +419,7 @@ func rawFuzzStep(op byte, x, runtime float64) []byte {
 }
 
 // FuzzServiceRawVectors drives the in-process raw-vector API —
-// RecommendInto, ObserveSeq and ObserveDirect — with arbitrary float64
+// RecommendInto, ObserveSeq and ObserveDirectOutcome — with arbitrary float64
 // bit patterns. The input is a program of 17-byte steps (rawFuzzStep).
 // Bit 0 of the op byte picks the stream; (op>>1)%3 picks recommend,
 // ticket observe or direct observe; op>>3 picks which issued ticket to
@@ -456,7 +456,7 @@ func FuzzServiceRawVectors(f *testing.F) {
 			// Two observations per arm, so every interval starts finite.
 			for arm := range testHW() {
 				for i := 1; i <= 2; i++ {
-					if err := svc.ObserveDirect(s.name, arm, []float64{float64(2 * i)}, float64(20*i+5*arm)); err != nil {
+					if err := svc.ObserveDirectOutcome(s.name, arm, []float64{float64(2 * i)}, Outcome{Runtime: float64(20*i + 5*arm)}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -482,7 +482,7 @@ func FuzzServiceRawVectors(f *testing.F) {
 				}
 				svc.ObserveSeq(name, seq, runtime)
 			case 2:
-				svc.ObserveDirect(name, pick%(len(testHW())+1), x, runtime)
+				svc.ObserveDirectOutcome(name, pick%(len(testHW())+1), x, Outcome{Runtime: runtime})
 			}
 		}
 		if err := svc.Save(io.Discard); err != nil {

@@ -14,10 +14,12 @@ import "banditware/internal/schema"
 // The ticket forms built on them wrap them: Recommend and RecommendCtx
 // issue into a fresh Ticket and render its ID, ObserveOutcome parses an
 // ID into (stream, seq) and redeems it as ObserveSeq does, and Observe
-// maps a bare runtime to the default Outcome. The batch forms take the
-// stream lock once and run the same issueLocked and observeTicketLocked
-// per item. A ticket from any recommend form redeems through any
-// observe form.
+// maps a bare runtime to the default Outcome. The HTTP batch routes
+// call recommendBatch and observeBatch, which take one stream's lock
+// once and run the same issueLocked and observeTicketLocked per item.
+// ObserveDirectOutcome and the HTTP direct observe share observeDirect,
+// which trains on a caller-tracked arm without a ticket. A ticket from
+// any recommend form redeems through any observe form.
 
 // RecommendInto issues a decision ticket into a caller-reused Ticket:
 // every field is (re)set, t.Predicted's backing array is reused, and

@@ -539,17 +539,11 @@ func handleRecommendBatch(svc *Service, w http.ResponseWriter, r *http.Request) 
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	var ts []Ticket
-	var err error
-	switch {
-	case req.Batch != nil && req.Contexts != nil:
+	if req.Batch != nil && req.Contexts != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "give contexts or batch, not both"})
 		return
-	case req.Contexts != nil:
-		ts, err = svc.RecommendBatchCtx(r.PathValue("name"), req.Contexts)
-	default:
-		ts, err = svc.RecommendBatch(r.PathValue("name"), req.Batch)
 	}
+	ts, err := svc.recommendBatch(r.PathValue("name"), req.Batch, req.Contexts)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -573,13 +567,6 @@ type observeRequest struct {
 	Outcome *Outcome `json:"outcome,omitempty"`
 }
 
-// outcome resolves the request's effective Outcome through the same
-// rule the batch path applies (TicketObservation.outcome): an
-// observation carrying both forms fails with ErrBadOutcome.
-func (req observeRequest) outcome() (Outcome, error) {
-	return TicketObservation{Runtime: req.Runtime, Outcome: req.Outcome}.outcome()
-}
-
 // handleObserve serves both observe endpoints. streamName is "" for the
 // top-level /v1/observe (ticket-only; the stream comes from the ticket
 // ID) and the path stream for /v1/streams/{name}/observe, where it must
@@ -591,10 +578,7 @@ func handleObserve(svc *Service, w http.ResponseWriter, r *http.Request, streamN
 	}
 	// Observation validity first (422), then ticket shape, then the
 	// ticket's stream — the order every observe path keeps.
-	o, err := req.outcome()
-	if err == nil {
-		err = validateOutcome(o)
-	}
+	o, err := observedOutcome(req.Runtime, req.Outcome)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -621,13 +605,7 @@ func handleObserve(svc *Service, w http.ResponseWriter, r *http.Request, streamN
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "give context or features, not both"})
 			return
 		}
-		var err error
-		if req.Context != nil {
-			err = svc.ObserveDirectOutcomeCtx(streamName, *req.Arm, *req.Context, o)
-		} else {
-			err = svc.ObserveDirectOutcome(streamName, *req.Arm, req.Features, o)
-		}
-		if err != nil {
+		if err := svc.observeDirect(streamName, *req.Arm, req.Features, req.Context, o); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -639,7 +617,7 @@ func handleObserve(svc *Service, w http.ResponseWriter, r *http.Request, streamN
 }
 
 type observeBatchRequest struct {
-	Observations []TicketObservation `json:"observations"`
+	Observations []ticketObservation `json:"observations"`
 }
 
 // observeBatchResult is the outcome of one observation in a batch,
@@ -661,32 +639,7 @@ func handleObserveBatch(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	// Tickets belonging to another stream fail their own index (without
-	// ever reaching that other stream) instead of rejecting the batch:
-	// the rest of the observations still land, and the per-index results
-	// say exactly which. The cross-stream check applies only to valid
-	// observations — a malformed observation must report ErrBadOutcome
-	// whatever its ticket, exactly like the single observe route (pinned
-	// by TestHTTPObserveErrorConsistency).
-	name := r.PathValue("name")
-	errs := make([]error, len(req.Observations))
-	var forward []TicketObservation
-	var forwardIdx []int
-	for i, o := range req.Observations {
-		if out, oerr := o.outcome(); oerr == nil && validateOutcome(out) == nil {
-			owner, _, err := ParseTicketID(o.TicketID)
-			if err == nil && owner != name {
-				errs[i] = fmt.Errorf("ticket %q belongs to stream %q, not %q", o.TicketID, owner, name)
-				continue
-			}
-		}
-		forward = append(forward, o)
-		forwardIdx = append(forwardIdx, i)
-	}
-	applied, fwdErrs := svc.ObserveBatchIndexed(forward)
-	for j, err := range fwdErrs {
-		errs[forwardIdx[j]] = err
-	}
+	applied, errs := svc.observeBatch(r.PathValue("name"), req.Observations)
 	resp := observeBatchResponse{
 		Applied: applied,
 		Results: make([]observeBatchResult, len(req.Observations)),

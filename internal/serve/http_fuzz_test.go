@@ -58,10 +58,10 @@ func newFuzzService(tb testing.TB) *Service {
 	for arm := range testHW() {
 		for i := 1; i <= 2; i++ {
 			train := schema.Context{Numeric: map[string]float64{"num_tasks": float64(30 * i), "cpu_usage": float64(i)}}
-			if err := svc.ObserveDirectOutcomeCtx("typed", arm, train, Outcome{Runtime: float64(40*i + 10*arm)}); err != nil {
+			if err := svc.observeDirect("typed", arm, nil, &train, Outcome{Runtime: float64(40*i + 10*arm)}); err != nil {
 				tb.Fatal(err)
 			}
-			if err := svc.ObserveDirect("jobs", arm, []float64{float64(2 * i)}, float64(20*i+5*arm)); err != nil {
+			if err := svc.ObserveDirectOutcome("jobs", arm, []float64{float64(2 * i)}, Outcome{Runtime: float64(20*i + 5*arm)}); err != nil {
 				tb.Fatal(err)
 			}
 		}

@@ -21,10 +21,10 @@ import (
 
 // badObservations enumerate observation-level failures: each must
 // report ErrBadOutcome on every path regardless of the ticket.
-func badObservations() map[string]TicketObservation {
+func badObservations() map[string]ticketObservation {
 	neg := Outcome{Runtime: -5}
 	ok := Outcome{Runtime: 5}
-	return map[string]TicketObservation{
+	return map[string]ticketObservation{
 		"negative runtime (scalar)":  {Runtime: -5},
 		"negative runtime (outcome)": {Outcome: &neg},
 		"unknown metric":             {Outcome: &Outcome{Runtime: 5, Metrics: map[string]float64{"memoryGB": 1}}},
@@ -62,8 +62,9 @@ func TestObserveErrorConsistency(t *testing.T) {
 			if single != nil && !errors.Is(single, ErrBadOutcome) {
 				t.Errorf("%s / %s: single error %v, want ErrBadOutcome", obsName, tkName, single)
 			}
-			// Batch path: must classify identically, whatever the ticket.
-			applied, errs := svc.ObserveBatchIndexed([]TicketObservation{obs})
+			// Batch path on the live ticket's stream: must classify
+			// identically, whatever the ticket.
+			applied, errs := svc.observeBatch("jobs", []ticketObservation{obs})
 			if applied != 0 || errs[0] == nil {
 				t.Fatalf("%s / %s: batch applied a malformed observation", obsName, tkName)
 			}
@@ -81,14 +82,19 @@ func TestObserveErrorConsistency(t *testing.T) {
 	}
 
 	// With a valid observation, ticket/stream failures classify
-	// identically on both paths too.
-	for tkName, want := range map[string]error{
-		"jobs#ffff":    ErrTicketNotFound,
-		"ghost#1":      ErrStreamNotFound,
-		"no-separator": ErrBadTicket,
+	// identically on both paths too, the batch routed to the ticket's
+	// own stream.
+	for _, c := range []struct {
+		id, route string
+		want      error
+	}{
+		{"jobs#ffff", "jobs", ErrTicketNotFound},
+		{"ghost#1", "ghost", ErrStreamNotFound},
+		{"no-separator", "jobs", ErrBadTicket},
 	} {
+		tkName, want := c.id, c.want
 		single := svc.Observe(tkName, 5)
-		_, errs := svc.ObserveBatchIndexed([]TicketObservation{{TicketID: tkName, Runtime: 5}})
+		_, errs := svc.observeBatch(c.route, []ticketObservation{{TicketID: tkName, Runtime: 5}})
 		if !errors.Is(single, want) || !errors.Is(errs[0], want) {
 			t.Errorf("ticket %q: single %v / batch %v, want %v", tkName, single, errs[0], want)
 		}
@@ -164,7 +170,7 @@ func TestRefusedObservationKeepsTicket(t *testing.T) {
 	svc := newTestService(t, ServiceOptions{}, "j")
 	for arm := range testHW() {
 		for i := 1; i <= 5; i++ {
-			if err := svc.ObserveDirect("j", arm, []float64{float64(i)}, 3*float64(i)+5); err != nil {
+			if err := svc.ObserveDirectOutcome("j", arm, []float64{float64(i)}, Outcome{Runtime: 3*float64(i) + 5}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -186,8 +192,8 @@ func TestRefusedObservationKeepsTicket(t *testing.T) {
 		"Observe":        func() error { return svc.Observe(tk.ID, 5) },
 		"ObserveOutcome": func() error { return svc.ObserveOutcome(tk.ID, Outcome{Runtime: 5}) },
 		"ObserveSeq":     func() error { return svc.ObserveSeq("j", tk.Seq, 5) },
-		"ObserveBatchIndexed": func() error {
-			_, errs := svc.ObserveBatchIndexed([]TicketObservation{{TicketID: tk.ID, Runtime: 5}})
+		"observeBatch": func() error {
+			_, errs := svc.observeBatch("j", []ticketObservation{{TicketID: tk.ID, Runtime: 5}})
 			return errs[0]
 		},
 		"POST /v1/observe": func() error {
@@ -232,10 +238,10 @@ func TestOutcomeTotalsOverflowRefused(t *testing.T) {
 	if err := svc.CreateStream("r", StreamConfig{Hardware: testHW(), Dim: 1, Policy: PolicySpec{Type: PolicyRandom}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.ObserveDirect("r", 0, []float64{1}, 1e308); err != nil {
+	if err := svc.ObserveDirectOutcome("r", 0, []float64{1}, Outcome{Runtime: 1e308}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.ObserveDirect("r", 1, []float64{1}, 1e308); !errors.Is(err, core.ErrBadValue) {
+	if err := svc.ObserveDirectOutcome("r", 1, []float64{1}, Outcome{Runtime: 1e308}); !errors.Is(err, core.ErrBadValue) {
 		t.Fatalf("err = %v, want core.ErrBadValue", err)
 	}
 	info, err := svc.StreamInfo("r")

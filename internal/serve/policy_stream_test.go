@@ -69,7 +69,7 @@ func TestPolicyStreamServing(t *testing.T) {
 	if _, err := s.Recommend("ucb", []float64{1, 2}); !errors.Is(err, core.ErrDim) {
 		t.Fatalf("dim error: %v, want core.ErrDim", err)
 	}
-	if _, err := s.RecommendBatch("ucb", [][]float64{{1}, {2, 3}}); !errors.Is(err, core.ErrDim) {
+	if _, err := s.recommendBatch("ucb", [][]float64{{1}, {2, 3}}, nil); !errors.Is(err, core.ErrDim) {
 		t.Fatalf("batch dim error: %v, want core.ErrDim", err)
 	}
 }
@@ -223,9 +223,9 @@ func TestShadowEvaluation(t *testing.T) {
 		t.Fatalf("late shadow: %+v", shadows[2])
 	}
 
-	// ObserveDirect counts one decision and one observation per call.
+	// ObserveDirectOutcome counts one decision and one observation per call.
 	before := infoOf(t, s, "jobs").Shadows
-	if err := s.ObserveDirect("jobs", 1, []float64{30}, 110); err != nil {
+	if err := s.ObserveDirectOutcome("jobs", 1, []float64{30}, Outcome{Runtime: 110}); err != nil {
 		t.Fatal(err)
 	}
 	after := infoOf(t, s, "jobs").Shadows

@@ -15,6 +15,7 @@ import (
 
 	"banditware/internal/core"
 	"banditware/internal/hardware"
+	"banditware/internal/schema"
 )
 
 // rewardTestHW returns a two-arm set where the fast machine is far more
@@ -154,8 +155,8 @@ func TestBadOutcomeDoesNotBurnTicket(t *testing.T) {
 	}
 
 	// Direct observations validate the same way.
-	if err := s.ObserveDirect("jobs", 0, []float64{5}, -1); !errors.Is(err, ErrBadOutcome) {
-		t.Fatalf("ObserveDirect(-1) = %v, want ErrBadOutcome", err)
+	if err := s.ObserveDirectOutcome("jobs", 0, []float64{5}, Outcome{Runtime: -1}); !errors.Is(err, ErrBadOutcome) {
+		t.Fatalf("ObserveDirectOutcome(-1) = %v, want ErrBadOutcome", err)
 	}
 	if n := infoOf(t, s, "jobs").Round; n != 1 {
 		t.Fatalf("round = %d after rejected direct observe, want 1", n)
@@ -164,11 +165,11 @@ func TestBadOutcomeDoesNotBurnTicket(t *testing.T) {
 	// Batch: a bad outcome — or an ambiguous runtime+outcome pair, the
 	// same rule the single HTTP route applies — fails only its own
 	// index.
-	tks, err := s.RecommendBatch("jobs", [][]float64{{1}, {2}, {3}})
+	tks, err := s.recommendBatch("jobs", [][]float64{{1}, {2}, {3}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, errs := s.ObserveBatchIndexed([]TicketObservation{
+	applied, errs := s.observeBatch("jobs", []ticketObservation{
 		{TicketID: tks[0].ID, Outcome: &Outcome{Runtime: -3}},
 		{TicketID: tks[1].ID, Runtime: 7},
 		{TicketID: tks[2].ID, Runtime: 7, Outcome: &Outcome{Runtime: 8}},
@@ -190,11 +191,12 @@ func TestBadOutcomeDoesNotBurnTicket(t *testing.T) {
 func TestObserveDirectRejectsBadArm(t *testing.T) {
 	s := newTestService(t, ServiceOptions{}, "jobs")
 	for _, arm := range []int{-1, 3, 99} {
-		if err := s.ObserveDirect("jobs", arm, []float64{1}, 5); !errors.Is(err, core.ErrArm) {
-			t.Fatalf("ObserveDirect(arm=%d) = %v, want ErrArm", arm, err)
-		}
 		if err := s.ObserveDirectOutcome("jobs", arm, []float64{1}, Outcome{Runtime: 5}); !errors.Is(err, core.ErrArm) {
 			t.Fatalf("ObserveDirectOutcome(arm=%d) = %v, want ErrArm", arm, err)
+		}
+		ctx := schema.Num(map[string]float64{"x0": 1})
+		if err := s.observeDirect("jobs", arm, nil, &ctx, Outcome{Runtime: 5}); !errors.Is(err, core.ErrArm) {
+			t.Fatalf("observeDirect(arm=%d, context) = %v, want ErrArm", arm, err)
 		}
 	}
 	if n := infoOf(t, s, "jobs").Round; n != 0 {

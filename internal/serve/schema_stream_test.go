@@ -88,7 +88,7 @@ func TestRecommendCtxServesAndObserves(t *testing.T) {
 		t.Fatalf("round = %d", n)
 	}
 	// Direct context observe trains too.
-	if err := s.ObserveDirectOutcomeCtx("typed", 1, ctx, Outcome{Runtime: 80}); err != nil {
+	if err := s.observeDirect("typed", 1, nil, &ctx, Outcome{Runtime: 80}); err != nil {
 		t.Fatal(err)
 	}
 	if n := infoOf(t, s, "typed").Round; n != 2 {
@@ -116,7 +116,7 @@ func TestObserveDirectCtxBadArmKeepsSchema(t *testing.T) {
 	before := infoOf(t, s, "typed").Schema
 	ctx := schema.Context{Numeric: map[string]float64{"num_tasks": 10, "input_mb": 1e6}}
 	for _, arm := range []int{99, -1} {
-		err := s.ObserveDirectOutcomeCtx("typed", arm, ctx, Outcome{Runtime: 5})
+		err := s.observeDirect("typed", arm, nil, &ctx, Outcome{Runtime: 5})
 		if !errors.Is(err, core.ErrArm) {
 			t.Fatalf("arm %d: err = %v, want core.ErrArm", arm, err)
 		}
@@ -159,7 +159,7 @@ func TestRecommendBatchCtxAtomic(t *testing.T) {
 	s := newSchemaService(t, PolicySpec{})
 	good := schema.Context{Numeric: map[string]float64{"num_tasks": 10}}
 	bad := schema.Context{Numeric: map[string]float64{"num_tasks": -1}}
-	_, err := s.RecommendBatchCtx("typed", []schema.Context{good, bad})
+	_, err := s.recommendBatch("typed", nil, []schema.Context{good, bad})
 	if !errors.Is(err, schema.ErrSchemaViolation) {
 		t.Fatalf("bad batch: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestRecommendBatchCtxAtomic(t *testing.T) {
 	if sch.Fields[1].Stats != nil {
 		t.Fatal("failed batch advanced normalization stats")
 	}
-	tks, err := s.RecommendBatchCtx("typed", []schema.Context{good, good, good})
+	tks, err := s.recommendBatch("typed", nil, []schema.Context{good, good, good})
 	if err != nil || len(tks) != 3 {
 		t.Fatalf("batch: %v (%d tickets)", err, len(tks))
 	}

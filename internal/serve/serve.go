@@ -172,11 +172,12 @@ type StreamConfig struct {
 	// derived from it (Schema.EncodedDim) and must be 0 or match.
 	Dim int
 	// Schema optionally declares the stream's feature layout by name:
-	// contexts submitted through RecommendCtx/ObserveDirectOutcomeCtx
-	// (or the HTTP "context" payload) are validated and encoded against
-	// it, and its normalization statistics persist in snapshots. Streams
-	// without a schema serve context calls through an identity schema
-	// (required numeric fields x0..x{dim-1}) and raw vectors unchanged.
+	// contexts submitted through RecommendCtx (or the HTTP "context"
+	// payloads of the recommend and observe routes) are validated and
+	// encoded against it, and its normalization statistics persist in
+	// snapshots. Streams without a schema serve context calls through an
+	// identity schema (required numeric fields x0..x{dim-1}) and raw
+	// vectors unchanged.
 	Schema *schema.Schema
 	// Options are the Algorithm 1 parameters for this stream. They are
 	// ignored when Policy selects a non-Algorithm 1 policy. Their memory
@@ -226,27 +227,27 @@ type Ticket struct {
 	Seq uint64 `json:"-"`
 }
 
-// TicketObservation pairs a ticket with its observation for
-// ObserveBatchIndexed: either a bare measured runtime (the classic
-// form) or a structured Outcome. When Outcome is set it wins;
-// otherwise Runtime is mapped to the default Outcome.
-type TicketObservation struct {
+// ticketObservation is one item of an observe batch: a ticket ID with
+// either a bare measured runtime or a structured Outcome.
+type ticketObservation struct {
 	TicketID string   `json:"ticket"`
 	Runtime  float64  `json:"runtime,omitempty"`
 	Outcome  *Outcome `json:"outcome,omitempty"`
 }
 
-// outcome resolves the observation's effective Outcome, rejecting
-// ambiguous observations that carry both forms — the same rule the
-// single HTTP observe route applies.
-func (o TicketObservation) outcome() (Outcome, error) {
-	if o.Outcome != nil {
-		if o.Runtime != 0 {
-			return Outcome{}, fmt.Errorf("%w: give outcome or runtime, not both", ErrBadOutcome)
-		}
-		return *o.Outcome, nil
+// observedOutcome resolves an observation's effective Outcome and
+// validates it: a bare runtime maps to the default Outcome, and an
+// observation carrying both forms fails with ErrBadOutcome. Every
+// observe route applies this one rule.
+func observedOutcome(runtime float64, o *Outcome) (Outcome, error) {
+	if o == nil {
+		out := Outcome{Runtime: runtime}
+		return out, validateOutcome(out)
 	}
-	return Outcome{Runtime: o.Runtime}, nil
+	if runtime != 0 {
+		return Outcome{}, fmt.Errorf("%w: give outcome or runtime, not both", ErrBadOutcome)
+	}
+	return *o, validateOutcome(*o)
 }
 
 // StreamInfo is a point-in-time summary of one stream.
@@ -751,58 +752,47 @@ func (s *Service) RecommendCtx(name string, ctx schema.Context) (Ticket, error) 
 	return t, nil
 }
 
-// RecommendBatch issues one ticket per feature vector, atomically: the
-// stream lock is held once for the whole batch, so no concurrent request
-// interleaves, and a dimension error anywhere rejects the entire batch
-// before any ticket is issued.
-func (s *Service) RecommendBatch(name string, xs [][]float64) ([]Ticket, error) {
+// recommendBatch issues one ticket per item on the named stream,
+// atomically: the items are the named contexts ctxs when ctxs is
+// non-nil and the raw vectors xs otherwise. The stream lock is held
+// once for the whole batch, and every item is checked first (a raw
+// vector for dimension and finiteness, a context against the schema),
+// so a bad item anywhere rejects the batch, with its index in the
+// error, before any ticket is issued or any normalization statistic
+// advances.
+func (s *Service) recommendBatch(name string, xs [][]float64, ctxs []schema.Context) ([]Ticket, error) {
 	st, err := s.stream(name)
 	if err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for i, x := range xs {
-		if len(x) != st.engine.Dim() {
-			return nil, fmt.Errorf("serve: batch item %d: %w (got %d, want %d)",
-				i, core.ErrDim, len(x), st.engine.Dim())
+	n := len(xs)
+	if ctxs != nil {
+		n = len(ctxs)
+	}
+	for i := 0; i < n; i++ {
+		switch {
+		case ctxs != nil:
+			err = st.sch.ValidateContext(ctxs[i])
+		case len(xs[i]) != st.engine.Dim():
+			err = fmt.Errorf("%w (got %d, want %d)", core.ErrDim, len(xs[i]), st.engine.Dim())
+		default:
+			err = checkFeatures(xs[i])
 		}
-		if err := checkFeatures(x); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("serve: batch item %d: %w", i, err)
 		}
 	}
 	now := s.now()
-	out := make([]Ticket, len(xs))
-	for i, x := range xs {
-		if err := st.issueLocked(now, x, &out[i]); err != nil {
-			return nil, fmt.Errorf("serve: batch item %d: %w", i, err)
+	out := make([]Ticket, n)
+	for i := range out {
+		var x []float64
+		if ctxs != nil {
+			x, err = st.encodeLocked(ctxs[i])
+		} else {
+			x = xs[i]
 		}
-		out[i].ID = ticketID(name, out[i].Seq)
-	}
-	return out, nil
-}
-
-// RecommendBatchCtx issues one ticket per named context, atomically
-// like RecommendBatch: the stream lock is held once, every context is
-// validated against the schema first, and a schema violation anywhere
-// rejects the entire batch — with its item index in the error — before
-// any ticket is issued or any normalization statistic advances.
-func (s *Service) RecommendBatchCtx(name string, ctxs []schema.Context) ([]Ticket, error) {
-	st, err := s.stream(name)
-	if err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i, c := range ctxs {
-		if err := st.sch.ValidateContext(c); err != nil {
-			return nil, fmt.Errorf("serve: batch item %d: %w", i, err)
-		}
-	}
-	now := s.now()
-	out := make([]Ticket, len(ctxs))
-	for i, c := range ctxs {
-		x, err := st.encodeLocked(c)
 		if err == nil {
 			err = st.issueLocked(now, x, &out[i])
 		}
@@ -949,59 +939,51 @@ func (s *Service) Observe(ticketID string, runtime float64) error {
 	return s.ObserveOutcome(ticketID, Outcome{Runtime: runtime})
 }
 
-// ObserveBatchIndexed redeems many tickets, grouping by stream so each
-// stream's lock is taken once. Each observation may carry a bare
-// runtime or a structured Outcome (see TicketObservation). Failed
-// observations do not abort the rest. The returned slice has one entry
-// per input observation — nil when it was applied, its error otherwise
-// — so batch callers can tell exactly which observations landed.
+// observeBatch redeems many tickets on the named stream under one hold
+// of its lock. Failed observations do not abort the rest: the returned
+// slice has one entry per input observation, nil when it was applied
+// and its error otherwise.
 //
-// Each observation is resolved and validated before its ticket, so a
-// malformed observation fails its index with ErrBadOutcome whatever
-// the state of its ticket or stream — identical precedence to the
-// single observe paths (pinned by TestObserveErrorConsistency).
-func (s *Service) ObserveBatchIndexed(obs []TicketObservation) (applied int, errs []error) {
+// Each observation is checked before the stream is resolved, in the
+// order every observe path keeps: outcome (ErrBadOutcome), ticket ID
+// (ErrBadTicket), then the ticket's stream, which must be name. So a
+// malformed observation fails its index with ErrBadOutcome whatever its
+// ticket, and a ticket of another stream fails its own index without
+// reaching that stream (pinned by TestObserveErrorConsistency).
+func (s *Service) observeBatch(name string, obs []ticketObservation) (applied int, errs []error) {
 	errs = make([]error, len(obs))
 	outcomes := make([]Outcome, len(obs))
 	seqs := make([]uint64, len(obs))
-	// Group indices by stream, preserving input order within a stream.
-	byStream := make(map[string][]int)
-	for i, o := range obs {
-		out, err := o.outcome()
+	for i, ob := range obs {
+		o, err := observedOutcome(ob.Runtime, ob.Outcome)
+		var owner string
 		if err == nil {
-			err = validateOutcome(out)
+			owner, seqs[i], err = ParseTicketID(ob.TicketID)
 		}
-		if err != nil {
-			errs[i] = err
-			continue
+		if err == nil && owner != name {
+			err = fmt.Errorf("ticket %q belongs to stream %q, not %q", ob.TicketID, owner, name)
 		}
-		outcomes[i] = out
-		name, seq, err := ParseTicketID(o.TicketID)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		seqs[i] = seq
-		byStream[name] = append(byStream[name], i)
+		outcomes[i], errs[i] = o, err
 	}
-	for name, idxs := range byStream {
-		st, err := s.stream(name)
-		if err != nil {
-			for _, i := range idxs {
+	st, err := s.stream(name)
+	if err != nil {
+		for i := range errs {
+			if errs[i] == nil {
 				errs[i] = err
 			}
+		}
+		return 0, errs
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	now := s.now()
+	for i := range obs {
+		if errs[i] != nil {
 			continue
 		}
-		st.mu.Lock()
-		now := s.now()
-		for _, i := range idxs {
-			if err := st.observeTicketLocked(now, seqs[i], outcomes[i]); err != nil {
-				errs[i] = err
-				continue
-			}
+		if errs[i] = st.observeTicketLocked(now, seqs[i], outcomes[i]); errs[i] == nil {
 			applied++
 		}
-		st.mu.Unlock()
 	}
 	return applied, errs
 }
@@ -1013,11 +995,23 @@ func (s *Service) ObserveBatchIndexed(obs []TicketObservation) (applied int, err
 // each selects on x, is scored against arm, and learns from its own
 // reward of the same Outcome.
 func (s *Service) ObserveDirectOutcome(name string, arm int, x []float64, o Outcome) error {
+	return s.observeDirect(name, arm, x, nil, o)
+}
+
+// observeDirect is ObserveDirectOutcome for the raw vector x, or, when
+// ctx is non-nil, for that named context: it is validated and encoded
+// against the stream's schema (advancing its normalization statistics,
+// exactly as the matching RecommendCtx would have) before training the
+// engine. The outcome, the features and the arm are checked first, so a
+// rejected observe advances no statistic.
+func (s *Service) observeDirect(name string, arm int, x []float64, ctx *schema.Context, o Outcome) error {
 	if err := validateOutcome(o); err != nil {
 		return err
 	}
-	if err := checkFeatures(x); err != nil {
-		return err
+	if ctx == nil {
+		if err := checkFeatures(x); err != nil {
+			return err
+		}
 	}
 	st, err := s.stream(name)
 	if err != nil {
@@ -1025,45 +1019,14 @@ func (s *Service) ObserveDirectOutcome(name string, arm int, x []float64, o Outc
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.observeDirectLocked(arm, x, o)
-}
-
-// ObserveDirect is ObserveDirectOutcome with a bare measured runtime,
-// kept for pre-Outcome callers.
-func (s *Service) ObserveDirect(name string, arm int, x []float64, runtime float64) error {
-	return s.ObserveDirectOutcome(name, arm, x, Outcome{Runtime: runtime})
-}
-
-// ObserveDirectOutcomeCtx is ObserveDirectOutcome for a named context:
-// the context is validated and encoded against the stream's schema
-// (advancing its normalization statistics, exactly as the matching
-// RecommendCtx would have) before training the engine. The outcome and
-// the arm are checked first, so a rejected observe advances no
-// statistic.
-func (s *Service) ObserveDirectOutcomeCtx(name string, arm int, ctx schema.Context, o Outcome) error {
-	if err := validateOutcome(o); err != nil {
-		return err
+	if ctx != nil {
+		if err := st.checkArmLocked(arm); err != nil {
+			return err
+		}
+		if x, err = st.encodeLocked(*ctx); err != nil {
+			return err
+		}
 	}
-	st, err := s.stream(name)
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.checkArmLocked(arm); err != nil {
-		return err
-	}
-	x, err := st.encodeLocked(ctx)
-	if err != nil {
-		return err
-	}
-	return st.observeDirectLocked(arm, x, o)
-}
-
-// observeDirectLocked trains on a caller-tracked triple and runs the
-// one-shot shadow round. Callers hold st.mu and have already validated
-// the outcome.
-func (st *stream) observeDirectLocked(arm int, x []float64, o Outcome) error {
 	if err := st.applyOutcomeLocked(arm, x, o); err != nil {
 		return err
 	}

@@ -125,7 +125,7 @@ func TestTicketIDRoundTrip(t *testing.T) {
 func TestNonFiniteFeaturesRefusedAtEntry(t *testing.T) {
 	s := newTestService(t, ServiceOptions{}, "j")
 	for i := 1; i <= 5; i++ {
-		if err := s.ObserveDirect("j", 0, []float64{float64(i)}, 3*float64(i)+5); err != nil {
+		if err := s.ObserveDirectOutcome("j", 0, []float64{float64(i)}, Outcome{Runtime: 3*float64(i) + 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,11 +139,11 @@ func TestNonFiniteFeaturesRefusedAtEntry(t *testing.T) {
 		if tk, err := s.Recommend("j", x); !errors.Is(err, core.ErrBadValue) {
 			t.Fatalf("Recommend(%v) = %+v, %v; want core.ErrBadValue", x, tk, err)
 		}
-		if _, err := s.RecommendBatch("j", [][]float64{{1}, x}); !errors.Is(err, core.ErrBadValue) {
-			t.Fatalf("RecommendBatch with %v: %v, want core.ErrBadValue", x, err)
+		if _, err := s.recommendBatch("j", [][]float64{{1}, x}, nil); !errors.Is(err, core.ErrBadValue) {
+			t.Fatalf("recommendBatch with %v: %v, want core.ErrBadValue", x, err)
 		}
-		if err := s.ObserveDirect("j", 0, x, 5); !errors.Is(err, core.ErrBadValue) {
-			t.Fatalf("ObserveDirect(%v): %v, want core.ErrBadValue", x, err)
+		if err := s.ObserveDirectOutcome("j", 0, x, Outcome{Runtime: 5}); !errors.Is(err, core.ErrBadValue) {
+			t.Fatalf("ObserveDirectOutcome(%v): %v, want core.ErrBadValue", x, err)
 		}
 		if _, err := s.PredictAll("j", x); !errors.Is(err, core.ErrBadValue) {
 			t.Fatalf("PredictAll(%v): %v, want core.ErrBadValue", x, err)
@@ -302,13 +302,13 @@ func TestExpiredTicketsLeaveReads(t *testing.T) {
 func TestBatchOps(t *testing.T) {
 	s := newTestService(t, ServiceOptions{}, "jobs")
 	xs := [][]float64{{1}, {2}, {3}}
-	tks, err := s.RecommendBatch("jobs", xs)
+	tks, err := s.recommendBatch("jobs", xs, nil)
 	if err != nil || len(tks) != 3 {
 		t.Fatalf("batch: %v, %d tickets", err, len(tks))
 	}
 	// A dimension error anywhere rejects the whole batch atomically.
 	before, _ := s.StreamInfo("jobs")
-	if _, err := s.RecommendBatch("jobs", [][]float64{{1}, {2, 9}}); !errors.Is(err, core.ErrDim) {
+	if _, err := s.recommendBatch("jobs", [][]float64{{1}, {2, 9}}, nil); !errors.Is(err, core.ErrDim) {
 		t.Fatalf("bad batch: %v, want ErrDim", err)
 	}
 	after, _ := s.StreamInfo("jobs")
@@ -316,24 +316,33 @@ func TestBatchOps(t *testing.T) {
 		t.Fatalf("failed batch issued tickets: %+v -> %+v", before, after)
 	}
 
-	obs := []TicketObservation{
+	obs := []ticketObservation{
 		{TicketID: tks[0].ID, Runtime: 10},
 		{TicketID: "garbage", Runtime: 1},
 		{TicketID: tks[1].ID, Runtime: 20},
 		{TicketID: tks[0].ID, Runtime: 10}, // double
-		{TicketID: "ghost#1", Runtime: 1},  // unknown stream
+		{TicketID: "ghost#1", Runtime: 1},  // another stream's ticket
 	}
-	applied, errs := s.ObserveBatchIndexed(obs)
+	applied, errs := s.observeBatch("jobs", obs)
 	if applied != 2 {
 		t.Fatalf("applied = %d, want 2", applied)
 	}
-	for i, want := range []error{nil, ErrBadTicket, nil, ErrTicketNotFound, ErrStreamNotFound} {
+	for i, want := range []error{nil, ErrBadTicket, nil, ErrTicketNotFound} {
 		if (want == nil) != (errs[i] == nil) || (want != nil && !errors.Is(errs[i], want)) {
 			t.Fatalf("observation %d: err = %v, want %v", i, errs[i], want)
 		}
 	}
+	if want := `ticket "ghost#1" belongs to stream "ghost", not "jobs"`; errs[4] == nil || errs[4].Error() != want {
+		t.Fatalf("observation 4: err = %v, want %q", errs[4], want)
+	}
 	if n := infoOf(t, s, "jobs").Round; n != 2 {
 		t.Fatalf("round = %d, want 2", n)
+	}
+	// A route stream that does not exist fails each well-formed
+	// observation of its own tickets by index.
+	applied, errs = s.observeBatch("ghost", []ticketObservation{{TicketID: "ghost#1", Runtime: 1}, {TicketID: tks[2].ID, Runtime: -1}})
+	if applied != 0 || !errors.Is(errs[0], ErrStreamNotFound) || !errors.Is(errs[1], ErrBadOutcome) {
+		t.Fatalf("unknown route stream: applied %d, errs %v", applied, errs)
 	}
 }
 

@@ -137,10 +137,10 @@ func buildGoldenDelta(t *testing.T) []byte {
 			Numeric:     map[string]float64{"num_tasks": float64(10 + i*31%200), "input_mb": float64(3 + i*17%500)},
 			Categorical: map[string]string{"site": []string{"expanse", "nautilus", "local"}[i%3]},
 		}
-		if err := peer.ObserveDirectOutcomeCtx("typed", i%len(testHW()), ctx, Outcome{Runtime: float64(12 + i%11*5)}); err != nil {
+		if err := peer.observeDirect("typed", i%len(testHW()), nil, &ctx, Outcome{Runtime: float64(12 + i%11*5)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := peer.ObserveDirect("plain", i%len(testHW()), []float64{float64(i%7 + 1)}, float64(25+i%6*9)); err != nil {
+		if err := peer.ObserveDirectOutcome("plain", i%len(testHW()), []float64{float64(i%7 + 1)}, Outcome{Runtime: float64(25 + i%6*9)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -633,7 +633,7 @@ func TestSnapshotAdaptiveStreamRoundTrip(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		x := []float64{float64(i%5 + 1)}
 		for _, name := range names {
-			if err := s.ObserveDirect(name, i%3, x, 10+2*x[0]); err != nil {
+			if err := s.ObserveDirectOutcome(name, i%3, x, Outcome{Runtime: 10 + 2*x[0]}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -641,7 +641,7 @@ func TestSnapshotAdaptiveStreamRoundTrip(t *testing.T) {
 	// Push the reset stream's arm 0 through a drift so detections and
 	// resets are non-zero in the snapshot.
 	for i := 0; i < 20; i++ {
-		if err := s.ObserveDirect("reset", 0, []float64{3}, 500); err != nil {
+		if err := s.ObserveDirectOutcome("reset", 0, []float64{3}, Outcome{Runtime: 500}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -687,10 +687,10 @@ func TestSnapshotAdaptiveStreamRoundTrip(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		x := []float64{float64(i%5 + 1)}
 		for _, name := range []string{"window", "window-ucb"} {
-			if err := s.ObserveDirect(name, 1, x, 100+5*x[0]); err != nil {
+			if err := s.ObserveDirectOutcome(name, 1, x, Outcome{Runtime: 100 + 5*x[0]}); err != nil {
 				t.Fatal(err)
 			}
-			if err := back.ObserveDirect(name, 1, x, 100+5*x[0]); err != nil {
+			if err := back.ObserveDirectOutcome(name, 1, x, Outcome{Runtime: 100 + 5*x[0]}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -56,7 +56,7 @@ func TestConcurrentServeStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if err := s.ObserveDirect("s3", i%3, []float64{1, float64(i % 4)}, 2.0); err != nil {
+			if err := s.ObserveDirectOutcome("s3", i%3, []float64{1, float64(i % 4)}, Outcome{Runtime: 2.0}); err != nil {
 				t.Error(err)
 				return
 			}

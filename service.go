@@ -133,10 +133,6 @@ type ArmInfo = serve.ArmInfo
 // Service.Observe.
 type Ticket = serve.Ticket
 
-// TicketObservation pairs a ticket ID with a measured runtime for
-// Service.ObserveBatchIndexed.
-type TicketObservation = serve.TicketObservation
-
 // StreamInfo is a point-in-time summary of one stream.
 type StreamInfo = serve.StreamInfo
 
@@ -176,7 +172,10 @@ var (
 
 // NewService constructs an empty serving layer. Register streams with
 // CreateStream, then drive them with Recommend/Observe (ticket flow),
-// RecommendBatch/ObserveBatchIndexed, or ObserveDirect (caller-tracked flow).
+// their RecommendInto/ObserveSeq forms (zero-allocation ticket flow), or
+// ObserveDirectOutcome (caller-tracked flow). The HTTP batch routes
+// (ServiceHandler) issue and redeem many tickets of one stream per
+// request.
 func NewService(opts ServiceOptions) *Service { return serve.NewService(opts) }
 
 // LoadService restores a service from a snapshot written by

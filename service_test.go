@@ -2,8 +2,13 @@ package banditware
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -57,17 +62,33 @@ func TestServicePublicRoundTrip(t *testing.T) {
 			t.Fatalf("stream %s exploits arm %d, want 2", name, arm)
 		}
 	}
-	// Batch path.
-	tks, err := svc.RecommendBatch("bp3d", [][]float64{{10}, {20}})
-	if err != nil || len(tks) != 2 {
-		t.Fatalf("batch: %v", err)
+	// Batch path, served by the HTTP front-end.
+	h := ServiceHandler(svc)
+	post := func(path, body string, out any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	applied, errs := svc.ObserveBatchIndexed([]TicketObservation{
-		{TicketID: tks[0].ID, Runtime: 70},
-		{TicketID: tks[1].ID, Runtime: 120},
-	})
-	if applied != 2 {
-		t.Fatalf("observe batch: %d, %v", applied, errs)
+	var batch struct {
+		Tickets []Ticket `json:"tickets"`
+	}
+	post("/v1/streams/bp3d/recommend/batch", `{"batch":[[10],[20]]}`, &batch)
+	if len(batch.Tickets) != 2 {
+		t.Fatalf("batch: %d tickets", len(batch.Tickets))
+	}
+	var observed struct {
+		Applied int `json:"applied"`
+	}
+	post("/v1/streams/bp3d/observe/batch", fmt.Sprintf(`{"observations":[{"ticket":%q,"runtime":70},{"ticket":%q,"runtime":120}]}`,
+		batch.Tickets[0].ID, batch.Tickets[1].ID), &observed)
+	if observed.Applied != 2 {
+		t.Fatalf("observe batch: applied %d", observed.Applied)
 	}
 	// Snapshot round trip preserves model state.
 	var buf bytes.Buffer
