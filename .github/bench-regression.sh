@@ -13,23 +13,25 @@
 # Environment knobs:
 #   BENCH_PATTERN  benchmark regexp  (default: the serve hot-path set,
 #                  the per-policy RecommendObserveSeqPolicies cycle, the
-#                  full-ledger RecommendObserveFullLedger cycle and the
-#                  schema's validate + encode, SchemaEncode)
+#                  full-ledger RecommendObserveFullLedger cycle, the
+#                  schema's validate + encode, SchemaEncode, and the
+#                  fleet router's recommend+observe hop, RouterHop)
 #   BENCH_COUNT    repetitions       (default 6)
 #   BENCH_TIME     -benchtime value  (default 20000x — fixed iteration
 #                  counts keep run lengths comparable across builds)
 #   BENCH_PKGS     packages to bench (default: the root package, which
 #                  holds BenchmarkRecommendCtx/BenchmarkObserveOutcome/
 #                  BenchmarkSchemaEncode,
-#                  plus ./internal/serve/ with the contention set)
+#                  plus ./internal/serve/ with the contention set and
+#                  ./internal/dist/ with BenchmarkRouterHop)
 set -euo pipefail
 
 base_ref=${1:-${GITHUB_BASE_REF:+origin/$GITHUB_BASE_REF}}
 base_ref=${base_ref:-origin/main}
-pattern=${BENCH_PATTERN:-'ParallelRecommendObserve|RecommendCtx$|ObserveOutcome$|RecommendObserveSeqPolicies|RecommendObserveFullLedger|SchemaEncode$'}
+pattern=${BENCH_PATTERN:-'ParallelRecommendObserve|RecommendCtx$|ObserveOutcome$|RecommendObserveSeqPolicies|RecommendObserveFullLedger|SchemaEncode$|RouterHop$'}
 count=${BENCH_COUNT:-6}
 benchtime=${BENCH_TIME:-20000x}
-pkgs=${BENCH_PKGS:-'./ ./internal/serve/'}
+pkgs=${BENCH_PKGS:-'./ ./internal/serve/ ./internal/dist/'}
 
 merge_base=$(git merge-base HEAD "$base_ref")
 echo "benchdiff: comparing HEAD against merge base $merge_base ($base_ref)" >&2

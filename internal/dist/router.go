@@ -3,10 +3,10 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"sort"
 	"strings"
@@ -42,15 +42,17 @@ type RouterOptions struct {
 type Router struct {
 	monitor *Monitor
 
-	mu      sync.RWMutex
-	ring    *Ring
-	proxies map[string]*httputil.ReverseProxy
-	stats   map[string]*proxyStats
+	mu   sync.RWMutex
+	ring *Ring
+	// members holds each member's forwarder and counters; the map is
+	// fixed at construction.
+	members map[string]*memberProxy
 
 	handler http.Handler
 }
 
-type proxyStats struct {
+type memberProxy struct {
+	fwd      *forwarder
 	requests atomic.Uint64
 	errors   atomic.Uint64
 }
@@ -71,29 +73,16 @@ func NewRouter(members []string, opts RouterOptions) (*Router, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("dist: router needs at least one member")
 	}
-	rt := &Router{
-		proxies: make(map[string]*httputil.ReverseProxy, len(members)),
-		stats:   make(map[string]*proxyStats, len(members)),
-	}
+	rt := &Router{members: make(map[string]*memberProxy, len(members))}
 	for _, m := range members {
 		u, err := url.Parse(m)
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("dist: member %q is not an absolute URL", m)
 		}
-		member := m
-		p := httputil.NewSingleHostReverseProxy(u)
-		p.BufferPool = proxyBuffers{}
-		p.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-			rt.stat(member).errors.Add(1)
-			// Converge faster than the poll interval: a transport error is
-			// a strong down signal, so re-probe (and re-ring) right away.
-			go rt.monitor.CheckNow()
-			writeJSON(w, http.StatusBadGateway, map[string]string{
-				"error": fmt.Sprintf("replica %s unreachable: %v", member, err),
-			})
+		if u.Scheme != "http" {
+			return nil, fmt.Errorf("dist: member %q: the router forwards plain http only", m)
 		}
-		rt.proxies[member] = p
-		rt.stats[member] = &proxyStats{}
+		rt.members[m] = &memberProxy{fwd: newForwarder(u)}
 	}
 	rt.monitor = NewMonitor(members, opts.PollInterval)
 	rt.monitor.OnChange = func(ready []string) { rt.setRing(ready) }
@@ -102,25 +91,15 @@ func NewRouter(members []string, opts RouterOptions) (*Router, error) {
 	return rt, nil
 }
 
-// Start begins membership polling; Stop ends it.
+// Start begins membership polling. Stop ends it and closes the idle
+// member connections; a request after Stop dials afresh.
 func (rt *Router) Start() { rt.monitor.Start() }
-func (rt *Router) Stop()  { rt.monitor.Stop() }
-
-// proxyBufSize sizes the proxies' pooled response copy buffers. Replica
-// responses fit in one; a larger response takes more copy rounds.
-const proxyBufSize = 4 << 10
-
-var proxyBufPool = sync.Pool{New: func() any {
-	b := make([]byte, proxyBufSize)
-	return &b
-}}
-
-// proxyBuffers serves httputil.ReverseProxy's copy buffers from
-// proxyBufPool instead of a fresh 32 KiB per request.
-type proxyBuffers struct{}
-
-func (proxyBuffers) Get() []byte  { return *proxyBufPool.Get().(*[]byte) }
-func (proxyBuffers) Put(b []byte) { proxyBufPool.Put(&b) }
+func (rt *Router) Stop() {
+	rt.monitor.Stop()
+	for _, mp := range rt.members {
+		mp.fwd.closeIdle()
+	}
+}
 
 // CheckNow forces one synchronous membership probe and returns the
 // resulting ready set (tests and chaos drills use it to converge
@@ -143,12 +122,29 @@ func (rt *Router) currentRing() *Ring {
 	return rt.ring
 }
 
-func (rt *Router) stat(member string) *proxyStats { return rt.stats[member] }
-
-// forward proxies the request to member.
-func (rt *Router) forward(member string, w http.ResponseWriter, r *http.Request) {
-	rt.stat(member).requests.Add(1)
-	rt.proxies[member].ServeHTTP(w, r)
+// forward proxies the request to member. body, when non-nil, is the
+// request body the router has already read; otherwise r.Body streams.
+// A transport failure answers 502, counts against the member and
+// re-probes the fleet at once: it is a strong down signal, and the
+// ring should converge faster than the poll interval.
+func (rt *Router) forward(member string, w http.ResponseWriter, r *http.Request, body []byte) {
+	mp := rt.members[member]
+	mp.requests.Add(1)
+	err := mp.fwd.forward(w, r, body)
+	switch {
+	case err == nil:
+	case errors.As(err, new(bodyReadError)):
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	case r.Context().Err() != nil:
+		// The client went away; the member did not fail.
+		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
+	default:
+		mp.errors.Add(1)
+		go rt.monitor.CheckNow()
+		writeJSON(w, http.StatusBadGateway, map[string]string{
+			"error": fmt.Sprintf("replica %s unreachable: %v", member, err),
+		})
+	}
 }
 
 // ownerOf picks the ready owner for a stream key, or "" when the fleet
@@ -161,7 +157,7 @@ func (rt *Router) buildHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
-			"status": "ok", "replicas": len(rt.proxies), "ready": len(rt.currentRing().Members()),
+			"status": "ok", "replicas": len(rt.members), "ready": len(rt.currentRing().Members()),
 		})
 	})
 	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -226,7 +222,7 @@ func (rt *Router) buildHandler() http.Handler {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no ready replicas"})
 			return
 		}
-		rt.forward(member, w, r)
+		rt.forward(member, w, r, nil)
 	})
 	return mux
 }
@@ -256,9 +252,9 @@ func (rt *Router) handleReplicas(w http.ResponseWriter) {
 	out := make([]ReplicaInfo, len(states))
 	for i, st := range states {
 		out[i] = ReplicaInfo{MemberState: st}
-		if ps := rt.stats[st.URL]; ps != nil {
-			out[i].Requests = ps.requests.Load()
-			out[i].Errors = ps.errors.Load()
+		if mp := rt.members[st.URL]; mp != nil {
+			out[i].Requests = mp.requests.Load()
+			out[i].Errors = mp.errors.Load()
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"replicas": out})
@@ -270,9 +266,8 @@ func (rt *Router) handleReplicas(w http.ResponseWriter) {
 // not moved the stream — after a rebalance the new owner answers 404
 // and the client re-recommends, the documented degraded mode).
 func (rt *Router) handleObserve(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
+	body, ok := readBody(w, r, 1<<20)
+	if !ok {
 		return
 	}
 	var req struct {
@@ -296,9 +291,23 @@ func (rt *Router) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no ready replicas"})
 		return
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.ContentLength = int64(len(body))
-	rt.forward(member, w, r)
+	rt.forward(member, w, r, body)
+}
+
+// readBody reads r's body up to limit bytes. It answers 413 for a body
+// over the limit and 400 for one that cannot be read, and reports
+// whether the body was read.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": err.Error()})
+		return nil, false
+	}
+	return body, true
 }
 
 // broadcast fans a request out to every ready replica and reports
@@ -313,9 +322,8 @@ func (rt *Router) broadcast(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no ready replicas"})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
+	body, ok := readBody(w, r, 16<<20)
+	if !ok {
 		return
 	}
 	sort.Strings(members)
@@ -326,7 +334,8 @@ func (rt *Router) broadcast(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make(map[string]result, len(members))
 	for _, m := range members {
-		rt.stat(m).requests.Add(1)
+		mp := rt.members[m]
+		mp.requests.Add(1)
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, m+r.URL.Path, bytes.NewReader(body))
 		if err != nil {
 			results[m] = result{err: err}
@@ -335,7 +344,7 @@ func (rt *Router) broadcast(w http.ResponseWriter, r *http.Request) {
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := rt.monitorClient().Do(req)
 		if err != nil {
-			rt.stat(m).errors.Add(1)
+			mp.errors.Add(1)
 			results[m] = result{err: err}
 			continue
 		}

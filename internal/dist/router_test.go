@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,10 +9,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"banditware/internal/serve"
 )
 
-// routerRequests sums the router's per-member proxied-request counters.
-func routerRequests(t *testing.T, rt *Router) uint64 {
+// replicaRows reads the router's GET /v1/router/replicas rows.
+func replicaRows(t *testing.T, rt *Router) []ReplicaInfo {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/router/replicas", nil))
@@ -23,8 +24,14 @@ func routerRequests(t *testing.T, rt *Router) uint64 {
 	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
 		t.Fatal(err)
 	}
+	return view.Replicas
+}
+
+// routerRequests sums the router's per-member proxied-request counters.
+func routerRequests(t *testing.T, rt *Router) uint64 {
+	t.Helper()
 	var n uint64
-	for _, r := range view.Replicas {
+	for _, r := range replicaRows(t, rt) {
 		n += r.Requests
 	}
 	return n
@@ -246,14 +253,42 @@ func TestRouterDeadMemberAnswers502(t *testing.T) {
 
 // routerPairBytesPin is the heap a router-proxied recommend+observe
 // pair allocates against an in-process replica, router and replica
-// server sides together: measured 22.0-22.1 KB on linux/amd64 with
-// Go 1.24, against 87.6 KB when every proxied request took a fresh
-// 32 KiB copy buffer.
-const routerPairBytesPin = 22300
+// server sides together: measured 14.2 KB on linux/amd64 with Go 1.24
+// since the router forwards over its own pooled connections, against
+// 22.0-22.1 KB through httputil.ReverseProxy with pooled copy buffers
+// and 87.6 KB when every proxied request took a fresh 32 KiB buffer.
+const routerPairBytesPin = 14800
 
-// TestRouterBytesPerProxiedPair pins the router hop's garbage: the
-// pooled proxy buffers keep a proxied recommend+observe well under one
-// 32 KiB copy buffer per request.
+// routerPair drives one recommend and the observe that redeems its
+// ticket through the router handler h, failing tb on a non-200.
+func routerPair(tb testing.TB, h http.Handler) {
+	// http.NewRequest rather than httptest.NewRequest: the latter parses
+	// through a fresh 4 KiB bufio.Reader that is not the router's cost.
+	post := func(path string, body io.Reader) *http.Request {
+		req, err := http.NewRequest(http.MethodPost, "http://router"+path, body)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return req
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, post("/v1/streams/s0/recommend", strings.NewReader(`{"features":[1.5,2]}`)))
+	var tk struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &tk); err != nil || rec.Code != http.StatusOK {
+		tb.Fatalf("recommend: %d %q", rec.Code, rec.Body.Bytes())
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, post("/v1/observe", strings.NewReader(`{"ticket":"`+tk.ID+`","runtime":12.5}`)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("observe: %d %q", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// TestRouterBytesPerProxiedPair pins the router hop's garbage: a
+// proxied recommend+observe stays well under one 32 KiB copy buffer
+// per request.
 func TestRouterBytesPerProxiedPair(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -262,44 +297,43 @@ func TestRouterBytesPerProxiedPair(t *testing.T) {
 	client := &http.Client{Timeout: 5 * time.Second}
 	createStreams(t, client, f.RouterURL(), 1, 2)
 	h := f.Router().Handler()
-	recBody := []byte(`{"features":[1.5,2]}`)
-	// http.NewRequest rather than httptest.NewRequest: the latter parses
-	// through a fresh 4 KiB bufio.Reader that is not the router's cost.
-	post := func(path string, body io.Reader) *http.Request {
-		req, err := http.NewRequest(http.MethodPost, "http://router"+path, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return req
-	}
-	pair := func() {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, post("/v1/streams/s0/recommend", bytes.NewReader(recBody)))
-		var tk struct {
-			ID string `json:"id"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &tk); err != nil || rec.Code != http.StatusOK {
-			t.Fatalf("recommend: %d %q", rec.Code, rec.Body.Bytes())
-		}
-		rec = httptest.NewRecorder()
-		h.ServeHTTP(rec, post("/v1/observe", strings.NewReader(`{"ticket":"`+tk.ID+`","runtime":12.5}`)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("observe: %d %q", rec.Code, rec.Body.Bytes())
-		}
-	}
 	for i := 0; i < 256; i++ {
-		pair()
+		routerPair(t, h)
 	}
 	const n = 1000
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < n; i++ {
-		pair()
+		routerPair(t, h)
 	}
 	runtime.ReadMemStats(&m1)
 	got := float64(m1.TotalAlloc-m0.TotalAlloc) / n
 	t.Logf("%.0f B per proxied recommend+observe", got)
 	if got > routerPairBytesPin {
 		t.Errorf("%.0f B per proxied recommend+observe, pinned at %d — the router hop regressed", got, routerPairBytesPin)
+	}
+}
+
+// BenchmarkRouterHop measures one recommend plus the observe that
+// redeems it through Router.Handler() against one in-process replica
+// on loopback: the router hop with the replica's HTTP handling behind
+// it, without the client's transport in front.
+func BenchmarkRouterHop(b *testing.B) {
+	f, err := NewLocalFleet(FleetOptions{Replicas: 1, SyncInterval: -1, PollInterval: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Replica(0).Service().CreateStream("s0", serve.StreamConfig{Hardware: testHW(), Dim: 2}); err != nil {
+		b.Fatal(err)
+	}
+	h := f.Router().Handler()
+	for i := 0; i < 256; i++ {
+		routerPair(b, h)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		routerPair(b, h)
 	}
 }

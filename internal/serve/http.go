@@ -527,9 +527,9 @@ func handleRecommend(svc *Service, w http.ResponseWriter, r *http.Request) {
 }
 
 type recommendBatchRequest struct {
-	// Batch is the raw vector form; Contexts the named form. Exactly one
-	// must be given (a non-empty one, for symmetry with the single
-	// recommend route).
+	// Batch is the raw vector form; Contexts the named form. Giving both
+	// is a 400. An empty or absent batch issues nothing and answers 200
+	// with an empty ticket list (404 still for an unknown stream).
 	Batch    [][]float64      `json:"batch,omitempty"`
 	Contexts []schema.Context `json:"contexts,omitempty"`
 }
