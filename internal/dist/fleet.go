@@ -19,7 +19,7 @@ type FleetOptions struct {
 	// package default; negative disables the loops entirely (tests then
 	// drive replication with SyncAll).
 	SyncInterval time.Duration
-	// PollInterval paces the router's membership monitor (0 = default).
+	// PollInterval paces the router's readiness probes (0 = default).
 	PollInterval time.Duration
 }
 

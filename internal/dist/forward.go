@@ -104,6 +104,13 @@ type bodyReadError struct{ err error }
 func (e bodyReadError) Error() string { return "reading request body: " + e.err.Error() }
 func (e bodyReadError) Unwrap() error { return e.err }
 
+// cutResponseError is a member answer that broke off after its status
+// went to the response writer: the writer holds a partial answer.
+type cutResponseError struct{ err error }
+
+func (e cutResponseError) Error() string { return "copying member response: " + e.err.Error() }
+func (e cutResponseError) Unwrap() error { return e.err }
+
 func newForwarder(u *url.URL) *forwarder {
 	addr := u.Host
 	if u.Port() == "" {
@@ -122,7 +129,10 @@ func newForwarder(u *url.URL) *forwarder {
 // otherwise r.Body streams with r.ContentLength. A reused connection
 // that fails before any response byte arrives was most likely closed
 // by the member while idle, so the request goes once more over a fresh
-// dial. A non-nil error means nothing was written to w.
+// dial. A non-nil error means nothing was written to w, except a
+// cutResponseError: the answer broke off after its status was written.
+// An exchange cut short by the end of r's context reports the
+// context's error.
 func (f *forwarder) forward(w http.ResponseWriter, r *http.Request, body []byte) error {
 	sb := sentBody{buf: body}
 	n := int64(len(body))
@@ -156,10 +166,14 @@ func (f *forwarder) forward(w http.ResponseWriter, r *http.Request, body []byte)
 				f.closeIdle() // idle longer than bc, so as likely stale
 				continue
 			}
+			if ctx.Err() != nil {
+				// Closing bc at the context's end left a bare "use of
+				// closed network connection"; name the cause instead.
+				return ctx.Err()
+			}
 			return err
 		}
-		f.copyResponse(w, r, bc, resp, stop)
-		return nil
+		return f.copyResponse(w, bc, resp, stop)
 	}
 }
 
@@ -267,8 +281,9 @@ func (f *forwarder) exchange(bc *backendConn, r *http.Request, body *sentBody, n
 
 // copyResponse copies the member's status, end-to-end headers and
 // body to w, streaming a body of unknown length as it arrives, and
-// pools bc when the exchange left it reusable.
-func (f *forwarder) copyResponse(w http.ResponseWriter, r *http.Request, bc *backendConn, resp *http.Response, stop func() bool) {
+// pools bc when the exchange left it reusable. A body that breaks off
+// returns a cutResponseError.
+func (f *forwarder) copyResponse(w http.ResponseWriter, bc *backendConn, resp *http.Response, stop func() bool) error {
 	h := w.Header()
 	skip := withConnectionTokens(hopHeaders, resp.Header)
 	for k, vv := range resp.Header {
@@ -285,12 +300,7 @@ func (f *forwarder) copyResponse(w http.ResponseWriter, r *http.Request, bc *bac
 	if err := copyBody(w, resp.Body, resp.ContentLength < 0); err != nil {
 		stop()
 		bc.Close()
-		// The status is out; abort so the client sees a broken
-		// response rather than a short one that looks whole.
-		if r.Context().Value(http.ServerContextKey) != nil {
-			panic(http.ErrAbortHandler)
-		}
-		return
+		return cutResponseError{err}
 	}
 	resp.Body.Close()
 	// Bytes past the response are not an answer to anything: a
@@ -300,6 +310,7 @@ func (f *forwarder) copyResponse(w http.ResponseWriter, r *http.Request, bc *bac
 	} else {
 		bc.Close()
 	}
+	return nil
 }
 
 // copyBody copies src to w, flushing after every write when flush is

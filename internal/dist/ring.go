@@ -4,11 +4,11 @@
 // / ApplyDelta) so every member converges toward the model a single
 // node would have learned from the union of the traffic.
 //
-// The pieces compose but stand alone: Ring is the hash ring, Monitor
-// the readiness-polling membership view, Replica wraps a service with
-// the fleet sync endpoints and push loop, Router fronts the fleet, and
-// LocalFleet wires N replicas plus a router onto loopback listeners
-// for tests, benchmarks, and the bwload fleet target.
+// The pieces compose but stand alone: Ring is the hash ring, Replica
+// wraps a service with the fleet sync endpoints and push loop, Router
+// fronts the fleet and polls its members' readiness, and LocalFleet
+// wires N replicas plus a router onto loopback listeners for tests,
+// benchmarks, and the bwload fleet target.
 package dist
 
 import (

@@ -2,12 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,9 +19,17 @@ import (
 	"banditware/internal/serve"
 )
 
+// defaultPollInterval is how often the router re-probes its members
+// when the caller does not say.
+const defaultPollInterval = 2 * time.Second
+
+// probeTimeout bounds a readiness probe: a probe that takes seconds is a
+// failure in itself.
+const probeTimeout = 2 * time.Second
+
 // RouterOptions configure a fleet router.
 type RouterOptions struct {
-	// PollInterval paces the membership monitor (0 = default).
+	// PollInterval paces the readiness probes (0 = default).
 	PollInterval time.Duration
 }
 
@@ -29,10 +39,10 @@ type RouterOptions struct {
 // (POST /v1/observe) routes by the stream name embedded in the ticket
 // ID, and stream creation/deletion — like arm-set churn (add, drain,
 // promote, retire) — broadcasts so every replica serves the same stream
-// set with the same arm count. When a replica stops answering its readiness
-// probe the ring is rebuilt without it and its streams rebalance onto
-// the survivors — which already hold the stream's model via delta
-// replication.
+// set with the same arm count. The router polls each member's
+// GET /v1/readyz; when a replica stops answering 200 the ring is
+// rebuilt without it and its streams rebalance onto the survivors —
+// which already hold the stream's model via delta replication.
 //
 // Router-specific routes:
 //
@@ -40,28 +50,52 @@ type RouterOptions struct {
 //	GET /v1/healthz           router liveness
 //	GET /v1/readyz            503 until at least one replica is ready
 type Router struct {
-	monitor *Monitor
+	interval time.Duration
+	// members maps each member URL to its record, and order lists the
+	// records sorted by URL; both are fixed at construction.
+	members map[string]*member
+	order   []*member
 
-	mu   sync.RWMutex
+	// probeMu orders probe rounds: each applies its verdicts in the
+	// order the rounds took the lock, never interleaved.
+	probeMu sync.Mutex
+
+	mu   sync.RWMutex // guards ring, every member's state, stop and done
 	ring *Ring
-	// members holds each member's forwarder and counters; the map is
-	// fixed at construction.
-	members map[string]*memberProxy
+	stop chan struct{}
+	done chan struct{}
 
 	handler http.Handler
 }
 
-type memberProxy struct {
+// member is one replica as the router knows it: the forwarder that
+// carries its proxied requests, broadcasts and readiness probes, the
+// proxy counters, and the last probe's verdict.
+type member struct {
 	fwd      *forwarder
 	requests atomic.Uint64
 	errors   atomic.Uint64
+	state    MemberState // guarded by Router.mu
+}
+
+// MemberState is one member's last observed health.
+type MemberState struct {
+	URL string `json:"url"`
+	// Ready mirrors the member's GET /v1/readyz: true only when the
+	// probe returned 200 (alive and not mid-restore).
+	Ready bool `json:"ready"`
+	// Error is the last probe failure ("" when Ready; an HTTP status or
+	// transport error otherwise).
+	Error       string    `json:"error,omitempty"`
+	LastChecked time.Time `json:"last_checked"`
 }
 
 // ReplicaInfo is one member's row in GET /v1/router/replicas.
 type ReplicaInfo struct {
 	MemberState
-	// Requests counts proxied requests (broadcasts included), Errors the
-	// ones that failed at the transport (the backend was unreachable).
+	// Requests counts proxied requests (broadcasts included, readiness
+	// probes not), Errors the ones that failed at the transport (the
+	// backend was unreachable or its answer broke off).
 	Requests uint64 `json:"requests"`
 	Errors   uint64 `json:"errors"`
 }
@@ -73,7 +107,10 @@ func NewRouter(members []string, opts RouterOptions) (*Router, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("dist: router needs at least one member")
 	}
-	rt := &Router{members: make(map[string]*memberProxy, len(members))}
+	rt := &Router{interval: opts.PollInterval, members: make(map[string]*member, len(members))}
+	if rt.interval <= 0 {
+		rt.interval = defaultPollInterval
+	}
 	for _, m := range members {
 		u, err := url.Parse(m)
 		if err != nil || u.Scheme == "" || u.Host == "" {
@@ -82,39 +119,117 @@ func NewRouter(members []string, opts RouterOptions) (*Router, error) {
 		if u.Scheme != "http" {
 			return nil, fmt.Errorf("dist: member %q: the router forwards plain http only", m)
 		}
-		rt.members[m] = &memberProxy{fwd: newForwarder(u)}
+		if rt.members[m] == nil {
+			mp := &member{fwd: newForwarder(u), state: MemberState{URL: m}}
+			rt.members[m] = mp
+			rt.order = append(rt.order, mp)
+		}
 	}
-	rt.monitor = NewMonitor(members, opts.PollInterval)
-	rt.monitor.OnChange = func(ready []string) { rt.setRing(ready) }
-	rt.setRing(members) // optimistic until the first probe
+	sort.Slice(rt.order, func(i, j int) bool { return rt.order[i].state.URL < rt.order[j].state.URL })
+	rt.ring = NewRing(members) // optimistic until the first probe
 	rt.handler = rt.buildHandler()
 	return rt, nil
 }
 
-// Start begins membership polling. Stop ends it and closes the idle
+// Start begins membership polling: one immediate probe round, then one
+// every poll interval. Start after Stop is not supported.
+func (rt *Router) Start() {
+	rt.mu.Lock()
+	if rt.stop != nil {
+		rt.mu.Unlock()
+		return
+	}
+	rt.stop, rt.done = make(chan struct{}), make(chan struct{})
+	stop, done := rt.stop, rt.done
+	rt.mu.Unlock()
+	go func() {
+		defer close(done)
+		rt.CheckNow()
+		t := time.NewTicker(rt.interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				rt.CheckNow()
+			}
+		}
+	}()
+}
+
+// Stop ends polling, waits for the poller to exit and closes the idle
 // member connections; a request after Stop dials afresh.
-func (rt *Router) Start() { rt.monitor.Start() }
 func (rt *Router) Stop() {
-	rt.monitor.Stop()
-	for _, mp := range rt.members {
+	rt.mu.Lock()
+	stop, done := rt.stop, rt.done
+	rt.stop = nil
+	rt.mu.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
+	}
+	for _, mp := range rt.order {
 		mp.fwd.closeIdle()
 	}
 }
 
-// CheckNow forces one synchronous membership probe and returns the
-// resulting ready set (tests and chaos drills use it to converge
-// without waiting out the poll interval).
-func (rt *Router) CheckNow() []string { return rt.monitor.CheckNow() }
+// CheckNow probes every member once, synchronously, rebuilds the ring
+// over the members that answered ready, and returns that set (sorted).
+// Safe from any goroutine: tests and chaos drills use it to converge
+// without waiting out the poll interval, and the proxy error path to
+// converge faster than it.
+func (rt *Router) CheckNow() []string {
+	now := time.Now()
+	failures := make([]string, len(rt.order))
+	var wg sync.WaitGroup
+	for i, mp := range rt.order {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			failures[i] = mp.probe()
+		}()
+	}
+	rt.probeMu.Lock()
+	defer rt.probeMu.Unlock()
+	wg.Wait()
+	var ready []string
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for i, mp := range rt.order {
+		mp.state.Ready, mp.state.Error, mp.state.LastChecked = failures[i] == "", failures[i], now
+		if mp.state.Ready {
+			ready = append(ready, mp.state.URL)
+		}
+	}
+	if !slices.Equal(ready, rt.ring.Members()) {
+		rt.ring = NewRing(ready)
+	}
+	return ready
+}
+
+// probe asks the member's GET /v1/readyz and returns "" for a 200, or
+// the failure: the status line or the transport error. Probes are not
+// proxied requests, so they leave the counters alone.
+func (mp *member) probe() string {
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "/v1/readyz", nil)
+	if err != nil {
+		return err.Error()
+	}
+	var resp bufferedResponse
+	if err := mp.fwd.forward(&resp, req, nil); err != nil {
+		return err.Error()
+	}
+	if resp.code != http.StatusOK {
+		return resp.status()
+	}
+	return ""
+}
 
 // Handler returns the router's HTTP surface.
 func (rt *Router) Handler() http.Handler { return rt.handler }
-
-func (rt *Router) setRing(members []string) {
-	ring := NewRing(members)
-	rt.mu.Lock()
-	rt.ring = ring
-	rt.mu.Unlock()
-}
 
 func (rt *Router) currentRing() *Ring {
 	rt.mu.RLock()
@@ -133,6 +248,12 @@ func (rt *Router) forward(member string, w http.ResponseWriter, r *http.Request,
 	err := mp.fwd.forward(w, r, body)
 	switch {
 	case err == nil:
+	case errors.As(err, new(cutResponseError)):
+		// The status is out; abort so the client sees a broken
+		// response rather than a short one that looks whole.
+		if r.Context().Value(http.ServerContextKey) != nil {
+			panic(http.ErrAbortHandler)
+		}
 	case errors.As(err, new(bodyReadError)):
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 	case r.Context().Err() != nil:
@@ -140,7 +261,7 @@ func (rt *Router) forward(member string, w http.ResponseWriter, r *http.Request,
 		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 	default:
 		mp.errors.Add(1)
-		go rt.monitor.CheckNow()
+		go rt.CheckNow()
 		writeJSON(w, http.StatusBadGateway, map[string]string{
 			"error": fmt.Sprintf("replica %s unreachable: %v", member, err),
 		})
@@ -182,10 +303,12 @@ func (rt *Router) buildHandler() http.Handler {
 
 	// Arm-set changes fan out too: replicated delta merges require every
 	// member to hold the same arm count, so the fleet churns in step. A
-	// partial broadcast answers 502 and is safe to re-issue (duplicate
-	// adds answer 422 on the members that already applied them, repeated
-	// drains 422, repeated retires 404 — the operator resolves from the
-	// per-member detail). Listing (GET .../arms) stays owner-routed.
+	// partial broadcast answers 502. Re-issuing it applies the change on
+	// the members that missed it, while those that already applied it
+	// refuse it (duplicate adds and repeated drains 422, repeated
+	// retires 404): the re-issue answers 502 with that mix in the
+	// per-member detail, from which the operator resolves. Listing
+	// (GET .../arms) stays owner-routed.
 	mux.HandleFunc("POST /v1/streams/{name}/arms", func(w http.ResponseWriter, r *http.Request) {
 		rt.broadcast(w, r)
 	})
@@ -248,15 +371,12 @@ func (rt *Router) anyMember(path string) string {
 }
 
 func (rt *Router) handleReplicas(w http.ResponseWriter) {
-	states := rt.monitor.Snapshot()
-	out := make([]ReplicaInfo, len(states))
-	for i, st := range states {
-		out[i] = ReplicaInfo{MemberState: st}
-		if mp := rt.members[st.URL]; mp != nil {
-			out[i].Requests = mp.requests.Load()
-			out[i].Errors = mp.errors.Load()
-		}
+	out := make([]ReplicaInfo, len(rt.order))
+	rt.mu.RLock()
+	for i, mp := range rt.order {
+		out[i] = ReplicaInfo{MemberState: mp.state, Requests: mp.requests.Load(), Errors: mp.errors.Load()}
 	}
+	rt.mu.RUnlock()
 	writeJSON(w, http.StatusOK, map[string]any{"replicas": out})
 }
 
@@ -310,12 +430,16 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 	return body, true
 }
 
-// broadcast fans a request out to every ready replica and reports
-// per-member results: 200 with the first member's response body when
-// all succeed, 502 with the per-member error map otherwise (a partial
-// broadcast is a fleet inconsistency the operator must resolve —
-// re-issuing the request is safe, creation conflicts answer 409 and
-// deletion misses 404).
+// broadcast fans a request out to every ready replica, in URL order,
+// over the same forwarders that carry proxied requests. When every
+// member answers and they agree — all 2xx, or all the same status — the
+// first member's answer passes through; otherwise the router answers
+// 502 with the per-member detail: a partial broadcast is a fleet
+// inconsistency the operator must resolve. Only a member that could
+// not be reached, or whose answer broke off, counts an error and
+// triggers a re-probe. The exchanges share one deadline, the router
+// server's own write timeout, past which the answer could not be
+// written anyway.
 func (rt *Router) broadcast(w http.ResponseWriter, r *http.Request) {
 	members := rt.currentRing().Members()
 	if len(members) == 0 {
@@ -326,61 +450,82 @@ func (rt *Router) broadcast(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sort.Strings(members)
-	type result struct {
-		status int
-		body   []byte
-		err    error
-	}
-	results := make(map[string]result, len(members))
-	for _, m := range members {
-		mp := rt.members[m]
-		mp.requests.Add(1)
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, m+r.URL.Path, bytes.NewReader(body))
-		if err != nil {
-			results[m] = result{err: err}
-			continue
+	ctx, cancel := context.WithTimeout(r.Context(), serve.DefaultWriteTimeout)
+	defer cancel()
+	fr := r.WithContext(ctx)
+	answers := make([]bufferedResponse, len(members))
+	errs := make([]error, len(members))
+	reached, agree, allOK := true, true, true
+	for i, m := range members {
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			mp := rt.members[m]
+			mp.requests.Add(1)
+			if errs[i] = mp.fwd.forward(&answers[i], fr, body); errs[i] != nil && r.Context().Err() == nil {
+				mp.errors.Add(1)
+			}
 		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := rt.monitorClient().Do(req)
-		if err != nil {
-			mp.errors.Add(1)
-			results[m] = result{err: err}
-			continue
-		}
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		results[m] = result{status: resp.StatusCode, body: b}
+		reached = reached && errs[i] == nil
+		agree = agree && answers[i].code == answers[0].code
+		allOK = allOK && answers[i].code/100 == 2
 	}
-	allOK := true
-	for _, res := range results {
-		if res.err != nil || res.status < 200 || res.status >= 300 {
-			allOK = false
-		}
-	}
-	if allOK {
-		first := results[members[0]]
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(first.status)
-		w.Write(first.body)
+	if err := r.Context().Err(); err != nil {
+		// The client went away; no member failed.
+		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
 	}
-	detail := make(map[string]string, len(results))
-	for m, res := range results {
-		switch {
-		case res.err != nil:
-			detail[m] = res.err.Error()
-		case res.status < 200 || res.status >= 300:
-			detail[m] = fmt.Sprintf("%d: %s", res.status, bytes.TrimSpace(res.body))
+	if reached && (agree || allOK) {
+		answers[0].writeTo(w)
+		return
+	}
+	detail := make(map[string]string, len(members))
+	for i, m := range members {
+		switch a := &answers[i]; {
+		case errs[i] != nil:
+			detail[m] = errs[i].Error()
+		case a.code/100 != 2:
+			detail[m] = fmt.Sprintf("%d: %s", a.code, bytes.TrimSpace(a.body.Bytes()))
 		default:
 			detail[m] = "ok"
 		}
 	}
-	go rt.monitor.CheckNow()
-	writeJSON(w, http.StatusBadGateway, map[string]any{
-		"error":    "broadcast did not reach every replica",
-		"replicas": detail,
-	})
+	msg := "replicas answered differently"
+	if !reached {
+		msg = "broadcast did not reach every replica"
+		go rt.CheckNow()
+	}
+	writeJSON(w, http.StatusBadGateway, map[string]any{"error": msg, "replicas": detail})
 }
 
-func (rt *Router) monitorClient() *http.Client { return rt.monitor.client }
+// bufferedResponse is an http.ResponseWriter that keeps a member's
+// answer in memory: a broadcast compares the answers before it replies,
+// and a readiness probe reads the status.
+type bufferedResponse struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
+}
+
+func (b *bufferedResponse) Header() http.Header {
+	if b.header == nil {
+		b.header = make(http.Header)
+	}
+	return b.header
+}
+
+func (b *bufferedResponse) WriteHeader(code int)        { b.code = code }
+func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
+
+// status renders the answer's status line, as in "503 Service Unavailable".
+func (b *bufferedResponse) status() string {
+	return fmt.Sprintf("%d %s", b.code, http.StatusText(b.code))
+}
+
+// writeTo sends the kept answer to w.
+func (b *bufferedResponse) writeTo(w http.ResponseWriter) {
+	h := w.Header()
+	for k, vv := range b.header {
+		h[k] = vv
+	}
+	w.WriteHeader(b.code)
+	w.Write(b.body.Bytes())
+}
