@@ -41,12 +41,15 @@ trap 'git worktree remove --force "$workdir/base" 2>/dev/null || true; rm -rf "$
 git worktree add --detach "$workdir/base" "$merge_base" >/dev/null
 
 # The replication step, BenchmarkCaptureApplyDelta (one capture, encode
-# and apply over 64 streams per policy, about 3 ms an iteration), runs
-# in the same file at 200 iterations: 20000 would take a minute per run.
+# and apply over 64 streams per policy, about 3 ms an iteration), and
+# the snapshot restore, BenchmarkLoadService (one Load of a stream per
+# policy type, a windowed stream and a shadow, about 2 ms an iteration),
+# run in the same file at 200 iterations: 20000 would take a minute per
+# run.
 run_bench() { # run_bench <dir> <out-file>
   (cd "$1" && go test -run='^$' -bench="$pattern" -benchmem \
       -count="$count" -benchtime="$benchtime" $pkgs &&
-    go test -run='^$' -bench='CaptureApplyDelta$' -benchmem \
+    go test -run='^$' -bench='CaptureApplyDelta$|LoadService$' -benchmem \
       -count="$count" -benchtime=200x ./internal/serve/) | tee "$2"
 }
 

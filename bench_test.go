@@ -12,6 +12,7 @@ package banditware
 
 import (
 	"io"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -433,14 +434,15 @@ func BenchmarkExtensionRegret(b *testing.B) {
 }
 
 // BenchmarkParallelExperiment measures the experiment harness's own
-// multi-core scaling (simulations fan out across workers).
+// multi-core scaling (simulations fan out over GOMAXPROCS workers).
 func BenchmarkParallelExperiment(b *testing.B) {
 	d := bp3dTrace(b)
 	for _, workers := range []int{1, 4} {
 		b.Run(floatName("workers", float64(workers)), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			for i := 0; i < b.N; i++ {
 				_, err := experiment.RunBandit(experiment.BanditConfig{
-					Dataset: d, NRounds: 25, NSim: 8, Seed: 1, Parallel: workers,
+					Dataset: d, NRounds: 25, NSim: 8, Seed: 1,
 					AccuracySample: 200,
 				})
 				if err != nil {

@@ -138,12 +138,11 @@ func runLLM(cfg benchConfig, dir string) (string, error) {
 		return "", err
 	}
 	res, err := experiment.RunBandit(experiment.BanditConfig{
-		Dataset:  d,
-		Options:  core.Options{ToleranceRatio: 0.10},
-		NRounds:  120,
-		NSim:     cfg.sims(20, 5),
-		Seed:     cfg.Seed,
-		Parallel: -1,
+		Dataset: d,
+		Options: core.Options{ToleranceRatio: 0.10},
+		NRounds: 120,
+		NSim:    cfg.sims(20, 5),
+		Seed:    cfg.Seed,
 	})
 	if err != nil {
 		return "", err

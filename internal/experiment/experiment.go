@@ -52,11 +52,6 @@ type BanditConfig struct {
 	// deviations (which keeps early-round fits well-conditioned when
 	// features span many orders of magnitude, as BP3D's do).
 	NoAutoScale bool
-	// Parallel is the number of worker goroutines running simulations
-	// concurrently. Simulations are independent and each derives its own
-	// random stream up front, so results are bit-identical for any
-	// worker count. 0 or 1 runs serially; negative selects GOMAXPROCS.
-	Parallel int
 }
 
 func (c BanditConfig) validate() error {
@@ -199,35 +194,23 @@ func RunBandit(cfg BanditConfig) (*BanditResult, error) {
 		return out
 	}
 
-	workers := cfg.Parallel
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// Simulations fan out over min(GOMAXPROCS, NSim) workers.
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < min(runtime.GOMAXPROCS(0), cfg.NSim); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for sim := range next {
+				outcomes[sim] = runSim(sim)
+			}
+		}()
 	}
-	if workers > cfg.NSim {
-		workers = cfg.NSim
+	for sim := 0; sim < cfg.NSim; sim++ {
+		next <- sim
 	}
-	if workers <= 1 {
-		for sim := 0; sim < cfg.NSim; sim++ {
-			outcomes[sim] = runSim(sim)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for sim := range next {
-					outcomes[sim] = runSim(sim)
-				}
-			}()
-		}
-		for sim := 0; sim < cfg.NSim; sim++ {
-			next <- sim
-		}
-		close(next)
-		wg.Wait()
-	}
+	close(next)
+	wg.Wait()
 
 	for sim := range outcomes {
 		if outcomes[sim].err != nil {

@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 
 	"banditware/internal/core"
 	"banditware/internal/workloads"
 )
 
+// TestParallelMatchesSerial: RunBandit's results are bit-identical
+// whatever the worker count, which follows GOMAXPROCS.
 func TestParallelMatchesSerial(t *testing.T) {
 	d, err := workloads.GenerateCycles(workloads.CyclesOptions{Seed: 41})
 	if err != nil {
@@ -19,16 +22,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 		NSim:    8,
 		Seed:    41,
 	}
-	serial := base
-	serial.Parallel = 1
-	sres, err := RunBandit(serial)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sres, err := RunBandit(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, -1} {
-		par := base
-		par.Parallel = workers
-		pres, err := RunBandit(par)
+	for _, workers := range []int{2, 4} {
+		runtime.GOMAXPROCS(workers)
+		pres, err := RunBandit(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,12 +55,12 @@ func TestParallelMoreWorkersThanSims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	res, err := RunBandit(BanditConfig{
-		Dataset:  d,
-		NRounds:  5,
-		NSim:     2,
-		Seed:     43,
-		Parallel: 64,
+		Dataset: d,
+		NRounds: 5,
+		NSim:    2,
+		Seed:    43,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -154,11 +154,11 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 		Config:       cfg,
 		FeatureNames: ds.FeatureNames,
 		Hardware:     ds.Hardware,
-		Schema:       contextSchema(ds.FeatureNames),
+		Schema:       ContextSchema(ds.FeatureNames),
 	}
 
 	// Stream population with Zipf(s) popularity over ranks.
-	weights := zipfWeights(cfg.Streams, cfg.ZipfSkew)
+	weights := ZipfWeights(cfg.Streams, cfg.ZipfSkew)
 	tr.Streams = make([]StreamSpec, cfg.Streams)
 	for i := range tr.Streams {
 		tr.Streams[i] = StreamSpec{Name: fmt.Sprintf("s%04d", i), Weight: weights[i]}
@@ -178,7 +178,7 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 	tr.Ops = make([]Op, cfg.Requests)
 	for i := range tr.Ops {
 		op := Op{
-			Stream: sampleIndex(cum, r.Float64()),
+			Stream: SampleIndex(cum, r.Float64()),
 		}
 		run := ds.Runs[r.Intn(len(ds.Runs))]
 		op.Features = run.Features
@@ -223,10 +223,10 @@ func generateDataset(app string, seed uint64) (*workloads.Dataset, error) {
 	}
 }
 
-// contextSchema declares the named feature layout the streams serve
+// ContextSchema declares the named feature layout the streams serve
 // under: one required numeric field per workload feature, so every
 // named-context request exercises schema validation and encoding.
-func contextSchema(names []string) *schema.Schema {
+func ContextSchema(names []string) *schema.Schema {
 	fields := make([]schema.Field, len(names))
 	for i, n := range names {
 		fields[i] = schema.Field{Name: n, Required: true}
@@ -234,9 +234,9 @@ func contextSchema(names []string) *schema.Schema {
 	return &schema.Schema{Fields: fields}
 }
 
-// zipfWeights returns the normalized Zipf(s) probability masses for n
+// ZipfWeights returns the normalized Zipf(s) probability masses for n
 // ranks: w_i ∝ 1/(i+1)^s.
-func zipfWeights(n int, s float64) []float64 {
+func ZipfWeights(n int, s float64) []float64 {
 	w := make([]float64, n)
 	sum := 0.0
 	for i := range w {
@@ -249,8 +249,8 @@ func zipfWeights(n int, s float64) []float64 {
 	return w
 }
 
-// sampleIndex maps a uniform draw onto the cumulative weight array.
-func sampleIndex(cum []float64, u float64) int {
+// SampleIndex maps a uniform draw onto the cumulative weight array.
+func SampleIndex(cum []float64, u float64) int {
 	i := sort.SearchFloat64s(cum, u)
 	if i >= len(cum) {
 		i = len(cum) - 1

@@ -106,7 +106,7 @@ func TestTraceZipfSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := tr.StreamCounts()
-	weights := zipfWeights(streams, skew)
+	weights := ZipfWeights(streams, skew)
 	for i, w := range weights {
 		got := float64(counts[i]) / requests
 		// Binomial std error ~ sqrt(w/n); 5 sigma plus a small floor.

@@ -99,22 +99,25 @@ func TestSetAdaptationRules(t *testing.T) {
 	}
 }
 
-// TestWindowedPolicySnapshotRoundTrip: the window buffers survive
-// Snapshot/Restore, so a restored policy keeps sliding identically.
-func TestWindowedPolicySnapshotRoundTrip(t *testing.T) {
+// windowedGreedy builds a two-arm greedy policy with a window.
+func windowedGreedy(t *testing.T, window int) *Linear {
+	t.Helper()
 	p, err := NewGreedy(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetAdaptation(1, 6); err != nil {
+	if err := p.SetAdaptation(1, window); err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+// TestWindowedPolicySnapshotRoundTrip: the window buffers survive
+// Snapshot and Load, so a restored policy keeps sliding identically.
+func TestWindowedPolicySnapshotRoundTrip(t *testing.T) {
+	p := windowedGreedy(t, 6)
 	feedRegimes(t, p, 10, 4)
-	st, err := p.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(st)
+	blob, err := json.Marshal(p.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +125,8 @@ func TestWindowedPolicySnapshotRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Restore(decoded)
-	if err != nil {
+	back := windowedGreedy(t, 6)
+	if err := back.Load(decoded); err != nil {
 		t.Fatal(err)
 	}
 	// Continue both with identical updates; windowed eviction must agree.
@@ -137,34 +140,27 @@ func TestWindowedPolicySnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	a, _ := p.PredictAllInto([]float64{7}, nil)
-	b, _ := back.(*Linear).PredictAllInto([]float64{7}, nil)
+	b, _ := back.PredictAllInto([]float64{7}, nil)
 	if a[0] != b[0] {
 		t.Fatalf("restored windowed policy diverged: %v vs %v", a[0], b[0])
 	}
 }
 
 // TestRestoreRejectsCorruptWindowState: mismatched buffer shapes fail
-// loudly instead of silently mis-sliding.
+// loudly instead of silently mis-sliding, as does a window or
+// forgetting factor the loading policy was not built with.
 func TestRestoreRejectsCorruptWindowState(t *testing.T) {
-	p, err := NewGreedy(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetAdaptation(1, 4); err != nil {
-		t.Fatal(err)
-	}
+	p := windowedGreedy(t, 4)
 	feedRegimes(t, p, 6, 0)
-	st, err := p.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, _ := json.Marshal(st)
+	blob, _ := json.Marshal(p.Snapshot())
 	cases := map[string]func(*State){
 		"buffer count":    func(s *State) { s.WindowXs = s.WindowXs[:1] },
 		"xs/ys mismatch":  func(s *State) { s.WindowYs[0] = s.WindowYs[0][:1] },
 		"overfull window": func(s *State) { s.Window = 2 },
 		"feature dim":     func(s *State) { s.WindowXs[0][0] = []float64{1, 2} },
 		"both modes":      func(s *State) { s.Forget = 0.9 },
+		"wider window":    func(s *State) { s.Window = 8 },
+		"no window":       func(s *State) { s.Window, s.WindowXs, s.WindowYs = 0, nil, nil },
 	}
 	for name, corrupt := range cases {
 		var s State
@@ -172,7 +168,7 @@ func TestRestoreRejectsCorruptWindowState(t *testing.T) {
 			t.Fatal(err)
 		}
 		corrupt(&s)
-		if _, err := Restore(s); err == nil {
+		if err := windowedGreedy(t, 4).Load(s); err == nil {
 			t.Fatalf("%s corruption accepted", name)
 		}
 	}

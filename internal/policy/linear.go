@@ -75,6 +75,9 @@ func NewSoftmax(numArms, dim int, temp float64, seed uint64) (*Linear, error) {
 	return newLinear(TypeSoftmax, numArms, dim, temp, seed)
 }
 
+// ErrUnknownType reports a policy type no constructor recognises.
+var ErrUnknownType = errors.New("policy: unknown policy type")
+
 // newLinear validates the rule and its parameter and builds untrained
 // arms. The seed is kept only by the rules that draw randomness.
 func newLinear(kind string, numArms, dim int, param float64, seed uint64) (*Linear, error) {

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"errors"
 	"fmt"
 
 	"banditware/internal/regress"
@@ -20,24 +19,16 @@ const (
 	TypeSoftmax           = "softmax"
 )
 
-// Snapshot/restore errors.
-var (
-	// ErrNoSnapshot is returned by policies whose state cannot be
-	// serialised (the Oracle holds an arbitrary truth function).
-	ErrNoSnapshot = errors.New("policy: policy cannot be snapshotted")
-	// ErrUnknownType is returned by Restore for a State.Type it does not
-	// recognise.
-	ErrUnknownType = errors.New("policy: unknown policy type")
-)
-
 // State is the serialisable learned state of a Policy: the type tag, the
 // construction parameters, and the per-arm estimators. It is the unit the
 // serving layer embeds in versioned service snapshots, so a stream backed
-// by any policy survives save/load with its learned models intact.
+// by any policy survives save/load with its learned models intact. The
+// caller builds the policy State describes, the way it built the
+// original, and Load adopts the learned state into it.
 //
-// Exploration RNG position is not captured: a restored policy draws a
-// fresh stream from the recorded Seed, preserving the distribution of
-// behaviour but not the exact draw sequence (the same contract as
+// Exploration RNG position is not captured: a loaded policy draws a
+// fresh stream from its Seed, preserving the distribution of behaviour
+// but not the exact draw sequence (the same contract as
 // core.Bandit.SaveState).
 //
 // Until marshalled, Arms shares the live estimators of the policy that
@@ -48,8 +39,8 @@ type State struct {
 	// NumArms and Dim fix the policy's shape.
 	NumArms int `json:"num_arms"`
 	Dim     int `json:"dim"`
-	// Seed reseeds the exploration RNG on restore (policies without
-	// randomness ignore it).
+	// Seed is the exploration RNG's seed (policies without randomness
+	// record none).
 	Seed uint64 `json:"seed,omitempty"`
 	// Per-type parameters.
 	Epsilon float64 `json:"epsilon,omitempty"` // eps-greedy
@@ -60,7 +51,7 @@ type State struct {
 	// exponential forgetting factor (omitted when 1 — no forgetting);
 	// Window is the sliding-window length with WindowXs/WindowYs the
 	// live per-arm buffers (omitted when 0). States written before
-	// adaptation existed carry none of these and restore unchanged.
+	// adaptation existed carry none of these and load unchanged.
 	Forget   float64       `json:"forget,omitempty"`
 	Window   int           `json:"window,omitempty"`
 	WindowXs [][][]float64 `json:"window_xs,omitempty"`
@@ -87,15 +78,32 @@ func (st *State) param() *float64 {
 	return nil
 }
 
-// Snapshotter is implemented by every policy whose learned state can be
-// serialised and later restored with Restore.
-type Snapshotter interface {
-	Snapshot() (State, error)
+// header is the part of a State its policy's construction fixes:
+// type, shape, seed, the rule's parameter and the adaptation mode.
+type header struct {
+	Type                       string
+	NumArms, Dim               int
+	Seed                       uint64
+	Epsilon, Beta, Scale, Temp float64
+	Forget                     float64
+	Window                     int
 }
 
-// Snapshot implements Snapshotter. Only the rules that draw randomness
-// record their seed.
-func (l *Linear) Snapshot() (State, error) {
+func (st *State) header() header {
+	return header{st.Type, st.NumArms, st.Dim, st.Seed, st.Epsilon, st.Beta, st.Scale, st.Temp, st.Forget, st.Window}
+}
+
+// checkHeader refuses a state that describes another policy than own.
+func checkHeader(st, own State) error {
+	if got, want := st.header(), own.header(); got != want {
+		return fmt.Errorf("policy: corrupt state: %+v contradicts the policy %+v", got, want)
+	}
+	return nil
+}
+
+// Snapshot returns the policy's learned state. Only the rules that draw
+// randomness record their seed.
+func (l *Linear) Snapshot() State {
 	st := State{
 		Type:    l.kind,
 		NumArms: l.arms.Len(),
@@ -117,51 +125,28 @@ func (l *Linear) Snapshot() (State, error) {
 	if window > 0 {
 		st.Window, st.WindowXs, st.WindowYs = window, xs, ys
 	}
-	return st, nil
+	return st
 }
 
-// Snapshot implements Snapshotter.
-func (p *Random) Snapshot() (State, error) {
-	return State{Type: TypeRandom, NumArms: p.n, Dim: p.dim, Seed: p.seed}, nil
-}
-
-// Snapshot implements Snapshotter by refusing: the oracle's ground-truth
-// function cannot be serialised.
-func (p *Oracle) Snapshot() (State, error) {
-	return State{}, fmt.Errorf("%w: oracle", ErrNoSnapshot)
-}
-
-// Restore reconstructs a policy from a State produced by Snapshot,
-// dispatching on State.Type. The restored policy's learned estimators
-// are exactly the serialised ones; its exploration RNG restarts from
-// State.Seed.
-func Restore(st State) (Policy, error) {
-	if st.Type == TypeRandom {
-		return NewRandom(st.NumArms, st.Dim, st.Seed)
-	}
-	var param float64
-	if f := st.param(); f != nil {
-		param = *f
-	}
-	// The estimators were sized by their own payload, the declared arm
-	// count and dimension by nothing: check them before building a
-	// policy of that shape.
-	if err := regress.CheckEstimators(st.Arms, st.NumArms, st.Dim); err != nil {
-		return nil, fmt.Errorf("policy: corrupt state: %w", err)
-	}
-	l, err := newLinear(st.Type, st.NumArms, st.Dim, param, st.Seed)
-	if err != nil {
-		return nil, err
-	}
-	forget := st.Forget
-	if forget == 0 {
-		forget = 1 // states written before adaptation existed
-	}
-	if err := l.SetAdaptation(forget, st.Window); err != nil {
-		return nil, fmt.Errorf("policy: corrupt state: %w", err)
+// Load adopts the per-arm estimators and window buffers of st, a state
+// Snapshot wrote for a policy built as this one was: same rule,
+// parameter, seed, shape and adaptation. Anything else is refused and
+// leaves the policy unchanged.
+func (l *Linear) Load(st State) error {
+	if err := checkHeader(st, l.Snapshot()); err != nil {
+		return err
 	}
 	if err := l.arms.Restore(st.Arms, st.WindowXs, st.WindowYs); err != nil {
-		return nil, fmt.Errorf("policy: corrupt state: %w", err)
+		return fmt.Errorf("policy: corrupt state: %w", err)
 	}
-	return l, nil
+	return nil
 }
+
+// Snapshot returns the policy's state: its header alone.
+func (p *Random) Snapshot() State {
+	return State{Type: TypeRandom, NumArms: p.n, Dim: p.dim, Seed: p.seed}
+}
+
+// Load checks that st describes this policy; Random learns nothing, so
+// there is nothing else to adopt.
+func (p *Random) Load(st State) error { return checkHeader(st, p.Snapshot()) }

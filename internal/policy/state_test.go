@@ -28,40 +28,49 @@ func trainPolicy(t *testing.T, p Policy, rounds int) {
 	}
 }
 
-// TestSnapshotRestoreRoundTrip: every snapshot-capable policy survives
-// snapshot → JSON → restore with its learned per-arm models intact
-// (byte-for-byte equal re-snapshot) and identical predictions.
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	builders := map[string]Policy{}
-	if p, err := NewFixedEpsilonGreedy(3, 1, 0.1, 7); err == nil {
-		builders["eps"] = p
-	}
-	if p, err := NewGreedy(3, 1); err == nil {
-		builders["greedy"] = p
-	}
-	if p, err := NewRandom(3, 1, 5); err == nil {
-		builders["random"] = p
-	}
-	if p, err := NewLinUCB(3, 1, 1.5); err == nil {
-		builders["linucb"] = p
-	}
-	if p, err := NewLinTS(3, 1, 0.5, 11); err == nil {
-		builders["lints"] = p
-	}
-	if p, err := NewSoftmax(3, 1, 2, 13); err == nil {
-		builders["softmax"] = p
-	}
-	if len(builders) != 6 {
-		t.Fatalf("built %d policies, want 6", len(builders))
-	}
+// servedPolicy is a policy whose learned state saves and loads.
+type servedPolicy interface {
+	Policy
+	Snapshot() State
+	Load(State) error
+}
 
-	for label, p := range builders {
-		trainPolicy(t, p, 60)
-		st, err := p.(Snapshotter).Snapshot()
-		if err != nil {
-			t.Fatalf("%s snapshot: %v", label, err)
+// TestSnapshotRestoreRoundTrip: every snapshot-capable policy survives
+// snapshot → JSON → Load into a policy built as the state describes,
+// with its learned per-arm models intact (byte-for-byte equal
+// re-snapshot) and identical predictions.
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	// build constructs each policy untrained; it runs twice, once for
+	// the policy that learns and once for the one that loads its state.
+	build := func() map[string]servedPolicy {
+		out := map[string]servedPolicy{}
+		if p, err := NewFixedEpsilonGreedy(3, 1, 0.1, 7); err == nil {
+			out["eps"] = p
 		}
-		blob, err := json.Marshal(st)
+		if p, err := NewGreedy(3, 1); err == nil {
+			out["greedy"] = p
+		}
+		if p, err := NewRandom(3, 1, 5); err == nil {
+			out["random"] = p
+		}
+		if p, err := NewLinUCB(3, 1, 1.5); err == nil {
+			out["linucb"] = p
+		}
+		if p, err := NewLinTS(3, 1, 0.5, 11); err == nil {
+			out["lints"] = p
+		}
+		if p, err := NewSoftmax(3, 1, 2, 13); err == nil {
+			out["softmax"] = p
+		}
+		if len(out) != 6 {
+			t.Fatalf("built %d policies, want 6", len(out))
+		}
+		return out
+	}
+	fresh := build()
+	for label, p := range build() {
+		trainPolicy(t, p, 60)
+		blob, err := json.Marshal(p.Snapshot())
 		if err != nil {
 			t.Fatalf("%s marshal: %v", label, err)
 		}
@@ -69,19 +78,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(blob, &back); err != nil {
 			t.Fatalf("%s unmarshal: %v", label, err)
 		}
-		restored, err := Restore(back)
-		if err != nil {
-			t.Fatalf("%s restore: %v", label, err)
-		}
-		if restored.Name() != p.Name() {
-			t.Fatalf("%s name drifted: %q vs %q", label, restored.Name(), p.Name())
+		restored := fresh[label]
+		if err := restored.Load(back); err != nil {
+			t.Fatalf("%s load: %v", label, err)
 		}
 		// Learned state is byte-for-byte identical when re-snapshotted.
-		st2, err := restored.(Snapshotter).Snapshot()
-		if err != nil {
-			t.Fatalf("%s re-snapshot: %v", label, err)
-		}
-		blob2, err := json.Marshal(st2)
+		blob2, err := json.Marshal(restored.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,30 +109,60 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreErrors: Load refuses a state that describes another
+// policy, and leaves the policy it refused untrained.
 func TestRestoreErrors(t *testing.T) {
-	if _, err := Restore(State{Type: "nonsense"}); !errors.Is(err, ErrUnknownType) {
-		t.Fatalf("unknown type: %v", err)
-	}
-	// Arm-count mismatch is rejected.
 	p, err := NewLinUCB(3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.Snapshot()
+	trainPolicy(t, p, 30)
+	saved, err := json.Marshal(p.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.NumArms = 2
-	if _, err := Restore(st); err == nil {
-		t.Fatal("arm mismatch accepted")
+	cases := map[string]func(*State){
+		"type":          func(s *State) { s.Type = TypeGreedy },
+		"unknown type":  func(s *State) { s.Type = "nonsense" },
+		"arm count":     func(s *State) { s.NumArms = 2 },
+		"estimators":    func(s *State) { s.Arms = s.Arms[:2] },
+		"dim":           func(s *State) { s.Dim = 2 },
+		"parameter":     func(s *State) { s.Beta = 2 },
+		"seed":          func(s *State) { s.Seed = 7 },
+		"forgetting":    func(s *State) { s.Forget = 0.9 },
+		"missing model": func(s *State) { s.Arms[1] = nil },
 	}
-	// Oracle cannot snapshot.
-	o, err := NewOracle(3, 1, func(arm int, x []float64) float64 { return float64(arm) })
+	for name, corrupt := range cases {
+		var s State
+		if err := json.Unmarshal(saved, &s); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&s)
+		fresh, err := NewLinUCB(3, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Load(s); err == nil {
+			t.Fatalf("%s: contradicting state loaded", name)
+		}
+		preds, err := fresh.PredictAllInto([]float64{5}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for arm, pr := range preds {
+			if pr != 0 {
+				t.Fatalf("%s: refused state trained arm %d", name, arm)
+			}
+		}
+	}
+	r, err := NewRandom(3, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Snapshot(); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("oracle snapshot: %v", err)
+	st := r.Snapshot()
+	st.NumArms = 4
+	if err := r.Load(st); err == nil {
+		t.Fatal("random: arm mismatch accepted")
 	}
 }
 

@@ -25,10 +25,9 @@ import (
 	"math"
 
 	"banditware/internal/hardware"
+	"banditware/internal/loadgen"
 	"banditware/internal/rng"
-	"banditware/internal/schema"
 	"banditware/internal/serve"
-	"banditware/internal/workloads"
 )
 
 // Config parameterises one scenario run. The zero value is not usable
@@ -292,7 +291,7 @@ func buildProfiles(cfg Config, r *rng.Source) []profile {
 // multiplier); stream choice is Zipf with the flash share diverted to
 // the flash streams inside the window.
 func buildEvents(cfg Config, profs []profile, r *rng.Source) []event {
-	weights := zipfWeights(cfg.Streams, cfg.ZipfSkew)
+	weights := loadgen.ZipfWeights(cfg.Streams, cfg.ZipfSkew)
 	cum := make([]float64, len(weights))
 	acc := 0.0
 	for i, w := range weights {
@@ -310,7 +309,7 @@ func buildEvents(cfg Config, profs []profile, r *rng.Source) []event {
 			rate *= cfg.FlashTraffic
 		}
 		t += r.Exp(rate)
-		s := sampleIndex(cum, r.Float64())
+		s := loadgen.SampleIndex(cum, r.Float64())
 		if cfg.flashActive(t) && cfg.FlashStreams > 0 && r.Bernoulli(cfg.FlashShare) {
 			s = r.Intn(cfg.FlashStreams)
 		}
@@ -338,43 +337,6 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// zipfWeights returns normalized Zipf(s) masses over n ranks.
-func zipfWeights(n int, s float64) []float64 {
-	w := make([]float64, n)
-	sum := 0.0
-	for i := range w {
-		w[i] = math.Pow(float64(i+1), -s)
-		sum += w[i]
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	return w
-}
-
-// sampleIndex maps a uniform draw onto the cumulative weight array.
-func sampleIndex(cum []float64, u float64) int {
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// contextSchema is the fleet's named feature layout.
-func contextSchema() *schema.Schema {
-	fields := make([]schema.Field, len(workloads.ServerlessFeatureNames))
-	for i, n := range workloads.ServerlessFeatureNames {
-		fields[i] = schema.Field{Name: n, Required: true}
-	}
-	return &schema.Schema{Fields: fields}
 }
 
 // defaultAdapt is the scenario streams' adaptation spec when Config

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"banditware/internal/core"
+	"banditware/internal/loadgen"
 	"banditware/internal/rng"
 	"banditware/internal/schema"
 	"banditware/internal/serve"
@@ -172,7 +173,7 @@ func (rn *Runner) provision(svc *serve.Service) error {
 	if rn.cfg.Adapt != nil {
 		adapt = *rn.cfg.Adapt
 	}
-	sch := contextSchema()
+	sch := loadgen.ContextSchema(workloads.ServerlessFeatureNames)
 	for i := 0; i < rn.cfg.Streams; i++ {
 		name := streamName(i)
 		rn.names[i] = name

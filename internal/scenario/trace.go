@@ -38,9 +38,9 @@ func Trace(cfg Config) (*loadgen.Trace, error) {
 		},
 		FeatureNames: append([]string(nil), workloads.ServerlessFeatureNames...),
 		Hardware:     cfg.Hardware,
-		Schema:       contextSchema(),
+		Schema:       loadgen.ContextSchema(workloads.ServerlessFeatureNames),
 	}
-	weights := zipfWeights(cfg.Streams, cfg.ZipfSkew)
+	weights := loadgen.ZipfWeights(cfg.Streams, cfg.ZipfSkew)
 	tr.Streams = make([]loadgen.StreamSpec, cfg.Streams)
 	for i := range tr.Streams {
 		tr.Streams[i] = loadgen.StreamSpec{Name: streamName(i), Weight: weights[i]}

@@ -78,12 +78,6 @@ type Engine interface {
 	AbsorbRounds(k int) error
 }
 
-// CIProvider is an optional Engine extension exposing per-arm prediction
-// intervals. Only the Algorithm 1 engine implements it.
-type CIProvider interface {
-	PredictWithCI(x []float64, z float64) ([]core.Interval, error)
-}
-
 // Engine/policy errors.
 var (
 	// ErrUnknownPolicy reports a PolicySpec.Type no engine adapter
@@ -310,7 +304,8 @@ func buildEngine(hw hardware.Set, dim int, opts core.Options, spec PolicySpec, a
 // --- Algorithm 1 adapter ---------------------------------------------
 
 // banditEngine adapts the paper's core.Bandit to Engine. All methods but
-// Kind and AddArm come from the embedded bandit, including CIProvider.
+// Kind and AddArm come from the embedded bandit, which also provides the
+// prediction intervals behind Service.PredictWithCI.
 type banditEngine struct {
 	*core.Bandit
 }
@@ -321,12 +316,13 @@ func (banditEngine) Kind() string { return PolicyAlgorithm1 }
 // --- internal/policy adapter -----------------------------------------
 
 // servedPolicy is what a stream needs of a policy: selection, learning,
-// snapshots and arm-set edits. *policy.Linear and *policy.Random
-// provide it.
+// saving and loading its state, and arm-set edits. *policy.Linear and
+// *policy.Random provide it.
 type servedPolicy interface {
 	Select(x []float64) (int, error)
 	Update(arm int, x []float64, runtime float64) error
-	Snapshot() (policy.State, error)
+	Snapshot() policy.State
+	Load(policy.State) error
 	AddArm() error
 	RemoveArm(arm int) error
 }
@@ -464,10 +460,6 @@ type policyEngineState struct {
 // SaveState implements Engine: spec, hardware, round counter, and the
 // policy's full learned state in one JSON document.
 func (e *policyEngine) SaveState(w io.Writer) error {
-	ps, err := e.p.Snapshot()
-	if err != nil {
-		return err
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(policyEngineState{
@@ -475,80 +467,16 @@ func (e *policyEngine) SaveState(w io.Writer) error {
 		Hardware: e.hw,
 		Dim:      e.dim,
 		Round:    e.round,
-		Policy:   ps,
+		Policy:   e.p.Snapshot(),
 	})
 }
 
-// restorePolicyEngine rebuilds a policyEngine serialised by SaveState.
-func restorePolicyEngine(data []byte) (*policyEngine, error) {
-	var st policyEngineState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("serve: decoding policy engine state: %w", err)
-	}
-	if st.Round < 0 || st.Round > core.MaxLoadedRound {
-		return nil, fmt.Errorf("serve: corrupt engine state: round %d outside [0, %d]", st.Round, core.MaxLoadedRound)
-	}
-	// Restore the policy first: its estimators are sized by their own
-	// payload, while the envelope only declares a shape, and nothing is
-	// built for that shape until the two agree.
-	p, err := policy.Restore(st.Policy)
-	if err != nil {
-		return nil, err
-	}
-	if st.Policy.NumArms != len(st.Hardware) || st.Policy.Dim != st.Dim {
-		return nil, fmt.Errorf("serve: corrupt engine state: policy of %d arms × dim %d under an envelope of %d arms × dim %d",
-			st.Policy.NumArms, st.Policy.Dim, len(st.Hardware), st.Dim)
-	}
-	// The envelope (spec, hardware, dim) must describe exactly the
-	// policy it wraps: build the policy the envelope promises and compare
-	// the headers, so a state that contradicts itself is rejected
-	// instead of serving one policy under another's name or shape.
-	// Zero arms: the dimension is bounded, the model state is not.
-	if err := checkShape(0, st.Dim); err != nil {
-		return nil, fmt.Errorf("serve: corrupt engine state: %w", err)
-	}
-	want, err := buildEngine(st.Hardware, st.Dim, core.Options{}, st.Spec, defaultAdapt())
-	if err != nil {
-		return nil, fmt.Errorf("serve: corrupt engine state: %w", err)
-	}
-	e, ok := want.(*policyEngine)
-	if !ok || e.spec != st.Spec {
-		return nil, fmt.Errorf("serve: corrupt engine state: non-canonical policy spec %+v", st.Spec)
-	}
-	wantState, err := e.p.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	if got, exp := headerOf(st.Policy), headerOf(wantState); got != exp {
-		return nil, fmt.Errorf("serve: corrupt engine state: policy %+v contradicts its envelope %+v", got, exp)
-	}
-	sp, ok := p.(servedPolicy)
-	if !ok {
-		return nil, fmt.Errorf("serve: corrupt engine state: policy %s cannot serve", st.Policy.Type)
-	}
-	e.p, e.lin, e.round = sp, nil, st.Round
-	if lin, ok := p.(*policy.Linear); ok {
-		e.lin = lin
-	}
-	return e, nil
-}
-
-// policyHeader is the part of a policy.State its engine envelope fixes:
-// type, shape, seed and the rule's parameter.
-type policyHeader struct {
-	Type                       string
-	NumArms, Dim               int
-	Seed                       uint64
-	Epsilon, Beta, Scale, Temp float64
-}
-
-func headerOf(ps policy.State) policyHeader {
-	return policyHeader{ps.Type, ps.NumArms, ps.Dim, ps.Seed, ps.Epsilon, ps.Beta, ps.Scale, ps.Temp}
-}
-
 // restoreEngine rebuilds an engine from its snapshotted kind and state.
-// An empty kind means Algorithm 1 (the pre-policy snapshot formats).
-func restoreEngine(kind string, data []byte) (Engine, error) {
+// An empty kind means Algorithm 1 (the pre-policy snapshot formats),
+// which keeps core's own codec. Every other kind is built as create
+// builds it, under adapt — the stream's adaptation, or shadowAdapt's
+// for a shadow — and then adopts the saved learned state.
+func restoreEngine(kind string, data []byte, adapt AdaptSpec) (Engine, error) {
 	if kind == "" || kind == PolicyAlgorithm1 {
 		b, err := core.LoadState(bytes.NewReader(data))
 		if err != nil {
@@ -556,12 +484,46 @@ func restoreEngine(kind string, data []byte) (Engine, error) {
 		}
 		return banditEngine{b}, nil
 	}
-	eng, err := restorePolicyEngine(data)
+	var st policyEngineState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return nil, fmt.Errorf("serve: decoding policy engine state: %w", err)
+	}
+	if st.Round < 0 || st.Round > core.MaxLoadedRound {
+		return nil, fmt.Errorf("serve: corrupt engine state: round %d outside [0, %d]", st.Round, core.MaxLoadedRound)
+	}
+	// The spec names the envelope's kind in canonical form, and that
+	// kind is a policy: Algorithm 1 state has its own codec.
+	if k, err := st.Spec.kind(); err != nil || k != st.Spec.Type || k != kind || k == PolicyAlgorithm1 {
+		return nil, fmt.Errorf("serve: engine state is %q, envelope says %q", st.Spec.Type, kind)
+	}
+	// Nothing is built before the payload backs it: the dimension is
+	// bounded, and a model-based policy's estimators cover the
+	// envelope's arms at its dimension. Zero arms: the model state is
+	// already sized by the payload.
+	if err := checkShape(0, st.Dim); err != nil {
+		return nil, fmt.Errorf("serve: corrupt engine state: %w", err)
+	}
+	if kind != PolicyRandom {
+		if err := regress.CheckEstimators(st.Policy.Arms, len(st.Hardware), st.Dim); err != nil {
+			return nil, fmt.Errorf("serve: corrupt engine state: %w", err)
+		}
+	}
+	// The envelope (spec, hardware, dim) and the stream's adaptation
+	// must describe exactly the policy the state holds: Load compares
+	// the built policy's header with the saved one, so a state that
+	// contradicts itself or its stream is refused instead of serving one
+	// policy under another's name, shape or memory.
+	eng, err := buildEngine(st.Hardware, st.Dim, core.Options{}, st.Spec, adapt)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: corrupt engine state: %w", err)
 	}
-	if eng.Kind() != kind {
-		return nil, fmt.Errorf("serve: engine state is %q, envelope says %q", eng.Kind(), kind)
+	e := eng.(*policyEngine)
+	if e.spec != st.Spec {
+		return nil, fmt.Errorf("serve: corrupt engine state: non-canonical policy spec %+v", st.Spec)
 	}
-	return eng, nil
+	if err := e.p.Load(st.Policy); err != nil {
+		return nil, fmt.Errorf("serve: corrupt engine state: %w", err)
+	}
+	e.round = st.Round
+	return e, nil
 }

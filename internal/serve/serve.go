@@ -1092,11 +1092,11 @@ func (s *Service) PredictWithCI(name string, x []float64, z float64) ([]core.Int
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ci, ok := st.engine.(CIProvider)
+	b, ok := st.engine.(banditEngine)
 	if !ok {
 		return nil, fmt.Errorf("%w (%s)", ErrUnsupported, st.engine.Kind())
 	}
-	return ci.PredictWithCI(x, z)
+	return b.PredictWithCI(x, z)
 }
 
 // Model returns a snapshot of one arm's learned linear model, or

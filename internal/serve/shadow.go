@@ -230,29 +230,31 @@ func (st *stream) attachShadowLocked(cfg ShadowConfig) error {
 			return fmt.Errorf("%w: %q", ErrShadowExists, cfg.Name)
 		}
 	}
-	// Shadows replay under the stream's adaptation mode, so their models
-	// forget (or slide) exactly like the primary's and the A/B
-	// comparison stays fair in non-stationary environments. The on-drift
-	// response is the primary's alone: shadows are never auto-reset (and
-	// carry no detectors), so a model-free shadow attaches fine to a
-	// reset stream.
-	shAdapt := st.adapt
-	shAdapt.OnDrift = DriftObserve
-	if k, kerr := cfg.Policy.kind(); kerr == nil && k == PolicyRandom {
-		// Model-free shadows have nothing to forget; attaching one to an
-		// adaptive stream must not fail.
-		shAdapt = defaultAdapt()
-	}
 	hw, dim := st.engine.Hardware(), st.engine.Dim()
 	if err := checkStreamShape(len(hw), len(st.shadows)+1, dim); err != nil {
 		return err
 	}
-	eng, err := buildEngine(hw, dim, core.Options{Seed: cfg.Policy.Seed}, cfg.Policy, shAdapt)
+	kind, _ := cfg.Policy.kind() // an unknown type fails in buildEngine
+	eng, err := buildEngine(hw, dim, core.Options{Seed: cfg.Policy.Seed}, cfg.Policy, shadowAdapt(st.adapt, kind))
 	if err != nil {
 		return err
 	}
 	st.shadows = append(st.shadows, &shadow{name: cfg.Name, engine: eng, rw: rw, rwInherited: inherited})
 	return nil
+}
+
+// shadowAdapt is the adaptation a shadow of policy kind replays under on
+// a stream adapting by streamAdapt. Shadows forget (or slide) exactly
+// like the primary, so the A/B comparison stays fair in non-stationary
+// environments. The on-drift response is the primary's alone: shadows
+// are never auto-reset (and carry no detectors). A model-free shadow
+// has nothing to forget, so it attaches to any stream.
+func shadowAdapt(streamAdapt AdaptSpec, kind string) AdaptSpec {
+	if kind == PolicyRandom {
+		return defaultAdapt()
+	}
+	streamAdapt.OnDrift = DriftObserve
+	return streamAdapt
 }
 
 // DetachShadow removes a shadow from a stream, dropping its model

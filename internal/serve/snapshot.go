@@ -448,7 +448,15 @@ func Load(r io.Reader, opts ServiceOptions) (*Service, error) {
 			// Version 1: the Algorithm 1 state lives in "bandit".
 			kind, raw = "", ss.Bandit
 		}
-		eng, err := restoreEngine(kind, raw)
+		adapt := defaultAdapt()
+		if ss.Adapt != nil {
+			var err error
+			adapt, err = compileAdapt(*ss.Adapt)
+			if err != nil {
+				return nil, fmt.Errorf("serve: restoring adaptation of stream %q: %w", ss.Name, err)
+			}
+		}
+		eng, err := restoreEngine(kind, raw, adapt)
 		if err != nil {
 			return nil, fmt.Errorf("serve: restoring stream %q: %w", ss.Name, err)
 		}
@@ -468,13 +476,6 @@ func Load(r io.Reader, opts ServiceOptions) (*Service, error) {
 			rw, err = compileReward(*ss.Reward)
 			if err != nil {
 				return nil, fmt.Errorf("serve: restoring reward of stream %q: %w", ss.Name, err)
-			}
-		}
-		adapt := defaultAdapt()
-		if ss.Adapt != nil {
-			adapt, err = compileAdapt(*ss.Adapt)
-			if err != nil {
-				return nil, fmt.Errorf("serve: restoring adaptation of stream %q: %w", ss.Name, err)
 			}
 		}
 		if err := s.adopt(ss.Name, eng, sch, rw, adapt, ss.MaxPending, ss.TicketTTL); err != nil {
@@ -520,7 +521,7 @@ func Load(r io.Reader, opts ServiceOptions) (*Service, error) {
 		st.ledger.evicted = ss.Evicted
 		st.ledger.expired = ss.Expired
 		for _, shs := range ss.Shadows {
-			seng, err := restoreEngine(shs.Policy, shs.Engine)
+			seng, err := restoreEngine(shs.Policy, shs.Engine, shadowAdapt(adapt, shs.Policy))
 			if err != nil {
 				return nil, fmt.Errorf("serve: restoring shadow %q of stream %q: %w", shs.Name, ss.Name, err)
 			}

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -528,9 +529,10 @@ func TestSnapshotRestoreRejectsCorruptDriftState(t *testing.T) {
 }
 
 // TestSnapshotRestoreRejectsCorruptPolicyState: a policy engine state
-// whose envelope (spec, hardware, dim) contradicts the policy it wraps
-// — another type, another shape, another parameter or seed — is
-// refused rather than serving one policy under another's name.
+// whose envelope (spec, hardware, dim) or stream adaptation contradicts
+// the policy it wraps — another type, another shape, another parameter
+// or seed, another window — is refused rather than serving one policy
+// under another's name or memory.
 func TestSnapshotRestoreRejectsCorruptPolicyState(t *testing.T) {
 	s := NewService(ServiceOptions{})
 	specs := map[string]PolicySpec{
@@ -541,8 +543,20 @@ func TestSnapshotRestoreRejectsCorruptPolicyState(t *testing.T) {
 		"greedy": {Type: PolicyGreedy},
 		"rand":   {Type: PolicyRandom, Seed: 6},
 	}
+	// Two windowed streams: a LinUCB primary, and an Algorithm 1 primary
+	// (outside the adaptation check: core keeps its own codec) with a
+	// LinTS shadow that replays under the stream's window.
+	window := AdaptSpec{Mode: AdaptWindow, Window: 8}
+	configs := map[string]StreamConfig{
+		"win": {Hardware: testHW(), Dim: 1, Policy: PolicySpec{Type: PolicyLinUCB}, Adapt: window},
+		"alg-win": {Hardware: testHW(), Dim: 1, Adapt: window,
+			Shadows: []ShadowConfig{{Name: "ts", Policy: PolicySpec{Type: PolicyLinTS, Seed: 8}}}},
+	}
 	for name, spec := range specs {
-		if err := s.CreateStream(name, StreamConfig{Hardware: testHW(), Dim: 1, Policy: spec}); err != nil {
+		configs[name] = StreamConfig{Hardware: testHW(), Dim: 1, Policy: spec}
+	}
+	for name, cfg := range configs {
+		if err := s.CreateStream(name, cfg); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 12; i++ {
@@ -562,10 +576,25 @@ func TestSnapshotRestoreRejectsCorruptPolicyState(t *testing.T) {
 	if _, err := Load(bytes.NewReader(snap.Bytes()), ServiceOptions{}); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
+	// longer appends a fourth, valid hardware entry to an envelope: a
+	// copy of the first under a new name.
+	longer := func(eng map[string]any) {
+		hw := eng["hardware"].([]any)
+		extra := maps.Clone(hw[0].(map[string]any))
+		extra["name"] = "H3"
+		eng["hardware"] = append(hw, extra)
+	}
+	forgetting := map[string]any{"mode": AdaptForgetting, "factor": 0.9}
 	cases := []struct {
 		name, stream string
 		corrupt      func(stream, engine, spec, pol map[string]any)
 	}{
+		{"hardware longer than model-based policy", "ucb", func(_, eng, _, _ map[string]any) { longer(eng) }},
+		{"hardware longer than random policy", "rand", func(_, eng, _, _ map[string]any) { longer(eng) }},
+		{"adapt edited under a windowed primary", "win", func(st, _, _, _ map[string]any) { st["adapt"] = forgetting }},
+		{"adapt removed under a windowed primary", "win", func(st, _, _, _ map[string]any) { delete(st, "adapt") }},
+		{"adapt removed under a windowed LinTS shadow", "alg-win", func(st, _, _, _ map[string]any) { delete(st, "adapt") }},
+		{"adapt edited under a windowed LinTS shadow", "alg-win", func(st, _, _, _ map[string]any) { st["adapt"] = forgetting }},
 		{"linucb spec over greedy policy", "greedy", func(st, _, spec, _ map[string]any) {
 			st["policy"], spec["type"], spec["beta"] = PolicyLinUCB, PolicyLinUCB, 1.0
 		}},
@@ -592,7 +621,9 @@ func TestSnapshotRestoreRejectsCorruptPolicyState(t *testing.T) {
 				continue
 			}
 			eng := st["engine"].(map[string]any)
-			tc.corrupt(st, eng, eng["spec"].(map[string]any), eng["policy"].(map[string]any))
+			spec, _ := eng["spec"].(map[string]any) // Algorithm 1 state has neither
+			pol, _ := eng["policy"].(map[string]any)
+			tc.corrupt(st, eng, spec, pol)
 			found = true
 		}
 		if !found {
@@ -746,4 +777,52 @@ func replaceNth(s, old, new string, i int) string {
 	}
 	at += strings.Index(s[at:], old)
 	return s[:at] + new + s[at+len(old):]
+}
+
+// BenchmarkLoadService times Load of one snapshot holding a live stream
+// of every policy type, a windowed LinUCB stream and a LinTS shadow on
+// it, each trained on 24 observations: the restore path each engine,
+// primary or shadow, takes on start-up and replica bootstrap.
+//
+//	go test ./internal/serve/ -run='^$' -bench='LoadService$' -benchmem -benchtime=200x
+func BenchmarkLoadService(b *testing.B) {
+	s := NewService(ServiceOptions{})
+	configs := map[string]StreamConfig{
+		"windowed": {
+			Hardware: testHW(), Dim: 2, Policy: PolicySpec{Type: PolicyLinUCB},
+			Adapt:   AdaptSpec{Mode: AdaptWindow, Window: 16},
+			Shadows: []ShadowConfig{{Name: "ts", Policy: PolicySpec{Type: PolicyLinTS, Seed: 7}}},
+		},
+	}
+	for _, kind := range []string{
+		PolicyAlgorithm1, PolicyLinUCB, PolicyLinTS, PolicyEpsGreedy,
+		PolicyGreedy, PolicySoftmax, PolicyRandom,
+	} {
+		configs[kind] = StreamConfig{
+			Hardware: testHW(), Dim: 2, Options: core.Options{Seed: 7},
+			Policy: PolicySpec{Type: kind, Seed: 7},
+		}
+	}
+	for name, cfg := range configs {
+		if err := s.CreateStream(name, cfg); err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 24; j++ {
+			arm, x, rt := deltaObservation(j)
+			if err := s.ObserveDirectOutcome(name, arm, x, Outcome{Runtime: rt}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(bytes.NewReader(snap.Bytes()), ServiceOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

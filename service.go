@@ -36,11 +36,6 @@ type StreamConfig = serve.StreamConfig
 // be a bare type string ("linucb") or an object with parameters.
 type PolicySpec = serve.PolicySpec
 
-// Engine is the pluggable decision core a stream serves from. Algorithm
-// 1 and every internal/policy.Policy adapt to it; implementations need
-// no internal locking because the owning stream serialises access.
-type Engine = serve.Engine
-
 // Outcome is the structured observation of one completed workflow run:
 // measured runtime plus optional success/failure and named metrics
 // (memory_gb, energy_joules, cost_usd, queue_seconds). Outcome{Runtime:
