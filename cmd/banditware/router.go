@@ -51,7 +51,7 @@ func cmdRouter(args []string) error {
 		return err
 	}
 	server := serve.NewServer(router.Handler())
-	router.Start()
+	ready := router.Start()
 	defer router.Stop()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -59,7 +59,6 @@ func cmdRouter(args []string) error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- server.Serve(ln) }()
-	ready := router.CheckNow()
 	fmt.Printf("banditware router: listening on %s, %d/%d replicas ready\n",
 		ln.Addr(), len(ready), len(urls))
 

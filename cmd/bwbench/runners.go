@@ -480,14 +480,12 @@ func runFig8(cfg benchConfig, dir string) (string, error) {
 	st, _ := truncated.RMSESummary()
 	rf, _ := full.R2Summary()
 	rt, _ := truncated.R2Summary()
-	trainSum, _ := stats.Summarize(truncated.TrainSeconds)
 	return fmt.Sprintf(
 		"Figure 8: %d linreg models on matmul (size feature).\n"+
 			"Full-dataset RMSE: mean %.4g s, range [%.4g, %.4g] (paper: 14.97, 5.20–22.45).\n"+
 			"Truncated (size ≥ 5000) RMSE: mean %.4g s (paper: 15.07).\n"+
-			"R² full: mean %.3f (paper: 0.877); truncated: mean %.3f (paper: 0.882).\n"+
-			"Train time per model: mean %.2g s (paper: 1.56 s on their testbed).",
-		nm, sf.Mean, sf.Min, sf.Max, st.Mean, rf.Mean, rt.Mean, trainSum.Mean), nil
+			"R² full: mean %.3f (paper: 0.877); truncated: mean %.3f (paper: 0.882).",
+		nm, sf.Mean, sf.Min, sf.Max, st.Mean, rf.Mean, rt.Mean), nil
 }
 
 // ---------------------------------------------------------------------

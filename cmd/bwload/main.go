@@ -6,8 +6,8 @@
 //
 //   - inproc: a banditware.Service in the same process (engine +
 //     registry + ledger cost, no transport), driven through the
-//     zero-allocation API (RecommendInto / RecommendCtxInto with pooled
-//     tickets and context maps, seq-keyed observes) — the serving-layer
+//     zero-allocation API (RecommendCtxInto with pooled tickets and
+//     context maps, seq-keyed observes) — the serving-layer
 //     capacity ceiling;
 //   - http: the HTTP front-end over a real loopback socket, self-hosted
 //     with the hardened production server (or an external server via
@@ -15,19 +15,21 @@
 //   - fleet: a self-hosted scale-out fleet (-fleet N replicas, default
 //     3, behind the consistent-hash router, with background delta
 //     replication) — every request takes the client → router → replica
-//     path, pricing the extra hop and sync traffic. -chaos adds the
-//     kill/restart drill inside the measured run: one replica is
-//     hard-killed a third of the way through the trace and restarted
-//     (peer bootstrap) at two thirds; failover-window errors are
-//     counted, not fatal.
+//     path, pricing the extra hop and sync traffic.
 //
-// -churn runs the arm-churn drill inside the measured run on any
-// target: a warm-started hardware configuration is added to every
-// stream a quarter of the way through the trace, drained at half, and
-// retired at three quarters, pricing recommendation traffic while the
-// arm set grows, reroutes, and shrinks (fleet targets broadcast each
-// transition to every replica). BENCH_armset_churn.json at the repo
-// root is the pinned-seed churn baseline.
+// Two drills run inside the measured run, on one schedule of steps
+// keyed to op indices of the trace. -churn (any target) adds a
+// warm-started hardware configuration to every stream a quarter of the
+// way through the trace, drains it at half, and retires it at three
+// quarters (fleet targets broadcast each transition to every replica).
+// -chaos (-target fleet) hard-kills replica 1 a third of the way
+// through and restarts it (peer bootstrap) at two thirds;
+// failover-window errors are counted, not fatal. A closed-loop step
+// runs on the worker that claims its op while the others keep
+// replaying; an open-loop step runs on the arrival dispatcher. A run
+// cut short by -duration before the last step fails.
+// BENCH_armset_churn.json at the repo root is a churn baseline recorded
+// when a churn step stalled the whole closed loop.
 //
 // Modes: closed-loop (-mode closed: fixed concurrency, measures
 // capacity) and open-loop (-mode open: Poisson arrivals at -qps,
@@ -101,7 +103,6 @@ func run(args []string) error {
 	timeScale := fs.Float64("timescale", 0, "compress (>1) or stretch (<1) open-loop arrival times (0 = replay at recorded rate)")
 	qps := fs.Float64("qps", 2000, "open-loop target QPS (Poisson arrival rate)")
 	seed := fs.Uint64("seed", 1, "trace seed; same seed, same trace")
-	raw := fs.Bool("raw", false, "send positional feature vectors instead of named schema contexts")
 	out := fs.String("out", "", "write the JSON report to this file (default stdout)")
 	quick := fs.Bool("quick", false, "CI smoke preset: small trace, both targets, fail on any error")
 	failOnErr := fs.Bool("failonerr", false, "exit non-zero when any request errored")
@@ -240,9 +241,9 @@ func run(args []string) error {
 		Mode:        runMode,
 		Concurrency: *conc,
 		Duration:    *durCap,
-		Raw:         *raw,
 		TimeScale:   *timeScale,
 		Churn:       *churn,
+		Chaos:       *chaos,
 	}
 
 	report := &loadgen.Report{
@@ -265,7 +266,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		tgt, err := makeTarget(name, *addr, *fleetN, *chaos)
+		tgt, err := makeTarget(name, *addr, *fleetN)
 		if err != nil {
 			return err
 		}
@@ -280,7 +281,6 @@ func run(args []string) error {
 			// On error this is a failed partial result: it still records
 			// the run configuration (target QPS included) so the report
 			// stays schema-valid and diffable.
-			res.Chaos = name == "fleet" && *chaos
 			report.Results = append(report.Results, *res)
 		}
 		if err != nil {
@@ -325,7 +325,7 @@ func targetList(sel string) []string {
 	return []string{sel}
 }
 
-func makeTarget(name, addr string, fleetN int, chaos bool) (loadgen.Target, error) {
+func makeTarget(name, addr string, fleetN int) (loadgen.Target, error) {
 	switch name {
 	case "inproc":
 		return loadgen.NewInProc(), nil
@@ -335,7 +335,7 @@ func makeTarget(name, addr string, fleetN int, chaos bool) (loadgen.Target, erro
 		}
 		return loadgen.NewSelfHTTP()
 	case "fleet":
-		return loadgen.NewFleet(loadgen.FleetConfig{Replicas: fleetN, Chaos: chaos})
+		return loadgen.NewFleet(loadgen.FleetConfig{Replicas: fleetN})
 	}
 	return nil, fmt.Errorf("unknown target %q", name)
 }

@@ -107,7 +107,6 @@ func NewLocalFleet(opts FleetOptions) (*LocalFleet, error) {
 	f.routerSrv = &http.Server{Handler: router.Handler()}
 	go f.routerSrv.Serve(rln)
 	router.Start()
-	router.CheckNow()
 	return f, nil
 }
 

@@ -131,20 +131,23 @@ func NewRouter(members []string, opts RouterOptions) (*Router, error) {
 	return rt, nil
 }
 
-// Start begins membership polling: one immediate probe round, then one
-// every poll interval. Start after Stop is not supported.
-func (rt *Router) Start() {
+// Start begins membership polling: it runs one probe round before it
+// returns, so the ring reflects the members' readiness from then on,
+// and returns the members that round found ready (sorted); a goroutine
+// then probes once every poll interval. A second Start does nothing
+// and returns nil; Start after Stop is not supported.
+func (rt *Router) Start() []string {
 	rt.mu.Lock()
 	if rt.stop != nil {
 		rt.mu.Unlock()
-		return
+		return nil
 	}
 	rt.stop, rt.done = make(chan struct{}), make(chan struct{})
 	stop, done := rt.stop, rt.done
 	rt.mu.Unlock()
+	ready := rt.CheckNow()
 	go func() {
 		defer close(done)
-		rt.CheckNow()
 		t := time.NewTicker(rt.interval)
 		defer t.Stop()
 		for {
@@ -156,6 +159,7 @@ func (rt *Router) Start() {
 			}
 		}
 	}()
+	return ready
 }
 
 // Stop ends polling, waits for the poller to exit and closes the idle

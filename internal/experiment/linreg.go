@@ -3,7 +3,6 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"banditware/internal/regress"
 	"banditware/internal/rng"
@@ -46,9 +45,8 @@ type LinRegConfig struct {
 
 // LinRegResult holds the per-model score distributions.
 type LinRegResult struct {
-	RMSE         []float64
-	R2           []float64
-	TrainSeconds []float64
+	RMSE []float64
+	R2   []float64
 }
 
 // RMSESummary returns the five-number summary of the RMSE distribution.
@@ -83,14 +81,12 @@ func RunLinReg(cfg LinRegConfig) (*LinRegResult, error) {
 	}
 	r := rng.New(cfg.Seed)
 	res := &LinRegResult{
-		RMSE:         make([]float64, 0, cfg.NModels),
-		R2:           make([]float64, 0, cfg.NModels),
-		TrainSeconds: make([]float64, 0, cfg.NModels),
+		RMSE: make([]float64, 0, cfg.NModels),
+		R2:   make([]float64, 0, cfg.NModels),
 	}
 	for m := 0; m < cfg.NModels; m++ {
 		sample := regress.SampleRows(len(d.Runs), cfg.TrainN, r)
 		var score regress.Score
-		var elapsed float64
 		if cfg.Pooled {
 			trainX := make([][]float64, 0, len(sample))
 			trainY := make([]float64, 0, len(sample))
@@ -98,9 +94,7 @@ func RunLinReg(cfg LinRegConfig) (*LinRegResult, error) {
 				trainX = append(trainX, xs[i])
 				trainY = append(trainY, d.Runs[i].Runtime)
 			}
-			start := time.Now()
 			model, err := regress.FitOLS(trainX, trainY, 0)
-			elapsed = time.Since(start).Seconds()
 			if err != nil {
 				return nil, fmt.Errorf("experiment: model %d: %w", m, err)
 			}
@@ -116,9 +110,7 @@ func RunLinReg(cfg LinRegConfig) (*LinRegResult, error) {
 				trainX[run.Arm] = append(trainX[run.Arm], xs[i])
 				trainY[run.Arm] = append(trainY[run.Arm], run.Runtime)
 			}
-			start := time.Now()
 			rec, err := regress.FitRecommender(d.Hardware, trainX, trainY, 0)
-			elapsed = time.Since(start).Seconds()
 			if err != nil {
 				return nil, fmt.Errorf("experiment: model %d: %w", m, err)
 			}
@@ -133,7 +125,6 @@ func RunLinReg(cfg LinRegConfig) (*LinRegResult, error) {
 		}
 		res.RMSE = append(res.RMSE, rmse)
 		res.R2 = append(res.R2, score.R2)
-		res.TrainSeconds = append(res.TrainSeconds, elapsed)
 	}
 	return res, nil
 }

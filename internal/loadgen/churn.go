@@ -70,18 +70,6 @@ func (t *HTTP) RetireArm(stream string, arm int) error {
 	return t.del(fmt.Sprintf("/v1/streams/%s/arms/%d", stream, arm))
 }
 
-func (t *FleetTarget) AddArm(stream, spec, warm string) (int, error) {
-	return t.inner.AddArm(stream, spec, warm)
-}
-
-func (t *FleetTarget) DrainArm(stream string, arm int) error {
-	return t.inner.DrainArm(stream, arm)
-}
-
-func (t *FleetTarget) RetireArm(stream string, arm int) error {
-	return t.inner.RetireArm(stream, arm)
-}
-
 // churnSpec is the configuration the drill rolls out. The name must not
 // collide with any workload family's hardware set (those are H0..Hn /
 // family-specific names), and the arm is appended last and retired
@@ -92,90 +80,44 @@ const (
 	churnWarm = "pooled"
 )
 
-// churnRun schedules the drill over one replay: thresholds are op
-// indices, ticked by the single dispatcher goroutine, so transitions
-// land at deterministic points in the trace (the requests in flight
-// around each transition overlap it, exactly like a production
-// rollout).
-type churnRun struct {
-	target     ArmChurner
-	tr         *Trace
-	addAt      int
-	drainAt    int
-	retireAt   int
-	dispatched int
-	arm        map[string]int // stream → index of the drill's arm
-	events     uint64         // applied lifecycle transitions
-	err        error
-}
-
-func newChurnRun(tgt Target, tr *Trace) (*churnRun, error) {
-	c, ok := tgt.(ArmChurner)
-	if !ok {
-		return nil, fmt.Errorf("loadgen: target %s does not support arm churn", tgt.Name())
-	}
-	total := len(tr.Ops)
-	if total < 8 {
-		return nil, fmt.Errorf("loadgen: churn drill needs at least 8 ops, trace has %d", total)
-	}
-	return &churnRun{
-		target:   c,
-		tr:       tr,
-		addAt:    total / 4,
-		drainAt:  total / 2,
-		retireAt: 3 * total / 4,
-		arm:      make(map[string]int),
-	}, nil
-}
-
-// tick advances the drill by one dispatched op. Called only from the
-// dispatcher goroutine, so the state needs no locking; the lifecycle
-// requests themselves hit targets that are safe for concurrent use.
-func (c *churnRun) tick() {
-	n := c.dispatched
-	c.dispatched++
-	switch n {
-	case c.addAt:
-		for i := range c.tr.Streams {
-			name := c.tr.Streams[i].Name
-			idx, err := c.target.AddArm(name, churnSpec, churnWarm)
-			if err != nil {
-				c.fail(fmt.Errorf("loadgen: churn add on %s: %w", name, err))
+// churnSteps schedules the drill's three transitions over tr: add at
+// a quarter of the ops, drain at half, retire at three quarters. A
+// stream whose add failed is left out of its drain and retire; every
+// failure is returned from its step. events counts the transitions
+// applied.
+func churnSteps(c ArmChurner, tr *Trace, events *uint64) []drillStep {
+	arm := make(map[string]int, len(tr.Streams)) // stream → index of the drill's arm
+	add := func() error {
+		var err error
+		for i := range tr.Streams {
+			name := tr.Streams[i].Name
+			idx, aerr := c.AddArm(name, churnSpec, churnWarm)
+			if aerr != nil {
+				err = errors.Join(err, fmt.Errorf("loadgen: churn add on %s: %w", name, aerr))
 				continue
 			}
-			c.arm[name] = idx
-			c.events++
+			arm[name] = idx
+			*events++
 		}
-	case c.drainAt:
-		c.transition("drain", c.target.DrainArm)
-	case c.retireAt:
-		c.transition("retire", c.target.RetireArm)
+		return err
 	}
-}
-
-func (c *churnRun) transition(verb string, apply func(string, int) error) {
-	for name, idx := range c.arm {
-		if err := apply(name, idx); err != nil {
-			c.fail(fmt.Errorf("loadgen: churn %s on %s: %w", verb, name, err))
-			continue
+	transition := func(verb string, apply func(string, int) error) func() error {
+		return func() error {
+			var err error
+			for name, idx := range arm {
+				if terr := apply(name, idx); terr != nil {
+					err = errors.Join(err, fmt.Errorf("loadgen: churn %s on %s: %w", verb, name, terr))
+					continue
+				}
+				*events++
+			}
+			return err
 		}
-		c.events++
 	}
-}
-
-func (c *churnRun) fail(err error) {
-	c.err = errors.Join(c.err, err)
-}
-
-// finish reports whether the drill actually ran to completion. A run
-// cut short (duration cap hit before the retire threshold) would
-// otherwise silently describe a drill that never happened — the same
-// contract the chaos drill enforces.
-func (c *churnRun) finish() error {
-	err := c.err
-	if c.dispatched <= c.retireAt {
-		err = errors.Join(err, fmt.Errorf("loadgen: churn drill incomplete: %d of %d ops dispatched (retire threshold %d)",
-			c.dispatched, len(c.tr.Ops), c.retireAt))
+	n := len(tr.Ops)
+	return []drillStep{
+		{at: n / 4, run: add},
+		{at: n / 2, run: transition("drain", c.DrainArm)},
+		{at: 3 * n / 4, run: transition("retire", c.RetireArm)},
 	}
-	return err
 }

@@ -97,13 +97,7 @@ func (p plainTarget) Setup(tr *Trace) error {
 func (p plainTarget) Recommend(stream string, op *Op, tr *Trace) (Decision, error) {
 	return p.t.Recommend(stream, op, tr)
 }
-func (p plainTarget) RecommendRaw(stream string, op *Op) (Decision, error) {
-	return p.t.RecommendRaw(stream, op)
-}
-func (p plainTarget) Observe(ticket string, runtime float64) error {
-	return p.t.Observe(ticket, runtime)
-}
-func (p plainTarget) ObserveSeq(stream string, seq uint64, runtime float64) error {
-	return p.t.ObserveSeq(stream, seq, runtime)
+func (p plainTarget) Observe(dec Decision, runtime float64) error {
+	return p.t.Observe(dec, runtime)
 }
 func (p plainTarget) Close() error { return p.t.Close() }

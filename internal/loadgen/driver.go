@@ -36,9 +36,6 @@ type RunOptions struct {
 	// Duration, when positive, stops issuing new sessions after this
 	// wall-clock budget even if trace ops remain.
 	Duration time.Duration
-	// Raw sends positional feature vectors instead of named schema
-	// contexts, isolating schema encode/validate cost by comparison.
-	Raw bool
 	// TimeScale compresses (>1) or stretches (<1) the trace's open-loop
 	// arrival times; 0 means 1 (replay at the recorded QPS).
 	TimeScale float64
@@ -47,6 +44,10 @@ type RunOptions struct {
 	// the way through the trace, drained at half, and retired at three
 	// quarters. The target must implement ArmChurner.
 	Churn bool
+	// Chaos runs the kill/restart drill inside the measured window:
+	// replica 1 is hard-killed a third of the way through the trace and
+	// restarted at two thirds. The target must implement ReplicaKiller.
+	Chaos bool
 }
 
 func (o RunOptions) withDefaults() RunOptions {
@@ -104,7 +105,6 @@ type Result struct {
 	Target      string `json:"target"`
 	Mode        string `json:"mode"`
 	Concurrency int    `json:"concurrency"`
-	Raw         bool   `json:"raw_vectors,omitempty"`
 	Requests    uint64 `json:"requests"`
 	Recommends  uint64 `json:"recommends"`
 	Observes    uint64 `json:"observes"`
@@ -187,15 +187,9 @@ func (w *workerState) fail(err error) {
 
 // session executes one trace op end to end: recommend, then the
 // observe when the op carries one and the recommend succeeded.
-func (w *workerState) session(tgt Target, tr *Trace, op *Op, raw bool) {
-	var dec Decision
-	var err error
+func (w *workerState) session(tgt Target, tr *Trace, op *Op) {
 	start := time.Now()
-	if raw {
-		dec, err = tgt.RecommendRaw(tr.Streams[op.Stream].Name, op)
-	} else {
-		dec, err = tgt.Recommend(tr.Streams[op.Stream].Name, op, tr)
-	}
+	dec, err := tgt.Recommend(tr.Streams[op.Stream].Name, op, tr)
 	w.recommend.Add(time.Since(start).Seconds())
 	w.recommends++
 	if err != nil {
@@ -210,11 +204,7 @@ func (w *workerState) session(tgt Target, tr *Trace, op *Op, raw bool) {
 		rt = op.Runtimes[dec.Arm]
 	}
 	start = time.Now()
-	if so, ok := tgt.(SeqObserver); ok && dec.Ticket == "" {
-		err = so.ObserveSeq(dec.Stream, dec.Seq, rt)
-	} else {
-		err = tgt.Observe(dec.Ticket, rt)
-	}
+	err = tgt.Observe(dec, rt)
 	w.observe.Add(time.Since(start).Seconds())
 	w.observes++
 	if err != nil {
@@ -226,11 +216,12 @@ func (w *workerState) session(tgt Target, tr *Trace, op *Op, raw bool) {
 // measured result. Setup (stream creation) happens inside Run but is
 // excluded from the measured window.
 //
-// When the run dies before measuring (target setup failure), Run
-// returns the error alongside a non-nil partial Result: configuration
-// fields filled in, Failed set, measurements zero. Callers that emit
-// reports should record the partial result so an errored run still
-// leaves a schema-valid document behind.
+// When the run dies before measuring (a drill the target cannot run,
+// or a target setup failure), Run returns the error alongside a
+// non-nil partial Result: configuration fields filled in, Failed set,
+// measurements zero. Callers that emit reports should record the
+// partial result so an errored run still leaves a schema-valid
+// document behind.
 func Run(tgt Target, tr *Trace, opts RunOptions) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Mode != ModeClosed && opts.Mode != ModeOpen {
@@ -239,40 +230,23 @@ func Run(tgt Target, tr *Trace, opts RunOptions) (*Result, error) {
 	if opts.Mode == ModeOpen && tr.Config.QPS <= 0 {
 		return nil, fmt.Errorf("loadgen: open-loop replay needs a trace generated with qps > 0")
 	}
-	if err := tgt.Setup(tr); err != nil {
-		res := &Result{
-			Target:      tgt.Name(),
-			Mode:        string(opts.Mode),
-			Concurrency: opts.Concurrency,
-			Raw:         opts.Raw,
-			Failed:      err.Error(),
-		}
-		if opts.Mode == ModeOpen {
-			res.TargetQPS = tr.Config.QPS * opts.TimeScale
-		}
-		return res, err
+	res := &Result{
+		Target:      tgt.Name(),
+		Mode:        string(opts.Mode),
+		Concurrency: opts.Concurrency,
+		Chaos:       opts.Chaos,
+		Churn:       opts.Churn,
 	}
-
-	var churn *churnRun
-	if opts.Churn {
-		c, err := newChurnRun(tgt, tr)
-		if err != nil {
-			// Same contract as a setup failure: a schema-valid partial
-			// result records the configuration, Failed carries the reason.
-			res := &Result{
-				Target:      tgt.Name(),
-				Mode:        string(opts.Mode),
-				Concurrency: opts.Concurrency,
-				Raw:         opts.Raw,
-				Churn:       true,
-				Failed:      err.Error(),
-			}
-			if opts.Mode == ModeOpen {
-				res.TargetQPS = tr.Config.QPS * opts.TimeScale
-			}
-			return res, err
-		}
-		churn = c
+	if opts.Mode == ModeOpen {
+		res.TargetQPS = tr.Config.QPS * opts.TimeScale
+	}
+	d, err := newDrill(tgt, tr, opts)
+	if err == nil {
+		err = tgt.Setup(tr)
+	}
+	if err != nil {
+		res.Failed = err.Error()
+		return res, err
 	}
 
 	states := make([]*workerState, opts.Concurrency)
@@ -288,27 +262,21 @@ func Run(tgt Target, tr *Trace, opts RunOptions) (*Result, error) {
 	runtime.GC()
 	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
+	var deadline time.Time
+	if opts.Duration > 0 {
+		deadline = start.Add(opts.Duration)
+	}
 	var behind uint64
 	if opts.Mode == ModeClosed {
-		runClosed(tgt, tr, opts, states, start, churn)
+		runClosed(tgt, tr, states, deadline, d)
 	} else {
-		behind = runOpen(tgt, tr, opts, states, start, churn)
+		behind = runOpen(tgt, tr, opts.TimeScale, states, start, deadline, d)
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&memAfter)
 
-	res := &Result{
-		Target:            tgt.Name(),
-		Mode:              string(opts.Mode),
-		Concurrency:       opts.Concurrency,
-		Raw:               opts.Raw,
-		ElapsedSeconds:    elapsed.Seconds(),
-		TargetQPS:         tr.Config.QPS * opts.TimeScale,
-		BehindScheduleOps: behind,
-	}
-	if opts.Mode == ModeClosed {
-		res.TargetQPS = 0
-	}
+	res.ElapsedSeconds = elapsed.Seconds()
+	res.BehindScheduleOps = behind
 	rh, err := stats.NewLogHistogram(histMin, histMax, histRelErr)
 	if err != nil {
 		return nil, err
@@ -344,63 +312,23 @@ func Run(tgt Target, tr *Trace, opts RunOptions) (*Result, error) {
 		res.BytesPerOp = float64(memAfter.TotalAlloc-memBefore.TotalAlloc) / float64(res.Requests)
 	}
 	res.GCCycles = memAfter.NumGC - memBefore.NumGC
-	if churn != nil {
-		res.Churn = true
-		res.ChurnEvents = churn.events
-		if err := churn.finish(); err != nil {
-			return res, err
-		}
+	if d != nil {
+		res.ChurnEvents = d.churnEvents
+		return res, d.finish()
 	}
 	return res, nil
 }
 
 // runClosed replays the trace with a fixed worker pool; each worker
-// runs its next session as soon as the previous one finishes.
-//
-// Without churn, ops are statically strided across the workers so the
-// replay loop itself is dispatch-free — no shared channel on the hot
-// path, which matters when the target serves in hundreds of ns. Churn
-// runs keep the feeder goroutine: lifecycle transitions must apply at
-// their scheduled global op index, which only a single dispatcher can
-// order.
-func runClosed(tgt Target, tr *Trace, opts RunOptions, states []*workerState, start time.Time, churn *churnRun) {
-	var deadline time.Time
-	if opts.Duration > 0 {
-		deadline = start.Add(opts.Duration)
-	}
-	if churn == nil {
-		runClosedStatic(tgt, tr, opts, states, deadline)
-		return
-	}
-	opCh := make(chan *Op, 2*len(states))
-	var wg sync.WaitGroup
-	for _, st := range states {
-		wg.Add(1)
-		go func(st *workerState) {
-			defer wg.Done()
-			for op := range opCh {
-				st.session(tgt, tr, op, opts.Raw)
-			}
-		}(st)
-	}
-	for i := range tr.Ops {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
-		// Lifecycle transitions apply from the feeder at their scheduled
-		// op index; workers already in flight overlap them, exactly like
-		// live traffic overlapping a rollout.
-		churn.tick()
-		opCh <- &tr.Ops[i]
-	}
-	close(opCh)
-	wg.Wait()
-}
-
-// runClosedStatic is the dispatch-free closed loop: worker w replays
-// ops w, w+W, w+2W, ... back to back. The deadline is polled every few
-// ops so the check does not put a clock read on every request.
-func runClosedStatic(tgt Target, tr *Trace, opts RunOptions, states []*workerState, deadline time.Time) {
+// runs its next session as soon as the previous one finishes. Ops are
+// statically strided across the workers — worker w replays ops w,
+// w+W, w+2W, ... — so the replay loop is dispatch-free: no shared
+// channel on the hot path, which matters when the target serves in
+// hundreds of ns. A drill adds one atomic claim per session, and its
+// steps run on the worker that claims their op. The deadline is polled
+// every few ops so the check does not put a clock read on every
+// request.
+func runClosed(tgt Target, tr *Trace, states []*workerState, deadline time.Time, d *drill) {
 	var wg sync.WaitGroup
 	for w, st := range states {
 		wg.Add(1)
@@ -410,22 +338,21 @@ func runClosedStatic(tgt Target, tr *Trace, opts RunOptions, states []*workerSta
 				if !deadline.IsZero() && i/len(states)%64 == 0 && time.Now().After(deadline) {
 					return
 				}
-				st.session(tgt, tr, &tr.Ops[i], opts.Raw)
+				if d != nil {
+					d.claim()
+				}
+				st.session(tgt, tr, &tr.Ops[i])
 			}
 		}(w, st)
 	}
 	wg.Wait()
 }
 
-// runOpen dispatches ops at their recorded arrival times. Worker states
-// double as request slots: the dispatcher blocks when all Concurrency
-// slots are in flight (bounding memory) and counts those stalls as
-// behind-schedule ops.
-func runOpen(tgt Target, tr *Trace, opts RunOptions, states []*workerState, start time.Time, churn *churnRun) (behind uint64) {
-	var deadline time.Time
-	if opts.Duration > 0 {
-		deadline = start.Add(opts.Duration)
-	}
+// runOpen dispatches ops at their recorded arrival times, compressed by
+// timeScale. Worker states double as request slots: the dispatcher
+// blocks when all Concurrency slots are in flight (bounding memory) and
+// counts those stalls as behind-schedule ops.
+func runOpen(tgt Target, tr *Trace, timeScale float64, states []*workerState, start, deadline time.Time, d *drill) (behind uint64) {
 	pool := make(chan *workerState, len(states))
 	for _, st := range states {
 		pool <- st
@@ -433,7 +360,7 @@ func runOpen(tgt Target, tr *Trace, opts RunOptions, states []*workerState, star
 	var wg sync.WaitGroup
 	for i := range tr.Ops {
 		op := &tr.Ops[i]
-		at := time.Duration(float64(op.AtNanos) / opts.TimeScale)
+		at := time.Duration(float64(op.AtNanos) / timeScale)
 		arrival := start.Add(at)
 		if wait := time.Until(arrival); wait > 0 {
 			time.Sleep(wait)
@@ -441,11 +368,11 @@ func runOpen(tgt Target, tr *Trace, opts RunOptions, states []*workerState, star
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			break
 		}
-		// Churn transitions run synchronously on the dispatcher; the
-		// brief stall they cause shows up as behind-schedule ops, the
-		// honest accounting for a rollout performed under offered load.
-		if churn != nil {
-			churn.tick()
+		// Drill steps run synchronously on the dispatcher; the brief
+		// stall they cause shows up as behind-schedule ops, the honest
+		// accounting for a rollout or outage under offered load.
+		if d != nil {
+			d.claim()
 		}
 		var st *workerState
 		select {
@@ -460,7 +387,7 @@ func runOpen(tgt Target, tr *Trace, opts RunOptions, states []*workerState, star
 		wg.Add(1)
 		go func(st *workerState, op *Op) {
 			defer wg.Done()
-			st.session(tgt, tr, op, opts.Raw)
+			st.session(tgt, tr, op)
 			pool <- st
 		}(st, op)
 	}

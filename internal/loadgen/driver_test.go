@@ -103,20 +103,6 @@ func TestRunOpenLoopNeedsArrivals(t *testing.T) {
 	}
 }
 
-func TestRunRawVectors(t *testing.T) {
-	tr := smokeTrace(t, 0)
-	tgt := NewInProc()
-	defer tgt.Close()
-	res, err := Run(tgt, tr, RunOptions{Mode: ModeClosed, Concurrency: 2, Raw: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, res, "inproc")
-	if !res.Raw {
-		t.Error("result does not record raw-vector mode")
-	}
-}
-
 // slowTarget is an in-process target whose recommends take at least
 // delay, so how much of a trace fits in a time budget does not depend
 // on how fast the machine serves.
@@ -174,7 +160,7 @@ func TestRunHTTPErrorsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.session(empty, tr, &tr.Ops[0], false)
+	st.session(empty, tr, &tr.Ops[0])
 	if st.errors != 1 || st.recommends != 1 {
 		t.Fatalf("errors = %d, recommends = %d; want 1, 1", st.errors, st.recommends)
 	}
@@ -198,7 +184,7 @@ func BenchmarkSessionInProc(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
-		st.session(tgt, tr, &tr.Ops[i%len(tr.Ops)], false)
+		st.session(tgt, tr, &tr.Ops[i%len(tr.Ops)])
 	}
 	if st.errors > 0 {
 		b.Fatalf("%d errors: %v", st.errors, st.samples)

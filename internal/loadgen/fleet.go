@@ -3,7 +3,6 @@ package loadgen
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"banditware/internal/dist"
 )
@@ -14,35 +13,24 @@ import (
 // client → router proxy → owning replica, with background delta
 // replication running between the replicas, so the numbers price the
 // extra hop and the sync traffic against the single-node HTTP target.
+// Stream set-up, recommends, observes and arm churn go through the
+// embedded HTTP target pointed at the router.
 //
-// With Chaos enabled the target also runs the kill/restart drill
-// inside the measured run: one replica is hard-killed a third of the
-// way through the trace and restarted (bootstrapping from its peers)
-// at two thirds. Requests caught in the failover window surface as
-// ordinary request errors in the report — the point of the drill is
-// that the window stays small.
+// RunOptions.Chaos runs the kill/restart drill on it inside the
+// measured run: replica 1 is hard-killed a third of the way through
+// the trace and restarted (bootstrapping from its peers) at two
+// thirds. Requests caught in the failover window surface as ordinary
+// request errors in the report — the point of the drill is that the
+// window stays small.
 type FleetTarget struct {
+	*HTTP
 	fleet *dist.LocalFleet
-	inner *HTTP
-
-	chaos     bool
-	victim    int
-	ops       atomic.Int64
-	killAt    int64
-	restartAt int64
-	killed    atomic.Bool
-	restarted atomic.Bool
-
-	mu       chan struct{} // 1-slot semaphore guarding chaosErr
-	chaosErr error
 }
 
 // FleetConfig configures a fleet load target.
 type FleetConfig struct {
 	// Replicas is the fleet size (0 = 3).
 	Replicas int
-	// Chaos enables the mid-run kill/restart drill.
-	Chaos bool
 }
 
 // NewFleet boots a LocalFleet (replicas + router on loopback) and
@@ -52,20 +40,11 @@ func NewFleet(cfg FleetConfig) (*FleetTarget, error) {
 	if n <= 0 {
 		n = 3
 	}
-	if cfg.Chaos && n < 2 {
-		return nil, fmt.Errorf("loadgen: chaos drill needs at least 2 replicas, have %d", n)
-	}
 	f, err := dist.NewLocalFleet(dist.FleetOptions{Replicas: n})
 	if err != nil {
 		return nil, err
 	}
-	return &FleetTarget{
-		fleet:  f,
-		inner:  NewHTTP(f.RouterURL()),
-		chaos:  cfg.Chaos,
-		victim: 1,
-		mu:     make(chan struct{}, 1),
-	}, nil
+	return &FleetTarget{HTTP: NewHTTP(f.RouterURL()), fleet: f}, nil
 }
 
 func (t *FleetTarget) Name() string { return "fleet" }
@@ -74,73 +53,59 @@ func (t *FleetTarget) Name() string { return "fleet" }
 // router view after a run).
 func (t *FleetTarget) Fleet() *dist.LocalFleet { return t.fleet }
 
-func (t *FleetTarget) Setup(tr *Trace) error {
-	if t.chaos {
-		total := int64(len(tr.Ops))
-		if total < 9 {
-			return fmt.Errorf("loadgen: chaos drill needs at least 9 ops, trace has %d", total)
-		}
-		t.killAt = total / 3
-		t.restartAt = 2 * total / 3
-	}
-	return t.inner.Setup(tr)
-}
-
-// step advances the chaos schedule: exactly one worker crosses each
-// threshold (atomic counter + CAS), kills or restarts the victim, and
-// forces an immediate router health re-probe so the failover window is
-// bounded by the in-flight requests, not the poll interval.
-func (t *FleetTarget) step() {
-	if !t.chaos {
-		return
-	}
-	n := t.ops.Add(1)
-	if n >= t.killAt && t.killed.CompareAndSwap(false, true) {
-		if err := t.fleet.Kill(t.victim); err != nil {
-			t.recordChaosErr(fmt.Errorf("loadgen: chaos kill: %w", err))
-		}
-		t.fleet.Router().CheckNow()
-	}
-	if n >= t.restartAt && t.restarted.CompareAndSwap(false, true) {
-		if err := t.fleet.Restart(t.victim); err != nil {
-			t.recordChaosErr(fmt.Errorf("loadgen: chaos restart: %w", err))
-		} else {
-			t.fleet.Router().CheckNow()
-		}
-	}
-}
-
-func (t *FleetTarget) recordChaosErr(err error) {
-	t.mu <- struct{}{}
-	t.chaosErr = errors.Join(t.chaosErr, err)
-	<-t.mu
-}
-
-func (t *FleetTarget) Recommend(stream string, op *Op, tr *Trace) (Decision, error) {
-	t.step()
-	return t.inner.Recommend(stream, op, tr)
-}
-
-func (t *FleetTarget) RecommendRaw(stream string, op *Op) (Decision, error) {
-	t.step()
-	return t.inner.RecommendRaw(stream, op)
-}
-
-func (t *FleetTarget) Observe(ticket string, runtime float64) error {
-	return t.inner.Observe(ticket, runtime)
-}
-
-// Close shuts the fleet down. A failed chaos transition (the drill
-// could not kill or restart its victim) is reported here: the run's
-// latency numbers would otherwise silently describe a drill that never
-// happened.
+// Close shuts the client and the fleet down.
 func (t *FleetTarget) Close() error {
-	err := errors.Join(t.inner.Close(), t.fleet.Close())
-	t.mu <- struct{}{}
-	err = errors.Join(err, t.chaosErr)
-	<-t.mu
-	if t.chaos && t.chaosErr == nil && !t.restarted.Load() {
-		err = errors.Join(err, errors.New("loadgen: chaos drill never reached its restart threshold"))
+	return errors.Join(t.HTTP.Close(), t.fleet.Close())
+}
+
+// ReplicaKiller is the optional Target extension for the chaos drill.
+type ReplicaKiller interface {
+	// Replicas is the number of members, dead ones included.
+	Replicas() int
+	// Kill hard-stops member i.
+	Kill(i int) error
+	// Restart brings member i back.
+	Restart(i int) error
+}
+
+func (t *FleetTarget) Replicas() int { return len(t.fleet.ReplicaURLs()) }
+
+// Kill hard-stops replica i, then re-probes the members at once so the
+// failover window is bounded by the requests in flight, not the poll
+// interval.
+func (t *FleetTarget) Kill(i int) error {
+	defer t.fleet.Router().CheckNow()
+	return t.fleet.Kill(i)
+}
+
+// Restart brings replica i back (peer bootstrap), then re-probes the
+// members at once.
+func (t *FleetTarget) Restart(i int) error {
+	defer t.fleet.Router().CheckNow()
+	return t.fleet.Restart(i)
+}
+
+// chaosVictim is the member the drill kills and restarts.
+const chaosVictim = 1
+
+// chaosSteps schedules the kill a third of the way through n ops and
+// the restart at two thirds.
+func chaosSteps(k ReplicaKiller, n int) ([]drillStep, error) {
+	if r := k.Replicas(); r <= chaosVictim {
+		return nil, fmt.Errorf("loadgen: chaos drill needs at least %d replicas, have %d", chaosVictim+1, r)
 	}
-	return err
+	return []drillStep{
+		{at: n / 3, run: func() error {
+			if err := k.Kill(chaosVictim); err != nil {
+				return fmt.Errorf("loadgen: chaos kill: %w", err)
+			}
+			return nil
+		}},
+		{at: 2 * n / 3, run: func() error {
+			if err := k.Restart(chaosVictim); err != nil {
+				return fmt.Errorf("loadgen: chaos restart: %w", err)
+			}
+			return nil
+		}},
+	}, nil
 }

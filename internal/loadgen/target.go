@@ -17,21 +17,14 @@ import (
 
 // Decision is the part of a recommendation a load-generator worker
 // needs to continue the session: the ticket to redeem and the arm whose
-// pre-sampled runtime to report. The in-process target leaves Ticket
-// empty and identifies the ticket by (Stream, Seq) instead — the driver
-// then redeems through the target's SeqObserver.
+// pre-sampled runtime to report. Each target fills the ticket identity
+// its Observe redeems: the HTTP targets the ticket ID, the in-process
+// target (Stream, Seq).
 type Decision struct {
 	Ticket string
 	Arm    int
 	Stream string
 	Seq    uint64
-}
-
-// SeqObserver is implemented by targets whose decisions carry a
-// (stream, seq) ticket identity instead of an ID string; the driver
-// prefers it whenever Decision.Ticket is empty.
-type SeqObserver interface {
-	ObserveSeq(stream string, seq uint64, runtime float64) error
 }
 
 // Target abstracts the system under test. Implementations must be safe
@@ -44,10 +37,8 @@ type Target interface {
 	// Recommend issues one recommendation for a named context (the
 	// schema'd serving path).
 	Recommend(stream string, op *Op, tr *Trace) (Decision, error)
-	// RecommendRaw issues one recommendation for a raw feature vector.
-	RecommendRaw(stream string, op *Op) (Decision, error)
-	// Observe redeems a ticket with a measured runtime.
-	Observe(ticket string, runtime float64) error
+	// Observe redeems a decision's ticket with a measured runtime.
+	Observe(dec Decision, runtime float64) error
 	// Close releases any resources (sockets, servers).
 	Close() error
 }
@@ -61,10 +52,9 @@ func streamOptions(traceSeed uint64, streamIdx int) core.Options {
 
 // InProc targets a banditware Service in the same process — the
 // serving layer with zero transport cost, isolating engine + registry +
-// ledger latency. It drives the zero-allocation API: RecommendInto /
-// RecommendCtxInto with pooled caller-owned tickets and pooled
-// named-context maps, and seq-keyed observes that never render or parse
-// a ticket-ID string.
+// ledger latency. It drives the zero-allocation API: RecommendCtxInto
+// with pooled caller-owned tickets and pooled named-context maps, and
+// seq-keyed observes that never render or parse a ticket-ID string.
 type InProc struct {
 	Service *serve.Service
 	// tickets holds *serve.Ticket values workers borrow for the duration
@@ -118,28 +108,10 @@ func (t *InProc) Recommend(stream string, op *Op, tr *Trace) (Decision, error) {
 	return d, nil
 }
 
-func (t *InProc) RecommendRaw(stream string, op *Op) (Decision, error) {
-	tk := t.tickets.Get().(*serve.Ticket)
-	err := t.Service.RecommendInto(stream, op.Features, tk)
-	d := Decision{Stream: stream, Arm: tk.Arm, Seq: tk.Seq}
-	t.tickets.Put(tk)
-	if err != nil {
-		return Decision{}, err
-	}
-	return d, nil
-}
-
-// Observe satisfies the Target interface for tickets that do carry an
-// ID (none issued by this target do); the driver routes this target's
-// observes through ObserveSeq.
-func (t *InProc) Observe(ticket string, runtime float64) error {
-	return t.Service.Observe(ticket, runtime)
-}
-
-// ObserveSeq redeems a ticket by (stream, seq) — the allocation-free
-// observe the driver prefers when a decision carries no ID string.
-func (t *InProc) ObserveSeq(stream string, seq uint64, runtime float64) error {
-	return t.Service.ObserveSeq(stream, seq, runtime)
+// Observe redeems the ticket by (stream, seq), the allocation-free
+// observe that never renders or parses a ticket-ID string.
+func (t *InProc) Observe(dec Decision, runtime float64) error {
+	return t.Service.ObserveSeq(dec.Stream, dec.Seq, runtime)
 }
 
 func (t *InProc) Close() error { return nil }
@@ -227,10 +199,9 @@ func hardwareWire(tr *Trace) []map[string]any {
 	return out
 }
 
-// recommendBody is the reusable wire form of one recommend request.
+// recommendBody is the wire form of one recommend request.
 type recommendBody struct {
-	Features []float64          `json:"features,omitempty"`
-	Context  map[string]float64 `json:"context,omitempty"`
+	Context map[string]float64 `json:"context"`
 }
 
 // ticketWire is the slice of the ticket response the driver needs.
@@ -251,21 +222,13 @@ func (t *HTTP) Recommend(stream string, op *Op, tr *Trace) (Decision, error) {
 	return Decision{Ticket: tk.ID, Arm: tk.Arm}, nil
 }
 
-func (t *HTTP) RecommendRaw(stream string, op *Op) (Decision, error) {
-	var tk ticketWire
-	if err := t.post("/v1/streams/"+stream+"/recommend", recommendBody{Features: op.Features}, &tk); err != nil {
-		return Decision{}, err
-	}
-	return Decision{Ticket: tk.ID, Arm: tk.Arm}, nil
-}
-
 type observeBody struct {
 	Ticket  string  `json:"ticket"`
 	Runtime float64 `json:"runtime"`
 }
 
-func (t *HTTP) Observe(ticket string, runtime float64) error {
-	return t.post("/v1/observe", observeBody{Ticket: ticket, Runtime: runtime}, nil)
+func (t *HTTP) Observe(dec Decision, runtime float64) error {
+	return t.post("/v1/observe", observeBody{Ticket: dec.Ticket, Runtime: runtime}, nil)
 }
 
 // post sends one JSON request and decodes the response into out (when
